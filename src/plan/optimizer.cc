@@ -18,9 +18,10 @@ bool JoinReorderExact(size_t num_tables,
       return false;
     }
   }
-  // Replay the naive executor's binding walk: each new FROM table must be
+  // Replay the FROM-order binding walk: each new FROM table must be
   // reached by exactly one predicate into the already-bound prefix (zero
-  // means a cartesian step, two+ means naive drops a predicate).
+  // means a cartesian step, two+ a residual — neither is a one-predicate
+  // join the DP can price).
   uint64_t bound = 1;
   for (size_t t = 1; t < num_tables; ++t) {
     size_t cross = 0;
@@ -106,7 +107,7 @@ std::unique_ptr<JoinTree> EnumerateJoinOrder(
         // The build side is NOT a cost choice: possible-candidate matching
         // is orientation-dependent (a build cell's range candidates go to a
         // linear side list; a probe cell's range candidates fall back to
-        // its original value), and the naive executor always hashes the
+        // its original value), and the FROM-order chain always hashes the
         // predicate endpoint with the later FROM position. Keeping that
         // orientation is what makes any join order bit-identical.
         const SplitWhere::JoinPred& jp = joins[pred_idx];

@@ -8,14 +8,15 @@
 //     the cheapest *binary* join tree (bushy allowed). The hash build side
 //     of every join is NOT cost-chosen: possible-candidate matching is
 //     orientation-dependent (range candidates are handled on the build
-//     side only), so each join hashes the side holding the predicate
-//     endpoint the naive executor hashes — the later FROM position.
-//     Reordering is only attempted when `JoinReorderExact` proves the
-//     query is inside the regime where the naive left-deep executor
-//     applies every predicate (spanning-tree joins walked connectedly by
-//     the FROM order): there, any tree that applies each predicate exactly
-//     once yields the same tuple set, and the root's canonical row-id sort
-//     (HashJoinStepNode::set_sort_output) makes the bytes identical too.
+//     side only), so each join hashes the side holding the predicate's
+//     later-FROM endpoint, as the FROM-order chain does. Reordering is
+//     only attempted when `JoinReorderExact` proves the predicates form a
+//     spanning tree the FROM order walks connectedly, the shape the DP's
+//     one-predicate joins assume. Every join tree — the DP's or the
+//     FROM-order chain the Planner builds otherwise — applies each
+//     predicate exactly once, so all yield the same tuple set, and the
+//     root's canonical row-id sort (HashJoinStepNode::set_sort_output)
+//     makes the bytes identical too.
 //
 //  2. cleanσ placement — a rule's CleanSelect can run before the join (the
 //     paper's default: clean the qualifying rows of its table) or after it
@@ -48,35 +49,36 @@ struct FdRuleStats;
 
 /// Upper bound on FROM tables the DP enumerator handles (2^n state table;
 /// the paper's workloads top out at 4-5 tables). Queries beyond it keep
-/// the naive left-deep order.
+/// the FROM-order join tree.
 constexpr size_t kMaxOptimizerTables = 12;
 
-/// One node of the optimizer's chosen binary join tree over FROM
-/// positions. Leaves carry a FROM index; internal nodes carry the single
-/// predicate connecting their two subtrees plus the build side (the
-/// subtree holding the predicate's later-FROM endpoint — see above).
+/// One node of a binary join tree over FROM positions: the optimizer's
+/// choice, or the Planner's FROM-order chain. Leaves carry a FROM index;
+/// internal nodes carry the step predicate connecting their two subtrees
+/// plus the build side (the subtree holding the predicate's later-FROM
+/// endpoint — see above). In the DP's trees the step predicate is the only
+/// connecting one; the FROM-order chain may also take cartesian steps and
+/// leave residual predicates to HashJoinStepNode.
 struct JoinTree {
   uint64_t mask = 0;        ///< FROM tables covered by this subtree
-  double est_rows = 0.0;    ///< estimated output cardinality
+  double est_rows = 0.0;    ///< estimated output cardinality (<0: uncosted)
   double est_cost = 0.0;    ///< cumulative cost (children + own work)
   int from = -1;            ///< leaf: FROM index; -1 for internal nodes
-  size_t pred_idx = 0;      ///< internal: index into the joins vector
+  size_t pred_idx = 0;      ///< internal: index into joins; size() = cartesian
   bool build_left = false;  ///< internal: hash build side
   std::unique_ptr<JoinTree> left;
   std::unique_ptr<JoinTree> right;
 };
 
-/// True when reordering the join is provably output-exact: exactly n-1
-/// predicates, none within a single table, forming a spanning tree that
-/// the FROM order walks connectedly with exactly one predicate binding
-/// each new table. The naive executor applies only the *first* predicate
-/// connecting each table (silently dropping extras) and falls back to
-/// cartesian products on disconnected steps, so outside this regime the
-/// naive plan's semantics are order-dependent and the optimizer must not
-/// touch it. Inside it, every plan that applies each predicate exactly
-/// once computes the same tuple set — and in a spanning tree two disjoint
-/// connected subsets share at most one edge, which is what lets the DP
-/// insist on exactly one connecting predicate per join.
+/// True when the DP may reorder the join: exactly n-1 predicates, none
+/// within a single table, forming a spanning tree that the FROM order
+/// walks connectedly with exactly one predicate binding each new table.
+/// The gate exists because the DP assumes exactly one cross predicate per
+/// join (its cost formula and JoinTree nodes carry one) — in a spanning
+/// tree two disjoint connected subsets share at most one edge, which is
+/// what lets it insist on that. Outside the gate the FROM-order tree still
+/// applies every predicate: extra connecting predicates as residuals,
+/// disconnected steps as cartesian products.
 bool JoinReorderExact(size_t num_tables,
                       const std::vector<SplitWhere::JoinPred>& joins);
 

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "query/eval.h"
 
@@ -350,84 +349,67 @@ Result<bool> CleanSelectNode::NextBatch(ExecContext* ctx, RowIdBatch* out) {
   return true;
 }
 
-// ------------------------------------------------------------------ Join --
-
-JoinNode::JoinNode(Kind kind, const std::vector<const Table*>* tables,
-                   const std::vector<SplitWhere::JoinPred>* joins,
-                   std::vector<std::unique_ptr<PlanNode>> children)
-    : JoinSourceNode(kind), tables_(tables), joins_(joins) {
-  children_ = std::move(children);
-}
-
-std::string JoinNode::Label() const {
-  std::ostringstream oss;
-  oss << (kind_ == Kind::kCleanJoin ? "CleanJoin [" : "HashJoin [");
-  if (joins_->empty()) {
-    oss << "cartesian";
-  } else {
-    for (size_t i = 0; i < joins_->size(); ++i) {
-      const SplitWhere::JoinPred& p = (*joins_)[i];
-      if (i > 0) oss << ", ";
-      oss << (*tables_)[p.left_table]->name() << "."
-          << (*tables_)[p.left_table]->schema().column(p.left_col).name
-          << " = " << (*tables_)[p.right_table]->name() << "."
-          << (*tables_)[p.right_table]->schema().column(p.right_col).name;
-    }
-  }
-  oss << "]";
-  return oss.str();
-}
-
-Result<std::vector<JoinedRow>> JoinNode::ExecuteJoined(ExecContext* ctx) {
-  NodeStatsTimer timer(&stats_.open_us);
-  std::vector<std::vector<RowId>> qualifying;
-  qualifying.reserve(children_.size());
-  for (const auto& child : children_) {
-    DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
-    auto* rows_child = static_cast<RowSetNode*>(child.get());
-    DAISY_ASSIGN_OR_RETURN(std::vector<RowId> rows, rows_child->Drain(ctx));
-    stats_.rows_in += rows.size();
-    qualifying.push_back(std::move(rows));
-  }
-  DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
-  DAISY_ASSIGN_OR_RETURN(std::vector<JoinedRow> joined,
-                         JoinTables(*tables_, qualifying, *joins_));
-  stats_.rows_out = joined.size();
-  ++stats_.batches;
-  return joined;
-}
-
 // ---------------------------------------------------------- HashJoinStep --
 
-HashJoinStepNode::HashJoinStepNode(Kind kind,
-                                   const std::vector<const Table*>* tables,
-                                   SplitWhere::JoinPred pred,
-                                   uint64_t left_mask, uint64_t right_mask,
-                                   int left_from, int right_from,
-                                   bool build_left,
-                                   std::unique_ptr<PlanNode> left,
-                                   std::unique_ptr<PlanNode> right)
+namespace {
+
+std::string JoinPredText(const std::vector<const Table*>& tables,
+                         const SplitWhere::JoinPred& p) {
+  return tables[p.left_table]->name() + "." +
+         tables[p.left_table]->schema().column(p.left_col).name + " = " +
+         tables[p.right_table]->name() + "." +
+         tables[p.right_table]->schema().column(p.right_col).name;
+}
+
+// `row` with the FROM positions in `side_mask` taken from `side_row`.
+JoinedRow MergeSide(JoinedRow row, const JoinedRow& side_row,
+                    uint64_t side_mask) {
+  for (size_t t = 0; t < row.size(); ++t) {
+    if (((side_mask >> t) & 1u) != 0) row[t] = side_row[t];
+  }
+  return row;
+}
+
+}  // namespace
+
+HashJoinStepNode::HashJoinStepNode(
+    Kind kind, const std::vector<const Table*>* tables,
+    const std::vector<SplitWhere::JoinPred>* joins, size_t pred_idx,
+    uint64_t left_mask, uint64_t right_mask, int left_from, int right_from,
+    bool build_left, std::unique_ptr<PlanNode> left,
+    std::unique_ptr<PlanNode> right)
     : JoinSourceNode(kind),
       tables_(tables),
-      pred_(pred),
+      pred_(pred_idx < joins->size() ? &(*joins)[pred_idx] : nullptr),
       left_mask_(left_mask),
       right_mask_(right_mask),
       left_from_(left_from),
       right_from_(right_from),
       build_left_(build_left) {
+  // Residuals: every other predicate with one endpoint on each side.
+  for (size_t j = 0; j < joins->size(); ++j) {
+    const SplitWhere::JoinPred& p = (*joins)[j];
+    const uint64_t ends =
+        (uint64_t{1} << p.left_table) | (uint64_t{1} << p.right_table);
+    if (j != pred_idx && (ends & left_mask) != 0 && (ends & right_mask) != 0) {
+      residuals_.push_back(p);
+    }
+  }
   children_.push_back(std::move(left));
   children_.push_back(std::move(right));
 }
 
 std::string HashJoinStepNode::Label() const {
-  std::ostringstream oss;
-  oss << (kind_ == Kind::kCleanJoin ? "CleanJoin [" : "HashJoin [")
-      << (*tables_)[pred_.left_table]->name() << "."
-      << (*tables_)[pred_.left_table]->schema().column(pred_.left_col).name
-      << " = " << (*tables_)[pred_.right_table]->name() << "."
-      << (*tables_)[pred_.right_table]->schema().column(pred_.right_col).name
-      << "] [build=" << (build_left_ ? "left" : "right") << "]";
-  return oss.str();
+  std::string out = kind_ == Kind::kCleanJoin ? "CleanJoin [" : "HashJoin [";
+  if (pred_ == nullptr) return out + "cartesian]";
+  out += JoinPredText(*tables_, *pred_) + "] [build=" +
+         (build_left_ ? "left" : "right") + "]";
+  for (size_t i = 0; i < residuals_.size(); ++i) {
+    out += i == 0 ? " [residual=" : ", ";
+    out += JoinPredText(*tables_, residuals_[i]);
+  }
+  if (!residuals_.empty()) out += "]";
+  return out;
 }
 
 Result<std::vector<JoinedRow>> HashJoinStepNode::SideRows(ExecContext* ctx,
@@ -458,16 +440,44 @@ Result<std::vector<JoinedRow>> HashJoinStepNode::ExecuteJoined(
   stats_.rows_in += left.size() + right.size();
   DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
 
-  // Resolve which end of the predicate lives in which subtree, then pick
-  // the build side the optimizer chose.
-  const bool pred_left_in_left = ((left_mask_ >> pred_.left_table) & 1u) != 0;
-  const size_t l_tab = pred_left_in_left ? pred_.left_table : pred_.right_table;
-  const size_t l_col = pred_left_in_left ? pred_.left_col : pred_.right_col;
-  const size_t r_tab = pred_left_in_left ? pred_.right_table : pred_.left_table;
-  const size_t r_col = pred_left_in_left ? pred_.right_col : pred_.left_col;
+  std::vector<JoinedRow> out;
+  if (pred_ == nullptr) {
+    // Cartesian step (no predicate connects the sides, so no residuals
+    // either): left-major in child order.
+    out.reserve(left.size() * right.size());
+    for (const JoinedRow& l : left) {
+      for (const JoinedRow& r : right) {
+        out.push_back(MergeSide(l, r, right_mask_));
+      }
+    }
+  } else {
+    out = HashMatch(left, right);
+  }
 
-  std::vector<JoinedRow>& build = build_left_ ? left : right;
-  std::vector<JoinedRow>& probe = build_left_ ? right : left;
+  // Canonical order at the tree root: lexicographic by FROM-position
+  // row-id tuple, the FROM-order chain's emission order. The planner skips
+  // it when the tree IS that chain (IsNaiveChain).
+  if (sort_output_) std::sort(out.begin(), out.end());
+  stats_.rows_out = out.size();
+  ++stats_.batches;
+  return out;
+}
+
+std::vector<JoinedRow> HashJoinStepNode::HashMatch(
+    const std::vector<JoinedRow>& left,
+    const std::vector<JoinedRow>& right) const {
+  // Resolve which end of the step predicate lives in which subtree, then
+  // pick the build side.
+  const bool pred_left_in_left = ((left_mask_ >> pred_->left_table) & 1u) != 0;
+  const size_t l_tab =
+      pred_left_in_left ? pred_->left_table : pred_->right_table;
+  const size_t l_col = pred_left_in_left ? pred_->left_col : pred_->right_col;
+  const size_t r_tab =
+      pred_left_in_left ? pred_->right_table : pred_->left_table;
+  const size_t r_col = pred_left_in_left ? pred_->right_col : pred_->left_col;
+
+  const std::vector<JoinedRow>& build = build_left_ ? left : right;
+  const std::vector<JoinedRow>& probe = build_left_ ? right : left;
   const size_t bt = build_left_ ? l_tab : r_tab;
   const size_t bc = build_left_ ? l_col : r_col;
   const size_t pt = build_left_ ? r_tab : l_tab;
@@ -476,11 +486,29 @@ Result<std::vector<JoinedRow>> HashJoinStepNode::ExecuteJoined(
   const Table& btab = *(*tables_)[bt];
   const Table& ptab = *(*tables_)[pt];
 
-  // Build: every point candidate of a build row's join cell hashes the
-  // build index; rows whose cell carries range candidates also go to a
-  // linear-probe side list. This is the naive JoinStep build verbatim,
-  // keyed by build-side tuple index instead of base row id so each joined
-  // build tuple pairs with each probe tuple at most once.
+  // Every residual holds for a (probe, build) tuple pair, each matched
+  // with its later-FROM endpoint as the build cell.
+  auto residuals_hold = [&](const JoinedRow& prow, const JoinedRow& brow) {
+    auto cell = [&](size_t t, size_t c) -> const Cell& {
+      const RowId r = ((build_mask >> t) & 1u) != 0 ? brow[t] : prow[t];
+      return (*tables_)[t]->cell(r, c);
+    };
+    for (const SplitWhere::JoinPred& p : residuals_) {
+      const bool left_first = p.left_table < p.right_table;
+      const Cell& earlier = left_first ? cell(p.left_table, p.left_col)
+                                       : cell(p.right_table, p.right_col);
+      const Cell& later = left_first ? cell(p.right_table, p.right_col)
+                                     : cell(p.left_table, p.left_col);
+      if (!JoinCellsMayMatch(earlier, later)) return false;
+    }
+    return true;
+  };
+
+  // Build: the point keys of a build row's join cell (see
+  // JoinCellsMayMatch) hash its tuple index; rows whose cell carries range
+  // candidates also go to a linear-probe side list. Keyed by build-side
+  // tuple index so each build tuple pairs with each probe tuple at most
+  // once.
   std::unordered_map<Value, std::vector<size_t>, ValueHash> hash;
   std::vector<size_t> range_rows;
   hash.reserve(build.size());
@@ -521,35 +549,20 @@ Result<std::vector<JoinedRow>> HashJoinStepNode::ExecuteJoined(
                              i)) {
         continue;
       }
-      if (CellsMayMatch(pcell, CompareOp::kEq, btab.cell(build[i][bt], bc))) {
+      if (JoinCellsMayMatch(pcell, btab.cell(build[i][bt], bc))) {
         matched.push_back(i);
       }
     }
     // Per-probe emission sorted by build tuple: when the build child is a
-    // leaf this is its row-id order — exactly the naive JoinStep's sorted
-    // extension, which is what lets the planner skip the root sort on
-    // naive-shaped trees. (For reordered trees the root sort decides.)
+    // leaf this is its row-id order, which is what makes the FROM-order
+    // chain emit lexicographically without a root sort.
     std::sort(matched.begin(), matched.end(),
               [&build](size_t a, size_t b) { return build[a] < build[b]; });
     for (size_t i : matched) {
-      JoinedRow j = prow;
-      const JoinedRow& b = build[i];
-      for (size_t t = 0; t < j.size(); ++t) {
-        if (((build_mask >> t) & 1u) != 0) j[t] = b[t];
-      }
-      out.push_back(std::move(j));
+      if (!residuals_.empty() && !residuals_hold(prow, build[i])) continue;
+      out.push_back(MergeSide(prow, build[i], build_mask));
     }
   }
-
-  // Canonical order at the tree root: the naive left-deep join emits rows
-  // lexicographically sorted by FROM-position row-id tuple (per-step
-  // sorted extension of an inductively sorted prefix), so sorting here
-  // makes any join order produce byte-identical output. The planner skips
-  // it when the chosen tree IS the naive left-deep chain: there the
-  // per-probe sorted emission above already reproduces those bytes.
-  if (sort_output_) std::sort(out.begin(), out.end());
-  stats_.rows_out = out.size();
-  ++stats_.batches;
   return out;
 }
 

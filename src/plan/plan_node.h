@@ -6,8 +6,9 @@
 // Open/NextBatch protocol instead of materializing full row vectors at
 // every step; pipeline breakers (CleanSelect must see the whole qualifying
 // set to relax it, HashJoin must see complete sides) drain their child and
-// re-emit batches. HashJoin (clean⋈ in a cleaning-augmented plan), Project
-// and Aggregate sit above the per-table chains.
+// re-emit batches. A binary tree of HashJoin steps (clean⋈ in a
+// cleaning-augmented plan), Project and Aggregate sit above the per-table
+// chains.
 //
 // Every node records cardinality counters during execution; Explain
 // renderers read them to annotate the plan text.
@@ -314,50 +315,41 @@ class CleanSelectNode : public RowSetNode {
 
 /// Base of every operator producing fully joined rows (JoinedRow vectors
 /// indexed by FROM position). OutputNode consumes whichever concrete
-/// subtree the planner assembled — the syntactic n-ary JoinNode, an
-/// optimizer-built binary HashJoinStepNode tree, or a deferred cleanσ
-/// (CleanJoinedNode) stacked above either.
+/// subtree the planner assembled — a binary HashJoinStepNode tree, or a
+/// deferred cleanσ (CleanJoinedNode) stacked above one.
 class JoinSourceNode : public PlanNode {
  public:
   using PlanNode::PlanNode;
   virtual Result<std::vector<JoinedRow>> ExecuteJoined(ExecContext* ctx) = 0;
 };
 
-/// Left-deep hash equi-join over the per-table chains (kCleanJoin labels
-/// the same runtime when the sides were cleaned — Lemma 5: no further
-/// violation checks are needed over clean inputs).
-class JoinNode : public JoinSourceNode {
- public:
-  JoinNode(Kind kind, const std::vector<const Table*>* tables,
-           const std::vector<SplitWhere::JoinPred>* joins,
-           std::vector<std::unique_ptr<PlanNode>> children);
-
-  std::string Label() const override;
-  Result<std::vector<JoinedRow>> ExecuteJoined(ExecContext* ctx) override;
-
- private:
-  const std::vector<const Table*>* tables_;
-  const std::vector<SplitWhere::JoinPred>* joins_;
-};
-
-/// One binary hash equi-join of an optimizer-built join tree. Each side is
-/// either a single-table chain (RowSetNode, FROM index recorded) or
-/// another joined-row source; the single predicate connecting the two
-/// sides was chosen by DP enumeration; the build side is the subtree
-/// holding the predicate's later-FROM endpoint, because possible-candidate
-/// matching is orientation-dependent and the naive executor always hashes
-/// that side. Matching mirrors the naive JoinStep bit for bit
-/// (possible-candidate point hashing + range-candidate side list, per-probe
-/// dedup); the root node of the tree canonically sorts its output
-/// lexicographically by FROM-position row-id tuple, which is exactly the
-/// order the syntactic left-deep join emits — optimized plans are
-/// bit-identical to naive plans by construction.
+/// One binary join of a plan's join tree, and the only join operator:
+/// every multi-table plan lowers to a tree of them (kCleanJoin labels the
+/// same runtime when the sides were cleaned — Lemma 5: no further
+/// violation checks are needed over clean inputs). Each side is either a
+/// single-table chain (RowSetNode, FROM index recorded) or another
+/// joined-row source.
+///
+/// The step predicate (`pred_idx` into `joins`; `joins->size()` for a
+/// cartesian step) is hashed: possible-candidate point hashing plus a
+/// range-candidate side list, deduplicated per probe. Every other
+/// predicate whose endpoints are split across the two sides is a residual,
+/// checked on each candidate pair. All of them match by JoinCellsMayMatch
+/// with the later-FROM endpoint as the build cell, so the build side is
+/// the subtree holding the step predicate's later-FROM endpoint.
+///
+/// Per-probe matches are emitted sorted by build tuple, and a cartesian
+/// step emits left-major in child order: over the FROM-order left-deep
+/// chain that is lexicographic order by FROM-position row-id tuple. The
+/// root of any other tree sorts its output into that order, so every join
+/// order produces the same bytes.
 class HashJoinStepNode : public JoinSourceNode {
  public:
   HashJoinStepNode(Kind kind, const std::vector<const Table*>* tables,
-                   SplitWhere::JoinPred pred, uint64_t left_mask,
-                   uint64_t right_mask, int left_from, int right_from,
-                   bool build_left, std::unique_ptr<PlanNode> left,
+                   const std::vector<SplitWhere::JoinPred>* joins,
+                   size_t pred_idx, uint64_t left_mask, uint64_t right_mask,
+                   int left_from, int right_from, bool build_left,
+                   std::unique_ptr<PlanNode> left,
                    std::unique_ptr<PlanNode> right);
 
   std::string Label() const override;
@@ -366,15 +358,19 @@ class HashJoinStepNode : public JoinSourceNode {
   /// Arm on the tree root: canonically sort the joined output.
   void set_sort_output(bool v) { sort_output_ = v; }
 
-  uint64_t mask() const { return left_mask_ | right_mask_; }
-
  private:
   /// Drains one side into joined rows (leaf chains wrap their row ids at
   /// their FROM position; join children pass through).
   Result<std::vector<JoinedRow>> SideRows(ExecContext* ctx, size_t side);
 
+  /// The hashed step: every (left, right) pair matching the step predicate
+  /// and all residuals, in per-probe build-tuple order.
+  std::vector<JoinedRow> HashMatch(const std::vector<JoinedRow>& left,
+                                   const std::vector<JoinedRow>& right) const;
+
   const std::vector<const Table*>* tables_;
-  SplitWhere::JoinPred pred_;
+  const SplitWhere::JoinPred* pred_;  ///< step predicate; null = cartesian
+  std::vector<SplitWhere::JoinPred> residuals_;
   uint64_t left_mask_;
   uint64_t right_mask_;
   int left_from_;   ///< FROM index when the left child is a chain, else -1

@@ -161,12 +161,47 @@ bool SortedIntersects(const std::vector<size_t>& a,
   return false;
 }
 
-// True when the DP's winning tree is exactly the naive left-deep
-// FROM-order chain: at every level the right child is the leaf for the
-// highest table of the node's (contiguous) mask, built over (the
-// orientation rule puts the build on the later-FROM endpoint, i.e. that
-// leaf). There the per-probe sorted emission of HashJoinStepNode already
-// reproduces the naive bytes, so the root's canonical sort is skipped.
+// The FROM-order left-deep chain as a JoinTree: the plan of every
+// multi-table query the DP does not reorder (optimizer off, or outside the
+// exactness gate). Step t joins the prefix {0..t-1} with table t on the
+// first predicate connecting them, or takes a cartesian step when none
+// does; HashJoinStepNode applies the other connecting predicates as
+// residuals. The new table holds the later-FROM endpoint of every such
+// predicate, so it is always the build side. Not costed: estimates stay
+// negative, so EXPLAIN renders none.
+std::unique_ptr<JoinTree> FromOrderJoinTree(
+    size_t n, const std::vector<SplitWhere::JoinPred>& joins) {
+  auto leaf = [](size_t i) {
+    auto t = std::make_unique<JoinTree>();
+    t->mask = uint64_t{1} << i;
+    t->from = static_cast<int>(i);
+    return t;
+  };
+  std::unique_ptr<JoinTree> tree = leaf(0);
+  for (size_t t = 1; t < n; ++t) {
+    auto step = std::make_unique<JoinTree>();
+    step->mask = tree->mask | (uint64_t{1} << t);
+    step->est_rows = -1.0;
+    step->est_cost = -1.0;
+    step->pred_idx = joins.size();
+    for (size_t j = 0; j < joins.size(); ++j) {
+      if (std::max(joins[j].left_table, joins[j].right_table) == t) {
+        step->pred_idx = j;
+        break;
+      }
+    }
+    step->left = std::move(tree);
+    step->right = leaf(t);
+    tree = std::move(step);
+  }
+  return tree;
+}
+
+// True when `t` is exactly the FROM-order left-deep chain: at every level
+// the right child is the leaf for the highest table of the node's
+// (contiguous) mask, built over. There the per-probe sorted emission of
+// HashJoinStepNode already produces the canonical order, so the root's
+// sort is skipped.
 bool IsNaiveChain(const JoinTree& t) {
   const JoinTree* cur = &t;
   while (cur->from < 0) {
@@ -182,8 +217,8 @@ bool IsNaiveChain(const JoinTree& t) {
   return cur->mask == 1;
 }
 
-// Materializes the DP's winning JoinTree as HashJoinStepNode operators,
-// consuming per-table chains at the leaves.
+// Materializes a JoinTree as HashJoinStepNode operators, consuming
+// per-table chains at the leaves.
 std::unique_ptr<PlanNode> BuildJoinTreeNode(
     const JoinTree& t, PlanNode::Kind kind,
     const std::vector<const Table*>* tables,
@@ -195,7 +230,7 @@ std::unique_ptr<PlanNode> BuildJoinTreeNode(
   std::unique_ptr<PlanNode> right =
       BuildJoinTreeNode(*t.right, kind, tables, joins, chains);
   auto node = std::make_unique<HashJoinStepNode>(
-      kind, tables, (*joins)[t.pred_idx], t.left->mask, t.right->mask,
+      kind, tables, joins, t.pred_idx, t.left->mask, t.right->mask,
       t.left->from, t.right->from, t.build_left, std::move(left),
       std::move(right));
   node->set_estimates(t.est_rows, t.est_cost);
@@ -218,6 +253,12 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt) {
 
 Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
                                 const CleaningPlanContext* clean) {
+  if (stmt.tables.size() > kMaxFromTables) {
+    return Status::InvalidArgument(
+        "FROM lists " + std::to_string(stmt.tables.size()) +
+        " tables; at most " + std::to_string(kMaxFromTables) +
+        " are supported");
+  }
   auto state = std::make_unique<Plan::State>();
   state->stmt = CloneStmt(stmt);
   for (const std::string& name : state->stmt.tables) {
@@ -269,9 +310,8 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
 
   // Cost-based optimization (plan/optimizer.h): join order by dpsize DP
   // and cleanσ placement by the cost model, both only inside the
-  // exactness gate. Duplicate FROM entries (self-joins) keep the naive
-  // path — the cleaning bindings and subtree masks assume one chain per
-  // physical table.
+  // exactness gate. Duplicate FROM entries (self-joins) keep the FROM-order
+  // tree — cleanσ deferral assumes one chain per physical table.
   std::unique_ptr<JoinTree> jt;
   std::vector<double> scan_rows(n, 0.0);
   std::vector<double> leaf_rows(n, 0.0);
@@ -381,20 +421,20 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
   std::unique_ptr<PlanNode> child;
   if (chains.size() == 1) {
     child = std::move(chains[0]);
-  } else if (jt != nullptr) {
+  } else {
     const PlanNode::Kind join_kind = clean != nullptr
                                          ? PlanNode::Kind::kCleanJoin
                                          : PlanNode::Kind::kHashJoin;
+    if (jt == nullptr) jt = FromOrderJoinTree(n, state->split.joins);
     child = BuildJoinTreeNode(*jt, join_kind, &state->const_tables,
                               &state->split.joins, &chains);
-    // The root of the optimized tree canonically sorts its output so any
-    // join order reproduces the naive left-deep bytes — unless the chosen
-    // tree IS the naive chain, whose emission is already in that order.
+    // A reordered tree's root canonically sorts its output so any join
+    // order reproduces the FROM-order chain's bytes.
     static_cast<HashJoinStepNode*>(child.get())
         ->set_sort_output(!IsNaiveChain(*jt));
-    // Deferred cleanσ above the join, per-table rule order preserved (the
-    // placement gate makes deferred rules commute with everything, so the
-    // stacking order is cosmetic).
+    // Deferred cleanσ above the join (DP plans only), per-table rule order
+    // preserved (the placement gate makes deferred rules commute with
+    // everything, so the stacking order is cosmetic).
     for (size_t i = 0; i < n; ++i) {
       for (const RuleSlot& slot : table_rules[i]) {
         if (!slot.deferred) continue;
@@ -408,11 +448,6 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
         child = std::move(deferred_node);
       }
     }
-  } else {
-    child = std::make_unique<JoinNode>(
-        clean != nullptr ? PlanNode::Kind::kCleanJoin
-                         : PlanNode::Kind::kHashJoin,
-        &state->const_tables, &state->split.joins, std::move(chains));
   }
   const bool aggregating =
       state->stmt.has_aggregate() || !state->stmt.group_by.empty();

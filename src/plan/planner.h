@@ -35,6 +35,11 @@ namespace daisy {
 
 class ThetaJoinDetector;
 
+/// Most FROM entries a statement may list: join trees key their subtrees
+/// by uint64_t FROM-position masks. Longer lists are rejected at plan time
+/// with InvalidArgument.
+constexpr size_t kMaxFromTables = 64;
+
 /// Deep copy of a parsed statement (the WHERE tree is owning).
 SelectStmt CloneStmt(const SelectStmt& stmt);
 
@@ -168,7 +173,7 @@ class Planner {
   void set_columnar_filters(bool enabled) { columnar_filters_ = enabled; }
 
   /// Cost-based optimization (join reordering + cleanσ placement, see
-  /// plan/optimizer.h). Off falls back to the syntactic left-deep plan.
+  /// plan/optimizer.h). Off keeps the FROM-order left-deep join tree.
   void set_optimizer(bool enabled) { optimizer_ = enabled; }
   bool optimizer() const { return optimizer_; }
 

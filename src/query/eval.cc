@@ -48,6 +48,18 @@ bool CandidateMaySatisfy(const Candidate& c, CompareOp op, const Value& rhs) {
   return false;
 }
 
+// `v` is one of cell.PossibleValues(), without materializing the vector.
+bool IsPossibleValue(const Cell& cell, const Value& v) {
+  if (!cell.is_probabilistic()) return cell.original() == v;
+  bool any_point = false;
+  for (const Candidate& c : cell.candidates()) {
+    if (c.kind != CandidateKind::kPoint) continue;
+    if (c.value == v) return true;
+    any_point = true;
+  }
+  return !any_point && cell.original() == v;
+}
+
 }  // namespace
 
 bool CellMaySatisfy(const Cell& cell, CompareOp op, const Value& rhs) {
@@ -100,6 +112,21 @@ bool CellsMayMatch(const Cell& a, CompareOp op, const Cell& b) {
     }
   }
   return false;
+}
+
+bool JoinCellsMayMatch(const Cell& probe, const Cell& build) {
+  if (!build.is_probabilistic()) {
+    return IsPossibleValue(probe, build.original());
+  }
+  bool has_range = false;
+  for (const Candidate& c : build.candidates()) {
+    if (c.kind != CandidateKind::kPoint) {
+      has_range = true;
+      continue;
+    }
+    if (IsPossibleValue(probe, c.value)) return true;
+  }
+  return has_range && CellsMayMatch(probe, CompareOp::kEq, build);
 }
 
 namespace {

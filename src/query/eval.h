@@ -26,6 +26,15 @@ bool CellMaySatisfy(const Cell& cell, CompareOp op, const Value& rhs);
 /// probabilistic join-key semantics.
 bool CellsMayMatch(const Cell& a, CompareOp op, const Cell& b);
 
+/// The equi-join match every join step applies, between the cell of the
+/// predicate's earlier-FROM endpoint (`probe`) and its later-FROM endpoint
+/// (`build`). Orientation matters: some point key of the build cell — its
+/// value when certain, each point candidate when probabilistic — must be
+/// one of the probe cell's PossibleValues(), or the build cell carries a
+/// range candidate and CellsMayMatch admits the pair. A hash join indexes
+/// the point-key half of this test.
+bool JoinCellsMayMatch(const Cell& probe, const Cell& build);
+
 /// Evaluates a WHERE expression over one row of `table`. Every column leaf
 /// must resolve in the table's schema (the qualifier, if present, must be
 /// the table's name). kAnd = all children may hold; kOr = any.

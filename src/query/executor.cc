@@ -1,8 +1,6 @@
 #include "query/executor.h"
 
-#include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "detect/group_by.h"
 #include "plan/planner.h"
@@ -103,123 +101,6 @@ Result<SplitWhere> SplitWhereClause(const SelectStmt& stmt,
     }
   }
   return out;
-}
-
-namespace {
-
-// Hash join of `current` joined rows with table `next_idx`, using the first
-// applicable join predicate. Falls back to a cartesian product when no
-// predicate connects (bounded use: paper queries always have join preds).
-Result<std::vector<JoinedRow>> JoinStep(
-    const std::vector<const Table*>& tables, std::vector<JoinedRow> current,
-    size_t next_idx, const std::vector<RowId>& next_rows,
-    const std::vector<SplitWhere::JoinPred>& joins,
-    const std::vector<bool>& bound) {
-  // Find a predicate linking an already-bound table to `next_idx`.
-  const SplitWhere::JoinPred* pred = nullptr;
-  bool next_on_left = false;
-  for (const SplitWhere::JoinPred& p : joins) {
-    if (p.left_table == next_idx && bound[p.right_table]) {
-      pred = &p;
-      next_on_left = true;
-      break;
-    }
-    if (p.right_table == next_idx && bound[p.left_table]) {
-      pred = &p;
-      next_on_left = false;
-      break;
-    }
-  }
-  std::vector<JoinedRow> out;
-  if (pred == nullptr) {
-    out.reserve(current.size() * next_rows.size());
-    for (const JoinedRow& row : current) {
-      for (RowId r : next_rows) {
-        JoinedRow j = row;
-        j[next_idx] = r;
-        out.push_back(std::move(j));
-      }
-    }
-    return out;
-  }
-
-  const size_t bound_table = next_on_left ? pred->right_table : pred->left_table;
-  const size_t bound_col = next_on_left ? pred->right_col : pred->left_col;
-  const size_t next_col = next_on_left ? pred->left_col : pred->right_col;
-  const Table& next_table = *tables[next_idx];
-
-  // Build: every point candidate of the next side's join cell hashes the
-  // row; rows with range candidates go to a linear-probe side list.
-  std::unordered_map<Value, std::vector<RowId>, ValueHash> hash;
-  std::vector<RowId> range_rows;
-  hash.reserve(next_rows.size());
-  for (RowId r : next_rows) {
-    const Cell& cell = next_table.cell(r, next_col);
-    bool has_range = false;
-    if (cell.is_probabilistic()) {
-      for (const Candidate& c : cell.candidates()) {
-        if (c.kind != CandidateKind::kPoint) {
-          has_range = true;
-          continue;
-        }
-        hash[c.value].push_back(r);
-      }
-    } else {
-      hash[cell.original()].push_back(r);
-    }
-    if (has_range) range_rows.push_back(r);
-  }
-
-  for (const JoinedRow& row : current) {
-    const Table& bt = *tables[bound_table];
-    const Cell& probe = bt.cell(row[bound_table], bound_col);
-    std::unordered_set<RowId> matched;
-    for (const Value& v : probe.PossibleValues()) {
-      auto it = hash.find(v);
-      if (it == hash.end()) continue;
-      for (RowId r : it->second) matched.insert(r);
-    }
-    for (RowId r : range_rows) {
-      if (matched.count(r)) continue;
-      if (CellsMayMatch(probe, CompareOp::kEq,
-                        next_table.cell(r, next_col))) {
-        matched.insert(r);
-      }
-    }
-    // Deterministic output order.
-    std::vector<RowId> sorted(matched.begin(), matched.end());
-    std::sort(sorted.begin(), sorted.end());
-    for (RowId r : sorted) {
-      JoinedRow j = row;
-      j[next_idx] = r;
-      out.push_back(std::move(j));
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<std::vector<JoinedRow>> JoinTables(
-    const std::vector<const Table*>& tables,
-    const std::vector<std::vector<RowId>>& qualifying,
-    const std::vector<SplitWhere::JoinPred>& joins) {
-  std::vector<JoinedRow> current;
-  std::vector<bool> bound(tables.size(), false);
-  current.reserve(qualifying.empty() ? 0 : qualifying[0].size());
-  for (RowId r : qualifying[0]) {
-    JoinedRow j(tables.size(), 0);
-    j[0] = r;
-    current.push_back(std::move(j));
-  }
-  bound[0] = true;
-  for (size_t t = 1; t < tables.size(); ++t) {
-    DAISY_ASSIGN_OR_RETURN(
-        current, JoinStep(tables, std::move(current), t, qualifying[t], joins,
-                          bound));
-    bound[t] = true;
-  }
-  return current;
 }
 
 namespace {

@@ -2,7 +2,7 @@
 // Database. Execute() lowers the statement through the shared Planner into
 // a PlanNode tree (see plan/planner.h); the Daisy engine lowers the same
 // statements with cleaning operators interleaved between filter and join
-// stages, so the two paths share one runtime. The WHERE-splitting, join and
+// stages, so the two paths share one runtime. The WHERE-splitting and
 // output-building helpers declared here are the runtime building blocks the
 // plan nodes call; the offline baseline runs this executor directly over
 // the pre-cleaned dataset.
@@ -45,13 +45,6 @@ Result<SplitWhere> SplitWhereClause(const SelectStmt& stmt,
 
 /// One joined intermediate tuple: a row id per FROM table.
 using JoinedRow = std::vector<RowId>;
-
-/// Joins per-table qualifying rows left-deep in FROM order using hash
-/// equi-joins with probabilistic key-overlap semantics.
-Result<std::vector<JoinedRow>> JoinTables(
-    const std::vector<const Table*>& tables,
-    const std::vector<std::vector<RowId>>& qualifying,
-    const std::vector<SplitWhere::JoinPred>& joins);
 
 /// A fully materialized query result.
 struct QueryOutput {

@@ -1,9 +1,10 @@
 // EXPLAIN golden tests: the plan text is part of the engine's contract.
-// Pins the deterministic tree for an SP query, an SPJ query, and
-// cleaning-augmented plans where statistics pruning drops a provably-clean
-// rule's cleanσ node; with the cost-based optimizer on, also pins the
-// chosen join order, per-node estimates, predicate pushdown below the
-// reordered join tree, and cleanσ deferral above a selective join.
+// Pins the deterministic tree for an SP query, an SPJ query, residual and
+// cartesian join steps, and cleaning-augmented plans where statistics
+// pruning drops a provably-clean rule's cleanσ node; with the cost-based
+// optimizer on, also pins the chosen join order, per-node estimates,
+// predicate pushdown below the reordered join tree, and cleanσ deferral
+// above a selective join.
 
 #include <gtest/gtest.h>
 
@@ -77,7 +78,7 @@ TEST(ExplainTest, SelectProjectJoinGolden) {
   } else {
     EXPECT_EQ(text,
               "Project [emp.name, dept.dept_name]\n"
-              "  HashJoin [emp.dept_id = dept.id]\n"
+              "  HashJoin [emp.dept_id = dept.id] [build=right]\n"
               "    Scan [emp]\n"
               "    Filter [dept: dept.dept_name == 'eng'] [columnar]\n"
               "      Scan [dept]\n");
@@ -125,11 +126,13 @@ TEST(ExplainTest, OptimizerReordersJoinAndPushesFilterDownGolden) {
               " est_cost=50\n"
               "        Scan [tc] est_rows=50 est_cost=50\n");
   } else {
+    // The uncosted FROM-order chain: (ta ⋈ tb) ⋈ tc, no estimates.
     EXPECT_EQ(text,
               "Project [ta.x, tc.y]\n"
-              "  HashJoin [ta.x = tb.x, tb.y = tc.y]\n"
-              "    Scan [ta]\n"
-              "    Scan [tb]\n"
+              "  HashJoin [tb.y = tc.y] [build=right]\n"
+              "    HashJoin [ta.x = tb.x] [build=right]\n"
+              "      Scan [ta]\n"
+              "      Scan [tb]\n"
               "    Filter [tc: tc.tag == 'hit'] [columnar]\n"
               "      Scan [tc]\n");
   }
@@ -139,6 +142,29 @@ TEST(ExplainTest, OptimizerReordersJoinAndPushesFilterDownGolden) {
                     "ta.x = tb.x AND tb.y = tc.y AND tc.tag = 'hit'")
                 .ValueOrDie();
   EXPECT_EQ(on.result.num_rows(), 2u);
+}
+
+TEST(ExplainTest, ResidualAndCartesianStepsGolden) {
+  // Both plans are outside the DP's gate, so they are the same under
+  // either optimizer setting: a second predicate binding a step renders as
+  // a residual, and a step no predicate reaches as a cartesian product.
+  Database db = MakeEmpDeptDb();
+  QueryExecutor exec(&db);
+  EXPECT_EQ(exec.Explain("SELECT emp.name FROM emp, dept WHERE "
+                         "emp.dept_id = dept.id AND emp.name = dept.dept_name")
+                .ValueOrDie(),
+            "Project [emp.name]\n"
+            "  HashJoin [emp.dept_id = dept.id] [build=right]"
+            " [residual=emp.name = dept.dept_name]\n"
+            "    Scan [emp]\n"
+            "    Scan [dept]\n");
+  EXPECT_EQ(
+      exec.Explain("SELECT emp.name, dept.dept_name FROM emp, dept")
+          .ValueOrDie(),
+      "Project [emp.name, dept.dept_name]\n"
+      "  HashJoin [cartesian]\n"
+      "    Scan [emp]\n"
+      "    Scan [dept]\n");
 }
 
 TEST(ExplainTest, AggregateGolden) {
@@ -292,7 +318,7 @@ TEST(ExplainTest, CleanJoinGolden) {
   } else {
     EXPECT_EQ(text,
               "Project [emp.name, dept.dept_name]\n"
-              "  CleanJoin [emp.dept_id = dept.id]\n"
+              "  CleanJoin [emp.dept_id = dept.id] [build=right]\n"
               "    CleanSelect [rule=rho fd] [adaptive]\n"
               "      Scan [emp]\n"
               "    Scan [dept]\n");

@@ -1,6 +1,7 @@
 // Optimizer test suite: unit tests for the cost-based optimizer's
 // primitives (exactness gate, dpsize enumeration, cleaning-cost pricing,
-// cardinality estimation) plus the plan-equivalence differential.
+// cardinality estimation), the nested-loop oracle differential, and the
+// plan-equivalence differential.
 //
 // The differential is the optimizer's correctness contract: across >= 100
 // seeds, a seed-driven generator produces multi-table schemas, join chains,
@@ -12,13 +13,19 @@
 // intentionally cleans fewer rows — the join survivors instead of the full
 // qualifying set) and must reconverge exactly after CleanAllRemaining.
 //
-// Under the CI ablation leg (DAISY_OPTIMIZER=0) both engines run the naive
-// plan and the differential degenerates to a self-check; the unit tests of
-// the pure optimizer functions are env-independent.
+// The oracle differential holds every plan shape to a nested-loop
+// reference join that applies every predicate: seeded scenarios from the
+// same generator plus cartesian, residual and self-join shapes, run through
+// the planner with the optimizer explicitly on and off. It and the unit
+// tests of the pure optimizer functions are env-independent. Under the CI
+// ablation leg (DAISY_OPTIMIZER=0) both engines of the plan-equivalence
+// differential run the FROM-order plan, so that leg compares the
+// FROM-order plan with itself; the oracle differential still covers it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -30,7 +37,10 @@
 #include "common/rng.h"
 #include "plan/cardinality.h"
 #include "plan/optimizer.h"
+#include "plan/planner.h"
+#include "query/eval.h"
 #include "query/executor.h"
+#include "query/parser.h"
 #include "storage/database.h"
 
 namespace daisy {
@@ -70,8 +80,9 @@ TEST(JoinReorderExactTest, CartesianStepFails) {
 }
 
 TEST(JoinReorderExactTest, DoublyBoundStepFails) {
-  // Two predicates bind table 1 to the prefix; the naive executor applies
-  // only the first and silently drops the second.
+  // Two predicates bind table 1 to the prefix: no one-predicate DP join
+  // covers the step (the FROM-order tree applies the second as a
+  // residual).
   EXPECT_FALSE(JoinReorderExact(3, {Pred(0, 0, 1, 0), Pred(0, 1, 1, 1)}));
 }
 
@@ -329,7 +340,8 @@ JoinScenario MakeJoinScenario(uint64_t seed) {
 
 std::string TableName(size_t i) { return "t" + std::to_string(i); }
 
-std::string ChainQuery(const JoinScenario& s) {
+std::string ChainQuery(const JoinScenario& s,
+                       const std::string& select = "*") {
   std::string from, where;
   for (size_t i = 0; i < s.n; ++i) {
     if (i > 0) from += ", ";
@@ -339,7 +351,7 @@ std::string ChainQuery(const JoinScenario& s) {
       where += TableName(i) + ".b = " + TableName(i + 1) + ".a";
     }
   }
-  std::string sql = "SELECT * FROM " + from;
+  std::string sql = "SELECT " + select + " FROM " + from;
   if (!where.empty()) sql += " WHERE " + where;
   return sql;
 }
@@ -374,7 +386,7 @@ std::string RandomSpjQuery(Rng* rng, const JoinScenario& s) {
     conjuncts.push_back(TableName(i) + ".b = " + TableName(i + 1) + ".a");
   }
   // With a small probability, drop the (single) join predicate of a
-  // two-table query: the naive plan takes a cartesian step, the gate
+  // two-table query: the FROM-order tree takes a cartesian step, the gate
   // refuses to reorder, and both engines must agree on the fallback.
   if (conjuncts.size() == 1 && rng->Bernoulli(0.08)) conjuncts.clear();
   for (size_t i = lo; i <= hi; ++i) {
@@ -483,6 +495,206 @@ std::vector<RowId> PickVictims(const Table& t, size_t count, uint64_t salt) {
   return ::testing::AssertionSuccess();
 }
 
+// --------------------------------------------------- nested-loop oracle --
+
+// Reference join for the differentials below. Extends FROM-order prefixes
+// one table at a time over each table's filtered rows (row-path evaluator),
+// applies every join predicate to each extension — the earlier-FROM
+// endpoint as the probe cell, the orientation every join step uses — and
+// so emits tuples in lexicographic FROM-position row-id order. No hashing
+// and no plan: only the semantics every join tree must reproduce.
+Result<QueryOutput> OracleQuery(Database* db, const std::string& sql) {
+  DAISY_ASSIGN_OR_RETURN(SelectStmt stmt, ParseQuery(sql));
+  std::vector<const Table*> tables;
+  for (const std::string& name : stmt.tables) {
+    DAISY_ASSIGN_OR_RETURN(Table * t, db->GetTable(name));
+    tables.push_back(t);
+  }
+  DAISY_ASSIGN_OR_RETURN(SplitWhere split, SplitWhereClause(stmt, tables));
+  std::vector<std::vector<RowId>> rows;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    DAISY_ASSIGN_OR_RETURN(
+        std::vector<RowId> kept,
+        FilterRows(*tables[i], split.table_filters[i].get(),
+                   tables[i]->AllRowIds()));
+    rows.push_back(std::move(kept));
+  }
+  std::vector<JoinedRow> joined;
+  JoinedRow tuple(tables.size(), 0);
+  std::function<void(size_t)> extend = [&](size_t t) {
+    if (t == tables.size()) {
+      joined.push_back(tuple);
+      return;
+    }
+    for (RowId r : rows[t]) {
+      tuple[t] = r;
+      bool match = true;
+      for (const SplitWhere::JoinPred& p : split.joins) {
+        if (std::max(p.left_table, p.right_table) != t) continue;
+        const Cell& l =
+            tables[p.left_table]->cell(tuple[p.left_table], p.left_col);
+        const Cell& rc =
+            tables[p.right_table]->cell(tuple[p.right_table], p.right_col);
+        match = p.left_table < p.right_table ? JoinCellsMayMatch(l, rc)
+                                             : JoinCellsMayMatch(rc, l);
+        if (!match) break;
+      }
+      if (match) extend(t + 1);
+    }
+  };
+  extend(0);
+  return QueryExecutor::BuildOutput(stmt, tables, std::move(joined));
+}
+
+// Runs `sql` through the cleaning-oblivious planner with the optimizer set
+// explicitly on and off (so every CI leg checks both plan shapes) and
+// holds both to the oracle: same lineage, same result cells. Returns the
+// oracle's row count.
+size_t ExpectMatchesOracle(Database* db, const std::string& sql) {
+  SCOPED_TRACE(sql);
+  Result<QueryOutput> want = OracleQuery(db, sql);
+  EXPECT_TRUE(want.ok()) << want.status().ToString();
+  if (!want.ok()) return 0;
+  const SelectStmt stmt = ParseQuery(sql).ValueOrDie();
+  for (bool optimizer : {true, false}) {
+    Planner planner(db);
+    planner.set_optimizer(optimizer);
+    Result<Plan> plan = planner.PlanQuery(stmt);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) continue;
+    Result<QueryOutput> got = plan.value().Execute();
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (!got.ok()) continue;
+    EXPECT_EQ(got.value().lineage, want.value().lineage)
+        << "optimizer=" << optimizer;
+    EXPECT_TRUE(SameTables(got.value().result, want.value().result))
+        << "optimizer=" << optimizer;
+  }
+  return want.value().result.num_rows();
+}
+
+TEST(JoinOracleTest, EveryPredicateOfAStepIsApplied) {
+  // Two predicates bind b to a. x = i % 2 alone pairs each row with two
+  // partners; x and y together only with itself.
+  Database db;
+  for (const char* name : {"a", "b"}) {
+    Table t(name, Schema({{"x", ValueType::kInt}, {"y", ValueType::kInt}}));
+    for (int64_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(t.AppendRow({Value(i % 2), Value(i)}).ok());
+    }
+    ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+  }
+  // Both plan shapes must equal the oracle, and the oracle keeps 4 rows.
+  EXPECT_EQ(ExpectMatchesOracle(
+                &db, "SELECT a.y, b.y FROM a, b WHERE a.x = b.x AND a.y = b.y"),
+            4u);
+}
+
+TEST(JoinOracleTest, DoublyBoundStepThroughEngineMatchesOracle) {
+  // The JoinReorderExactTest.DoublyBoundStepFails shape — two predicates
+  // bind t1 to t0 and t2 joins by a cartesian step — through the cleaning
+  // engine, with an FD rule whose repairs leave candidate sets on t0's
+  // join key y.
+  const std::string sql =
+      "SELECT t0.y, t1.y, t2.z FROM t0, t1, t2 "
+      "WHERE t0.x = t1.x AND t0.y = t1.y";
+  for (bool optimizer : {true, false}) {
+    SCOPED_TRACE("optimizer=" + std::to_string(optimizer));
+    Database db;
+    const Schema xy({{"x", ValueType::kInt}, {"y", ValueType::kInt}});
+    Table t0("t0", xy);
+    for (int64_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(t0.AppendRow({Value(i % 2), Value(i)}).ok());
+    }
+    Table t1("t1", xy);
+    for (int64_t i = 0; i < 6; ++i) {
+      ASSERT_TRUE(t1.AppendRow({Value(i % 2), Value(i)}).ok());
+    }
+    Table t2("t2", Schema({{"z", ValueType::kInt}}));
+    for (int64_t i = 0; i < 2; ++i) ASSERT_TRUE(t2.AppendRow({Value(i)}).ok());
+    ASSERT_TRUE(db.AddTable(std::move(t0)).ok());
+    ASSERT_TRUE(db.AddTable(std::move(t1)).ok());
+    ASSERT_TRUE(db.AddTable(std::move(t2)).ok());
+    ConstraintSet rules;
+    ASSERT_TRUE(rules.AddFromText("fd: FD x -> y", "t0", xy).ok());
+    DaisyOptions options;
+    options.optimizer = optimizer;
+    DaisyEngine engine(&db, std::move(rules), options);
+    ASSERT_TRUE(engine.Prepare().ok());
+
+    QueryReport report = engine.Query(sql).ValueOrDie();
+    EXPECT_GT(db.GetTable("t0").ValueOrDie()->CountProbabilisticCells(), 0u);
+    // The query cleaned t0 in its chain; the oracle reads the same cells.
+    QueryOutput want = OracleQuery(&db, sql).ValueOrDie();
+    EXPECT_EQ(report.output.lineage, want.lineage);
+    EXPECT_TRUE(SameTables(report.output.result, want.result));
+    // The second predicate really filters: dropping it admits more rows.
+    QueryOutput x_only =
+        OracleQuery(&db,
+                    "SELECT t0.y, t1.y, t2.z FROM t0, t1, t2 "
+                    "WHERE t0.x = t1.x")
+            .ValueOrDie();
+    EXPECT_LT(want.result.num_rows(), x_only.result.num_rows());
+  }
+}
+
+TEST(JoinOracleTest, SeededScenariosMatchOracleWithOptimizerOnAndOff) {
+  size_t oracle_rows = 0;
+  size_t probabilistic_cells = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const JoinScenario s = MakeJoinScenario(seed);
+    Database db;
+    ConstraintSet rules;
+    for (size_t i = 0; i < s.n; ++i) {
+      Table t(TableName(i), s.schemas[i]);
+      for (const auto& row : s.base_rows[i]) {
+        ASSERT_TRUE(t.AppendRow(row).ok());
+      }
+      ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+      for (const std::string& text : s.rule_texts[i]) {
+        ASSERT_TRUE(rules.AddFromText(text, TableName(i), s.schemas[i]).ok());
+      }
+    }
+    // Odd seeds clean everything first, so join keys carry point and range
+    // candidates (the order DC repairs t<i>.a with ranges).
+    if (seed % 2 == 1) {
+      DaisyEngine engine(&db, std::move(rules), DaisyOptions{});
+      ASSERT_TRUE(engine.Prepare().ok());
+      ASSERT_TRUE(engine.CleanAllRemaining().ok());
+    }
+    for (size_t i = 0; i < s.n; ++i) {
+      probabilistic_cells +=
+          db.GetTable(TableName(i)).ValueOrDie()->CountProbabilisticCells();
+    }
+
+    Rng rng(seed ^ 0x0a0aULL);
+    // A narrow projection keeps the widest joins over candidate cells
+    // cheap to materialize three times.
+    std::vector<std::string> queries = {ChainQuery(s, "t0.a, t0.v")};
+    for (int q = 0; q < 6; ++q) queries.push_back(RandomSpjQuery(&rng, s));
+    // Cartesian, residual (written in both orientations) and self-join
+    // shapes: all outside the DP's gate.
+    queries.push_back("SELECT t0.a, t1.w FROM t0, t1");
+    queries.push_back("SELECT * FROM t0, t1 WHERE t0.b = t1.a AND t1.v = t0.v");
+    queries.push_back("SELECT t0.v, t1.w FROM t0, t1, t0 WHERE t0.b = t1.a");
+    queries.push_back("SELECT t1.a, t1.w FROM t1, t1");
+    if (s.n >= 3) {
+      queries.push_back(
+          "SELECT t0.a, t2.w, t1.v FROM t0, t2, t1 WHERE t0.b = t1.a");
+      queries.push_back(
+          "SELECT t0.v, t1.w, t2.a FROM t0, t1, t2 WHERE t0.b = t1.a AND "
+          "t1.b = t2.a AND t2.w = t0.w");
+    }
+    for (const std::string& sql : queries) {
+      oracle_rows += ExpectMatchesOracle(&db, sql);
+    }
+  }
+  // The sweep must exercise joins over candidate cells, not vacuously pass.
+  EXPECT_GT(oracle_rows, 0u);
+  EXPECT_GT(probabilistic_cells, 0u);
+}
+
 // ------------------------------------------- plan-equivalence differential --
 
 struct DifferentialTally {
@@ -569,9 +781,8 @@ void RunOptimizerDifferential(uint64_t seed, DifferentialTally* tally) {
   }
 
   // The full chain query is inside the exact regime, so the optimizer
-  // engine must actually be running an optimized hash-join plan (rendered
-  // as HashJoin, or CleanJoin when cleaning rules overlap, either way with
-  // a build-side annotation only optimized plans carry).
+  // engine must actually be running a costed plan: every join step renders
+  // its build side, but only the DP's plans carry estimates.
   if (s.n > 1 && engine_on->options().optimizer) {
     const std::string text = engine_on->Explain(ChainQuery(s)).ValueOrDie();
     EXPECT_NE(text.find("[build="), std::string::npos) << text;

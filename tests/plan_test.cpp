@@ -1,8 +1,11 @@
 // Tests for the physical plan layer: compiled-filter equivalence with the
 // row-path evaluator (property-style over ops, nulls and candidate cells),
-// batch-size invariance, and planner lowering through QueryExecutor.
+// batch-size invariance, planner lowering through QueryExecutor, and the
+// plan-time FROM width limit.
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "common/rng.h"
 #include "plan/compiled_filter.h"
@@ -202,6 +205,32 @@ TEST(PlanTest, ExecutorLowersThroughPlanner) {
   for (const JoinedRow& j : out.lineage) {
     ASSERT_EQ(j.size(), 1u);
   }
+}
+
+TEST(PlanTest, FromWidthLimitIsEnforcedAtPlanTime) {
+  // Join trees key subtrees by 64-bit FROM-position masks: 64 entries are
+  // the most a statement may list, and one more is a typed error rather
+  // than an out-of-range shift.
+  Database db;
+  std::string from;
+  for (size_t i = 0; i <= kMaxFromTables; ++i) {
+    const std::string name = "w" + std::to_string(i);
+    Table t(name, Schema({{"k", ValueType::kInt}}));
+    ASSERT_TRUE(t.AppendRow({Value(static_cast<int64_t>(i))}).ok());
+    ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+    if (i == kMaxFromTables) break;
+    from += (i == 0 ? "" : ", ") + name;
+  }
+  ASSERT_EQ(kMaxFromTables, 64u);
+  QueryExecutor exec(&db);
+  auto widest = exec.Execute("SELECT w0.k, w63.k FROM " + from);
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest.value().result.num_rows(), 1u);
+  EXPECT_EQ(widest.value().lineage.at(0).size(), kMaxFromTables);
+
+  auto too_wide = exec.Execute("SELECT w0.k FROM " + from + ", w64");
+  ASSERT_FALSE(too_wide.ok());
+  EXPECT_EQ(too_wide.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
