@@ -23,18 +23,17 @@
 // with no faults armed (the virtual-dispatch + accounting cost; the ratio
 // should be ~1).
 //
-// The writer legs measure group commit (DaisyOptions::group_commit):
-// N client threads issue single-row appends against a persistence-backed
-// rule-free table, once with per-op write+fsync and once with the shared
-// batching queue. Each row reports ops/sec, fsyncs/op from per-leg deltas
-// of the daisy_persist_* metrics registry counters (the same instruments
-// the Metrics RPC exposes), and speedup_vs_off — at 4+ clients the batched rows are
-// expected to clear 2x the per-op-fsync baseline, since concurrent ops
-// share one fsync instead of queueing for their own. A durability audit
-// closes the section: group-commit writers race injected fsync failures
-// at several schedule points, and every op acked before the engine
-// degraded must be present exactly once after reopening from disk
-// (acked_but_lost is asserted zero, not just reported).
+// The writer legs measure group commit: N client threads issue single-row
+// appends against a persistence-backed rule-free table through the shared
+// batching queue. Each row reports ops/sec, fsyncs/op and records/batch
+// from per-leg deltas of the daisy_persist_* metrics registry counters
+// (the same instruments the Metrics RPC exposes); concurrent writers push
+// records/batch above 1, since ops share one fsync instead of queueing for
+// their own. A durability audit closes the section: group-commit writers
+// race injected fsync failures at several schedule points, and every op
+// acked before the engine degraded must be present exactly once after
+// reopening from disk (acked_but_lost is asserted zero, not just
+// reported).
 
 #include <cerrno>
 #include <cstdio>
@@ -294,84 +293,71 @@ int main() {
 
   // ------------------------------------------ group-commit writer ops ----
   // N client threads append one row each per op against a rule-free
-  // persistence-backed table: the op is WAL encode + append + fsync, i.e.
-  // exactly what daisyd does per Append frame. group_commit=false pays one
-  // write+fsync per op serialized behind the writer lock; group_commit=true
-  // lets concurrent ops share one frame write + one fsync. fsyncs/op comes
-  // from per-leg deltas of the process metrics registry (snapshot before
-  // the workload, subtract after — the same daisy_persist_wal_* counters
-  // the Metrics RPC serves), so the amortization is visible in the JSON,
-  // not just inferred from wall time.
+  // persistence-backed table: the op is WAL encode + enqueue + shared
+  // fsync, i.e. exactly what daisyd does per Append frame. fsyncs/op and
+  // records/batch come from per-leg deltas of the process metrics registry
+  // (snapshot before the workload, subtract after — the same
+  // daisy_persist_wal_* counters the Metrics RPC serves), so the
+  // amortization is visible in the JSON, not just inferred from wall time.
   std::printf("\n# Group-commit writers: single-row appends, rule-free "
               "table, %zu ops/client\n", size_t{200});
-  std::printf("# %-8s %-13s %10s %12s %11s %10s %9s\n", "clients",
-              "group_commit", "wall_s", "ops/s", "fsyncs/op", "max_batch",
-              "speedup");
+  std::printf("# %-8s %10s %12s %11s %14s\n", "clients", "wall_s", "ops/s",
+              "fsyncs/op", "records/batch");
   constexpr size_t kWriterOps = 200;  // per client
   for (size_t clients : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    double off_ops_per_s = 0;
-    for (const bool gc : {false, true}) {
-      Database db;
-      Table t("log",
-              Schema({{"k", ValueType::kInt}, {"x", ValueType::kDouble}}));
-      CheckOk(db.AddTable(std::move(t)), "add log table");
-      DaisyOptions options;
-      options.group_commit = gc;
-      auto engine =
-          std::make_unique<DaisyEngine>(&db, ConstraintSet{}, options);
-      CheckOk(engine->Prepare(), "prepare");
-      CheckOk(engine->EnablePersistence(ScratchDir() + "/state", nullptr),
-              "enable persistence");
+    Database db;
+    Table t("log",
+            Schema({{"k", ValueType::kInt}, {"x", ValueType::kDouble}}));
+    CheckOk(db.AddTable(std::move(t)), "add log table");
+    auto engine =
+        std::make_unique<DaisyEngine>(&db, ConstraintSet{}, DaisyOptions{});
+    CheckOk(engine->Prepare(), "prepare");
+    CheckOk(engine->EnablePersistence(ScratchDir() + "/state", nullptr),
+            "enable persistence");
 
-      // Snapshot after EnablePersistence so recovery/bootstrap I/O stays
-      // out of the leg's delta; only the measured appends remain.
-      RegistryCounterDelta reg;
-      Timer timer;
-      std::vector<std::thread> pool;
-      pool.reserve(clients);
-      for (size_t c = 0; c < clients; ++c) {
-        pool.emplace_back([&engine, c] {
-          for (size_t i = 0; i < kWriterOps; ++i) {
-            std::vector<std::vector<Value>> rows;
-            rows.push_back(
-                {Value(static_cast<int64_t>(c * kWriterOps + i)),
-                 Value(0.5)});
-            (void)UnwrapOrDie(engine->AppendRows("log", std::move(rows)),
-                              "writer append");
-          }
-        });
-      }
-      for (std::thread& th : pool) th.join();
-      const double wall = timer.ElapsedSeconds();
-
-      const uint64_t syncs = reg.Delta("daisy_persist_wal_fsyncs_total");
-      const uint64_t records = reg.Delta("daisy_persist_wal_records_total");
-      // max batch size is a distribution property, not a count; it still
-      // comes from the engine's WalCommitStats.
-      const persist::WalCommitStats stats = engine->WalStats();
-      const double ops = static_cast<double>(clients * kWriterOps);
-      const double ops_per_s = ops / wall;
-      const double fsyncs_per_op = static_cast<double>(syncs) / ops;
-      if (!gc) off_ops_per_s = ops_per_s;
-      const double speedup = ops_per_s / off_ops_per_s;
-      std::printf("  %-8zu %-13s %10.3f %12.1f %11.3f %10zu %8.2fx\n",
-                  clients, gc ? "on" : "off", wall, ops_per_s, fsyncs_per_op,
-                  static_cast<size_t>(stats.max_batch_records), speedup);
-      BenchResult r;
-      r.name = "group_commit_writers_" + std::to_string(clients) +
-               (gc ? "_on" : "_off");
-      r.wall_ms = wall * 1000;
-      r.counters = {{"ops", ops},
-                    {"ops_per_s", ops_per_s},
-                    {"fsyncs_per_op", fsyncs_per_op},
-                    {"wal_syncs", static_cast<double>(syncs)},
-                    {"wal_records", static_cast<double>(records)},
-                    {"max_batch_records",
-                     static_cast<double>(stats.max_batch_records)},
-                    {"speedup_vs_off", speedup}};
-      r.config = {{"group_commit", gc ? "on" : "off"}};
-      json.Add(std::move(r));
+    // Snapshot after EnablePersistence so recovery/bootstrap I/O stays
+    // out of the leg's delta; only the measured appends remain.
+    RegistryCounterDelta reg;
+    Timer timer;
+    std::vector<std::thread> pool;
+    pool.reserve(clients);
+    for (size_t c = 0; c < clients; ++c) {
+      pool.emplace_back([&engine, c] {
+        for (size_t i = 0; i < kWriterOps; ++i) {
+          std::vector<std::vector<Value>> rows;
+          rows.push_back(
+              {Value(static_cast<int64_t>(c * kWriterOps + i)), Value(0.5)});
+          (void)UnwrapOrDie(engine->AppendRows("log", std::move(rows)),
+                            "writer append");
+        }
+      });
     }
+    for (std::thread& th : pool) th.join();
+    const double wall = timer.ElapsedSeconds();
+
+    const uint64_t syncs = reg.Delta("daisy_persist_wal_fsyncs_total");
+    const uint64_t records = reg.Delta("daisy_persist_wal_records_total");
+    const uint64_t batches = reg.Delta("daisy_persist_wal_batches_total");
+    const double ops = static_cast<double>(clients * kWriterOps);
+    const double ops_per_s = ops / wall;
+    const double fsyncs_per_op = static_cast<double>(syncs) / ops;
+    const double records_per_batch =
+        batches == 0 ? 0.0
+                     : static_cast<double>(records) /
+                           static_cast<double>(batches);
+    std::printf("  %-8zu %10.3f %12.1f %11.3f %14.2f\n", clients, wall,
+                ops_per_s, fsyncs_per_op, records_per_batch);
+    BenchResult r;
+    r.name = "group_commit_writers_" + std::to_string(clients);
+    r.wall_ms = wall * 1000;
+    r.counters = {{"ops", ops},
+                  {"ops_per_s", ops_per_s},
+                  {"fsyncs_per_op", fsyncs_per_op},
+                  {"wal_syncs", static_cast<double>(syncs)},
+                  {"wal_records", static_cast<double>(records)},
+                  {"wal_batches", static_cast<double>(batches)},
+                  {"records_per_batch", records_per_batch}};
+    json.Add(std::move(r));
   }
 
   // --------------------------- durability audit: acked ops vs faults -----

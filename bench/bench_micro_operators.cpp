@@ -47,31 +47,21 @@ void BM_RelaxFdResult(benchmark::State& state) {
 }
 BENCHMARK(BM_RelaxFdResult)->Arg(1000)->Arg(10000)->Arg(50000);
 
-// Row path vs. columnar path: FD detection via per-cell Value hashing
-// against the dictionary-code group-by.
+// FD detection via the dictionary-code group-by.
 void BM_FdDetection(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
-  const bool columnar = state.range(1) != 0;
   Table t = MakeLineorder(rows, rows / 20, 50);
   DenialConstraint dc = OrderFd(t);
   const std::vector<RowId> all = t.AllRowIds();
   (void)DetectFdViolations(t, dc, all);  // build the column cache once
   for (auto _ : state) {
-    auto groups = columnar ? DetectFdViolations(t, dc, all)
-                           : DetectFdViolationsRowPath(t, dc, all);
+    auto groups = DetectFdViolations(t, dc, all);
     benchmark::DoNotOptimize(groups.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(rows));
-  state.SetLabel(columnar ? "columnar" : "row-path");
 }
-BENCHMARK(BM_FdDetection)
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 0})
-    ->Args({50000, 1})
-    ->Args({50000, 0});
+BENCHMARK(BM_FdDetection)->Arg(1000)->Arg(10000)->Arg(50000);
 
 Table MakeSalaryTable(size_t rows, double error_fraction) {
   Rng rng(99);
@@ -124,12 +114,10 @@ void BM_ThetaJoinIncremental(benchmark::State& state) {
 }
 BENCHMARK(BM_ThetaJoinIncremental)->Arg(1000)->Arg(4000);
 
-// Row path vs. columnar path on the 50k-row theta-join workload: one
-// incremental detection pass (a 1k-row query answer against the unseen
-// rest) with pair checks either through the compiled flat arrays or
-// through per-cell Value dispatch (DenialConstraint::ViolatedBy).
-void BM_ThetaJoin50kRowVsColumnar(benchmark::State& state) {
-  const bool columnar = state.range(0) != 0;
+// The 50k-row theta-join workload: one incremental detection pass (a
+// 1k-row query answer against the unseen rest) with pair checks through
+// the compiled flat arrays.
+void BM_ThetaJoin50kIncremental(benchmark::State& state) {
   const size_t rows = 50000;
   Table t = MakeSalaryTable(rows, 0.02);
   auto dc = ParseConstraint("dc: !(t1.salary < t2.salary & t1.tax > t2.tax)",
@@ -142,18 +130,13 @@ void BM_ThetaJoin50kRowVsColumnar(benchmark::State& state) {
   size_t pairs = 0;
   for (auto _ : state) {
     ThetaJoinDetector detector(&t, &dc, 32);
-    detector.set_columnar_enabled(columnar);
     auto v = detector.DetectIncremental(result);
     benchmark::DoNotOptimize(v.size());
     pairs = detector.pairs_checked();
   }
   state.counters["pairs"] = static_cast<double>(pairs);
-  state.SetLabel(columnar ? "columnar" : "row-path");
 }
-BENCHMARK(BM_ThetaJoin50kRowVsColumnar)
-    ->Arg(1)
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ThetaJoin50kIncremental)->Unit(benchmark::kMillisecond);
 
 // DetectAll worker-pool scaling on the flat layout (deterministic merge).
 void BM_ThetaJoinParallelDetectAll(benchmark::State& state) {
@@ -220,13 +203,10 @@ void BM_ProbabilisticFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbabilisticFilter)->Arg(1000)->Arg(10000);
 
-// Row path vs. columnar path on the plan layer's filter/scan: a 50k-row SP
-// workload (range predicate over most-probable-dense columns) executed
-// through the Planner with the compiled ColumnCache filter against the
-// per-row Value evaluator (the new fast path's recorded baseline, like
-// detection's row-vs-columnar numbers).
-void BM_PlanFilterScan50kRowVsColumnar(benchmark::State& state) {
-  const bool columnar = state.range(0) != 0;
+// The plan layer's filter/scan: a 50k-row SP workload (range predicate
+// over most-probable-dense columns) executed through the Planner with the
+// compiled ColumnCache filter.
+void BM_PlanFilterScan50k(benchmark::State& state) {
   const size_t rows = 50000;
   Database db;
   (void)db.AddTable(MakeLineorder(rows, rows / 20, 50));
@@ -235,7 +215,6 @@ void BM_PlanFilterScan50kRowVsColumnar(benchmark::State& state) {
                   "WHERE suppkey >= 10 AND suppkey <= 20 AND orderkey != 77")
                   .ValueOrDie();
   Planner planner(&db);
-  planner.set_columnar_filters(columnar);
   // Build the column cache once outside the timed region.
   Table* lineorder = db.GetTable("lineorder").ValueOrDie();
   const Schema& schema = lineorder->schema();
@@ -252,12 +231,8 @@ void BM_PlanFilterScan50kRowVsColumnar(benchmark::State& state) {
   state.counters["rows_out"] = static_cast<double>(out_rows);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(rows));
-  state.SetLabel(columnar ? "columnar" : "row-path");
 }
-BENCHMARK(BM_PlanFilterScan50kRowVsColumnar)
-    ->Arg(1)
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlanFilterScan50k)->Unit(benchmark::kMillisecond);
 
 void BM_StatisticsCompute(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));

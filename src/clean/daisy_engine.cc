@@ -101,9 +101,7 @@ bool ApplyThreadCountEnv(const char* var, size_t* count) {
 
 void ApplyEnvOverrides(DaisyOptions* options) {
   bool fired = false;
-  fired |= ApplyBoolEnv("DAISY_COLUMNAR_FILTERS", &options->columnar_filters);
   fired |= ApplyBoolEnv("DAISY_OPTIMIZER", &options->optimizer);
-  fired |= ApplyBoolEnv("DAISY_GROUP_COMMIT", &options->group_commit);
   fired |= ApplyThreadCountEnv("DAISY_DETECT_THREADS",
                                &options->detect_threads);
   fired |= ApplyThreadCountEnv("DAISY_QUERY_THREADS",
@@ -114,9 +112,8 @@ void ApplyEnvOverrides(DaisyOptions* options) {
   if (fired) {
     static const bool announced = [] {
       LogInfo("engine",
-              "DAISY_COLUMNAR_FILTERS/DAISY_OPTIMIZER/DAISY_GROUP_COMMIT/"
-              "DAISY_DETECT_THREADS/DAISY_QUERY_THREADS set: overriding "
-              "DaisyOptions (CI ablation hook)");
+              "DAISY_OPTIMIZER/DAISY_DETECT_THREADS/DAISY_QUERY_THREADS set: "
+              "overriding DaisyOptions (CI ablation hook)");
       return true;
     }();
     (void)announced;
@@ -143,25 +140,19 @@ DaisyEngine::DaisyEngine(Database* db, ConstraintSet constraints,
 
 void DaisyEngine::TransitionLocked(EngineHealth to, const Status& cause) {
   if (health_ == to) return;
-  HealthTransition t;
-  t.from = health_;
-  t.to = to;
-  t.reason = cause.ok() ? std::string("recovered") : cause.ToString();
-  // Structured transition record (satellite of the observability PR): the
-  // timestamp/level/fields shape replaces the old raw stderr mirror;
-  // Health() still returns the same transition log contents.
+  // The log line and the counter are the only transition record; Health()
+  // reports just the current state.
   Logger::Global().Log(
       to == EngineHealth::kHealthy ? LogLevel::kInfo : LogLevel::kWarn,
       "engine", "health transition",
-      {{"from", EngineHealthToString(t.from)},
-       {"to", EngineHealthToString(t.to)},
-       {"cause", t.reason}});
+      {{"from", EngineHealthToString(health_)},
+       {"to", EngineHealthToString(to)},
+       {"cause", cause.ok() ? std::string("recovered") : cause.ToString()}});
   MetricsRegistry::Global()
       .GetCounter(std::string("daisy_engine_health_transitions_total{to=\"") +
                       EngineHealthToString(to) + "\"}",
                   "Health-machine transitions, by target state")
       ->Increment();
-  health_log_.push_back(std::move(t));
   health_ = to;
   health_cause_ = to == EngineHealth::kHealthy ? Status::OK() : cause;
   if (to == EngineHealth::kHealthy) {
@@ -206,7 +197,6 @@ EngineHealthInfo DaisyEngine::Health() const {
   EngineHealthInfo info;
   info.state = health_;
   info.cause = health_cause_;
-  info.transitions = health_log_;
   info.recover_attempts = recover_attempts_;
   if (health_ == EngineHealth::kDegradedReadOnly) {
     const auto now = std::chrono::steady_clock::now();
@@ -335,7 +325,6 @@ Result<Plan> DaisyEngine::MakePlan(const SelectStmt& stmt) {
     return Status::Internal("DaisyEngine::Prepare() must be called first");
   }
   Planner planner(db_);
-  planner.set_columnar_filters(options_.columnar_filters);
   planner.set_optimizer(options_.optimizer);
   DAISY_ASSIGN_OR_RETURN(Plan plan,
                          planner.PlanQuery(stmt, plan_context_.get()));
@@ -441,7 +430,7 @@ Result<QueryReport> DaisyEngine::QueryWithLimits(const SelectStmt& stmt,
         (report.value().termination == QueryTermination::kTimeout ||
          report.value().termination == QueryTermination::kCancelled);
     if (report.ok() && !cut && wal_ != nullptr && !wal_replay_) {
-      DAISY_ASSIGN_OR_RETURN(ticket, LogWalLocked(persist::EncodeWalQuery(stmt)));
+      ticket = LogWalLocked(persist::EncodeWalQuery(stmt));
     }
   }
   // Ack only after durability; the lock is released so concurrent writer
@@ -509,7 +498,7 @@ Result<std::string> DaisyEngine::ExplainAnalyze(const std::string& sql,
         report.value().termination == QueryTermination::kTimeout ||
         report.value().termination == QueryTermination::kCancelled;
     if (!cut && wal_ != nullptr && !wal_replay_) {
-      DAISY_ASSIGN_OR_RETURN(ticket, LogWalLocked(persist::EncodeWalQuery(stmt)));
+      ticket = LogWalLocked(persist::EncodeWalQuery(stmt));
     }
     rendered = plan.ExplainWithTrace();
   }
@@ -544,7 +533,7 @@ Result<TableDelta> DaisyEngine::AppendRows(
     EngineMetrics::Get().epoch->Set(static_cast<int64_t>(epoch_));
     RefreshDerivedState();
     if (!wal_payload.empty()) {
-      DAISY_ASSIGN_OR_RETURN(ticket, LogWalLocked(wal_payload));
+      ticket = LogWalLocked(wal_payload);
     }
   }
   DAISY_RETURN_IF_ERROR(AwaitWalTicket(ticket));
@@ -576,7 +565,7 @@ Result<TableDelta> DaisyEngine::DeleteRows(const std::string& table,
     EngineMetrics::Get().epoch->Set(static_cast<int64_t>(epoch_));
     RefreshDerivedState();
     if (!wal_payload.empty()) {
-      DAISY_ASSIGN_OR_RETURN(ticket, LogWalLocked(wal_payload));
+      ticket = LogWalLocked(wal_payload);
     }
   }
   DAISY_RETURN_IF_ERROR(AwaitWalTicket(ticket));
@@ -644,7 +633,7 @@ Status DaisyEngine::CleanAllRemaining() {
     }
     ++epoch_;
     RefreshDerivedState();
-    DAISY_ASSIGN_OR_RETURN(ticket, LogWalLocked(persist::EncodeWalCleanAll()));
+    ticket = LogWalLocked(persist::EncodeWalCleanAll());
   }
   return AwaitWalTicket(ticket);
 }
@@ -661,10 +650,8 @@ Status DaisyEngine::ImportProvenance(const std::string& table,
     ++epoch_;
     RefreshDerivedState();
     if (wal_ != nullptr && !wal_replay_) {
-      DAISY_ASSIGN_OR_RETURN(
-          ticket,
-          LogWalLocked(persist::EncodeWalImportProvenance(table,
-                                                          store.records())));
+      ticket = LogWalLocked(
+          persist::EncodeWalImportProvenance(table, store.records()));
     }
   }
   return AwaitWalTicket(ticket);

@@ -59,9 +59,6 @@ struct DaisyOptions {
   size_t detect_threads = 1;
   bool use_statistics_pruning = true;
   bool theta_pruning = true;
-  /// Compile plan Filter predicates against the ColumnCache typed arrays
-  /// (ablation switch; the row-path evaluator is the fallback).
-  bool columnar_filters = true;
   /// Cost-based optimizer pass (src/plan/optimizer.h): DP join ordering
   /// and cleanσ placement between Planner lowering and execution. Off =
   /// the syntactic left-deep plan. Outputs
@@ -73,12 +70,6 @@ struct DaisyOptions {
   /// Morsel workers for a single query's Scan+Filter chains (1 = serial).
   /// Results are deterministic for any value.
   size_t query_threads = 1;
-  /// Group commit: batch concurrently-arriving writer ops' WAL records
-  /// into a single frame write + one fsync, acking each op only after the
-  /// shared sync returns. Off = one write()+Sync() per writer op. Replay
-  /// semantics are identical either way (record order still equals epoch
-  /// order); the flag only changes durability batching.
-  bool group_commit = true;
   /// TryRecover() backoff: first retry is admitted `recover_backoff_ms`
   /// after a failed attempt, doubling per failure up to the cap. The first
   /// attempt after entering degraded mode is always admitted.
@@ -86,16 +77,14 @@ struct DaisyOptions {
   uint32_t recover_backoff_max_ms = 10000;
 };
 
-/// CI ablation hooks: when the environment variables DAISY_COLUMNAR_FILTERS
-/// ("0"/"1"/"true"/"false"), DAISY_OPTIMIZER (likewise), DAISY_GROUP_COMMIT
-/// (likewise), DAISY_DETECT_THREADS, or DAISY_QUERY_THREADS (positive
-/// integers) are set, they override the corresponding fields so the whole
-/// test suite can run with a non-default configuration (see the ablation leg
-/// in .github/workflows). A no-op when no variable is set. Malformed values
-/// are rejected with a structured-log warning naming the variable and the
-/// bad value;
-/// the option keeps its previous setting. Applied by the DaisyEngine
-/// constructor.
+/// CI ablation hooks: when the environment variables DAISY_OPTIMIZER
+/// ("0"/"1"/"true"/"false"), DAISY_DETECT_THREADS, or DAISY_QUERY_THREADS
+/// (positive integers) are set, they override the corresponding fields so
+/// the whole test suite can run with a non-default configuration (see the
+/// ablation leg in .github/workflows). A no-op when no variable is set.
+/// Malformed values are rejected with a structured-log warning naming the
+/// variable and the bad value; the option keeps its previous setting.
+/// Applied by the DaisyEngine constructor.
 void ApplyEnvOverrides(DaisyOptions* options);
 
 /// Engine health state machine (see docs/architecture.md). Transitions are
@@ -118,20 +107,13 @@ enum class EngineHealth : uint8_t {
 
 const char* EngineHealthToString(EngineHealth health);
 
-/// One logged health transition (also emitted through the structured
-/// logger, common/logger.h, when it happens).
-struct HealthTransition {
-  EngineHealth from = EngineHealth::kHealthy;
-  EngineHealth to = EngineHealth::kHealthy;
-  std::string reason;
-};
-
-/// Snapshot of the health machine for introspection/monitoring.
+/// Snapshot of the health machine for introspection/monitoring. Each
+/// transition is recorded as a structured log line (common/logger.h) and
+/// in the `daisy_engine_health_transitions_total{to=...}` counter.
 struct EngineHealthInfo {
   EngineHealth state = EngineHealth::kHealthy;
   /// Root cause of the current degraded/failed state (OK when healthy).
   Status cause = Status::OK();
-  std::vector<HealthTransition> transitions;
   /// TryRecover() attempts since the engine last degraded.
   uint64_t recover_attempts = 0;
   /// Milliseconds a TryRecover() call would wait before being admitted
@@ -302,8 +284,7 @@ class DaisyEngine {
   /// restarting. The semantics-affecting options (mode, accuracy
   /// threshold, partitions, pruning switches) are adopted from the
   /// snapshot so the replay runs under the config that produced the log;
-  /// only `options`' perf knobs (thread counts, columnar ablation) take
-  /// effect.
+  /// only `options`' perf knobs (thread counts) take effect.
   /// Open also sweeps orphaned `*.tmp` files (leftovers of an atomic
   /// write that crashed before its rename) from the directory. All file
   /// operations of the opened engine go through `env` (null = the real
@@ -331,20 +312,13 @@ class DaisyEngine {
   /// (unrecoverable).
   Status TryRecover();
 
-  /// Health-machine snapshot: state, root cause, transition log, recovery
-  /// attempt/backoff counters. Thread-safe (takes the shared lock).
+  /// Health-machine snapshot: state, root cause, recovery attempt/backoff
+  /// counters. Thread-safe (takes the shared lock).
   EngineHealthInfo Health() const;
 
-  /// WAL durability counters since the last generation rotation: records
-  /// appended, batches written, fsyncs issued, largest batch. With group
-  /// commit (DaisyOptions::group_commit) concurrent writer ops share
-  /// syncs, so records > syncs under load — the bench plots fsyncs/op
-  /// from this. Zeros while the engine is memory-only. Thread-safe.
-  persist::WalCommitStats WalStats() const;
-
-  /// Test hook: the group-commit queue (null while memory-only or with
-  /// group_commit off). The fault-injection tests use its hold/pending
-  /// hooks to force multi-op batches deterministically.
+  /// Test hook: the group-commit queue (null while memory-only). The
+  /// fault-injection tests use its hold/pending hooks to force multi-op
+  /// batches deterministically.
   persist::GroupCommitQueue* wal_queue_for_test() { return wal_queue_.get(); }
 
   /// Catalog snapshot for remote introspection (the daisyd Schema
@@ -404,14 +378,12 @@ class DaisyEngine {
   // replay which re-enters the public operations.
   Status WriteSnapshotLocked(const std::string& path) DAISY_REQUIRES(*mu_);
   Status RestoreEngineState(const persist::EngineSnapshot& snap);
-  /// Queues (group commit) or appends (sync mode) one encoded record, if
-  /// a WAL is attached and this is not a replay. Called at the end of a
-  /// successful writer section, still under the exclusive lock — enqueue
-  /// order is epoch order. Returns a ticket to pass to AwaitWalTicket()
-  /// *after* releasing the lock (null = nothing to await: memory-only,
-  /// replay, or the sync append already returned durable). In sync mode a
-  /// failed append degrades inline, exactly the pre-group-commit path.
-  Result<persist::GroupCommitQueue::TicketPtr> LogWalLocked(
+  /// Queues one encoded record on the group-commit queue, if a WAL is
+  /// attached and this is not a replay. Called at the end of a successful
+  /// writer section, still under the exclusive lock — enqueue order is
+  /// epoch order. Returns a ticket to pass to AwaitWalTicket() *after*
+  /// releasing the lock (null = nothing to await: memory-only or replay).
+  persist::GroupCommitQueue::TicketPtr LogWalLocked(
       const std::string& payload) DAISY_REQUIRES(*mu_);
   /// Second half of the commit: waits for the ticket's batch to become
   /// durable. Must be called without mu_ held (the engine stays available
@@ -425,9 +397,9 @@ class DaisyEngine {
   /// mutation may be accepted until TryRecover() re-arms persistence on a
   /// fresh generation.
   Status CheckWritableLocked() const DAISY_REQUIRES_SHARED(*mu_);
-  /// Records a health transition (appended to the log, emitted through
-  /// the structured logger). `cause` becomes the machine's root cause for
-  /// non-healthy targets.
+  /// Records a health transition (a structured log line and a counter
+  /// increment). `cause` becomes the machine's root cause for non-healthy
+  /// targets.
   void TransitionLocked(EngineHealth to, const Status& cause)
       DAISY_REQUIRES(*mu_);
   /// kHealthy → kDegradedReadOnly on a durability failure; returns a
@@ -478,8 +450,8 @@ class DaisyEngine {
   std::string persist_dir_;
   uint64_t persist_seq_ = 0;  ///< current (snapshot, wal) generation
   std::unique_ptr<persist::WalWriter> wal_;
-  /// Group-commit queue over wal_ (null while memory-only or when
-  /// options_.group_commit is off). Rotation Flush()es and Reset()s it.
+  /// Group-commit queue over wal_ (null exactly when wal_ is). Rotation
+  /// Flush()es and Reset()s it.
   std::unique_ptr<persist::GroupCommitQueue> wal_queue_;
   /// File-operation environment for all persistence I/O. Never null once
   /// persistence is attached; points at persist::Env::Default() unless
@@ -492,7 +464,6 @@ class DaisyEngine {
   // Health machine (guarded by mu_ like the rest of the engine state).
   EngineHealth health_ DAISY_GUARDED_BY(*mu_) = EngineHealth::kHealthy;
   Status health_cause_ DAISY_GUARDED_BY(*mu_) = Status::OK();
-  std::vector<HealthTransition> health_log_ DAISY_GUARDED_BY(*mu_);
   uint64_t recover_attempts_ DAISY_GUARDED_BY(*mu_) = 0;
   /// Earliest steady-clock time a TryRecover() attempt is admitted; the
   /// first attempt after degrading is always admitted.

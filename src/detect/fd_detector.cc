@@ -63,32 +63,6 @@ std::vector<FdGroup> DetectFdViolations(const Table& table,
   return out;
 }
 
-std::vector<FdGroup> DetectFdViolationsRowPath(const Table& table,
-                                               const DenialConstraint& dc,
-                                               const std::vector<RowId>& rows,
-                                               bool include_clean) {
-  const FdView& fd = dc.fd();
-  GroupMap groups = GroupRowsByRowPath(table, fd.lhs, rows);
-  std::vector<FdGroup> out;
-  out.reserve(groups.size());
-  for (auto& [key, members] : groups) {
-    // Histogram of rhs values inside the group.
-    std::unordered_map<Value, size_t, ValueHash> hist;
-    for (RowId r : members) {
-      hist[table.cell(r, fd.rhs).original()] += 1;
-    }
-    if (hist.size() <= 1 && !include_clean) continue;
-    FdGroup group;
-    group.lhs_key = key;
-    group.rows = std::move(members);
-    group.rhs_histogram.assign(hist.begin(), hist.end());
-    SortFdRhsHistogram(&group.rhs_histogram);
-    out.push_back(std::move(group));
-  }
-  SortFdGroups(&out);
-  return out;
-}
-
 size_t CountFdViolatingRows(const Table& table, const DenialConstraint& dc) {
   size_t count = 0;
   for (const FdGroup& g :

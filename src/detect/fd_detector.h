@@ -33,13 +33,6 @@ std::vector<FdGroup> DetectFdViolations(const Table& table,
                                         const std::vector<RowId>& rows,
                                         bool include_clean = false);
 
-/// Row-at-a-time reference implementation (per-cell Value hashing). Kept
-/// for ablation benchmarks and equivalence tests.
-std::vector<FdGroup> DetectFdViolationsRowPath(const Table& table,
-                                               const DenialConstraint& dc,
-                                               const std::vector<RowId>& rows,
-                                               bool include_clean = false);
-
 /// Count of rows that participate in some violating group of `dc` over the
 /// whole table — the paper's #vio statistic.
 size_t CountFdViolatingRows(const Table& table, const DenialConstraint& dc);

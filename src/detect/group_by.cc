@@ -53,7 +53,12 @@ GroupMap GroupBySingleColumn(const ColumnCache::Column& col,
 
 GroupMap GroupRowsBy(const Table& table, const std::vector<size_t>& columns,
                      const std::vector<RowId>& rows) {
-  if (columns.empty()) return GroupRowsByRowPath(table, columns, rows);
+  if (columns.empty()) {
+    // No grouping columns: every row shares the empty key.
+    GroupMap groups;
+    if (!rows.empty()) groups.emplace(GroupKey{}, rows);
+    return groups;
+  }
   ColumnCache& cache = table.columns();
   if (columns.size() == 1) {
     return GroupBySingleColumn(cache.column(columns[0]), rows);
@@ -86,17 +91,6 @@ GroupMap GroupRowsBy(const Table& table, const std::vector<size_t>& columns,
 GroupMap GroupAllRowsBy(const Table& table,
                         const std::vector<size_t>& columns) {
   return GroupRowsBy(table, columns, table.AllRowIds());
-}
-
-GroupMap GroupRowsByRowPath(const Table& table,
-                            const std::vector<size_t>& columns,
-                            const std::vector<RowId>& rows) {
-  GroupMap groups;
-  groups.reserve(rows.size());
-  for (RowId r : rows) {
-    groups[MakeGroupKey(table, r, columns)].push_back(r);
-  }
-  return groups;
 }
 
 }  // namespace daisy

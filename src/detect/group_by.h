@@ -6,7 +6,7 @@
 // contributes one uint32_t per grouping column instead of hashing a Value
 // tuple per row. Group keys in the returned map are the dictionary's
 // representative values — Equals/Hash-consistent with the cell values, so
-// lookups via MakeGroupKey behave identically to the row path.
+// lookups by a per-row MakeGroupKey find the row's group.
 
 #ifndef DAISY_DETECT_GROUP_BY_H_
 #define DAISY_DETECT_GROUP_BY_H_
@@ -57,13 +57,6 @@ GroupMap GroupRowsBy(const Table& table, const std::vector<size_t>& columns,
 
 /// Groups all rows of `table` by `columns`.
 GroupMap GroupAllRowsBy(const Table& table, const std::vector<size_t>& columns);
-
-/// Row-at-a-time reference implementation (hashes a Value tuple per row).
-/// Kept for ablation benchmarks and equivalence tests; produces the same
-/// grouping as GroupRowsBy.
-GroupMap GroupRowsByRowPath(const Table& table,
-                            const std::vector<size_t>& columns,
-                            const std::vector<RowId>& rows);
 
 }  // namespace daisy
 

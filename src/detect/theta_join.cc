@@ -388,9 +388,6 @@ bool ThetaJoinDetector::EvalAtomFlat(const CompiledAtom& atom, RowId a,
 // pairwise a == b short-circuit of DenialConstraint::ViolatedBy is not
 // re-checked here.
 std::pair<bool, bool> ThetaJoinDetector::CheckBoth(RowId a, RowId b) const {
-  if (!columnar_enabled_) {
-    return {dc_->ViolatedBy(*table_, a, b), dc_->ViolatedBy(*table_, b, a)};
-  }
   const CompiledAtom* const atoms = compiled_.data();
   const size_t n = compiled_.size();
   bool fwd = true;
@@ -550,32 +547,6 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectIncremental(
       answer.min_val[c] = std::min(answer.min_val[c], v);
       answer.max_val[c] = std::max(answer.max_val[c], v);
     }
-  }
-
-  if (!columnar_enabled_) {
-    // Ablation: the pre-columnar scan — per-pair checked tests, per-pair
-    // unordered-pair dedup, per-cell Value dispatch via ViolatedBy.
-    for (const PartitionStats& part : boundaries_) {
-      if (pruning_enabled_ && !PairFeasible(answer, part)) {
-        ++partitions_pruned_;
-        continue;
-      }
-      for (size_t s = part.begin; s < part.end; ++s) {
-        const RowId u = sorted_[s];
-        for (RowId r : result_rows) {
-          if (r == u) continue;
-          if (checked_[r] || checked_[u]) continue;
-          if (u < r && std::binary_search(result_rows.begin(),
-                                          result_rows.end(), u)) {
-            continue;
-          }
-          CheckPair(r, u, &out, &pairs_checked_);
-        }
-      }
-    }
-    for (RowId r : result_rows) MarkRowChecked(r);
-    MergeIntoMaintained(out);
-    return out;
   }
 
   // Hot-loop invariants: result rows already checked never produce new

@@ -204,10 +204,6 @@ class ThetaJoinDetector {
     if (pruning_enabled_ != enabled) pruning_enabled_ = enabled;
   }
 
-  /// Ablation switch: evaluate pairs through per-cell Value dispatch
-  /// (DenialConstraint::ViolatedBy) instead of the compiled flat arrays.
-  void set_columnar_enabled(bool enabled) { columnar_enabled_ = enabled; }
-
   /// DetectAll worker-pool size; clamped to at least 1.
   void set_threads(size_t threads) { threads_ = threads == 0 ? 1 : threads; }
 
@@ -303,7 +299,6 @@ class ThetaJoinDetector {
   size_t requested_partitions_;
   size_t threads_ = 1;
   bool pruning_enabled_ = true;
-  bool columnar_enabled_ = true;
 
   size_t sort_column_ = 0;             ///< primary inequality attribute
   size_t sort_slot_ = 0;               ///< its slot in involved_columns()

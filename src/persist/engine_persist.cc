@@ -66,28 +66,14 @@ DaisyEngine::~DaisyEngine() = default;
 DaisyEngine::DaisyEngine(DaisyEngine&&) noexcept = default;
 DaisyEngine& DaisyEngine::operator=(DaisyEngine&&) noexcept = default;
 
-Result<persist::GroupCommitQueue::TicketPtr> DaisyEngine::LogWalLocked(
+persist::GroupCommitQueue::TicketPtr DaisyEngine::LogWalLocked(
     const std::string& payload) {
-  if (wal_ == nullptr || wal_replay_) {
-    return persist::GroupCommitQueue::TicketPtr();
-  }
-  if (wal_queue_ != nullptr) {
-    // Group commit: queue the record while still holding the exclusive
-    // lock (queue order == epoch order == replay order) and let the
-    // caller wait for the shared fsync after unlocking. A poisoned queue
-    // hands back an already-failed ticket; AwaitWalTicket degrades.
-    return wal_queue_->Enqueue(payload);
-  }
-  const Status appended = wal_->Append(payload);
-  // The operation already applied in memory; only its durability failed.
-  // Degrade instead of fail-stopping: reads keep serving the (intact)
-  // in-memory state, writers are rejected until TryRecover() re-arms
-  // persistence by snapshotting the current state — which makes this
-  // operation durable after all. Without a recovery, a restart loses it
-  // (it was never acknowledged as durable to the caller — the error
-  // propagates out of the operation).
-  if (!appended.ok()) return DegradeLocked(appended);
-  return persist::GroupCommitQueue::TicketPtr();
+  if (wal_ == nullptr || wal_replay_) return nullptr;
+  // Queue the record while still holding the exclusive lock (queue order
+  // == epoch order == replay order) and let the caller wait for the
+  // shared fsync after unlocking. A poisoned queue hands back an
+  // already-failed ticket; AwaitWalTicket degrades.
+  return wal_queue_->Enqueue(payload);
 }
 
 Status DaisyEngine::AwaitWalTicket(
@@ -95,22 +81,17 @@ Status DaisyEngine::AwaitWalTicket(
   if (ticket == nullptr) return Status::OK();
   const Status committed = wal_queue_->Wait(ticket);
   if (committed.ok()) return Status::OK();
-  // Every op in the failed batch lands here (and so do enqueuers that hit
-  // the poisoned queue): the first one through transitions the machine,
-  // the rest see the transition already made — DegradeLocked is
-  // idempotent. None of them is acked; their in-memory effects stay,
-  // exactly like a failed sync append.
+  // The operation already applied in memory; only its durability failed.
+  // Degrade instead of fail-stopping: reads keep serving the (intact)
+  // in-memory state, writers are rejected until TryRecover() re-arms
+  // persistence by snapshotting the current state — which makes this
+  // operation durable after all. Without a recovery, a restart loses it
+  // (it was never acknowledged as durable to the caller). Every op in the
+  // failed batch lands here (and so do enqueuers that hit the poisoned
+  // queue): the first one through transitions the machine, the rest see
+  // the transition already made — DegradeLocked is idempotent.
   WriterLock lock(&*mu_);
   return DegradeLocked(committed);
-}
-
-persist::WalCommitStats DaisyEngine::WalStats() const {
-  ReaderLock lock(&*mu_);
-  // With group commit the leader mutates the writer's counters outside
-  // mu_; read them through the queue, which waits out an in-flight
-  // leader. In sync mode mu_ alone serializes the writer.
-  if (wal_queue_ != nullptr) return wal_queue_->Stats();
-  return wal_ != nullptr ? wal_->stats() : persist::WalCommitStats{};
 }
 
 void DaisyEngine::SweepOrphanTmpFilesLocked() {
@@ -186,12 +167,10 @@ Status DaisyEngine::EnablePersistence(const std::string& dir,
   DAISY_RETURN_IF_ERROR(WriteSnapshotLocked(SnapshotPath(dir, seq)));
   DAISY_ASSIGN_OR_RETURN(
       wal_, persist::WalWriter::Create(WalPath(dir, seq), env_));
+  wal_queue_ = std::make_unique<persist::GroupCommitQueue>(wal_.get());
   DAISY_RETURN_IF_ERROR(persist::SyncDirectory(dir, env_));
   persist_dir_ = dir;
   persist_seq_ = seq;
-  if (options_.group_commit) {
-    wal_queue_ = std::make_unique<persist::GroupCommitQueue>(wal_.get());
-  }
   return Status::OK();
 }
 
@@ -202,7 +181,7 @@ Status DaisyEngine::RotateGenerationLocked() {
   // drain. Flush failures don't block the rotation — pending records that
   // could not commit fail their (unacked) ops, while their in-memory
   // effects are captured by the snapshot about to be written.
-  if (wal_queue_ != nullptr) (void)wal_queue_->Flush();
+  (void)wal_queue_->Flush();
   const uint64_t next = persist_seq_ + 1;
   const std::string snap_path = SnapshotPath(persist_dir_, next);
   const std::string next_wal_path = WalPath(persist_dir_, next);
@@ -242,7 +221,7 @@ Status DaisyEngine::RotateGenerationLocked() {
   // Re-arm group commit on the fresh log: the queue is idle (flushed
   // above, enqueues excluded by mu_), so swapping the writer and clearing
   // any poison is safe.
-  if (wal_queue_ != nullptr) wal_queue_->Reset(wal_.get());
+  wal_queue_->Reset(wal_.get());
   const uint64_t old = persist_seq_;
   persist_seq_ = next;
   // Old-generation cleanup is best-effort: generation N+1 is already
@@ -421,8 +400,8 @@ Result<std::unique_ptr<DaisyEngine>> DaisyEngine::Open(const std::string& dir,
   // The semantics-affecting options travel with the state: replaying the
   // WAL under a different mode/threshold/pruning config would diverge
   // from the engine that wrote it. The caller's perf knobs (thread
-  // counts, columnar ablation) are kept — results are deterministic
-  // across those by contract.
+  // counts) are kept — results are deterministic across those by
+  // contract.
   options.mode = snap.options.mode == 0 ? DaisyOptions::Mode::kIncremental
                                         : DaisyOptions::Mode::kAdaptive;
   options.accuracy_threshold = snap.options.accuracy_threshold;
@@ -512,10 +491,8 @@ Result<std::unique_ptr<DaisyEngine>> DaisyEngine::Open(const std::string& dir,
   }
   engine->persist_dir_ = dir;
   engine->persist_seq_ = seq;
-  if (engine->options_.group_commit) {
-    engine->wal_queue_ =
-        std::make_unique<persist::GroupCommitQueue>(engine->wal_.get());
-  }
+  engine->wal_queue_ =
+      std::make_unique<persist::GroupCommitQueue>(engine->wal_.get());
   return engine;
 }
 

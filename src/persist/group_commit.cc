@@ -80,12 +80,6 @@ void GroupCommitQueue::Reset(WalWriter* writer) {
   poison_ = Status::OK();
 }
 
-WalCommitStats GroupCommitQueue::Stats() {
-  MutexLock lk(&mu_);
-  while (committing_) cv_.Wait(&mu_);
-  return writer_ != nullptr ? writer_->stats() : WalCommitStats{};
-}
-
 void GroupCommitQueue::TestHoldCommits(bool hold) {
   MutexLock lk(&mu_);
   hold_ = hold;

@@ -92,10 +92,6 @@ class GroupCommitQueue {
   /// engine's exclusive lock and have Flush()ed (the queue must be idle).
   void Reset(WalWriter* writer);
 
-  /// Durability counters of the underlying writer, read race-free (waits
-  /// out an in-flight leader). Counts since the last Reset().
-  WalCommitStats Stats();
-
   /// Test hook: while held, no waiter takes leadership, so records from
   /// concurrent ops pile into one pending batch; releasing commits them
   /// together. Flush() ignores the hold.

@@ -49,8 +49,8 @@ struct RuleSnapshot {
 
 /// The semantics-affecting engine options, persisted so recovery replays
 /// the WAL under the exact configuration that produced it (the perf-only
-/// knobs — thread counts, columnar ablation — are free to differ; results
-/// are deterministic across them by contract). Mirrors the corresponding
+/// knobs — thread counts — are free to differ; results are deterministic
+/// across them by contract). Mirrors the corresponding
 /// DaisyOptions fields; kept as a separate struct so the persist layer
 /// does not depend on the engine header.
 struct PersistedEngineOptions {

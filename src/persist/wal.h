@@ -1,6 +1,6 @@
 // The write-ahead delta log: every durable engine mutation between
-// snapshots, one fsync'd record per operation (framing in
-// persist/format.h).
+// snapshots, one record per operation, fsync'd in group-commit batches
+// (framing in persist/format.h, batching in persist/group_commit.h).
 //
 // Records are *logical*: an append/delete batch carries the rows/ids, a
 // writer query carries its statement, CleanAllRemaining and provenance
@@ -62,26 +62,14 @@ std::string EncodeWalImportProvenance(
 
 Result<WalRecord> DecodeWalRecord(const std::string& payload);
 
-/// Durability counters for one WalWriter's lifetime. With group commit
-/// (persist/group_commit.h) records > syncs: each batched flush pays one
-/// write + one fsync for every record it carries. `max_batch_records`
-/// exposes the largest batch — the bench asserts it exceeds 1 under
-/// concurrent writers.
-struct WalCommitStats {
-  uint64_t records = 0;  ///< framed records appended
-  uint64_t batches = 0;  ///< Append/AppendBatch calls that reached the file
-  uint64_t syncs = 0;    ///< fsyncs issued
-  uint64_t max_batch_records = 0;
-};
-
-/// Append-side handle over one WAL file. Every Append is a single write
-/// of the framed record followed by fsync — when it returns OK the record
-/// survives a crash in full. AppendBatch amortizes: all frames in one
-/// write, one fsync for the lot. All file operations go through the given
-/// Env (persist/env.h; null = Env::Default()).
+/// Append-side handle over one WAL file. AppendBatch writes all frames in
+/// one write() followed by one fsync — when it returns OK every record
+/// survives a crash in full. All file operations go through the given Env
+/// (persist/env.h; null = Env::Default()). Durability counts go to the
+/// `daisy_persist_wal_{records,batches,fsyncs}_total` registry counters.
 ///
-/// Not thread-safe — callers serialize (the engine either holds its writer
-/// lock or funnels through the group-commit queue's single leader).
+/// Not thread-safe — callers serialize (the engine funnels every append
+/// through the group-commit queue's single leader).
 class WalWriter {
  public:
   /// Creates (or truncates) the file and writes + fsyncs the magic header.
@@ -97,19 +85,15 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  Status Append(const std::string& payload);
-
   /// Appends every payload as its own framed record in one write() and
   /// issues a single Sync() for the whole batch. On OK, *all* records are
   /// durable; on failure none may be treated as durable (the file may hold
   /// a torn multi-record tail that ReadWal's prefix rule discards frame by
-  /// frame). Equivalent to Append for a batch of one — same Env call
-  /// sequence, so fault-schedule indices line up across both paths.
+  /// frame). A batch of one is one Append and one Sync Env call, so a
+  /// single-record commit has a fixed fault-schedule index.
   Status AppendBatch(const std::vector<std::string>& payloads);
 
   const std::string& path() const { return path_; }
-
-  const WalCommitStats& stats() const { return stats_; }
 
  private:
   WalWriter(std::string path, std::unique_ptr<WritableFile> file)
@@ -117,7 +101,6 @@ class WalWriter {
 
   std::string path_;
   std::unique_ptr<WritableFile> file_;
-  WalCommitStats stats_;
 };
 
 /// The decoded contents of one WAL file.

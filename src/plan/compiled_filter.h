@@ -39,8 +39,8 @@ namespace daisy {
 class CompiledFilter {
  public:
   /// Compiles `expr` against `table`'s column cache. Fails with the same
-  /// resolution errors the row-path evaluator reports for unknown or
-  /// foreign-qualified columns. `table` must outlive the filter; the
+  /// resolution errors the row-at-a-time evaluator (RowMaySatisfy) reports
+  /// for unknown or foreign-qualified columns. `table` must outlive the filter; the
   /// compiled arrays stay valid until the next table mutation.
   static Result<CompiledFilter> Compile(const Table& table, const Expr& expr);
 

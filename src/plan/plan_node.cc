@@ -102,36 +102,30 @@ Result<bool> ScanNode::NextBatch(ExecContext* ctx, RowIdBatch* out) {
 
 // ---------------------------------------------------------------- Filter --
 
-FilterNode::FilterNode(const Table* table, const Expr* expr, bool columnar,
+FilterNode::FilterNode(const Table* table, const Expr* expr,
                        std::unique_ptr<PlanNode> child)
-    : RowSetNode(Kind::kFilter),
-      table_(table),
-      expr_(expr),
-      columnar_(columnar) {
+    : RowSetNode(Kind::kFilter), table_(table), expr_(expr) {
   child_rows_ = static_cast<RowSetNode*>(child.get());
   children_.push_back(std::move(child));
 }
 
 std::string FilterNode::Label() const {
-  return "Filter [" + table_->name() + ": " + expr_->ToString() + "] " +
-         (columnar_ ? "[columnar]" : "[row-path]");
+  return "Filter [" + table_->name() + ": " + expr_->ToString() +
+         "] [columnar]";
 }
 
 Status FilterNode::Open(ExecContext* ctx) {
   NodeStatsTimer timer(&stats_.open_us);
   DAISY_RETURN_IF_ERROR(child_rows_->Open(ctx));
-  compiled_.reset();
   parallel_ = false;
   parallel_rows_.clear();
   parallel_pos_ = 0;
-  if (columnar_) {
-    DAISY_ASSIGN_OR_RETURN(CompiledFilter compiled,
-                           CompiledFilter::Compile(*table_, *expr_));
-    compiled_ = std::make_unique<CompiledFilter>(std::move(compiled));
-  }
+  DAISY_ASSIGN_OR_RETURN(CompiledFilter compiled,
+                         CompiledFilter::Compile(*table_, *expr_));
+  compiled_ = std::make_unique<CompiledFilter>(std::move(compiled));
   // Minimum-work gate: below two morsels the thread create/join overhead
   // exceeds the scan itself, so small tables keep the serial pull.
-  if (compiled_ != nullptr && ctx->worker_threads > 1 &&
+  if (ctx->worker_threads > 1 &&
       children_[0]->kind() == Kind::kScan &&
       table_->Snapshot().num_rows >= 2 * kMorselRows) {
     DAISY_RETURN_IF_ERROR(ParallelScan(ctx));
@@ -143,8 +137,7 @@ Status FilterNode::Open(ExecContext* ctx) {
 Status FilterNode::ParallelScan(ExecContext* ctx) {
   // The child Scan was Opened (snapshot pinned, rows_scanned accounted)
   // but is not pulled: the morsel pool scans the same pinned range
-  // directly against the compiled filter. The row-path evaluator is not
-  // parallelized (Result plumbing per row); it keeps the serial pull.
+  // directly against the compiled filter.
   const size_t n = table_->Snapshot().num_rows;
   const size_t morsels = (n + kMorselRows - 1) / kMorselRows;
   std::vector<std::vector<RowId>> matches(morsels);
@@ -224,15 +217,8 @@ Result<bool> FilterNode::NextBatch(ExecContext* ctx, RowIdBatch* out) {
   if (!more) return false;
   stats_.rows_in += in.size();
   out->clear();
-  if (compiled_ != nullptr) {
-    for (RowId r : in) {
-      if (compiled_->Matches(r)) out->push_back(r);
-    }
-  } else {
-    for (RowId r : in) {
-      DAISY_ASSIGN_OR_RETURN(bool ok, RowMaySatisfy(*table_, r, *expr_));
-      if (ok) out->push_back(r);
-    }
+  for (RowId r : in) {
+    if (compiled_->Matches(r)) out->push_back(r);
   }
   stats_.rows_out += out->size();
   ++stats_.batches;

@@ -234,12 +234,12 @@ class ScanNode : public RowSetNode {
 };
 
 /// Predicate filter over its child's batches. Compiles the expression
-/// against the table's ColumnCache typed arrays when `columnar` is on; the
-/// row-path evaluator is kept as an ablation fallback (mirroring
-/// ThetaJoinDetector::set_columnar_enabled).
+/// against the table's ColumnCache typed arrays at every Open (the label's
+/// ` [columnar]` tag names that evaluator). query/eval's RowMaySatisfy is
+/// the row-at-a-time reference it must agree with.
 class FilterNode : public RowSetNode {
  public:
-  FilterNode(const Table* table, const Expr* expr, bool columnar,
+  FilterNode(const Table* table, const Expr* expr,
              std::unique_ptr<PlanNode> child);
 
   std::string Label() const override;
@@ -261,7 +261,6 @@ class FilterNode : public RowSetNode {
 
   const Table* table_;
   const Expr* expr_;  ///< owned by the Plan (SplitWhere)
-  bool columnar_;
   std::unique_ptr<CompiledFilter> compiled_;  ///< rebuilt per execution
   RowSetNode* child_rows_;
   bool parallel_ = false;            ///< morsel path taken this execution

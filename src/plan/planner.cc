@@ -398,8 +398,7 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
     std::unique_ptr<PlanNode> node = std::make_unique<ScanNode>(table);
     if (jt != nullptr) node->set_estimates(scan_rows[i], scan_rows[i]);
     if (filter != nullptr) {
-      node = std::make_unique<FilterNode>(table, filter, columnar_filters_,
-                                          std::move(node));
+      node = std::make_unique<FilterNode>(table, filter, std::move(node));
       if (jt != nullptr) node->set_estimates(leaf_rows[i], scan_rows[i]);
     }
     for (const RuleSlot& slot : table_rules[i]) {

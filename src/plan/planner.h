@@ -168,10 +168,6 @@ class Planner {
   Result<Plan> PlanQuery(const SelectStmt& stmt,
                          const CleaningPlanContext* clean);
 
-  /// Ablation switch: compile Filter predicates against the ColumnCache
-  /// (default) or keep the row-at-a-time evaluator.
-  void set_columnar_filters(bool enabled) { columnar_filters_ = enabled; }
-
   /// Cost-based optimization (join reordering + cleanσ placement, see
   /// plan/optimizer.h). Off keeps the FROM-order left-deep join tree.
   void set_optimizer(bool enabled) { optimizer_ = enabled; }
@@ -179,7 +175,6 @@ class Planner {
 
  private:
   Database* db_;
-  bool columnar_filters_ = true;
   bool optimizer_ = true;
 };
 

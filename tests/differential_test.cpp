@@ -10,14 +10,17 @@
 //     (FdDeltaDetector) equals DetectFdViolations; the patched per-rule
 //     statistics equal a fresh Statistics::Compute.
 //
-//  2. The columnar and row evaluation paths agree: maintained theta-join
-//     state on both paths, FD detection on both paths, and two full
-//     DaisyEngines (columnar_filters on/off) driven through the same ingest
-//     + query sequence produce identical query outputs, counters, and final
+//  2. The detectors agree with the test oracles (detect_oracle.h): the
+//     maintained theta-join set equals the ViolatedBy all-pairs set, and
+//     FD detection equals the row-at-a-time grouping. Two full DaisyEngines
+//     that differ only in the result-invariant thread counts (serial vs
+//     detect_threads = query_threads = 4) driven through the same ingest +
+//     query sequence produce identical query outputs, counters, and final
 //     repaired tables.
 //
-// Under the CI ablation leg (DAISY_COLUMNAR_FILTERS set) the two engines
-// run the same filter path; the delta-vs-scratch axis is unaffected.
+// Under the CI ablation leg (DAISY_DETECT_THREADS set) the override applies
+// to both engines, so they run the same detect pool; the query-thread axis
+// and the delta-vs-scratch axis are unaffected.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +33,7 @@
 #include "detect/fd_delta.h"
 #include "detect/fd_detector.h"
 #include "detect/theta_join.h"
+#include "detect_oracle.h"
 #include "storage/database.h"
 
 namespace daisy {
@@ -234,8 +238,8 @@ bool SameGroups(const std::vector<FdGroup>& a, const std::vector<FdGroup>& b) {
 
 // ------------------------------------------- detector-level differential --
 
-// Pure detection (no repairs): maintained state vs from-scratch, columnar
-// vs row path, after every interleaved append/delete.
+// Pure detection (no repairs): maintained state vs from-scratch and vs the
+// oracles, after every interleaved append/delete.
 void RunDetectorDifferential(uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Scenario s = MakeScenario(seed);
@@ -248,10 +252,7 @@ void RunDetectorDifferential(uint64_t seed) {
   ASSERT_FALSE(dc.IsFd());
 
   ThetaJoinDetector theta(&t, &dc, 6);
-  ThetaJoinDetector theta_row(&t, &dc, 6);
-  theta_row.set_columnar_enabled(false);
   (void)theta.DetectAll();
-  (void)theta_row.DetectAll();
   FdDeltaDetector fd_state(&t, &fd);
 
   Rng rng(seed ^ 0xd1ffULL);
@@ -270,32 +271,32 @@ void RunDetectorDifferential(uint64_t seed) {
       continue;  // queries are the engine-level harness's concern
     }
     (void)theta.DetectDelta(delta);
-    (void)theta_row.DetectDelta(delta);
     (void)fd_state.ApplyDelta(delta, nullptr);
 
     // Delta-maintained == from-scratch.
     ThetaJoinDetector scratch(&t, &dc, 6);
     EXPECT_EQ(theta.maintained_violations(), Sorted(scratch.DetectAll()));
-    // Columnar == row path.
-    EXPECT_EQ(theta.maintained_violations(), theta_row.maintained_violations());
+    // Detectors == oracles.
+    EXPECT_EQ(testutil::AsSet(theta.maintained_violations()),
+              testutil::BruteForce(t, dc));
     EXPECT_TRUE(SameGroups(fd_state.ViolatingGroups(),
                            DetectFdViolations(t, fd, t.AllRowIds(), false)));
-    EXPECT_TRUE(
-        SameGroups(DetectFdViolations(t, fd, t.AllRowIds(), false),
-                   DetectFdViolationsRowPath(t, fd, t.AllRowIds(), false)));
+    EXPECT_TRUE(SameGroups(
+        DetectFdViolations(t, fd, t.AllRowIds(), false),
+        testutil::DetectFdViolationsRowPath(t, fd, t.AllRowIds(), false)));
   }
 }
 
 // --------------------------------------------- engine-level differential --
 
-// Two full engines (columnar / row filter paths) replay the same ingest +
-// query sequence; outputs, counters, statistics, and the final repaired
-// tables must agree at every step.
+// Two full engines (serial / 4 detect and query threads) replay the same
+// ingest + query sequence; outputs, counters, statistics, and the final
+// repaired tables must agree at every step.
 void RunEngineDifferential(uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Scenario s = MakeScenario(seed);
 
-  auto make_engine = [&](bool columnar) {
+  auto make_engine = [&](size_t threads) {
     auto db = std::make_unique<Database>();
     EXPECT_TRUE(db->AddTable(BuildTable(s)).ok());
     ConstraintSet rules;
@@ -305,31 +306,32 @@ void RunEngineDifferential(uint64_t seed) {
     options.mode = (seed % 2 == 0) ? DaisyOptions::Mode::kAdaptive
                                    : DaisyOptions::Mode::kIncremental;
     options.theta_partitions = 6;
-    options.columnar_filters = columnar;
+    options.detect_threads = threads;
+    options.query_threads = threads;
     auto engine =
         std::make_unique<DaisyEngine>(db.get(), std::move(rules), options);
     EXPECT_TRUE(engine->Prepare().ok());
     return std::make_pair(std::move(db), std::move(engine));
   };
-  auto [db_col, engine_col] = make_engine(true);
-  auto [db_row, engine_row] = make_engine(false);
+  auto [db_serial, engine_serial] = make_engine(1);
+  auto [db_threaded, engine_threaded] = make_engine(4);
 
   const std::vector<Op> ops = MakeOps(seed, s);
   for (size_t i = 0; i < ops.size(); ++i) {
     SCOPED_TRACE("op " + std::to_string(i));
     const Op& op = ops[i];
     if (op.kind == Op::Kind::kAppend) {
-      ASSERT_TRUE(engine_col->AppendRows("t", op.rows).ok());
-      ASSERT_TRUE(engine_row->AppendRows("t", op.rows).ok());
+      ASSERT_TRUE(engine_serial->AppendRows("t", op.rows).ok());
+      ASSERT_TRUE(engine_threaded->AppendRows("t", op.rows).ok());
     } else if (op.kind == Op::Kind::kDelete) {
-      const Table* t = db_col->GetTable("t").ValueOrDie();
+      const Table* t = db_serial->GetTable("t").ValueOrDie();
       std::vector<RowId> victims = PickVictims(*t, op.delete_count, seed + i);
       if (victims.empty()) continue;
-      ASSERT_TRUE(engine_col->DeleteRows("t", victims).ok());
-      ASSERT_TRUE(engine_row->DeleteRows("t", victims).ok());
+      ASSERT_TRUE(engine_serial->DeleteRows("t", victims).ok());
+      ASSERT_TRUE(engine_threaded->DeleteRows("t", victims).ok());
     } else {
-      QueryReport a = engine_col->Query(op.sql).ValueOrDie();
-      QueryReport b = engine_row->Query(op.sql).ValueOrDie();
+      QueryReport a = engine_serial->Query(op.sql).ValueOrDie();
+      QueryReport b = engine_threaded->Query(op.sql).ValueOrDie();
       EXPECT_TRUE(SameTables(a.output.result, b.output.result)) << op.sql;
       EXPECT_EQ(a.errors_fixed, b.errors_fixed) << op.sql;
       EXPECT_EQ(a.extra_tuples, b.extra_tuples) << op.sql;
@@ -340,19 +342,20 @@ void RunEngineDifferential(uint64_t seed) {
       // The engine's delta-patched statistics match a fresh recompute over
       // the current data (repairs never change original values).
       Statistics fresh;
-      ASSERT_TRUE(fresh.Compute(*db_col, engine_col->constraints()).ok());
-      EXPECT_TRUE(SameStats(engine_col->statistics().ForRule("phi"),
+      ASSERT_TRUE(
+          fresh.Compute(*db_serial, engine_serial->constraints()).ok());
+      EXPECT_TRUE(SameStats(engine_serial->statistics().ForRule("phi"),
                             fresh.ForRule("phi")))
           << op.sql;
     }
-    EXPECT_TRUE(SameTables(*db_col->GetTable("t").ValueOrDie(),
-                           *db_row->GetTable("t").ValueOrDie()));
+    EXPECT_TRUE(SameTables(*db_serial->GetTable("t").ValueOrDie(),
+                           *db_threaded->GetTable("t").ValueOrDie()));
   }
 
-  ASSERT_TRUE(engine_col->CleanAllRemaining().ok());
-  ASSERT_TRUE(engine_row->CleanAllRemaining().ok());
-  EXPECT_TRUE(SameTables(*db_col->GetTable("t").ValueOrDie(),
-                         *db_row->GetTable("t").ValueOrDie()));
+  ASSERT_TRUE(engine_serial->CleanAllRemaining().ok());
+  ASSERT_TRUE(engine_threaded->CleanAllRemaining().ok());
+  EXPECT_TRUE(SameTables(*db_serial->GetTable("t").ValueOrDie(),
+                         *db_threaded->GetTable("t").ValueOrDie()));
 }
 
 TEST(DifferentialTest, DetectorStateAcross100Seeds) {

@@ -22,8 +22,7 @@ namespace {
 class EnvOverrideTest : public ::testing::Test {
  protected:
   static constexpr const char* kVars[] = {
-      "DAISY_COLUMNAR_FILTERS", "DAISY_OPTIMIZER", "DAISY_GROUP_COMMIT",
-      "DAISY_DETECT_THREADS", "DAISY_QUERY_THREADS"};
+      "DAISY_OPTIMIZER", "DAISY_DETECT_THREADS", "DAISY_QUERY_THREADS"};
 
   void SetUp() override {
     for (const char* var : kVars) {
@@ -72,12 +71,10 @@ TEST_F(EnvOverrideTest, ValidBoolsOverride) {
   EXPECT_FALSE(options.optimizer);
   ApplyWith("DAISY_OPTIMIZER", "true", &options);
   EXPECT_TRUE(options.optimizer);
-  ApplyWith("DAISY_COLUMNAR_FILTERS", "false", &options);
-  EXPECT_FALSE(options.columnar_filters);
-  ApplyWith("DAISY_GROUP_COMMIT", "0", &options);
-  EXPECT_FALSE(options.group_commit);
-  ApplyWith("DAISY_GROUP_COMMIT", "1", &options);
-  EXPECT_TRUE(options.group_commit);
+  ApplyWith("DAISY_OPTIMIZER", "false", &options);
+  EXPECT_FALSE(options.optimizer);
+  ApplyWith("DAISY_OPTIMIZER", "1", &options);
+  EXPECT_TRUE(options.optimizer);
 }
 
 TEST_F(EnvOverrideTest, MalformedThreadCountWarnsAndKeepsSetting) {
@@ -141,7 +138,6 @@ TEST_F(EnvOverrideTest, NoVariablesSetIsANoOp) {
   EXPECT_EQ(options.detect_threads, defaults.detect_threads);
   EXPECT_EQ(options.query_threads, defaults.query_threads);
   EXPECT_EQ(options.optimizer, defaults.optimizer);
-  EXPECT_EQ(options.group_commit, defaults.group_commit);
   EXPECT_TRUE(err.empty()) << err;
 }
 

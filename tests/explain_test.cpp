@@ -223,11 +223,6 @@ ConstraintSet MakeCityRules() {
   return rules;
 }
 
-// The Filter tag in engine-produced plans follows the engine's effective
-// options (the CI ablation leg flips them via DAISY_COLUMNAR_FILTERS).
-std::string FilterTag(const DaisyEngine& engine) {
-  return engine.options().columnar_filters ? "[columnar]" : "[row-path]";
-}
 
 TEST(ExplainTest, CleaningPlanDropsStatisticsPrunedRuleGolden) {
   Database db = MakeCitiesDb();
@@ -241,7 +236,7 @@ TEST(ExplainTest, CleaningPlanDropsStatisticsPrunedRuleGolden) {
   EXPECT_EQ(text,
             "Project [zip, city, state]\n"
             "  CleanSelect [rule=phi fd] [adaptive]\n"
-            "    Filter [cities: zip == 9001] " + FilterTag(engine) + "\n"
+            "    Filter [cities: zip == 9001] [columnar]\n"
             "      Scan [cities]\n");
 }
 
@@ -259,7 +254,7 @@ TEST(ExplainTest, CleaningPlanKeepsRuleWithoutStatisticsPruning) {
             "Project [zip, city, state]\n"
             "  CleanSelect [rule=psi fd] [adaptive]\n"
             "    CleanSelect [rule=phi fd] [adaptive]\n"
-            "      Filter [cities: zip == 9001] " + FilterTag(engine) + "\n"
+            "      Filter [cities: zip == 9001] [columnar]\n"
             "        Scan [cities]\n");
 }
 

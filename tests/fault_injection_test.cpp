@@ -19,8 +19,8 @@
 // Satellites covered here too: orphan *.tmp sweeping in Open and
 // Checkpoint, TryRecover() semantics (service restoration, durability of
 // the op that degraded the engine, capped-backoff gating), the health
-// transition log, and the cut-query volatility contract (a timed-out
-// writer query is never WAL-logged).
+// transition counters and log lines, and the cut-query volatility
+// contract (a timed-out writer query is never WAL-logged).
 
 #include <gtest/gtest.h>
 
@@ -34,6 +34,8 @@
 #include <vector>
 
 #include "clean/daisy_engine.h"
+#include "common/logger.h"
+#include "common/metrics.h"
 #include "persist/fault_env.h"
 #include "persist/format.h"
 #include "persist/io_util.h"
@@ -45,6 +47,7 @@ namespace {
 
 using testutil::ExpectEnginesEquivalent;
 using testutil::TempDir;
+using testutil::WalCounts;
 
 Schema EmpSchema() {
   return Schema({{"zip", ValueType::kInt},
@@ -273,9 +276,6 @@ void RunFaultedWorkloadAndVerify(
     const EngineHealthInfo health = run.engine->Health();
     EXPECT_EQ(health.state, EngineHealth::kDegradedReadOnly);
     EXPECT_FALSE(health.cause.ok());
-    ASSERT_FALSE(health.transitions.empty());
-    EXPECT_EQ(health.transitions.back().to,
-              EngineHealth::kDegradedReadOnly);
     EXPECT_TRUE(run.engine->Query("SELECT k FROM plain").ok());
     const Status writer = run.engine
                               ->AppendRows("emp", {{Value(int64_t{9}),
@@ -554,7 +554,15 @@ TEST(HealthMachine, TransitionLogRecordsRoundTrip) {
   RunState live;
   BuildEngine(&live);
   ASSERT_TRUE(live.engine->EnablePersistence(tmp.Sub("state"), &fenv).ok());
-  ASSERT_TRUE(live.engine->Health().transitions.empty());
+  ASSERT_EQ(live.engine->Health().state, EngineHealth::kHealthy);
+
+  // Each transition is recorded outside the engine: one by-target-state
+  // counter increment and one structured log line. The marker line bounds
+  // the log lines this test produced.
+  const MetricsRegistry::Snapshot before =
+      MetricsRegistry::Global().TakeSnapshot();
+  const std::string marker = "transition round trip start";
+  LogInfo("fault_injection_test", marker);
 
   fenv.FailNthSync(fenv.syncs() + 1, EIO);
   ASSERT_FALSE(live.engine
@@ -563,16 +571,47 @@ TEST(HealthMachine, TransitionLogRecordsRoundTrip) {
                    .ok());
   fenv.ClearFaults();
   ASSERT_TRUE(live.engine->TryRecover().ok());
+  EXPECT_EQ(live.engine->Health().state, EngineHealth::kHealthy);
 
-  const EngineHealthInfo health = live.engine->Health();
-  ASSERT_EQ(health.transitions.size(), 2u);
-  EXPECT_EQ(health.transitions[0].from, EngineHealth::kHealthy);
-  EXPECT_EQ(health.transitions[0].to, EngineHealth::kDegradedReadOnly);
-  EXPECT_NE(health.transitions[0].reason.find("fault injection"),
+  const MetricsRegistry::Snapshot after =
+      MetricsRegistry::Global().TakeSnapshot();
+  auto transitions_to = [&](const char* state) -> uint64_t {
+    const std::string name =
+        std::string("daisy_engine_health_transitions_total{to=\"") + state +
+        "\"}";
+    const auto b = before.counters.find(name);
+    const auto a = after.counters.find(name);
+    return (a == after.counters.end() ? 0 : a->second) -
+           (b == before.counters.end() ? 0 : b->second);
+  };
+  EXPECT_EQ(transitions_to("degraded-read-only"), 1u);
+  EXPECT_EQ(transitions_to("healthy"), 1u);
+  EXPECT_EQ(transitions_to("failed"), 0u);
+
+  std::vector<std::string> logged;
+  bool after_marker = false;
+  for (const std::string& line : Logger::Global().Tail()) {
+    if (line.find(marker) != std::string::npos) {
+      after_marker = true;
+      logged.clear();
+    } else if (after_marker &&
+               line.find("\"msg\":\"health transition\"") !=
+                   std::string::npos) {
+      logged.push_back(line);
+    }
+  }
+  ASSERT_TRUE(after_marker);
+  ASSERT_EQ(logged.size(), 2u);
+  EXPECT_NE(logged[0].find("\"to\":\"degraded-read-only\""),
             std::string::npos)
-      << health.transitions[0].reason;
-  EXPECT_EQ(health.transitions[1].from, EngineHealth::kDegradedReadOnly);
-  EXPECT_EQ(health.transitions[1].to, EngineHealth::kHealthy);
+      << logged[0];
+  EXPECT_NE(logged[0].find("fault injection"), std::string::npos)
+      << logged[0];
+  EXPECT_NE(logged[1].find("\"from\":\"degraded-read-only\""),
+            std::string::npos)
+      << logged[1];
+  EXPECT_NE(logged[1].find("\"to\":\"healthy\""), std::string::npos)
+      << logged[1];
 }
 
 // The durability half of the monotone-prefix contract: a timed-out writer
@@ -684,12 +723,6 @@ TEST(GroupCommitFaults, FailedBatchedSyncDegradesAllAcksNone) {
   BuildEngine(&live);
   ASSERT_TRUE(live.engine->EnablePersistence(dir, &fenv).ok());
 
-  // These tests exercise the batching queue itself; under the
-  // DAISY_GROUP_COMMIT=0 ablation the engine has none (the per-op fsync
-  // path is what the rest of the suite then covers), so skip.
-  if (live.engine->wal_queue_for_test() == nullptr) {
-    GTEST_SKIP() << "group commit disabled by env override";
-  }
   std::vector<BatchAppendResult> results;
   std::vector<std::thread> threads;
   LaunchHeldAppends(live.engine.get(), {101, 102, 103}, &results, &threads);
@@ -730,9 +763,6 @@ TEST(GroupCommitFaults, CrashedBatchWriteLosesWholeBatch) {
   BuildEngine(&live);
   ASSERT_TRUE(live.engine->EnablePersistence(dir, &fenv).ok());
 
-  if (live.engine->wal_queue_for_test() == nullptr) {
-    GTEST_SKIP() << "group commit disabled by env override";
-  }
   std::vector<BatchAppendResult> results;
   std::vector<std::thread> threads;
   LaunchHeldAppends(live.engine.get(), {201, 202, 203}, &results, &threads);
@@ -767,9 +797,7 @@ TEST(GroupCommitFaults, HeldBatchCommitsTogetherAndRecovers) {
   BuildEngine(&live);
   ASSERT_TRUE(live.engine->EnablePersistence(dir).ok());
 
-  if (live.engine->wal_queue_for_test() == nullptr) {
-    GTEST_SKIP() << "group commit disabled by env override";
-  }
+  const WalCounts before = WalCounts::Now();
   std::vector<BatchAppendResult> results;
   std::vector<std::thread> threads;
   LaunchHeldAppends(live.engine.get(), {301, 302, 303}, &results, &threads);
@@ -780,11 +808,10 @@ TEST(GroupCommitFaults, HeldBatchCommitsTogetherAndRecovers) {
                                         << results[i].status;
   }
 
-  const persist::WalCommitStats stats = live.engine->WalStats();
-  EXPECT_EQ(stats.records, 3u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.syncs, 1u);
-  EXPECT_EQ(stats.max_batch_records, 3u);
+  const WalCounts delta = WalCounts::Now() - before;
+  EXPECT_EQ(delta.records, 3u);
+  EXPECT_EQ(delta.batches, 1u);
+  EXPECT_EQ(delta.fsyncs, 1u);
   live.engine.reset();
 
   ExpectRecoveredEqualsWalReference(dir, /*generation=*/1);
@@ -802,9 +829,6 @@ TEST(GroupCommitFaults, TryRecoverResetsPoisonedQueue) {
   BuildEngine(&live);
   ASSERT_TRUE(live.engine->EnablePersistence(dir, &fenv).ok());
 
-  if (live.engine->wal_queue_for_test() == nullptr) {
-    GTEST_SKIP() << "group commit disabled by env override";
-  }
   std::vector<BatchAppendResult> results;
   std::vector<std::thread> threads;
   LaunchHeldAppends(live.engine.get(), {401, 402}, &results, &threads);

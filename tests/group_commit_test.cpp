@@ -1,6 +1,6 @@
 // Unit tests for the group-commit building blocks in isolation:
-// WalWriter::AppendBatch framing/stats and GroupCommitQueue
-// leader/follower, poison, Flush, and Reset semantics.
+// WalWriter::AppendBatch framing and registry counters, and
+// GroupCommitQueue leader/follower, poison, Flush, and Reset semantics.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@ namespace persist {
 namespace {
 
 using testutil::TempDir;
+using testutil::WalCounts;
 
 TEST(AppendBatch, WritesOneFrameSequencePerRecordOneSync) {
   TempDir tmp;
@@ -28,17 +29,17 @@ TEST(AppendBatch, WritesOneFrameSequencePerRecordOneSync) {
   Result<std::unique_ptr<WalWriter>> writer = WalWriter::Create(path, &fenv);
   ASSERT_TRUE(writer.ok()) << writer.status();
   const uint64_t syncs_before = fenv.syncs();
+  const WalCounts before = WalCounts::Now();
 
   ASSERT_TRUE(writer.value()
                   ->AppendBatch({"alpha", "bravo", "charlie"})
                   .ok());
   EXPECT_EQ(fenv.syncs(), syncs_before + 1);
 
-  const WalCommitStats& stats = writer.value()->stats();
-  EXPECT_EQ(stats.records, 3u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.syncs, 1u);
-  EXPECT_EQ(stats.max_batch_records, 3u);
+  const WalCounts delta = WalCounts::Now() - before;
+  EXPECT_EQ(delta.records, 3u);
+  EXPECT_EQ(delta.batches, 1u);
+  EXPECT_EQ(delta.fsyncs, 1u);
 
   // The batched frames decode exactly like per-op appends.
   Result<WalContents> contents = ReadWal(path, &fenv);
@@ -57,23 +58,10 @@ TEST(AppendBatch, EmptyBatchIsANoOp) {
       WalWriter::Create(tmp.Sub("empty.dwal"), &fenv);
   ASSERT_TRUE(writer.ok()) << writer.status();
   const uint64_t calls_before = fenv.calls();
+  const WalCounts before = WalCounts::Now();
   ASSERT_TRUE(writer.value()->AppendBatch({}).ok());
   EXPECT_EQ(fenv.calls(), calls_before);
-  EXPECT_EQ(writer.value()->stats().batches, 0u);
-}
-
-TEST(AppendBatch, MixedWithAppendKeepsCounters) {
-  TempDir tmp;
-  Result<std::unique_ptr<WalWriter>> writer =
-      WalWriter::Create(tmp.Sub("mixed.dwal"));
-  ASSERT_TRUE(writer.ok()) << writer.status();
-  ASSERT_TRUE(writer.value()->Append("solo").ok());
-  ASSERT_TRUE(writer.value()->AppendBatch({"pair-1", "pair-2"}).ok());
-  const WalCommitStats& stats = writer.value()->stats();
-  EXPECT_EQ(stats.records, 3u);
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.syncs, 2u);
-  EXPECT_EQ(stats.max_batch_records, 2u);
+  EXPECT_EQ((WalCounts::Now() - before).batches, 0u);
 }
 
 struct QueueFixture {
@@ -101,15 +89,17 @@ struct QueueFixture {
 TEST(GroupCommitQueue, SingleOpCommitsAsBatchOfOne) {
   QueueFixture fx;
   fx.Build();
+  const WalCounts before = WalCounts::Now();
   GroupCommitQueue::TicketPtr ticket = fx.queue->Enqueue("only");
   EXPECT_TRUE(fx.queue->Wait(ticket).ok());
   EXPECT_EQ(fx.ReadPayloads(), std::vector<std::string>{"only"});
-  EXPECT_EQ(fx.writer->stats().syncs, 1u);
+  EXPECT_EQ((WalCounts::Now() - before).fsyncs, 1u);
 }
 
 TEST(GroupCommitQueue, HeldRecordsCommitAsOneBatchInOrder) {
   QueueFixture fx;
   fx.Build();
+  const WalCounts before = WalCounts::Now();
   fx.queue->TestHoldCommits(true);
   std::vector<GroupCommitQueue::TicketPtr> tickets;
   for (const char* payload : {"a", "b", "c"}) {
@@ -125,8 +115,11 @@ TEST(GroupCommitQueue, HeldRecordsCommitAsOneBatchInOrder) {
   for (std::thread& t : waiters) t.join();
   for (const Status& s : statuses) EXPECT_TRUE(s.ok()) << s;
   EXPECT_EQ(fx.ReadPayloads(), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(fx.writer->stats().batches, 1u);
-  EXPECT_EQ(fx.writer->stats().max_batch_records, 3u);
+  // One batch of three: three records behind one write and one fsync.
+  const WalCounts delta = WalCounts::Now() - before;
+  EXPECT_EQ(delta.records, 3u);
+  EXPECT_EQ(delta.batches, 1u);
+  EXPECT_EQ(delta.fsyncs, 1u);
 }
 
 TEST(GroupCommitQueue, FailedBatchPoisonsUntilReset) {
@@ -180,6 +173,7 @@ TEST(GroupCommitQueue, ManyConcurrentWritersAllCommitInEnqueueOrder) {
   fx.Build();
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 25;
+  const WalCounts before = WalCounts::Now();
   std::vector<std::thread> threads;
   std::vector<Status> statuses(kThreads * kOpsPerThread);
   for (int t = 0; t < kThreads; ++t) {
@@ -209,9 +203,9 @@ TEST(GroupCommitQueue, ManyConcurrentWritersAllCommitInEnqueueOrder) {
       }
     }
   }
-  const WalCommitStats& stats = fx.writer->stats();
-  EXPECT_EQ(stats.records, static_cast<uint64_t>(kThreads * kOpsPerThread));
-  EXPECT_LE(stats.syncs, stats.records);
+  const WalCounts delta = WalCounts::Now() - before;
+  EXPECT_EQ(delta.records, static_cast<uint64_t>(kThreads * kOpsPerThread));
+  EXPECT_LE(delta.fsyncs, delta.records);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "detect/fd_delta.h"
 #include "detect/fd_detector.h"
 #include "detect/theta_join.h"
+#include "detect_oracle.h"
 #include "relax/relaxation.h"
 #include "repair/provenance.h"
 #include "storage/column_cache.h"
@@ -21,6 +22,10 @@
 
 namespace daisy {
 namespace {
+
+using testutil::AsSet;
+using testutil::BruteForce;
+using testutil::PairSet;
 
 Schema SalarySchema() {
   return Schema({{"salary", ValueType::kDouble}, {"tax", ValueType::kDouble}});
@@ -55,26 +60,6 @@ std::vector<std::vector<Value>> RandomSalaryBatch(size_t n, uint64_t seed,
     rows.push_back({Value(salary), Value(tax)});
   }
   return rows;
-}
-
-// Live-aware reference: all violating oriented pairs by brute force.
-std::set<std::pair<RowId, RowId>> BruteForce(const Table& t,
-                                             const DenialConstraint& dc) {
-  std::set<std::pair<RowId, RowId>> out;
-  for (RowId a = 0; a < t.num_rows(); ++a) {
-    if (!t.is_live(a)) continue;
-    for (RowId b = 0; b < t.num_rows(); ++b) {
-      if (a == b || !t.is_live(b)) continue;
-      if (dc.ViolatedBy(t, a, b)) out.insert({a, b});
-    }
-  }
-  return out;
-}
-
-std::set<std::pair<RowId, RowId>> AsSet(const std::vector<ViolationPair>& v) {
-  std::set<std::pair<RowId, RowId>> out;
-  for (const ViolationPair& p : v) out.insert({p.t1, p.t2});
-  return out;
 }
 
 // ------------------------------------------------------ Table batch API --
@@ -219,10 +204,18 @@ TEST(ThetaDeltaTest, DeltaDetectionMatchesFromScratch) {
   DenialConstraint dc = SalaryDc(t.schema());
   ThetaJoinDetector detector(&t, &dc, 8);
   (void)detector.DetectAll();
+  const PairSet before = BruteForce(t, dc);
   auto delta = t.AppendRows(RandomSalaryBatch(15, 12, 0.2)).ValueOrDie();
-  (void)detector.DetectDelta(delta);
+  const PairSet found = AsSet(detector.DetectDelta(delta));
   EXPECT_TRUE(detector.FullyChecked());
-  EXPECT_EQ(AsSet(detector.maintained_violations()), BruteForce(t, dc));
+  const PairSet after = BruteForce(t, dc);
+  EXPECT_EQ(AsSet(detector.maintained_violations()), after);
+  // The delta reports exactly the pairs the appended rows introduced.
+  PairSet introduced;
+  for (const auto& pair : after) {
+    if (before.count(pair) == 0) introduced.insert(pair);
+  }
+  EXPECT_EQ(found, introduced);
 
   ThetaJoinDetector scratch(&t, &dc, 8);
   auto full = scratch.DetectAll();
@@ -281,19 +274,6 @@ TEST(ThetaDeltaTest, DeletePrunesMaintainedViolations) {
   EXPECT_TRUE(detector.FullyChecked());  // tombstones need no checking
   // Detection after the delete never visits the tombstones.
   EXPECT_TRUE(detector.DetectAll().empty());
-}
-
-TEST(ThetaDeltaTest, RowPathDeltaMatchesColumnar) {
-  Table t = RandomSalaryTable(40, 23, 0.25);
-  DenialConstraint dc = SalaryDc(t.schema());
-  ThetaJoinDetector columnar(&t, &dc, 8);
-  ThetaJoinDetector row_path(&t, &dc, 8);
-  row_path.set_columnar_enabled(false);
-  (void)columnar.DetectAll();
-  (void)row_path.DetectAll();
-  auto delta = t.AppendRows(RandomSalaryBatch(10, 24, 0.25)).ValueOrDie();
-  EXPECT_EQ(columnar.DetectDelta(delta), row_path.DetectDelta(delta));
-  EXPECT_EQ(columnar.maintained_violations(), row_path.maintained_violations());
 }
 
 TEST(ThetaDeltaTest, PlainTableAppendsAutoIntegrateOnNextDetect) {

@@ -210,7 +210,7 @@ TEST(Logger, TailKeepsStructuredJsonLines) {
 // workload against a persisted engine. No cleaning rules are installed,
 // so every query is quiescent (read path) and only the explicit write
 // operations touch the WAL — the expected values below are derived from
-// the operation list alone and hold with group commit on or off (a
+// the operation list alone (a
 // single-threaded writer always commits a batch of one: one record, one
 // fsync per operation).
 TEST(MetricsIntegration, ExactCountersForKnownWorkload) {

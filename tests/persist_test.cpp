@@ -245,8 +245,8 @@ TEST(Wal, RecordsRoundTripAndSurviveReopen) {
   const std::string clean = persist::EncodeWalCleanAll();
   {
     auto writer = persist::WalWriter::Create(path).ValueOrDie();
-    ASSERT_TRUE(writer->Append(append).ok());
-    ASSERT_TRUE(writer->Append(del).ok());
+    ASSERT_TRUE(writer->AppendBatch({append}).ok());
+    ASSERT_TRUE(writer->AppendBatch({del}).ok());
   }
   {
     // Reopen-for-append continues where the valid prefix ends.
@@ -255,8 +255,8 @@ TEST(Wal, RecordsRoundTripAndSurviveReopen) {
     auto writer =
         persist::WalWriter::OpenForAppend(path, contents.value().valid_bytes)
             .ValueOrDie();
-    ASSERT_TRUE(writer->Append(query).ok());
-    ASSERT_TRUE(writer->Append(clean).ok());
+    ASSERT_TRUE(writer->AppendBatch({query}).ok());
+    ASSERT_TRUE(writer->AppendBatch({clean}).ok());
   }
   Result<persist::WalContents> contents = persist::ReadWal(path);
   ASSERT_TRUE(contents.ok());
@@ -286,8 +286,8 @@ TEST(Wal, TornTailIsDroppedNeverHalfApplied) {
   const std::string rec2 = persist::EncodeWalDeleteRows("emp", {1, 2, 3});
   {
     auto writer = persist::WalWriter::Create(path).ValueOrDie();
-    ASSERT_TRUE(writer->Append(rec1).ok());
-    ASSERT_TRUE(writer->Append(rec2).ok());
+    ASSERT_TRUE(writer->AppendBatch({rec1}).ok());
+    ASSERT_TRUE(writer->AppendBatch({rec2}).ok());
   }
   Result<std::string> bytes = persist::ReadFileFully(path);
   ASSERT_TRUE(bytes.ok());

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "clean/daisy_engine.h"
+#include "common/metrics.h"
 #include "persist/io_util.h"
 #include "storage/table.h"
 
@@ -56,6 +57,40 @@ class TempDir {
 
  private:
   std::string path_;
+};
+
+/// The process registry's WAL commit counters
+/// (`daisy_persist_wal_{records,batches,fsyncs}_total`). Tests take Now()
+/// before a workload and subtract it afterwards; every WalWriter in the
+/// process feeds the same counters.
+struct WalCounts {
+  uint64_t records = 0;
+  uint64_t batches = 0;
+  uint64_t fsyncs = 0;
+
+  /// Reads through a snapshot, so a counter not yet registered reads 0
+  /// and keeps the help text its first real registration gives it.
+  static WalCounts Now() {
+    const MetricsRegistry::Snapshot snap =
+        MetricsRegistry::Global().TakeSnapshot();
+    auto read = [&snap](const char* name) -> uint64_t {
+      const auto it = snap.counters.find(name);
+      return it == snap.counters.end() ? 0 : it->second;
+    };
+    WalCounts c;
+    c.records = read("daisy_persist_wal_records_total");
+    c.batches = read("daisy_persist_wal_batches_total");
+    c.fsyncs = read("daisy_persist_wal_fsyncs_total");
+    return c;
+  }
+
+  WalCounts operator-(const WalCounts& base) const {
+    WalCounts d;
+    d.records = records - base.records;
+    d.batches = batches - base.batches;
+    d.fsyncs = fsyncs - base.fsyncs;
+    return d;
+  }
 };
 
 inline void CopyFileBytes(const std::string& from, const std::string& to) {

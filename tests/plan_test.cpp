@@ -164,22 +164,6 @@ Database MakePlanDb(uint64_t seed) {
   return db;
 }
 
-TEST(PlanTest, ColumnarAndRowPathPlansAgree) {
-  Database db = MakePlanDb(29);
-  auto stmt = ParseQuery(
-                  "SELECT a, s FROM m WHERE (a >= 3 AND a <= 17) OR d > 9.0")
-                  .ValueOrDie();
-  Planner columnar(&db);
-  Planner row_path(&db);
-  row_path.set_columnar_filters(false);
-  auto p1 = columnar.PlanQuery(stmt).ValueOrDie();
-  auto p2 = row_path.PlanQuery(stmt).ValueOrDie();
-  auto o1 = p1.Execute().ValueOrDie();
-  auto o2 = p2.Execute().ValueOrDie();
-  ASSERT_EQ(o1.lineage, o2.lineage);
-  ASSERT_EQ(o1.result.num_rows(), o2.result.num_rows());
-}
-
 TEST(PlanTest, BatchSizeDoesNotChangeResults) {
   Database db = MakePlanDb(31);
   auto stmt =

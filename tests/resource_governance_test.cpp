@@ -253,16 +253,9 @@ TEST(TripSweep, CutsEveryBoundaryAndCoversAllNodeKinds) {
   };
   const std::string big_sql = "SELECT k FROM big WHERE x > 50";
   uint64_t big_checks = 0;
-  bool filter_site_expected = false;
   {
     RunState probe;
     build_big(&probe);
-    // The Filter-labeled site only exists when the compiled columnar
-    // filter fans out morsels; the CI ablation leg disables it via
-    // DAISY_COLUMNAR_FILTERS=0 (ApplyEnvOverrides), so read the effective
-    // options instead of assuming the defaults.
-    filter_site_expected = probe.engine->options().columnar_filters &&
-                           probe.engine->options().query_threads > 1;
     Result<QueryReport> full = probe.engine->Query(big_sql);
     ASSERT_TRUE(full.ok()) << full.status();
     big_checks = full.value().resource_checks;
@@ -288,9 +281,7 @@ TEST(TripSweep, CutsEveryBoundaryAndCoversAllNodeKinds) {
     return false;
   };
   EXPECT_TRUE(covered("Scan ["));
-  if (filter_site_expected) {
-    EXPECT_TRUE(covered("Filter ["));
-  }
+  EXPECT_TRUE(covered("Filter ["));
   EXPECT_TRUE(covered("CleanSelect ["));
   EXPECT_TRUE(covered("HashJoin [") || covered("CleanJoin ["))
       << "no join cut site recorded";

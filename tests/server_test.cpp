@@ -165,15 +165,16 @@ TEST_F(ServerTest, AckedAppendIsWalDurableAndVisible) {
   auto client = Connect();
   ASSERT_TRUE(client.ok()) << client.status();
 
+  const testutil::WalCounts before = testutil::WalCounts::Now();
   auto n = client.value()->Append("plain", {{Value(7)}, {Value(8)}});
   ASSERT_TRUE(n.ok()) << n.status();
   EXPECT_EQ(n.value(), 2u);
 
   // The ack implies the WAL record is fsync'd (group commit acks after
-  // durability) — the stats must show it.
-  const persist::WalCommitStats stats = engine_->WalStats();
-  EXPECT_GE(stats.records, 1u);
-  EXPECT_GE(stats.syncs, 1u);
+  // durability) — the WAL counters must show it.
+  const testutil::WalCounts delta = testutil::WalCounts::Now() - before;
+  EXPECT_EQ(delta.records, 1u);
+  EXPECT_EQ(delta.fsyncs, 1u);
 
   auto rows = client.value()->Query("SELECT k FROM plain");
   ASSERT_TRUE(rows.ok()) << rows.status();
@@ -186,6 +187,7 @@ TEST_F(ServerTest, ConcurrentClientsShareGroupCommitBatches) {
   options.worker_threads = 8;
   StartServer(options);
 
+  const testutil::WalCounts before = testutil::WalCounts::Now();
   constexpr int kClients = 6;
   constexpr int kAppendsPerClient = 20;
   std::vector<std::thread> threads;
@@ -207,9 +209,9 @@ TEST_F(ServerTest, ConcurrentClientsShareGroupCommitBatches) {
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
 
-  const persist::WalCommitStats stats = engine_->WalStats();
-  EXPECT_EQ(stats.records, static_cast<uint64_t>(kClients * kAppendsPerClient));
-  EXPECT_LE(stats.syncs, stats.records);
+  const testutil::WalCounts delta = testutil::WalCounts::Now() - before;
+  EXPECT_EQ(delta.records, static_cast<uint64_t>(kClients * kAppendsPerClient));
+  EXPECT_LE(delta.fsyncs, delta.records);
 
   auto client = Connect();
   ASSERT_TRUE(client.ok()) << client.status();

@@ -23,7 +23,7 @@
 //      then EnablePersistence(--data-dir) when a data dir was given.
 //
 // Environment overrides (DAISY_QUERY_THREADS, DAISY_DETECT_THREADS,
-// DAISY_OPTIMIZER, DAISY_GROUP_COMMIT, ...) apply on top of defaults;
+// DAISY_OPTIMIZER) apply on top of defaults;
 // malformed values are ignored with a structured-log warning.
 //
 // Once serving, prints exactly one readiness line to stdout:
