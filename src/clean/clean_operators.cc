@@ -171,13 +171,12 @@ Result<CleanSelectResult> CleanSelect::Run(
     const Expr* filter, const std::vector<RowId>& dirty_result,
     const CleaningOptions& options) {
   SyncRowCount();
-  if (dc_->IsFd()) return RunFd(filter, dirty_result, options);
+  if (dc_->IsFd()) return RunFd(filter, dirty_result);
   return RunDc(filter, dirty_result, options);
 }
 
 Result<CleanSelectResult> CleanSelect::RunFd(
-    const Expr* filter, const std::vector<RowId>& dirty_result,
-    const CleaningOptions& options) {
+    const Expr* filter, const std::vector<RowId>& dirty_result) {
   CleanSelectResult out;
   out.final_rows = dirty_result;
   // The group statistics were delta-maintained at ingest; this query is the
@@ -202,7 +201,7 @@ Result<CleanSelectResult> CleanSelect::RunFd(
   }
 
   // Fast path 2: statistics pruning — the result touches no dirty group.
-  if (options.use_statistics_pruning && stats_ != nullptr &&
+  if (stats_ != nullptr &&
       !stats_->RowsTouchDirty(*table_, *dc_, dirty_result)) {
     out.pruned = true;
     MarkChecked(dirty_result);
@@ -218,7 +217,7 @@ Result<CleanSelectResult> CleanSelect::RunFd(
       stats_ != nullptr ? stats_->ForRule(dc_->name()) : nullptr;
   FdRelaxIndex::DirtyFilter dirty_filter;
   const FdRelaxIndex::DirtyFilter* filter_ptr = nullptr;
-  if (options.use_statistics_pruning && rule_stats != nullptr) {
+  if (rule_stats != nullptr) {
     dirty_filter.lhs_keys = &rule_stats->dirty_lhs_keys;
     dirty_filter.already_checked = &checked_;
     filter_ptr = &dirty_filter;
@@ -261,7 +260,6 @@ Result<CleanSelectResult> CleanSelect::RunDc(
   }
   CleanSelectResult out;
   out.final_rows = dirty_result;
-  theta_->set_pruning_enabled(options.theta_pruning);
 
   // Pay for the ingested rows first: new x old + new x new pairs, at
   // O(delta) instead of the full matrix. The drained violations feed the
@@ -305,8 +303,7 @@ Result<CleanSelectResult> CleanSelect::RunDc(
   return out;
 }
 
-Result<CleanSelectResult> CleanSelect::CleanRemaining(
-    const CleaningOptions& options) {
+Result<CleanSelectResult> CleanSelect::CleanRemaining() {
   SyncRowCount();
   CleanSelectResult out;
   if (dc_->IsFd()) {
@@ -322,7 +319,6 @@ Result<CleanSelectResult> CleanSelect::CleanRemaining(
     MarkChecked(all);
     return out;
   }
-  theta_->set_pruning_enabled(options.theta_pruning);
   // Delta batches first: DetectAll skips checked-row pairs, so the new x
   // old cross pairs must be paid through DetectDelta before full coverage
   // is declared. No result set here, so the drained pairs need no

@@ -31,10 +31,6 @@ struct CleaningOptions {
   /// Estimated-accuracy threshold below which a DC query falls back to full
   /// cleaning (Algorithm 2 / Fig. 10).
   double accuracy_threshold = 0.5;
-  /// Skip cleaning when the result provably touches no dirty group.
-  bool use_statistics_pruning = true;
-  /// Partition-prune the theta-join matrix (ablation switch).
-  bool theta_pruning = true;
 };
 
 /// Counters reported by one cleanσ invocation.
@@ -84,7 +80,7 @@ class CleanSelect {
                                 const CleaningOptions& options);
 
   /// Cleans everything not yet checked (the cost-model switch target).
-  Result<CleanSelectResult> CleanRemaining(const CleaningOptions& options);
+  Result<CleanSelectResult> CleanRemaining();
 
   /// Folds one ingest batch into the per-rule bookkeeping: appended rows
   /// join as unchecked, deleted rows become trivially checked, and
@@ -128,8 +124,7 @@ class CleanSelect {
 
  private:
   Result<CleanSelectResult> RunFd(const Expr* filter,
-                                  const std::vector<RowId>& dirty_result,
-                                  const CleaningOptions& options);
+                                  const std::vector<RowId>& dirty_result);
   Result<CleanSelectResult> RunDc(const Expr* filter,
                                   const std::vector<RowId>& dirty_result,
                                   const CleaningOptions& options);

@@ -260,7 +260,7 @@ Status DaisyEngine::Prepare() {
   plan_context_ = std::make_unique<CleaningPlanContext>();
   plan_context_->constraints = &constraints_;
   plan_context_->statistics = &statistics_;
-  plan_context_->options = MakeCleaningOptions();
+  plan_context_->options.accuracy_threshold = options_.accuracy_threshold;
   plan_context_->adaptive = options_.mode == DaisyOptions::Mode::kAdaptive;
   for (auto& [name, state] : rules_) {
     CleaningRuleBinding binding;
@@ -296,14 +296,6 @@ void DaisyEngine::RefreshDerivedState() {
   }
 }
 
-CleaningOptions DaisyEngine::MakeCleaningOptions() const {
-  CleaningOptions opts;
-  opts.accuracy_threshold = options_.accuracy_threshold;
-  opts.use_statistics_pruning = options_.use_statistics_pruning;
-  opts.theta_pruning = options_.theta_pruning;
-  return opts;
-}
-
 Result<QueryReport> DaisyEngine::Query(const std::string& sql) {
   DAISY_ASSIGN_OR_RETURN(SelectStmt stmt, ParseQuery(sql));
   return Query(stmt);
@@ -312,12 +304,16 @@ Result<QueryReport> DaisyEngine::Query(const std::string& sql) {
 Result<QueryReport> DaisyEngine::Query(const std::string& sql,
                                        const QueryLimits& limits) {
   DAISY_ASSIGN_OR_RETURN(SelectStmt stmt, ParseQuery(sql));
-  return QueryWithLimits(stmt, limits);
+  return ExecuteStatement(stmt, limits, /*trace=*/nullptr);
+}
+
+Result<QueryReport> DaisyEngine::Query(const SelectStmt& stmt) {
+  return ExecuteStatement(stmt, QueryLimits{}, /*trace=*/nullptr);
 }
 
 Result<QueryReport> DaisyEngine::Query(const SelectStmt& stmt,
                                        const QueryLimits& limits) {
-  return QueryWithLimits(stmt, limits);
+  return ExecuteStatement(stmt, limits, /*trace=*/nullptr);
 }
 
 Result<Plan> DaisyEngine::MakePlan(const SelectStmt& stmt) {
@@ -333,64 +329,51 @@ Result<Plan> DaisyEngine::MakePlan(const SelectStmt& stmt) {
 }
 
 Result<QueryReport> DaisyEngine::ExecutePlanLocked(Plan* plan, bool read_path,
-                                                   uint64_t epoch) {
+                                                   uint64_t epoch,
+                                                   std::string* trace) {
   QueryReport report;
   DAISY_ASSIGN_OR_RETURN(report.output, plan->Execute());
-  const CleaningExecStats& cs = plan->cleaning_stats();
-  report.extra_tuples = cs.extra_tuples;
-  report.errors_fixed = cs.errors_fixed;
-  report.tuples_scanned = cs.tuples_scanned;
-  report.detect_ops = cs.detect_ops;
-  report.rules_applied = cs.rules_applied;
-  report.rules_pruned = cs.rules_pruned;
-  report.rules_deferred = cs.rules_deferred;
-  report.delta_rows_checked = cs.delta_rows_checked;
-  report.switched_to_full = cs.switched_to_full;
-  report.used_dc_full_clean = cs.used_dc_full_clean;
-  report.min_estimated_accuracy = cs.min_estimated_accuracy;
+  static_cast<CleaningExecStats&>(report) = plan->cleaning_stats();
   report.epoch = epoch;
   report.read_path = read_path;
   report.termination = plan->termination();
   report.cut_node = plan->cut_node();
   report.resource_checks = plan->resource_checks();
+  if (trace != nullptr) *trace = plan->ExplainWithTrace();
 
   // Every query execution funnels through here (Query and ExplainAnalyze,
   // both paths): account it once, with relaxed adds only.
   EngineMetrics& m = EngineMetrics::Get();
   (read_path ? m.queries_read : m.queries_write)->Increment();
-  if (cs.detect_ops > 0) m.detect_ops->Increment(cs.detect_ops);
-  if (cs.errors_fixed > 0) m.repairs->Increment(cs.errors_fixed);
-  if (cs.delta_rows_checked > 0) {
-    m.delta_rows_checked->Increment(cs.delta_rows_checked);
+  if (report.detect_ops > 0) m.detect_ops->Increment(report.detect_ops);
+  if (report.errors_fixed > 0) m.repairs->Increment(report.errors_fixed);
+  if (report.delta_rows_checked > 0) {
+    m.delta_rows_checked->Increment(report.delta_rows_checked);
   }
   if (!read_path) m.epoch->Set(static_cast<int64_t>(epoch));
   return report;
 }
 
-Result<QueryReport> DaisyEngine::Query(const SelectStmt& stmt) {
-  return QueryWithLimits(stmt, QueryLimits{});
-}
-
-Result<QueryReport> DaisyEngine::QueryWithLimits(const SelectStmt& stmt,
-                                                 const QueryLimits& limits) {
+Result<QueryReport> DaisyEngine::ExecuteStatement(const SelectStmt& stmt,
+                                                  const QueryLimits& limits,
+                                                  std::string* trace) {
   {
     // Shared read path: when every cleanσ of the plan is quiescent,
     // execution is a pure read (Run() takes its pruned fast paths, which
     // the quiescence guards keep write-free) and may overlap with other
     // readers. Quiescence cannot be broken by a concurrent reader, and
     // writers are excluded, so the check stays valid for the whole shared
-    // section. The statistics-pruning fast paths are what make quiescent
-    // FD runs read-only, so with pruning disabled every query serializes.
+    // section.
     ReaderLock lock(&*mu_);
     if (health_ == EngineHealth::kFailed) {
       return Status::Internal("engine failed (unrecoverable): " +
                               health_cause_.ToString());
     }
-    if (prepared_ && options_.use_statistics_pruning) {
+    if (prepared_) {
       DAISY_ASSIGN_OR_RETURN(Plan plan, MakePlan(stmt));
       if (plan.CleaningQuiescent()) {
         plan.set_limits(limits);
-        return ExecutePlanLocked(&plan, /*read_path=*/true, epoch_);
+        return ExecutePlanLocked(&plan, /*read_path=*/true, epoch_, trace);
       }
     }
   }
@@ -410,12 +393,12 @@ Result<QueryReport> DaisyEngine::QueryWithLimits(const SelectStmt& stmt,
     }
     DAISY_ASSIGN_OR_RETURN(Plan plan, MakePlan(stmt));
     plan.set_limits(limits);
-    if (options_.use_statistics_pruning && plan.CleaningQuiescent()) {
-      return ExecutePlanLocked(&plan, /*read_path=*/true, epoch_);
+    if (plan.CleaningQuiescent()) {
+      return ExecutePlanLocked(&plan, /*read_path=*/true, epoch_, trace);
     }
     DAISY_RETURN_IF_ERROR(CheckWritableLocked());
     const uint64_t slot = ++epoch_;
-    report = ExecutePlanLocked(&plan, /*read_path=*/false, slot);
+    report = ExecutePlanLocked(&plan, /*read_path=*/false, slot, trace);
     RefreshDerivedState();
     // A writer query mutated cleaning state (repairs, coverage, cost
     // ledger): make it durable before acknowledging. Read-path queries are
@@ -454,55 +437,10 @@ Result<std::string> DaisyEngine::ExplainAnalyze(const std::string& sql) {
 Result<std::string> DaisyEngine::ExplainAnalyze(const std::string& sql,
                                                 const QueryLimits& limits) {
   DAISY_ASSIGN_OR_RETURN(SelectStmt stmt, ParseQuery(sql));
-  {
-    ReaderLock lock(&*mu_);
-    if (health_ == EngineHealth::kFailed) {
-      return Status::Internal("engine failed (unrecoverable): " +
-                              health_cause_.ToString());
-    }
-    if (prepared_ && options_.use_statistics_pruning) {
-      DAISY_ASSIGN_OR_RETURN(Plan plan, MakePlan(stmt));
-      if (plan.CleaningQuiescent()) {
-        plan.set_limits(limits);
-        DAISY_RETURN_IF_ERROR(
-            ExecutePlanLocked(&plan, /*read_path=*/true, epoch_).status());
-        return plan.ExplainWithTrace();
-      }
-    }
-  }
-  persist::GroupCommitQueue::TicketPtr ticket;
-  Result<std::string> rendered = Status::Internal("unset");
-  {
-    WriterLock lock(&*mu_);
-    if (health_ == EngineHealth::kFailed) {
-      return Status::Internal("engine failed (unrecoverable): " +
-                              health_cause_.ToString());
-    }
-    DAISY_ASSIGN_OR_RETURN(Plan plan, MakePlan(stmt));
-    plan.set_limits(limits);
-    if (options_.use_statistics_pruning && plan.CleaningQuiescent()) {
-      DAISY_RETURN_IF_ERROR(
-          ExecutePlanLocked(&plan, /*read_path=*/true, epoch_).status());
-      return plan.ExplainWithTrace();
-    }
-    DAISY_RETURN_IF_ERROR(CheckWritableLocked());
-    const uint64_t slot = ++epoch_;
-    Result<QueryReport> report =
-        ExecutePlanLocked(&plan, /*read_path=*/false, slot);
-    RefreshDerivedState();
-    DAISY_RETURN_IF_ERROR(report.status());
-    // Same cleaning side effects as a writer Query — replayed as one (the
-    // analyze rendering is a pure read on top). Cut executions stay
-    // volatile, exactly like Query().
-    const bool cut =
-        report.value().termination == QueryTermination::kTimeout ||
-        report.value().termination == QueryTermination::kCancelled;
-    if (!cut && wal_ != nullptr && !wal_replay_) {
-      ticket = LogWalLocked(persist::EncodeWalQuery(stmt));
-    }
-    rendered = plan.ExplainWithTrace();
-  }
-  DAISY_RETURN_IF_ERROR(AwaitWalTicket(ticket));
+  // Query's protocol, side effects included; the analyze rendering is a
+  // pure read on top of the execution.
+  std::string rendered;
+  DAISY_RETURN_IF_ERROR(ExecuteStatement(stmt, limits, &rendered).status());
   return rendered;
 }
 
@@ -621,15 +559,12 @@ Status DaisyEngine::CleanAllRemaining() {
     WriterLock lock(&*mu_);
     if (!prepared_) return Status::Internal("Prepare() must be called first");
     DAISY_RETURN_IF_ERROR(CheckWritableLocked());
-    const CleaningOptions clean_opts = MakeCleaningOptions();
     for (auto& [name, state] : rules_) {
       if (state.op->fully_checked()) continue;
-      DAISY_ASSIGN_OR_RETURN(CleanSelectResult res,
-                             state.op->CleanRemaining(clean_opts));
       // The per-rule counters are only reported on the query path; a
       // manual full clean wants the side effects (repairs + coverage),
       // not the report.
-      (void)res;
+      DAISY_RETURN_IF_ERROR(state.op->CleanRemaining().status());
     }
     ++epoch_;
     RefreshDerivedState();

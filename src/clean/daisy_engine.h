@@ -57,8 +57,6 @@ struct DaisyOptions {
   /// Worker threads for the theta-join DetectAll partition scan (1 =
   /// serial). Results are deterministic for any value.
   size_t detect_threads = 1;
-  bool use_statistics_pruning = true;
-  bool theta_pruning = true;
   /// Cost-based optimizer pass (src/plan/optimizer.h): DP join ordering
   /// and cleanσ placement between Planner lowering and execution. Off =
   /// the syntactic left-deep plan. Outputs
@@ -128,20 +126,9 @@ struct EngineHealthInfo {
 using QueryLimits = ExecLimits;
 
 /// Per-query execution report: the corrected output plus the cleaning
-/// counters the benches plot.
-struct QueryReport {
+/// counters the benches plot (inherited from the plan's CleaningExecStats).
+struct QueryReport : CleaningExecStats {
   QueryOutput output;
-  size_t extra_tuples = 0;       ///< Σ |E(Q)| over applied rules
-  size_t errors_fixed = 0;       ///< tuples repaired during this query
-  size_t tuples_scanned = 0;     ///< relaxation scan volume
-  size_t detect_ops = 0;         ///< violation-check comparisons
-  size_t rules_applied = 0;      ///< cleaning operators injected
-  size_t rules_pruned = 0;       ///< skipped via statistics/checked state
-  size_t rules_deferred = 0;     ///< cleanσ placed above the join (optimizer)
-  size_t delta_rows_checked = 0; ///< ingested rows settled by this query
-  bool switched_to_full = false; ///< cost model fired this query
-  bool used_dc_full_clean = false;
-  double min_estimated_accuracy = 1.0;
   /// Serial position in the engine's writer order: a query that mutated
   /// cleaning state (or could have) owns slot `epoch` — the epoch-th writer
   /// — while a shared-path read observed the state after writer `epoch`
@@ -282,9 +269,12 @@ class DaisyEngine {
   /// engine is bit-identical — outputs, counters, EXPLAIN, provenance —
   /// to one that executed the same committed operations without
   /// restarting. The semantics-affecting options (mode, accuracy
-  /// threshold, partitions, pruning switches) are adopted from the
-  /// snapshot so the replay runs under the config that produced the log;
-  /// only `options`' perf knobs (thread counts) take effect.
+  /// threshold, partitions, optimizer) are adopted from the snapshot so
+  /// the replay runs under the config that produced the log; only
+  /// `options`' perf knobs (thread counts) take effect. A snapshot whose
+  /// meta section records statistics or theta-join pruning as off (written
+  /// by an engine that still had those switches) is rejected with a
+  /// ParseError: its log cannot replay bit-identically here.
   /// Open also sweeps orphaned `*.tmp` files (leftovers of an atomic
   /// write that crashed before its rename) from the directory. All file
   /// operations of the opened engine go through `env` (null = the real
@@ -356,17 +346,25 @@ class DaisyEngine {
     CostModel cost;
   };
 
-  CleaningOptions MakeCleaningOptions() const;
   Status ApplyDeltaToRules(const std::string& table_name,
                            const TableDelta& delta) DAISY_REQUIRES(*mu_);
   Result<Plan> MakePlan(const SelectStmt& stmt) DAISY_REQUIRES_SHARED(*mu_);
-  Result<QueryReport> QueryWithLimits(const SelectStmt& stmt,
-                                      const QueryLimits& limits);
-  /// Executes `plan` and assembles the report (caller holds mu_ in the
-  /// matching mode; a shared hold suffices — writer callers hold it
-  /// exclusively, which implies shared).
+  /// The statement protocol behind Query and ExplainAnalyze: a shared-lock
+  /// attempt when the plan is quiescent, else the writer lock, a re-plan
+  /// and (unless the plan became quiescent meanwhile) an epoch slot, the
+  /// execution, the derived-state refresh and the WAL record of an uncut
+  /// run, whose durability is awaited after unlocking. A non-null `trace`
+  /// receives the plan's ExplainWithTrace() rendering, taken under the
+  /// same lock as the execution.
+  Result<QueryReport> ExecuteStatement(const SelectStmt& stmt,
+                                       const QueryLimits& limits,
+                                       std::string* trace);
+  /// Executes `plan` and assembles the report, rendering the executed
+  /// plan into a non-null `trace` (caller holds mu_ in the matching mode;
+  /// a shared hold suffices — writer callers hold it exclusively, which
+  /// implies shared).
   Result<QueryReport> ExecutePlanLocked(Plan* plan, bool read_path,
-                                        uint64_t epoch)
+                                        uint64_t epoch, std::string* trace)
       DAISY_REQUIRES_SHARED(*mu_);
   /// Rebuilds every stale column projection and resyncs every DC detector.
   /// Called at the end of each writer section, before mu_ is released, so

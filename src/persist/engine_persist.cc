@@ -119,8 +119,6 @@ Status DaisyEngine::WriteSnapshotLocked(const std::string& path) {
       options_.mode == DaisyOptions::Mode::kIncremental ? 0 : 1;
   view.options.accuracy_threshold = options_.accuracy_threshold;
   view.options.theta_partitions = options_.theta_partitions;
-  view.options.use_statistics_pruning = options_.use_statistics_pruning;
-  view.options.theta_pruning = options_.theta_pruning;
   view.options.optimizer = options_.optimizer;
   for (const std::string& name : db_->TableNames()) {
     DAISY_ASSIGN_OR_RETURN(const Table* table,
@@ -383,8 +381,10 @@ Result<std::unique_ptr<DaisyEngine>> DaisyEngine::Open(const std::string& dir,
     }
   }
   if (!loaded) {
-    return Status::IOError("no loadable snapshot in " + dir + ": " +
-                           last_error.ToString());
+    // Keep the last failure's code: an unreadable file stays an IOError, a
+    // malformed one a ParseError.
+    return Status(last_error.code(), "no loadable snapshot in " + dir +
+                                         ": " + last_error.ToString());
   }
 
   for (Table& table : snap.tables) {
@@ -398,7 +398,7 @@ Result<std::unique_ptr<DaisyEngine>> DaisyEngine::Open(const std::string& dir,
   snap.constraints.clear();
 
   // The semantics-affecting options travel with the state: replaying the
-  // WAL under a different mode/threshold/pruning config would diverge
+  // WAL under a different mode/threshold/optimizer config would diverge
   // from the engine that wrote it. The caller's perf knobs (thread
   // counts) are kept — results are deterministic across those by
   // contract.
@@ -406,8 +406,6 @@ Result<std::unique_ptr<DaisyEngine>> DaisyEngine::Open(const std::string& dir,
                                         : DaisyOptions::Mode::kAdaptive;
   options.accuracy_threshold = snap.options.accuracy_threshold;
   options.theta_partitions = snap.options.theta_partitions;
-  options.use_statistics_pruning = snap.options.use_statistics_pruning;
-  options.theta_pruning = snap.options.theta_pruning;
   options.optimizer = snap.options.optimizer;
   auto engine =
       std::make_unique<DaisyEngine>(db, std::move(constraints), options);

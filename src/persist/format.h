@@ -55,7 +55,10 @@ inline constexpr char kWalMagic[8] = {'D', 'S', 'Y', 'W',
 /// v2 appends the optimizer flag to the meta section; readers accept every
 /// version in [kMinSnapshotVersion, kSnapshotVersion] and default fields a
 /// version predates (v1 snapshots load with optimizer = true, the engine
-/// default).
+/// default). The meta section of every version holds two bytes that once
+/// recorded the statistics- and theta-join pruning switches; pruning is no
+/// longer optional, so both are written as 1 and a reader rejects any other
+/// value with a ParseError naming the field.
 inline constexpr uint32_t kSnapshotVersion = 2;
 inline constexpr uint32_t kMinSnapshotVersion = 1;
 

@@ -493,8 +493,8 @@ Status WriteSnapshot(const std::string& path,
     w.WriteU8(view.options.mode);
     w.WriteDouble(view.options.accuracy_threshold);
     w.WriteU64(view.options.theta_partitions);
-    w.WriteU8(view.options.use_statistics_pruning ? 1 : 0);
-    w.WriteU8(view.options.theta_pruning ? 1 : 0);
+    w.WriteU8(1);  // statistics pruning: always on
+    w.WriteU8(1);  // theta-join pruning: always on
     w.WriteU8(view.options.optimizer ? 1 : 0);  // v2
     AppendSection(kSectionMeta, w.buffer(), &bytes);
   }
@@ -592,10 +592,16 @@ Result<EngineSnapshot> ReadSnapshot(const std::string& path, Env* env) {
                                section.ReadDouble());
         DAISY_ASSIGN_OR_RETURN(snap.options.theta_partitions,
                                section.ReadU64());
-        DAISY_ASSIGN_OR_RETURN(uint8_t pruning, section.ReadU8());
-        snap.options.use_statistics_pruning = pruning != 0;
-        DAISY_ASSIGN_OR_RETURN(uint8_t theta_pruning, section.ReadU8());
-        snap.options.theta_pruning = theta_pruning != 0;
+        // The pruning switches are gone; a log written with one off cannot
+        // replay bit-identically on an engine that always prunes.
+        for (const char* field : {"use_statistics_pruning", "theta_pruning"}) {
+          DAISY_ASSIGN_OR_RETURN(uint8_t on, section.ReadU8());
+          if (on != 1) {
+            return Status::ParseError("snapshot: meta field " +
+                                      std::string(field) + " is " +
+                                      std::to_string(on) + ", expected 1");
+          }
+        }
         if (version >= 2) {
           DAISY_ASSIGN_OR_RETURN(uint8_t optimizer, section.ReadU8());
           snap.options.optimizer = optimizer != 0;

@@ -35,18 +35,18 @@ namespace daisy {
 /// One unit of row flow between single-table operators.
 using RowIdBatch = std::vector<RowId>;
 
-/// Cleaning counters accumulated across the CleanSelect nodes of one
-/// execution (DaisyEngine::Query copies them into its QueryReport).
+/// Cleaning counters accumulated across the cleanσ steps of one execution
+/// (DaisyEngine's QueryReport derives from it).
 struct CleaningExecStats {
-  size_t extra_tuples = 0;
-  size_t errors_fixed = 0;
-  size_t tuples_scanned = 0;
-  size_t detect_ops = 0;
-  size_t rules_applied = 0;
-  size_t rules_pruned = 0;
-  size_t rules_deferred = 0;  ///< cleanσ placed above the join (optimizer)
-  size_t delta_rows_checked = 0;  ///< ingested rows settled by this query
-  bool switched_to_full = false;
+  size_t extra_tuples = 0;       ///< Σ |E(Q)| over applied rules
+  size_t errors_fixed = 0;       ///< tuples repaired during this query
+  size_t tuples_scanned = 0;     ///< relaxation scan volume
+  size_t detect_ops = 0;         ///< violation-check comparisons
+  size_t rules_applied = 0;      ///< cleaning operators injected
+  size_t rules_pruned = 0;       ///< skipped via statistics/checked state
+  size_t rules_deferred = 0;     ///< cleanσ placed above the join (optimizer)
+  size_t delta_rows_checked = 0; ///< ingested rows settled by this query
+  bool switched_to_full = false; ///< cost model fired this query
   bool used_dc_full_clean = false;
   double min_estimated_accuracy = 1.0;
 };
@@ -268,16 +268,52 @@ class FilterNode : public RowSetNode {
   size_t parallel_pos_ = 0;
 };
 
-/// cleanσ as a plan operator: drains the child's qualifying rows, runs the
-/// persistent CleanSelect operator (relax → detect → repair → update),
-/// applies the cost-model bookkeeping and — when armed — the adaptive
-/// switch to full cleaning, then re-emits the corrected row set in batches.
+/// The one cleanσ step both plan placements run: the per-rule resource
+/// boundary, the persistent CleanSelect operator (relax → detect → repair →
+/// update), the fold of its counters into the execution and the node, the
+/// cost-model sample and — when armed — the adaptive switch to full
+/// cleaning (Section 5.2.3). CleanSelectNode runs it in a table's chain,
+/// CleanJoinedNode above the join.
+class CleanSelectStep {
+ public:
+  CleanSelectStep(Table* table, const DenialConstraint* dc, CleanSelect* op,
+                  CostModel* cost, const FdRuleStats* rule_stats,
+                  const Expr* filter, CleaningOptions options, bool adaptive);
+
+  /// "CleanSelect [rule=<name> fd|dc]", plus " [adaptive]" when armed.
+  std::string Label() const;
+
+  /// Cleans `*rows` on behalf of `node` (its resource checks and stats).
+  /// On success `*rows` holds the operator's corrected qualifying rows;
+  /// `node->stats().switched_to_full` reports that the adaptive switch
+  /// cleaned the whole table. `deferred` counts the run in rules_deferred.
+  Status Run(ExecContext* ctx, PlanNode* node, bool deferred,
+             std::vector<RowId>* rows);
+
+  /// True when Run() in the current state performs no cleaning-state
+  /// mutation (see CleanSelect::quiescent) — the engine's shared read path
+  /// requires it of every cleanσ in the plan.
+  bool quiescent() const { return op_->quiescent(); }
+  Table* table() const { return table_; }
+  const Expr* filter() const { return filter_; }
+
+ private:
+  Table* table_;
+  const DenialConstraint* dc_;
+  CleanSelect* op_;
+  CostModel* cost_;
+  const FdRuleStats* rule_stats_;
+  const Expr* filter_;  ///< the table's predicate; nullable
+  CleaningOptions options_;
+  bool adaptive_;
+};
+
+/// cleanσ in a table's chain: drains the child's qualifying rows, runs the
+/// cleanσ step over them, re-filters the table after a switch to full
+/// cleaning, then re-emits the corrected row set in batches.
 class CleanSelectNode : public RowSetNode {
  public:
-  CleanSelectNode(Table* table, const DenialConstraint* dc, CleanSelect* op,
-                  CostModel* cost, const FdRuleStats* rule_stats,
-                  const Expr* filter, CleaningOptions options, bool adaptive,
-                  std::unique_ptr<PlanNode> child);
+  CleanSelectNode(CleanSelectStep step, std::unique_ptr<PlanNode> child);
 
   std::string Label() const override;
   Status Open(ExecContext* ctx) override;
@@ -291,21 +327,10 @@ class CleanSelectNode : public RowSetNode {
   void set_statically_pruned(bool v) { statically_pruned_ = v; }
   bool HiddenInExplain() const override { return statically_pruned_; }
 
-  /// True when Open() in the current state performs no cleaning-state
-  /// mutation (see CleanSelect::quiescent) — the engine's shared read path
-  /// requires it of every cleanσ node in the plan.
-  bool CleaningQuiescent() const { return op_->quiescent(); }
-  bool NodeCleaningQuiescent() const override { return op_->quiescent(); }
+  bool NodeCleaningQuiescent() const override { return step_.quiescent(); }
 
  private:
-  Table* table_;
-  const DenialConstraint* dc_;
-  CleanSelect* op_;
-  CostModel* cost_;
-  const FdRuleStats* rule_stats_;
-  const Expr* filter_;  ///< the table's predicate; nullable
-  CleaningOptions options_;
-  bool adaptive_;
+  CleanSelectStep step_;
   bool statically_pruned_ = false;
   RowSetNode* child_rows_;
   std::vector<RowId> rows_;
@@ -379,35 +404,25 @@ class HashJoinStepNode : public JoinSourceNode {
 };
 
 /// cleanσ deferred above the join (optimizer placement): runs the same
-/// persistent CleanSelect operator, but over the distinct row ids its
-/// table contributes to the join survivors instead of the full qualifying
-/// set — the query-driven ideal when a selective join shrinks the rows the
-/// answer can possibly contain. Only placed when the rule's attributes are
-/// disjoint from the table's filter and join-key columns, which makes the
-/// joined row set invariant under this rule's repairs: the node returns
-/// its input rows unchanged and the final output reads the repaired cells.
+/// cleanσ step, but over the distinct row ids its table contributes to the
+/// join survivors instead of the full qualifying set — the query-driven
+/// ideal when a selective join shrinks the rows the answer can possibly
+/// contain. Only placed when the rule's attributes are disjoint from the
+/// table's filter and join-key columns, which makes the joined row set
+/// invariant under this rule's repairs: the node returns its input rows
+/// unchanged and the final output reads the repaired cells.
 class CleanJoinedNode : public JoinSourceNode {
  public:
-  CleanJoinedNode(Table* table, size_t table_idx, const DenialConstraint* dc,
-                  CleanSelect* op, CostModel* cost,
-                  const FdRuleStats* rule_stats, const Expr* filter,
-                  CleaningOptions options, bool adaptive,
+  CleanJoinedNode(CleanSelectStep step, size_t table_idx,
                   std::unique_ptr<PlanNode> child);
 
   std::string Label() const override;
   Result<std::vector<JoinedRow>> ExecuteJoined(ExecContext* ctx) override;
-  bool NodeCleaningQuiescent() const override { return op_->quiescent(); }
+  bool NodeCleaningQuiescent() const override { return step_.quiescent(); }
 
  private:
-  Table* table_;
+  CleanSelectStep step_;
   size_t table_idx_;
-  const DenialConstraint* dc_;
-  CleanSelect* op_;
-  CostModel* cost_;
-  const FdRuleStats* rule_stats_;
-  const Expr* filter_;  ///< the table's predicate; nullable
-  CleaningOptions options_;
-  bool adaptive_;
   JoinSourceNode* child_join_;
 };
 

@@ -300,9 +300,8 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
         // runtime fast path can never do repair work, so the rendered
         // plan drops it. Execution keeps the per-query prune-and-mark
         // bookkeeping of the pre-plan engine loop.
-        slot.statically_pruned = clean->options.use_statistics_pruning &&
-                                 slot.rstats != nullptr &&
-                                 slot.rstats->num_violating_rows == 0;
+        slot.statically_pruned =
+            slot.rstats != nullptr && slot.rstats->num_violating_rows == 0;
         table_rules[i].push_back(slot);
       }
     }
@@ -389,6 +388,14 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
     }
   }
 
+  // The cleanσ step of one scheduled rule, whichever placement runs it.
+  auto make_step = [&](const RuleSlot& slot, size_t i) {
+    return CleanSelectStep(slot.binding->table, slot.dc, slot.binding->op,
+                           slot.binding->cost, slot.rstats,
+                           state->split.table_filters[i].get(),
+                           clean->options, clean->adaptive);
+  };
+
   // Per-table chain: Scan → Filter → cleanσ per in-chain rule.
   std::vector<std::unique_ptr<PlanNode>> chains;
   chains.reserve(n);
@@ -403,10 +410,8 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
     }
     for (const RuleSlot& slot : table_rules[i]) {
       if (slot.deferred) continue;
-      auto clean_node = std::make_unique<CleanSelectNode>(
-          slot.binding->table, slot.dc, slot.binding->op, slot.binding->cost,
-          slot.rstats, filter, clean->options, clean->adaptive,
-          std::move(node));
+      auto clean_node = std::make_unique<CleanSelectNode>(make_step(slot, i),
+                                                          std::move(node));
       if (slot.statically_pruned) clean_node->set_statically_pruned(true);
       if (jt != nullptr) {
         clean_node->set_estimates(leaf_rows[i],
@@ -439,10 +444,7 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
         if (!slot.deferred) continue;
         const double after = std::min(leaf_rows[i], root_rows);
         auto deferred_node = std::make_unique<CleanJoinedNode>(
-            slot.binding->table, i, slot.dc, slot.binding->op,
-            slot.binding->cost, slot.rstats,
-            state->split.table_filters[i].get(), clean->options,
-            clean->adaptive, std::move(child));
+            make_step(slot, i), i, std::move(child));
         deferred_node->set_estimates(after, slot.unit_cost * after);
         child = std::move(deferred_node);
       }

@@ -31,17 +31,6 @@ struct RelaxResult {
   size_t tuples_scanned = 0;
 };
 
-/// Algorithm 1. Requires dc.IsFd(). `answer` holds the (dirty) query-result
-/// row ids; `universe` the rows the relaxation may draw from (pass
-/// table.AllRowIds() for whole-table scope).
-RelaxResult RelaxFdResult(const Table& table, const DenialConstraint& dc,
-                          const std::vector<RowId>& answer,
-                          const std::vector<RowId>& universe);
-
-/// Convenience overload over the whole table.
-RelaxResult RelaxFdResult(const Table& table, const DenialConstraint& dc,
-                          const std::vector<RowId>& answer);
-
 /// Hash index over a table's original lhs keys and rhs values for one FD.
 /// Original values never change (repairs only attach candidate sets), so
 /// the index is built once per rule and makes each relaxation proportional
@@ -72,8 +61,9 @@ class FdRelaxIndex {
   };
 
   /// Transitive-closure relaxation (Algorithm 1) via index lookups.
-  /// Produces exactly the same extras as RelaxFdResult over the whole
-  /// table; tuples_scanned counts index-probed rows.
+  /// Produces exactly the same extras as the scan-based Algorithm 1 over
+  /// the whole table (tests/relax_oracle.h); tuples_scanned counts
+  /// index-probed rows.
   ///
   /// When `dirty` is non-null, expansion happens only from rows that sit in
   /// a violating lhs group or carry a dirty rhs value: a clean tuple's

@@ -183,7 +183,7 @@ TEST(CleanSelectTest, CleanRemainingChecksEverything) {
   ProvenanceStore prov;
   CleanSelect op(&t, &dc, &prov, nullptr, nullptr);
   EXPECT_FALSE(op.fully_checked());
-  auto res = op.CleanRemaining(CleaningOptions{}).ValueOrDie();
+  auto res = op.CleanRemaining().ValueOrDie();
   EXPECT_TRUE(op.fully_checked());
   EXPECT_EQ(res.errors_fixed, 5u);  // both groups repaired
   EXPECT_DOUBLE_EQ(op.checked_fraction(), 1.0);
@@ -305,9 +305,11 @@ TEST_P(DaisyOfflineEquivalenceTest, FdWorkloadMatchesOffline) {
     Table copy = base;
     ASSERT_TRUE(daisy_db.AddTable(std::move(copy)).ok());
   }
-  DaisyEngine engine = MakeEngine(&daisy_db, "phi: FD zip -> city",
-                                  DaisyOptions{DaisyOptions::Mode::kIncremental,
-                                               0.5, 16, true, true});
+  DaisyOptions options;
+  options.mode = DaisyOptions::Mode::kIncremental;
+  options.accuracy_threshold = 0.5;
+  options.theta_partitions = 16;
+  DaisyEngine engine = MakeEngine(&daisy_db, "phi: FD zip -> city", options);
   auto queries = MakeNonOverlappingRangeQueries(
                      *daisy_db.GetTable("cities").ValueOrDie(), "zip",
                      p.queries)
@@ -374,10 +376,11 @@ TEST(DaisyEngineTest, AdaptiveModeEventuallySwitches) {
     ASSERT_TRUE(t.AppendRow({Value(zip), Value(city)}).ok());
   }
   ASSERT_TRUE(db.AddTable(std::move(t)).ok());
-  DaisyEngine engine =
-      MakeEngine(&db, "phi: FD zip -> city",
-                 DaisyOptions{DaisyOptions::Mode::kAdaptive, 0.5, 16, true,
-                              true});
+  DaisyOptions options;
+  options.mode = DaisyOptions::Mode::kAdaptive;
+  options.accuracy_threshold = 0.5;
+  options.theta_partitions = 16;
+  DaisyEngine engine = MakeEngine(&db, "phi: FD zip -> city", options);
   auto queries = MakePointQueries(*db.GetTable("cities").ValueOrDie(), "zip",
                                   60, "zip, city")
                      .ValueOrDie();
@@ -410,9 +413,11 @@ TEST(DaisyEngineTest, DcQueryAccuracyFallback) {
                                "cities",
                                db.GetTable("cities").ValueOrDie()->schema())
                   .ok());
-  DaisyEngine engine(&db, std::move(rules),
-                     DaisyOptions{DaisyOptions::Mode::kIncremental, 0.9, 8,
-                                  true, true});
+  DaisyOptions options;
+  options.mode = DaisyOptions::Mode::kIncremental;
+  options.accuracy_threshold = 0.9;
+  options.theta_partitions = 8;
+  DaisyEngine engine(&db, std::move(rules), options);
   ASSERT_TRUE(engine.Prepare().ok());
   auto report = engine.Query(
                           "SELECT salary, tax FROM cities WHERE "

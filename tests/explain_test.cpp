@@ -240,24 +240,6 @@ TEST(ExplainTest, CleaningPlanDropsStatisticsPrunedRuleGolden) {
             "      Scan [cities]\n");
 }
 
-TEST(ExplainTest, CleaningPlanKeepsRuleWithoutStatisticsPruning) {
-  Database db = MakeCitiesDb();
-  DaisyOptions options;
-  options.use_statistics_pruning = false;
-  DaisyEngine engine(&db, MakeCityRules(), options);
-  ASSERT_TRUE(engine.Prepare().ok());
-  auto text =
-      engine.Explain("SELECT zip, city, state FROM cities WHERE zip = 9001")
-          .ValueOrDie();
-  // Without pruning both cleanσ nodes stay, chained in rule order.
-  EXPECT_EQ(text,
-            "Project [zip, city, state]\n"
-            "  CleanSelect [rule=psi fd] [adaptive]\n"
-            "    CleanSelect [rule=phi fd] [adaptive]\n"
-            "      Filter [cities: zip == 9001] [columnar]\n"
-            "        Scan [cities]\n");
-}
-
 TEST(ExplainTest, ExplainAnalyzeShowsDeltaRowsChecked) {
   Database db = MakeCitiesDb();
   DaisyEngine engine(&db, MakeCityRules(), DaisyOptions{});

@@ -32,6 +32,7 @@ using testutil::ExpectEnginesEquivalent;
 using testutil::ExpectTablesEqual;
 using testutil::TempDir;
 using testutil::ValueExactEq;
+using testutil::WalCounts;
 
 // ------------------------------------------------------------ binary io --
 
@@ -564,7 +565,6 @@ TEST(EnginePersistence, SemanticsOptionsAreAdoptedFromSnapshot) {
   custom.mode = DaisyOptions::Mode::kIncremental;
   custom.accuracy_threshold = 0.25;
   custom.theta_partitions = 7;
-  custom.use_statistics_pruning = false;
   custom.optimizer = false;
   DaisyEngine engine(&db, EmpRules(), custom);
   ASSERT_TRUE(engine.Prepare().ok());
@@ -572,13 +572,13 @@ TEST(EnginePersistence, SemanticsOptionsAreAdoptedFromSnapshot) {
   ASSERT_TRUE(engine.Query("SELECT * FROM emp WHERE zip == 0").ok());
 
   // Open with default options: the WAL must still replay under the
-  // persisted semantics (incremental mode, pruning off, 7 partitions).
+  // persisted semantics (incremental mode, threshold 0.25, 7 partitions,
+  // optimizer off).
   Database rec_db;
   auto recovered = DaisyEngine::Open(dir.Sub("state"), &rec_db).ValueOrDie();
   EXPECT_EQ(recovered->options().mode, DaisyOptions::Mode::kIncremental);
   EXPECT_EQ(recovered->options().accuracy_threshold, 0.25);
   EXPECT_EQ(recovered->options().theta_partitions, 7u);
-  EXPECT_FALSE(recovered->options().use_statistics_pruning);
   EXPECT_FALSE(recovered->options().optimizer);
 
   Database ref_db;
@@ -587,6 +587,122 @@ TEST(EnginePersistence, SemanticsOptionsAreAdoptedFromSnapshot) {
   ASSERT_TRUE(reference.Prepare().ok());
   ASSERT_TRUE(reference.Query("SELECT * FROM emp WHERE zip == 0").ok());
   ExpectEnginesEquivalent(recovered.get(), &reference, kProbeQueries);
+}
+
+// Counter `name` in the process registry (0 when not yet registered).
+uint64_t CounterValue(const std::string& name) {
+  const MetricsRegistry::Snapshot snap =
+      MetricsRegistry::Global().TakeSnapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// ExplainAnalyze runs Query's protocol: on a dirty plan it takes the writer
+// path, one epoch slot and one WAL record, and replays as a Query; on a
+// quiescent plan it is a shared-path read that logs nothing.
+TEST(EnginePersistence, ExplainAnalyzeIsAWriterOpLikeQuery) {
+  const std::string read_counter = "daisy_engine_queries_total{path=\"read\"}";
+  const std::string write_counter =
+      "daisy_engine_queries_total{path=\"write\"}";
+  const std::string dirty = "SELECT * FROM emp WHERE zip == 0";
+  const std::vector<std::vector<Value>> row = {
+      {Value(0), Value("LA"), Value(99000.0), Value(0.495)}};
+  TempDir dir;
+  Database db;
+  ASSERT_TRUE(db.AddTable(SeedEmpTable()).ok());
+  DaisyEngine engine(&db, EmpRules());
+  ASSERT_TRUE(engine.Prepare().ok());
+  ASSERT_TRUE(engine.EnablePersistence(dir.Sub("state")).ok());
+
+  // Twin: the same operations with Query in place of ExplainAnalyze.
+  Database twin_db;
+  ASSERT_TRUE(twin_db.AddTable(SeedEmpTable()).ok());
+  DaisyEngine twin(&twin_db, EmpRules());
+  ASSERT_TRUE(twin.Prepare().ok());
+  EXPECT_EQ(twin.Query(dirty).ValueOrDie().epoch, 1u);
+  EXPECT_EQ(twin.AppendRows("emp", row).ValueOrDie().engine_epoch, 2u);
+
+  uint64_t reads = CounterValue(read_counter);
+  uint64_t writes = CounterValue(write_counter);
+  WalCounts wal = WalCounts::Now();
+  ASSERT_TRUE(engine.ExplainAnalyze(dirty).ok());
+  EXPECT_EQ(CounterValue(read_counter) - reads, 0u);
+  EXPECT_EQ(CounterValue(write_counter) - writes, 1u);
+  EXPECT_EQ((WalCounts::Now() - wal).records, 1u);
+  // It owned slot 1, so the next writer gets slot 2.
+  EXPECT_EQ(engine.AppendRows("emp", row).ValueOrDie().engine_epoch, 2u);
+
+  // Fully cleaned, the plan is quiescent: a shared-path read, no record.
+  ASSERT_TRUE(engine.CleanAllRemaining().ok());
+  ASSERT_TRUE(twin.CleanAllRemaining().ok());
+  reads = CounterValue(read_counter);
+  writes = CounterValue(write_counter);
+  wal = WalCounts::Now();
+  ASSERT_TRUE(engine.ExplainAnalyze(dirty).ok());
+  EXPECT_EQ(CounterValue(read_counter) - reads, 1u);
+  EXPECT_EQ(CounterValue(write_counter) - writes, 0u);
+  EXPECT_EQ((WalCounts::Now() - wal).records, 0u);
+  ASSERT_TRUE(twin.Query(dirty).ok());
+
+  Database rec_db;
+  auto recovered = DaisyEngine::Open(dir.Sub("state"), &rec_db).ValueOrDie();
+  ExpectEnginesEquivalent(recovered.get(), &twin, kProbeQueries);
+}
+
+// The meta section's two pruning bytes are fixed at 1: a snapshot with
+// either at 0 (an engine that could still switch pruning off) is refused
+// with a ParseError naming the field, even with a valid section CRC.
+TEST(EnginePersistence, PruningOffSnapshotIsRejected) {
+  TempDir dir;
+  Database db;
+  ASSERT_TRUE(db.AddTable(SeedEmpTable()).ok());
+  DaisyEngine engine(&db, EmpRules());
+  ASSERT_TRUE(engine.Prepare().ok());
+  ASSERT_TRUE(engine.EnablePersistence(dir.Sub("state")).ok());
+  const std::vector<std::string> names =
+      persist::ListDirectory(dir.Sub("state")).ValueOrDie();
+  std::string snapshot;
+  for (const std::string& name : names) {
+    if (name.rfind("snapshot-", 0) == 0) snapshot = name;
+  }
+  ASSERT_FALSE(snapshot.empty());
+  const std::string bytes =
+      persist::ReadFileFully(dir.Sub("state/" + snapshot)).ValueOrDie();
+
+  // magic(8) version(4), then the meta section: id(4) len(8) payload crc(4).
+  // Payload: epoch u64, table and rule counts u32, mode u8, accuracy
+  // threshold double, partitions u64, then the two pruning bytes.
+  constexpr size_t kLenAt = 8 + 4 + 4;
+  constexpr size_t kPayloadAt = kLenAt + 8;
+  constexpr size_t kPruningAt = kPayloadAt + 8 + 4 + 4 + 1 + 8 + 8;
+  uint64_t len = 0;
+  std::memcpy(&len, bytes.data() + kLenAt, sizeof(len));
+  // Each rejection names its field: the statistics byte, then theta's.
+  const std::pair<size_t, const char*> kFields[] = {
+      {kPruningAt, "statistics"}, {kPruningAt + 1, "theta"}};
+  for (const auto& [at, field] : kFields) {
+    std::string mangled = bytes;
+    ASSERT_EQ(mangled[at], 1) << field;
+    mangled[at] = 0;
+    BinaryWriter crc;
+    crc.WriteU32(Crc32(mangled.data() + kPayloadAt, len));
+    mangled.replace(kPayloadAt + len, 4, crc.buffer());
+    TempDir copy;
+    for (const std::string& name : names) {
+      testutil::CopyFileBytes(dir.Sub("state/" + name), copy.Sub(name));
+    }
+    ASSERT_TRUE(
+        persist::WriteFileAtomic(copy.Sub(snapshot), mangled).ok());
+
+    Database rec_db;
+    Result<std::unique_ptr<DaisyEngine>> opened =
+        DaisyEngine::Open(copy.path(), &rec_db);
+    ASSERT_FALSE(opened.ok()) << field;
+    EXPECT_EQ(opened.status().code(), StatusCode::kParseError) << field;
+    const std::string message = opened.status().message();
+    EXPECT_NE(message.find(std::string(field) + "_pruning"), std::string::npos)
+        << message;
+  }
 }
 
 // -------------------------------------------------------- format golden --

@@ -12,9 +12,12 @@
 #include "relax/relaxation.h"
 #include "repair/fd_repair.h"
 #include "repair/provenance.h"
+#include "relax_oracle.h"
 
 namespace daisy {
 namespace {
+
+using testutil::RelaxFdResult;
 
 Schema CitySchema() {
   return Schema({{"zip", ValueType::kInt}, {"city", ValueType::kString}});

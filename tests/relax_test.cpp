@@ -8,9 +8,12 @@
 #include "common/rng.h"
 #include "relax/estimates.h"
 #include "relax/relaxation.h"
+#include "relax_oracle.h"
 
 namespace daisy {
 namespace {
+
+using testutil::RelaxFdResult;
 
 Schema CitySchema() {
   return Schema({{"zip", ValueType::kInt}, {"city", ValueType::kString}});
