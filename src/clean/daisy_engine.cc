@@ -304,16 +304,30 @@ Result<QueryReport> DaisyEngine::Query(const std::string& sql) {
 Result<QueryReport> DaisyEngine::Query(const std::string& sql,
                                        const QueryLimits& limits) {
   DAISY_ASSIGN_OR_RETURN(SelectStmt stmt, ParseQuery(sql));
-  return ExecuteStatement(stmt, limits, /*trace=*/nullptr);
+  return Query(stmt, limits);
 }
 
 Result<QueryReport> DaisyEngine::Query(const SelectStmt& stmt) {
-  return ExecuteStatement(stmt, QueryLimits{}, /*trace=*/nullptr);
+  return Query(stmt, QueryLimits{});
 }
 
 Result<QueryReport> DaisyEngine::Query(const SelectStmt& stmt,
                                        const QueryLimits& limits) {
-  return ExecuteStatement(stmt, limits, /*trace=*/nullptr);
+  QueryOutput output;
+  TableSink sink(&output);
+  DAISY_ASSIGN_OR_RETURN(QueryReport report,
+                         ExecuteStatement(stmt, limits, &sink,
+                                          /*trace=*/nullptr));
+  output.rows_scanned = report.output.rows_scanned;
+  report.output = std::move(output);
+  return report;
+}
+
+Result<QueryReport> DaisyEngine::Query(const std::string& sql,
+                                       const QueryLimits& limits,
+                                       ResultSink* sink) {
+  DAISY_ASSIGN_OR_RETURN(SelectStmt stmt, ParseQuery(sql));
+  return ExecuteStatement(stmt, limits, sink, /*trace=*/nullptr);
 }
 
 Result<Plan> DaisyEngine::MakePlan(const SelectStmt& stmt) {
@@ -330,9 +344,11 @@ Result<Plan> DaisyEngine::MakePlan(const SelectStmt& stmt) {
 
 Result<QueryReport> DaisyEngine::ExecutePlanLocked(Plan* plan, bool read_path,
                                                    uint64_t epoch,
+                                                   ResultSink* sink,
                                                    std::string* trace) {
   QueryReport report;
-  DAISY_ASSIGN_OR_RETURN(report.output, plan->Execute());
+  DAISY_RETURN_IF_ERROR(plan->Execute(sink));
+  report.output.rows_scanned = plan->rows_scanned();
   static_cast<CleaningExecStats&>(report) = plan->cleaning_stats();
   report.epoch = epoch;
   report.read_path = read_path;
@@ -356,6 +372,7 @@ Result<QueryReport> DaisyEngine::ExecutePlanLocked(Plan* plan, bool read_path,
 
 Result<QueryReport> DaisyEngine::ExecuteStatement(const SelectStmt& stmt,
                                                   const QueryLimits& limits,
+                                                  ResultSink* sink,
                                                   std::string* trace) {
   {
     // Shared read path: when every cleanσ of the plan is quiescent,
@@ -373,7 +390,8 @@ Result<QueryReport> DaisyEngine::ExecuteStatement(const SelectStmt& stmt,
       DAISY_ASSIGN_OR_RETURN(Plan plan, MakePlan(stmt));
       if (plan.CleaningQuiescent()) {
         plan.set_limits(limits);
-        return ExecutePlanLocked(&plan, /*read_path=*/true, epoch_, trace);
+        return ExecutePlanLocked(&plan, /*read_path=*/true, epoch_, sink,
+                                 trace);
       }
     }
   }
@@ -394,11 +412,11 @@ Result<QueryReport> DaisyEngine::ExecuteStatement(const SelectStmt& stmt,
     DAISY_ASSIGN_OR_RETURN(Plan plan, MakePlan(stmt));
     plan.set_limits(limits);
     if (plan.CleaningQuiescent()) {
-      return ExecutePlanLocked(&plan, /*read_path=*/true, epoch_, trace);
+      return ExecutePlanLocked(&plan, /*read_path=*/true, epoch_, sink, trace);
     }
     DAISY_RETURN_IF_ERROR(CheckWritableLocked());
     const uint64_t slot = ++epoch_;
-    report = ExecutePlanLocked(&plan, /*read_path=*/false, slot, trace);
+    report = ExecutePlanLocked(&plan, /*read_path=*/false, slot, sink, trace);
     RefreshDerivedState();
     // A writer query mutated cleaning state (repairs, coverage, cost
     // ledger): make it durable before acknowledging. Read-path queries are
@@ -437,10 +455,13 @@ Result<std::string> DaisyEngine::ExplainAnalyze(const std::string& sql) {
 Result<std::string> DaisyEngine::ExplainAnalyze(const std::string& sql,
                                                 const QueryLimits& limits) {
   DAISY_ASSIGN_OR_RETURN(SelectStmt stmt, ParseQuery(sql));
-  // Query's protocol, side effects included; the analyze rendering is a
-  // pure read on top of the execution.
+  // Query's protocol, side effects and output included; the analyze
+  // rendering is a pure read on top of the execution.
   std::string rendered;
-  DAISY_RETURN_IF_ERROR(ExecuteStatement(stmt, limits, &rendered).status());
+  QueryOutput output;
+  TableSink sink(&output);
+  DAISY_RETURN_IF_ERROR(
+      ExecuteStatement(stmt, limits, &sink, &rendered).status());
   return rendered;
 }
 

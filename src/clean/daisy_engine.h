@@ -193,6 +193,13 @@ class DaisyEngine {
   Result<QueryReport> Query(const std::string& sql, const QueryLimits& limits);
   Result<QueryReport> Query(const SelectStmt& stmt, const QueryLimits& limits);
 
+  /// Governed execution that emits the result rows into `sink` instead of
+  /// materializing them: the returned report's `output` holds no result
+  /// and no lineage. The sink is fed under the engine lock, and never for
+  /// a cut query. daisyd encodes wire frames this way.
+  Result<QueryReport> Query(const std::string& sql, const QueryLimits& limits,
+                            ResultSink* sink);
+
   /// Deterministic text rendering of the cleaning-augmented plan for `sql`
   /// without executing it (cleanσ nodes per overlapping rule, clean⋈ over
   /// cleaned sides, statistics-pruned rules dropped).
@@ -353,18 +360,19 @@ class DaisyEngine {
   /// attempt when the plan is quiescent, else the writer lock, a re-plan
   /// and (unless the plan became quiescent meanwhile) an epoch slot, the
   /// execution, the derived-state refresh and the WAL record of an uncut
-  /// run, whose durability is awaited after unlocking. A non-null `trace`
-  /// receives the plan's ExplainWithTrace() rendering, taken under the
-  /// same lock as the execution.
+  /// run, whose durability is awaited after unlocking. The result rows go
+  /// to `sink`. A non-null `trace` receives the plan's ExplainWithTrace()
+  /// rendering, taken under the same lock as the execution.
   Result<QueryReport> ExecuteStatement(const SelectStmt& stmt,
                                        const QueryLimits& limits,
-                                       std::string* trace);
-  /// Executes `plan` and assembles the report, rendering the executed
-  /// plan into a non-null `trace` (caller holds mu_ in the matching mode;
-  /// a shared hold suffices — writer callers hold it exclusively, which
-  /// implies shared).
+                                       ResultSink* sink, std::string* trace);
+  /// Executes `plan` into `sink` and assembles the report, rendering the
+  /// executed plan into a non-null `trace` (caller holds mu_ in the
+  /// matching mode; a shared hold suffices — writer callers hold it
+  /// exclusively, which implies shared).
   Result<QueryReport> ExecutePlanLocked(Plan* plan, bool read_path,
-                                        uint64_t epoch, std::string* trace)
+                                        uint64_t epoch, ResultSink* sink,
+                                        std::string* trace)
       DAISY_REQUIRES_SHARED(*mu_);
   /// Rebuilds every stale column projection and resyncs every DC detector.
   /// Called at the end of each writer section, before mu_ is released, so

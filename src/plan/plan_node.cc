@@ -359,13 +359,45 @@ std::string JoinPredText(const std::vector<const Table*>& tables,
          tables[p.right_table]->schema().column(p.right_col).name;
 }
 
-// `row` with the FROM positions in `side_mask` taken from `side_row`.
-JoinedRow MergeSide(JoinedRow row, const JoinedRow& side_row,
-                    uint64_t side_mask) {
-  for (size_t t = 0; t < row.size(); ++t) {
-    if (((side_mask >> t) & 1u) != 0) row[t] = side_row[t];
+// The FROM positions set in `mask`, ascending.
+std::vector<size_t> MaskPositions(uint64_t mask, size_t width) {
+  std::vector<size_t> out;
+  for (size_t t = 0; t < width; ++t) {
+    if (((mask >> t) & 1u) != 0) out.push_back(t);
   }
-  return row;
+  return out;
+}
+
+// Appends `row` to `out` with the FROM positions in `side` taken from
+// `side_row`.
+void AppendMerged(const RowId* row, const RowId* side_row,
+                  const std::vector<size_t>& side, JoinedRows* out) {
+  const size_t at = out->ids.size();
+  out->ids.insert(out->ids.end(), row, row + out->width);
+  for (size_t t : side) out->ids[at + t] = side_row[t];
+}
+
+bool TupleLess(const RowId* a, const RowId* b, size_t width) {
+  return std::lexicographical_compare(a, a + width, b, b + width);
+}
+
+// Sorts the tuples lexicographically: a permutation of tuple indices is
+// sorted, then applied, so the result is exactly the order a sort over
+// per-tuple vectors gives.
+void SortTuples(JoinedRows* rows) {
+  const size_t w = rows->width;
+  std::vector<size_t> perm(rows->size());
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+  std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
+    return TupleLess((*rows)[a], (*rows)[b], w);
+  });
+  std::vector<RowId> sorted;
+  sorted.reserve(rows->ids.size());
+  for (size_t i : perm) {
+    const RowId* t = (*rows)[i];
+    sorted.insert(sorted.end(), t, t + w);
+  }
+  rows->ids = std::move(sorted);
 }
 
 }  // namespace
@@ -410,42 +442,43 @@ std::string HashJoinStepNode::Label() const {
   return out;
 }
 
-Result<std::vector<JoinedRow>> HashJoinStepNode::SideRows(ExecContext* ctx,
-                                                          size_t side) {
+Result<JoinedRows> HashJoinStepNode::SideRows(ExecContext* ctx,
+                                              size_t side) {
   PlanNode* child = children_[side].get();
   const int from = side == 0 ? left_from_ : right_from_;
   DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
   if (from >= 0) {
     auto* rows_child = static_cast<RowSetNode*>(child);
     DAISY_ASSIGN_OR_RETURN(std::vector<RowId> rows, rows_child->Drain(ctx));
-    std::vector<JoinedRow> out;
-    out.reserve(rows.size());
-    for (RowId r : rows) {
-      JoinedRow j(tables_->size(), 0);
-      j[static_cast<size_t>(from)] = r;
-      out.push_back(std::move(j));
+    JoinedRows out;
+    out.width = tables_->size();
+    out.ids.assign(rows.size() * out.width, 0);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out[i][static_cast<size_t>(from)] = rows[i];
     }
     return out;
   }
   return static_cast<JoinSourceNode*>(child)->ExecuteJoined(ctx);
 }
 
-Result<std::vector<JoinedRow>> HashJoinStepNode::ExecuteJoined(
-    ExecContext* ctx) {
+Result<JoinedRows> HashJoinStepNode::ExecuteJoined(ExecContext* ctx) {
   NodeStatsTimer timer(&stats_.open_us);
-  DAISY_ASSIGN_OR_RETURN(std::vector<JoinedRow> left, SideRows(ctx, 0));
-  DAISY_ASSIGN_OR_RETURN(std::vector<JoinedRow> right, SideRows(ctx, 1));
+  DAISY_ASSIGN_OR_RETURN(JoinedRows left, SideRows(ctx, 0));
+  DAISY_ASSIGN_OR_RETURN(JoinedRows right, SideRows(ctx, 1));
   stats_.rows_in += left.size() + right.size();
   DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
 
-  std::vector<JoinedRow> out;
+  JoinedRows out;
   if (pred_ == nullptr) {
     // Cartesian step (no predicate connects the sides, so no residuals
     // either): left-major in child order.
-    out.reserve(left.size() * right.size());
-    for (const JoinedRow& l : left) {
-      for (const JoinedRow& r : right) {
-        out.push_back(MergeSide(l, r, right_mask_));
+    out.width = tables_->size();
+    out.ids.reserve(left.size() * right.size() * out.width);
+    const std::vector<size_t> right_pos =
+        MaskPositions(right_mask_, out.width);
+    for (size_t l = 0; l < left.size(); ++l) {
+      for (size_t r = 0; r < right.size(); ++r) {
+        AppendMerged(left[l], right[r], right_pos, &out);
       }
     }
   } else {
@@ -455,15 +488,14 @@ Result<std::vector<JoinedRow>> HashJoinStepNode::ExecuteJoined(
   // Canonical order at the tree root: lexicographic by FROM-position
   // row-id tuple, the FROM-order chain's emission order. The planner skips
   // it when the tree IS that chain (IsNaiveChain).
-  if (sort_output_) std::sort(out.begin(), out.end());
+  if (sort_output_) SortTuples(&out);
   stats_.rows_out = out.size();
   ++stats_.batches;
   return out;
 }
 
-std::vector<JoinedRow> HashJoinStepNode::HashMatch(
-    const std::vector<JoinedRow>& left,
-    const std::vector<JoinedRow>& right) const {
+JoinedRows HashJoinStepNode::HashMatch(const JoinedRows& left,
+                                       const JoinedRows& right) const {
   // Resolve which end of the step predicate lives in which subtree, then
   // pick the build side.
   const bool pred_left_in_left = ((left_mask_ >> pred_->left_table) & 1u) != 0;
@@ -474,8 +506,9 @@ std::vector<JoinedRow> HashJoinStepNode::HashMatch(
       pred_left_in_left ? pred_->right_table : pred_->left_table;
   const size_t r_col = pred_left_in_left ? pred_->right_col : pred_->left_col;
 
-  const std::vector<JoinedRow>& build = build_left_ ? left : right;
-  const std::vector<JoinedRow>& probe = build_left_ ? right : left;
+  const JoinedRows& build = build_left_ ? left : right;
+  const JoinedRows& probe = build_left_ ? right : left;
+  const size_t width = tables_->size();
   const size_t bt = build_left_ ? l_tab : r_tab;
   const size_t bc = build_left_ ? l_col : r_col;
   const size_t pt = build_left_ ? r_tab : l_tab;
@@ -486,7 +519,7 @@ std::vector<JoinedRow> HashJoinStepNode::HashMatch(
 
   // Every residual holds for a (probe, build) tuple pair, each matched
   // with its later-FROM endpoint as the build cell.
-  auto residuals_hold = [&](const JoinedRow& prow, const JoinedRow& brow) {
+  auto residuals_hold = [&](const RowId* prow, const RowId* brow) {
     auto cell = [&](size_t t, size_t c) -> const Cell& {
       const RowId r = ((build_mask >> t) & 1u) != 0 ? brow[t] : prow[t];
       return (*tables_)[t]->cell(r, c);
@@ -527,16 +560,29 @@ std::vector<JoinedRow> HashJoinStepNode::HashMatch(
     if (has_range) range_rows.push_back(i);
   }
 
-  std::vector<JoinedRow> out;
+  JoinedRows out;
+  out.width = width;
+  const std::vector<size_t> build_pos = MaskPositions(build_mask, width);
   std::vector<size_t> matched;
-  for (const JoinedRow& prow : probe) {
+  auto probe_key = [&](const Value& v) {
+    auto it = hash.find(v);
+    if (it == hash.end()) return;
+    matched.insert(matched.end(), it->second.begin(), it->second.end());
+  };
+  for (size_t p = 0; p < probe.size(); ++p) {
+    const RowId* prow = probe[p];
     const Cell& pcell = ptab.cell(prow[pt], pc);
     matched.clear();
-    for (const Value& v : pcell.PossibleValues()) {
-      auto it = hash.find(v);
-      if (it == hash.end()) continue;
-      matched.insert(matched.end(), it->second.begin(), it->second.end());
+    // The probe cell's possible values (Cell::PossibleValues), read in
+    // place: its point candidates, else its original. A repeated value
+    // only repeats matches, which the dedup below drops.
+    bool any_point = false;
+    for (const Candidate& c : pcell.candidates()) {
+      if (c.kind != CandidateKind::kPoint) continue;
+      any_point = true;
+      probe_key(c.value);
     }
+    if (!any_point) probe_key(pcell.original());
     std::sort(matched.begin(), matched.end());
     matched.erase(std::unique(matched.begin(), matched.end()), matched.end());
     // Range rows append to the tail; membership checks must stay within
@@ -554,11 +600,12 @@ std::vector<JoinedRow> HashJoinStepNode::HashMatch(
     // Per-probe emission sorted by build tuple: when the build child is a
     // leaf this is its row-id order, which is what makes the FROM-order
     // chain emit lexicographically without a root sort.
-    std::sort(matched.begin(), matched.end(),
-              [&build](size_t a, size_t b) { return build[a] < build[b]; });
+    std::sort(matched.begin(), matched.end(), [&](size_t a, size_t b) {
+      return TupleLess(build[a], build[b], width);
+    });
     for (size_t i : matched) {
       if (!residuals_.empty() && !residuals_hold(prow, build[i])) continue;
-      out.push_back(MergeSide(prow, build[i], build_mask));
+      AppendMerged(prow, build[i], build_pos, &out);
     }
   }
   return out;
@@ -577,11 +624,9 @@ std::string CleanJoinedNode::Label() const {
   return step_.Label() + " [deferred]";
 }
 
-Result<std::vector<JoinedRow>> CleanJoinedNode::ExecuteJoined(
-    ExecContext* ctx) {
+Result<JoinedRows> CleanJoinedNode::ExecuteJoined(ExecContext* ctx) {
   NodeStatsTimer timer(&stats_.open_us);
-  DAISY_ASSIGN_OR_RETURN(std::vector<JoinedRow> joined,
-                         child_join_->ExecuteJoined(ctx));
+  DAISY_ASSIGN_OR_RETURN(JoinedRows joined, child_join_->ExecuteJoined(ctx));
   stats_.rows_in = joined.size();
 
   // The distinct rows this table contributes to the join survivors — the
@@ -590,7 +635,9 @@ Result<std::vector<JoinedRow>> CleanJoinedNode::ExecuteJoined(
   // the in-chain placement would clean.
   std::vector<RowId> rows;
   rows.reserve(joined.size());
-  for (const JoinedRow& j : joined) rows.push_back(j[table_idx_]);
+  for (size_t i = 0; i < joined.size(); ++i) {
+    rows.push_back(joined[i][table_idx_]);
+  }
   std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   DAISY_RETURN_IF_ERROR(step_.Run(ctx, this, /*deferred=*/true, &rows));
@@ -635,71 +682,47 @@ std::string OutputNode::Label() const {
   return oss.str();
 }
 
-Result<QueryOutput> OutputNode::ExecuteOutput(ExecContext* ctx) {
+Status OutputNode::ExecuteOutput(ExecContext* ctx, ResultSink* sink) {
   NodeStatsTimer timer(&stats_.open_us);
   // The row limit only truncates what the client receives. Cleaning (and,
   // for projections, the SPJ pipeline past the limit) still completes —
   // CleanSelect children clean their whole qualifying set at Open — so a
   // row-limited query leaves exactly the state of its unlimited twin.
-  auto mark_row_limit = [&] {
+  JoinedRows joined;
+  PlanNode* child = children_[0].get();
+  const size_t limit = ctx->row_limit;
+  if (auto* join_child = dynamic_cast<JoinSourceNode*>(child)) {
+    DAISY_ASSIGN_OR_RETURN(joined, join_child->ExecuteJoined(ctx));
+  } else {
+    // A single-table projection stops pulling one row past the limit.
+    const size_t pull_limit = kind_ == Kind::kProject ? limit : 0;
+    auto* rows_child = static_cast<RowSetNode*>(child);
+    DAISY_RETURN_IF_ERROR(rows_child->Open(ctx));
+    joined.width = 1;
+    RowIdBatch batch;
+    while (pull_limit == 0 || joined.ids.size() <= pull_limit) {
+      DAISY_ASSIGN_OR_RETURN(bool more, rows_child->NextBatch(ctx, &batch));
+      if (!more) break;
+      joined.ids.insert(joined.ids.end(), batch.begin(), batch.end());
+    }
+  }
+  stats_.rows_in = joined.size();
+  DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
+  DAISY_ASSIGN_OR_RETURN(
+      size_t total,
+      QueryExecutor::BuildOutput(*stmt_, *tables_, std::move(joined), limit,
+                                 sink));
+  if (limit != 0 && total > limit) {
     if (ctx->termination == QueryTermination::kComplete) {
       ctx->termination = QueryTermination::kRowLimit;
       ctx->cut_node = Label();
       stats_.cut = QueryTermination::kRowLimit;
     }
-  };
-  std::vector<JoinedRow> joined;
-  PlanNode* child = children_[0].get();
-  const size_t limit = kind_ == Kind::kProject ? ctx->row_limit : 0;
-  if (auto* join_child = dynamic_cast<JoinSourceNode*>(child)) {
-    DAISY_ASSIGN_OR_RETURN(joined, join_child->ExecuteJoined(ctx));
-    if (limit != 0 && joined.size() > limit) {
-      joined.resize(limit);
-      mark_row_limit();
-    }
-  } else {
-    auto* rows_child = static_cast<RowSetNode*>(child);
-    DAISY_RETURN_IF_ERROR(rows_child->Open(ctx));
-    std::vector<RowId> rows;
-    RowIdBatch batch;
-    bool truncated = false;
-    while (true) {
-      DAISY_ASSIGN_OR_RETURN(bool more, rows_child->NextBatch(ctx, &batch));
-      if (!more) break;
-      rows.insert(rows.end(), batch.begin(), batch.end());
-      if (limit != 0 && rows.size() > limit) {
-        truncated = true;
-        break;
-      }
-    }
-    if (truncated) {
-      rows.resize(limit);
-      mark_row_limit();
-    }
-    joined.reserve(rows.size());
-    for (RowId r : rows) joined.push_back(JoinedRow{r});
+    total = limit;
   }
-  stats_.rows_in = joined.size();
-  DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
-  DAISY_ASSIGN_OR_RETURN(
-      QueryOutput out,
-      QueryExecutor::BuildOutput(*stmt_, *tables_, std::move(joined)));
-  if (kind_ == Kind::kAggregate && ctx->row_limit != 0 &&
-      out.result.num_rows() > ctx->row_limit) {
-    // Aggregates only know their output cardinality after grouping;
-    // rebuild the result with the first `row_limit` groups (cells keep
-    // their candidate sets).
-    Table head(out.result.name(), out.result.schema());
-    head.Reserve(ctx->row_limit);
-    for (RowId r = 0; r < ctx->row_limit; ++r) {
-      head.AppendRowUnchecked(out.result.row(r));
-    }
-    out.result = std::move(head);
-    mark_row_limit();
-  }
-  stats_.rows_out = out.result.num_rows();
+  stats_.rows_out = total;
   ++stats_.batches;
-  return out;
+  return Status::OK();
 }
 
 // --------------------------------------------------------------- Explain --

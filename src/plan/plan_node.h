@@ -337,14 +337,14 @@ class CleanSelectNode : public RowSetNode {
   size_t pos_ = 0;
 };
 
-/// Base of every operator producing fully joined rows (JoinedRow vectors
-/// indexed by FROM position). OutputNode consumes whichever concrete
+/// Base of every operator producing fully joined rows (one flat JoinedRows
+/// buffer, each tuple indexed by FROM position). OutputNode consumes whichever concrete
 /// subtree the planner assembled — a binary HashJoinStepNode tree, or a
 /// deferred cleanσ (CleanJoinedNode) stacked above one.
 class JoinSourceNode : public PlanNode {
  public:
   using PlanNode::PlanNode;
-  virtual Result<std::vector<JoinedRow>> ExecuteJoined(ExecContext* ctx) = 0;
+  virtual Result<JoinedRows> ExecuteJoined(ExecContext* ctx) = 0;
 };
 
 /// One binary join of a plan's join tree, and the only join operator:
@@ -377,7 +377,7 @@ class HashJoinStepNode : public JoinSourceNode {
                    std::unique_ptr<PlanNode> right);
 
   std::string Label() const override;
-  Result<std::vector<JoinedRow>> ExecuteJoined(ExecContext* ctx) override;
+  Result<JoinedRows> ExecuteJoined(ExecContext* ctx) override;
 
   /// Arm on the tree root: canonically sort the joined output.
   void set_sort_output(bool v) { sort_output_ = v; }
@@ -385,12 +385,11 @@ class HashJoinStepNode : public JoinSourceNode {
  private:
   /// Drains one side into joined rows (leaf chains wrap their row ids at
   /// their FROM position; join children pass through).
-  Result<std::vector<JoinedRow>> SideRows(ExecContext* ctx, size_t side);
+  Result<JoinedRows> SideRows(ExecContext* ctx, size_t side);
 
   /// The hashed step: every (left, right) pair matching the step predicate
   /// and all residuals, in per-probe build-tuple order.
-  std::vector<JoinedRow> HashMatch(const std::vector<JoinedRow>& left,
-                                   const std::vector<JoinedRow>& right) const;
+  JoinedRows HashMatch(const JoinedRows& left, const JoinedRows& right) const;
 
   const std::vector<const Table*>* tables_;
   const SplitWhere::JoinPred* pred_;  ///< step predicate; null = cartesian
@@ -417,7 +416,7 @@ class CleanJoinedNode : public JoinSourceNode {
                   std::unique_ptr<PlanNode> child);
 
   std::string Label() const override;
-  Result<std::vector<JoinedRow>> ExecuteJoined(ExecContext* ctx) override;
+  Result<JoinedRows> ExecuteJoined(ExecContext* ctx) override;
   bool NodeCleaningQuiescent() const override { return step_.quiescent(); }
 
  private:
@@ -426,9 +425,9 @@ class CleanJoinedNode : public JoinSourceNode {
   JoinSourceNode* child_join_;
 };
 
-/// Plan root: projection or grouped aggregation into a QueryOutput. Wraps
+/// Plan root: projection or grouped aggregation into a ResultSink. Wraps
 /// the shared output builder so the oblivious and cleaning-augmented plans
-/// materialize results identically.
+/// emit results identically, whichever sink receives them.
 class OutputNode : public PlanNode {
  public:
   OutputNode(Kind kind, const SelectStmt* stmt,
@@ -436,7 +435,7 @@ class OutputNode : public PlanNode {
              std::unique_ptr<PlanNode> child);
 
   std::string Label() const override;
-  Result<QueryOutput> ExecuteOutput(ExecContext* ctx);
+  Status ExecuteOutput(ExecContext* ctx, ResultSink* sink);
 
  private:
   const SelectStmt* stmt_;

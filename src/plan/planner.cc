@@ -57,7 +57,7 @@ std::vector<size_t> QueryColumnsForTable(const SelectStmt& stmt,
 
 }  // namespace
 
-Result<QueryOutput> Plan::Execute() {
+Status Plan::Execute(ResultSink* sink) {
   ExecContext ctx;
   ctx.batch_size = batch_size_;
   ctx.worker_threads = worker_threads_;
@@ -77,7 +77,7 @@ Result<QueryOutput> Plan::Execute() {
   for (const Table* t : state_->const_tables) pinned.push_back(t->Snapshot());
   root_->ResetStatsRecursive();
   auto* output = static_cast<OutputNode*>(root_.get());
-  Result<QueryOutput> run = output->ExecuteOutput(&ctx);
+  const Status run = output->ExecuteOutput(&ctx, sink);
   termination_ = ctx.termination;
   cut_node_ = ctx.cut_node;
   resource_checks_ = ctx.checks;
@@ -85,11 +85,12 @@ Result<QueryOutput> Plan::Execute() {
   // the node that tripped. It is not a failure: every rule evaluation that
   // ran to completion before the cut already left valid cleaning state (a
   // monotone prefix of the full execution), so we report an empty output
-  // with the termination recorded instead of propagating the error.
-  const bool cut =
-      !run.ok() && (run.status().code() == StatusCode::kTimeout ||
-                    run.status().code() == StatusCode::kCancelled);
-  if (!run.ok() && !cut) return run.status();
+  // with the termination recorded instead of propagating the error. The
+  // output node checks resources before it emits its first row, so a cut
+  // execution never reached the sink.
+  const bool cut = run.code() == StatusCode::kTimeout ||
+                   run.code() == StatusCode::kCancelled;
+  if (!run.ok() && !cut) return run;
   for (size_t i = 0; i < state_->const_tables.size(); ++i) {
     const TableSnapshot now = state_->const_tables[i]->Snapshot();
     if (now.append_version != pinned[i].append_version ||
@@ -100,10 +101,17 @@ Result<QueryOutput> Plan::Execute() {
           "must serialize behind the engine's writer lock");
     }
   }
-  QueryOutput out = cut ? QueryOutput{} : std::move(run).value();
-  out.rows_scanned = ctx.rows_scanned;
+  rows_scanned_ = ctx.rows_scanned;
   cleaning_ = ctx.cleaning;
   executed_ = true;
+  return Status::OK();
+}
+
+Result<QueryOutput> Plan::Execute() {
+  QueryOutput out;
+  TableSink sink(&out);
+  DAISY_RETURN_IF_ERROR(Execute(&sink));
+  out.rows_scanned = rows_scanned_;
   return out;
 }
 

@@ -73,14 +73,20 @@ class Plan {
   Plan(Plan&&) = default;
   Plan& operator=(Plan&&) = default;
 
-  /// Runs the plan, materializing the output and filling per-node
-  /// counters. May be executed repeatedly (counters reset each run);
-  /// cleaning plans mutate the underlying tables as a side effect.
+  /// Runs the plan, emitting the output rows into `sink` and filling
+  /// per-node counters. May be executed repeatedly (counters reset each
+  /// run); cleaning plans mutate the underlying tables as a side effect.
   /// Execution pins every FROM table's ingest snapshot at entry and fails
   /// with an Internal error if the (append_version, delta_generation) pair
   /// moved before the output was built — a torn scan from an ingest that
   /// bypassed the engine's writer lock is an error, never a wrong answer.
+  Status Execute(ResultSink* sink);
+
+  /// Execute() into a TableSink: the materialized QueryOutput.
   Result<QueryOutput> Execute();
+
+  /// Σ base-table rows the last Execute() opened (cost accounting).
+  size_t rows_scanned() const { return rows_scanned_; }
 
   /// Deterministic indented plan tree. After Execute(), per-node
   /// cardinality counters and runtime flags are included.
@@ -110,8 +116,9 @@ class Plan {
   /// Resource limits (deadline, row limit, cancel flag) applied to the
   /// next Execute(); the wall-clock timeout becomes a deadline at Execute
   /// entry. A cut execution (timeout/cancel) is NOT an error: Execute
-  /// returns an empty output and termination() reports the cut, while the
-  /// cleaning already performed stays — a valid monotone prefix.
+  /// emits no output (not even the sink's Begin) and termination() reports
+  /// the cut, while the cleaning already performed stays — a valid
+  /// monotone prefix.
   void set_limits(const ExecLimits& limits) { limits_ = limits; }
 
   /// How the last Execute() ended, where it was cut, and how many serial
@@ -143,6 +150,7 @@ class Plan {
   std::unique_ptr<State> state_;
   std::unique_ptr<PlanNode> root_;
   CleaningExecStats cleaning_;
+  size_t rows_scanned_ = 0;
   bool executed_ = false;
   size_t batch_size_ = 1024;
   size_t worker_threads_ = 1;

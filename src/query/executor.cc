@@ -1,5 +1,6 @@
 #include "query/executor.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "detect/group_by.h"
@@ -219,32 +220,62 @@ struct AggState {
 
 }  // namespace
 
-Result<QueryOutput> QueryExecutor::BuildOutput(
+void TableSink::Begin(const std::vector<Column>& columns, size_t rows) {
+  out_->result = Table("result", Schema(columns));
+  out_->result.Reserve(rows);
+}
+
+void TableSink::AddCells(const Cell* const* cells) {
+  Row row;
+  row.cells.reserve(out_->result.num_columns());
+  for (size_t c = 0; c < out_->result.num_columns(); ++c) {
+    row.cells.push_back(*cells[c]);
+  }
+  out_->result.AppendRowUnchecked(std::move(row));
+}
+
+void TableSink::AddValues(const Value* values) {
+  Row row;
+  row.cells.reserve(out_->result.num_columns());
+  for (size_t c = 0; c < out_->result.num_columns(); ++c) {
+    row.cells.emplace_back(values[c]);
+  }
+  out_->result.AppendRowUnchecked(std::move(row));
+}
+
+void TableSink::Finish(JoinedRows lineage) {
+  out_->lineage = std::move(lineage);
+}
+
+Result<size_t> QueryExecutor::BuildOutput(
     const SelectStmt& stmt, const std::vector<const Table*>& tables,
-    std::vector<JoinedRow> joined) {
+    JoinedRows joined, size_t row_limit, ResultSink* sink) {
   DAISY_ASSIGN_OR_RETURN(std::vector<BoundItem> items,
                          BindSelectList(stmt, tables));
-  QueryOutput out;
-  for (const Table* t : tables) out.table_names.push_back(t->name());
-
   std::vector<Column> out_cols;
   out_cols.reserve(items.size());
   for (const BoundItem& b : items) out_cols.push_back({b.out_name, b.out_type});
+  auto emitted = [row_limit](size_t total) {
+    return row_limit == 0 ? total : std::min(total, row_limit);
+  };
 
   const bool aggregating = stmt.has_aggregate() || !stmt.group_by.empty();
   if (!aggregating) {
-    out.result = Table("result", Schema(std::move(out_cols)));
-    out.result.Reserve(joined.size());
-    for (const JoinedRow& j : joined) {
-      Row row;
-      row.cells.reserve(items.size());
-      for (const BoundItem& b : items) {
-        row.cells.push_back(tables[b.table_idx]->cell(j[b.table_idx], b.col_idx));
+    const size_t total = joined.size();
+    const size_t n = emitted(total);
+    sink->Begin(out_cols, n);
+    std::vector<const Cell*> cells(items.size());
+    for (size_t i = 0; i < n; ++i) {
+      const RowId* j = joined[i];
+      for (size_t k = 0; k < items.size(); ++k) {
+        const BoundItem& b = items[k];
+        cells[k] = &tables[b.table_idx]->cell(j[b.table_idx], b.col_idx);
       }
-      out.result.AppendRowUnchecked(std::move(row));
+      sink->AddCells(cells.data());
     }
-    out.lineage = std::move(joined);
-    return out;
+    joined.Truncate(n);
+    sink->Finish(std::move(joined));
+    return total;
   }
 
   // Bind group-by columns.
@@ -271,11 +302,12 @@ Result<QueryOutput> QueryExecutor::BuildOutput(
   };
   std::unordered_map<GroupKey, size_t, GroupKeyHash, GroupKeyEq> index;
   std::vector<GroupAgg> groups;
-  for (const JoinedRow& j : joined) {
+  for (size_t t = 0; t < joined.size(); ++t) {
+    const RowId* j = joined[t];
     GroupKey key;
     key.reserve(group_cols.size());
-    for (const auto& [t, c] : group_cols) {
-      key.push_back(tables[t]->cell(j[t], c).MostProbable());
+    for (const auto& [tab, c] : group_cols) {
+      key.push_back(tables[tab]->cell(j[tab], c).MostProbable());
     }
     auto [it, inserted] = index.emplace(key, groups.size());
     if (inserted) {
@@ -294,32 +326,33 @@ Result<QueryOutput> QueryExecutor::BuildOutput(
     }
   }
 
-  out.result = Table("result", Schema(std::move(out_cols)));
-  out.result.Reserve(groups.size());
-  for (const GroupAgg& g : groups) {
-    Row row;
-    row.cells.reserve(items.size());
+  // Aggregates only know their output cardinality after grouping; a row
+  // limit keeps the first `row_limit` groups.
+  const size_t n = emitted(groups.size());
+  sink->Begin(out_cols, n);
+  std::vector<Value> row(items.size());
+  for (size_t gi = 0; gi < n; ++gi) {
+    const GroupAgg& g = groups[gi];
     for (size_t i = 0; i < items.size(); ++i) {
       const BoundItem& b = items[i];
       if (b.agg != AggFunc::kNone) {
-        row.cells.emplace_back(g.states[i].Finish(b.agg, b.out_type));
+        row[i] = g.states[i].Finish(b.agg, b.out_type);
         continue;
       }
       // Non-aggregate column: must be a group-by key; take its value.
-      Value v;
+      row[i] = Value();
       for (size_t k = 0; k < group_cols.size(); ++k) {
         if (group_cols[k].first == b.table_idx &&
             group_cols[k].second == b.col_idx) {
-          v = g.key[k];
+          row[i] = g.key[k];
           break;
         }
       }
-      row.cells.emplace_back(std::move(v));
     }
-    out.result.AppendRowUnchecked(std::move(row));
+    sink->AddValues(row.data());
   }
-  out.lineage = std::move(joined);
-  return out;
+  sink->Finish(std::move(joined));
+  return groups.size();
 }
 
 Result<QueryOutput> QueryExecutor::Execute(const SelectStmt& stmt) {

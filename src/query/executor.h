@@ -43,15 +43,59 @@ struct SplitWhere {
 Result<SplitWhere> SplitWhereClause(const SelectStmt& stmt,
                                     const std::vector<const Table*>& tables);
 
-/// One joined intermediate tuple: a row id per FROM table.
-using JoinedRow = std::vector<RowId>;
+/// Joined intermediate tuples, stored flat: tuple i is the `width` row ids
+/// ids[i * width, (i + 1) * width), one per FROM table. An operator's whole
+/// output is one allocation, not one per tuple.
+struct JoinedRows {
+  size_t width = 0;
+  std::vector<RowId> ids;
+
+  size_t size() const { return width == 0 ? 0 : ids.size() / width; }
+  const RowId* operator[](size_t i) const { return ids.data() + i * width; }
+  RowId* operator[](size_t i) { return ids.data() + i * width; }
+  /// Keeps the first `n` tuples.
+  void Truncate(size_t n) {
+    if (n < size()) ids.resize(n * width);
+  }
+  bool operator==(const JoinedRows& o) const {
+    return width == o.width && ids == o.ids;
+  }
+};
+
+/// Receives a query's output. BuildOutput calls Begin once with the output
+/// columns and the number of rows that follow, then one Add call per row in
+/// output order, then Finish. A cut query reaches no sink call at all.
+class ResultSink {
+ public:
+  virtual ~ResultSink() = default;
+  virtual void Begin(const std::vector<Column>& columns, size_t rows) = 0;
+  /// A projected row: one cell per output column, candidates included.
+  virtual void AddCells(const Cell* const* cells) = 0;
+  /// An aggregate row: one value per output column.
+  virtual void AddValues(const Value* values) = 0;
+  /// The SPJ tuples the rows came from (before aggregation).
+  virtual void Finish(JoinedRows lineage) = 0;
+};
 
 /// A fully materialized query result.
 struct QueryOutput {
   Table result;  ///< schema named per select list; cells keep candidates
-  std::vector<std::string> table_names;          ///< FROM order
-  std::vector<JoinedRow> lineage;                ///< SPJ rows before aggregation
-  size_t rows_scanned = 0;                       ///< cost accounting
+  JoinedRows lineage;       ///< SPJ rows before aggregation
+  size_t rows_scanned = 0;  ///< cost accounting
+};
+
+/// The in-process sink: materializes the rows into `out->result` (cells
+/// keep their candidate sets) and keeps the lineage.
+class TableSink : public ResultSink {
+ public:
+  explicit TableSink(QueryOutput* out) : out_(out) {}
+  void Begin(const std::vector<Column>& columns, size_t rows) override;
+  void AddCells(const Cell* const* cells) override;
+  void AddValues(const Value* values) override;
+  void Finish(JoinedRows lineage) override;
+
+ private:
+  QueryOutput* out_;
 };
 
 /// Executes a statement end-to-end without cleaning.
@@ -66,11 +110,14 @@ class QueryExecutor {
   /// (not executed: no cardinality counters).
   Result<std::string> Explain(const std::string& sql);
 
-  /// Builds the projected / aggregated output from joined rows. Exposed so
-  /// the cleaning engine can finish a query after its own SPJ phase.
-  static Result<QueryOutput> BuildOutput(
-      const SelectStmt& stmt, const std::vector<const Table*>& tables,
-      std::vector<JoinedRow> joined);
+  /// Binds the select list once and emits the projected / aggregated
+  /// output of `joined` into `sink`: at most `row_limit` rows (0 = all).
+  /// Returns the row count of the unlimited output. Exposed so the
+  /// cleaning engine can finish a query after its own SPJ phase.
+  static Result<size_t> BuildOutput(const SelectStmt& stmt,
+                                    const std::vector<const Table*>& tables,
+                                    JoinedRows joined, size_t row_limit,
+                                    ResultSink* sink);
 
  private:
   Database* db_;

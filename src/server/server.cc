@@ -13,7 +13,6 @@
 
 #include "clean/daisy_engine.h"
 #include "common/metrics.h"
-#include "common/timer.h"
 #include "server/wire.h"
 #include "storage/table.h"
 
@@ -314,8 +313,8 @@ bool DaisyServer::DispatchRequest(Session* session,
     SendError(session->fd, type.status());
     return false;
   }
-  Histogram* const latency = ServerMetrics::Get().RequestLatency(type.value());
-  Timer timer;
+  session->request_latency = ServerMetrics::Get().RequestLatency(type.value());
+  session->request_timer.Restart();
   bool keep = false;
   switch (type.value()) {
     case MessageType::kQuery:
@@ -357,14 +356,70 @@ bool DaisyServer::DispatchRequest(Session* session,
                     MessageTypeToString(type.value())));
       return false;
   }
-  latency->Observe(static_cast<uint64_t>(timer.ElapsedMillis() * 1000.0));
+  // Handlers stop the clock at their last reply frame; this catches Bye
+  // and replies cut short by a dead socket.
+  StopRequestClock(session);
   return keep;
 }
+
+namespace {
+
+// daisyd's result sink. It encodes each row's most-probable values into
+// RowBatch payloads of kRowsPerBatch rows as the engine emits them, under
+// the engine lock, so no result Table, lineage or per-row Value vector is
+// built; HandleQuery sends the frames after the engine call returns, so a
+// slow client never holds writers off.
+class WireSink : public ResultSink {
+ public:
+  void Begin(const std::vector<Column>& columns, size_t rows) override {
+    for (const Column& col : columns) {
+      header_.names.push_back(col.name);
+      header_.types.push_back(static_cast<uint8_t>(col.type));
+    }
+    batches_.reserve((rows + kRowsPerBatch - 1) / kRowsPerBatch);
+  }
+
+  void AddCells(const Cell* const* cells) override {
+    const size_t n = header_.names.size();
+    batch_.BeginRow(n);
+    for (size_t c = 0; c < n; ++c) batch_.AddValue(cells[c]->MostProbable());
+    EndRow();
+  }
+
+  void AddValues(const Value* values) override {
+    const size_t n = header_.names.size();
+    batch_.BeginRow(n);
+    for (size_t c = 0; c < n; ++c) batch_.AddValue(values[c]);
+    EndRow();
+  }
+
+  void Finish(JoinedRows /*lineage*/) override {
+    if (batch_.rows() > 0) batches_.push_back(batch_.Finish());
+  }
+
+  /// Without a Begin call (a cut query) the header has no columns.
+  const RowHeaderMsg& header() const { return header_; }
+  const std::vector<std::string>& batches() const { return batches_; }
+  uint64_t total_rows() const { return total_rows_; }
+
+ private:
+  void EndRow() {
+    ++total_rows_;
+    if (batch_.rows() == kRowsPerBatch) batches_.push_back(batch_.Finish());
+  }
+
+  RowHeaderMsg header_;
+  RowBatchWriter batch_;
+  std::vector<std::string> batches_;  ///< encoded RowBatch payloads
+  uint64_t total_rows_ = 0;
+};
+
+}  // namespace
 
 bool DaisyServer::HandleQuery(Session* session, const std::string& payload) {
   Result<QueryMsg> msg = QueryMsg::Decode(payload);
   if (!msg.ok()) {
-    SendError(session->fd, msg.status());
+    ReplyError(session, msg.status());
     return false;  // undecodable frame: poisoned stream
   }
   ++session->queries;
@@ -377,42 +432,22 @@ bool DaisyServer::HandleQuery(Session* session, const std::string& payload) {
   if (msg.value().mode == QueryMode::kExplainAnalyze) {
     Result<std::string> text =
         engine_->ExplainAnalyze(msg.value().sql, limits);
-    if (!text.ok()) return SendError(session->fd, text.status());
+    if (!text.ok()) return ReplyError(session, text.status());
     ExplainTextMsg reply;
     reply.text = std::move(text).value();
-    return WriteFrame(session->fd, reply.Encode()).ok();
+    return Reply(session, reply.Encode());
   }
 
-  Result<QueryReport> report = engine_->Query(msg.value().sql, limits);
-  if (!report.ok()) return SendError(session->fd, report.status());
+  WireSink sink;
+  Result<QueryReport> report = engine_->Query(msg.value().sql, limits, &sink);
+  if (!report.ok()) return ReplyError(session, report.status());
 
-  const Table& result = report.value().output.result;
-  RowHeaderMsg header;
-  for (const Column& col : result.schema().columns()) {
-    header.names.push_back(col.name);
-    header.types.push_back(static_cast<uint8_t>(col.type));
+  if (!WriteFrame(session->fd, sink.header().Encode()).ok()) return false;
+  for (const std::string& batch : sink.batches()) {
+    if (!WriteFrame(session->fd, batch).ok()) return false;
   }
-  if (!WriteFrame(session->fd, header.Encode()).ok()) return false;
-
-  RowBatchMsg batch;
-  for (RowId r = 0; r < result.num_rows(); ++r) {
-    std::vector<Value> row;
-    row.reserve(result.num_columns());
-    for (size_t c = 0; c < result.num_columns(); ++c) {
-      row.push_back(result.cell(r, c).MostProbable());
-    }
-    batch.rows.push_back(std::move(row));
-    if (batch.rows.size() == kRowsPerBatch) {
-      if (!WriteFrame(session->fd, batch.Encode()).ok()) return false;
-      batch.rows.clear();
-    }
-  }
-  if (!batch.rows.empty()) {
-    if (!WriteFrame(session->fd, batch.Encode()).ok()) return false;
-  }
-
   QueryDoneMsg done;
-  done.total_rows = result.num_rows();
+  done.total_rows = sink.total_rows();
   done.epoch = report.value().epoch;
   done.termination = static_cast<uint8_t>(report.value().termination);
   done.read_path = report.value().read_path;
@@ -420,47 +455,47 @@ bool DaisyServer::HandleQuery(Session* session, const std::string& payload) {
   done.errors_fixed = report.value().errors_fixed;
   done.rules_applied = report.value().rules_applied;
   done.tuples_scanned = report.value().tuples_scanned;
-  return WriteFrame(session->fd, done.Encode()).ok();
+  return Reply(session, done.Encode());
 }
 
 bool DaisyServer::HandleAppend(Session* session, const std::string& payload) {
   Result<AppendMsg> msg = AppendMsg::Decode(payload);
   if (!msg.ok()) {
-    SendError(session->fd, msg.status());
+    ReplyError(session, msg.status());
     return false;
   }
   ++session->writes;
   const size_t nrows = msg.value().rows.size();
   Result<TableDelta> delta =
       engine_->AppendRows(msg.value().table, std::move(msg.value().rows));
-  if (!delta.ok()) return SendError(session->fd, delta.status());
+  if (!delta.ok()) return ReplyError(session, delta.status());
   AckMsg ack;
   ack.rows_affected = nrows;
-  return WriteFrame(session->fd, ack.Encode()).ok();
+  return Reply(session, ack.Encode());
 }
 
 bool DaisyServer::HandleDelete(Session* session, const std::string& payload) {
   Result<DeleteMsg> msg = DeleteMsg::Decode(payload);
   if (!msg.ok()) {
-    SendError(session->fd, msg.status());
+    ReplyError(session, msg.status());
     return false;
   }
   ++session->writes;
   std::vector<RowId> ids(msg.value().row_ids.begin(),
                          msg.value().row_ids.end());
   Result<TableDelta> delta = engine_->DeleteRows(msg.value().table, ids);
-  if (!delta.ok()) return SendError(session->fd, delta.status());
+  if (!delta.ok()) return ReplyError(session, delta.status());
   AckMsg ack;
   ack.rows_affected = delta.value().deleted.size();
-  return WriteFrame(session->fd, ack.Encode()).ok();
+  return Reply(session, ack.Encode());
 }
 
 bool DaisyServer::HandleSimple(Session* session, Status (*op)(DaisyEngine*)) {
   ++session->writes;
   const Status s = op(engine_);
-  if (!s.ok()) return SendError(session->fd, s);
+  if (!s.ok()) return ReplyError(session, s);
   AckMsg ack;
-  return WriteFrame(session->fd, ack.Encode()).ok();
+  return Reply(session, ack.Encode());
 }
 
 bool DaisyServer::HandleHealth(Session* session) {
@@ -469,13 +504,13 @@ bool DaisyServer::HandleHealth(Session* session) {
   reply.state = static_cast<uint8_t>(info.state);
   reply.cause = info.cause.ok() ? "" : info.cause.ToString();
   reply.recover_attempts = info.recover_attempts;
-  return WriteFrame(session->fd, reply.Encode()).ok();
+  return Reply(session, reply.Encode());
 }
 
 bool DaisyServer::HandleMetrics(Session* session) {
   MetricsTextMsg reply;
   reply.text = MetricsRegistry::Global().RenderPrometheus();
-  return WriteFrame(session->fd, reply.Encode()).ok();
+  return Reply(session, reply.Encode());
 }
 
 bool DaisyServer::HandleSchema(Session* session) {
@@ -490,11 +525,27 @@ bool DaisyServer::HandleSchema(Session* session) {
     }
     reply.tables.push_back(std::move(info));
   }
-  return WriteFrame(session->fd, reply.Encode()).ok();
+  return Reply(session, reply.Encode());
 }
 
 bool DaisyServer::SendError(int fd, const Status& s) {
   return WriteFrame(fd, ErrorMsg::FromStatus(s).Encode()).ok();
+}
+
+void DaisyServer::StopRequestClock(Session* session) {
+  if (session->request_latency == nullptr) return;
+  session->request_latency->Observe(static_cast<uint64_t>(
+      session->request_timer.ElapsedMillis() * 1000.0));
+  session->request_latency = nullptr;
+}
+
+bool DaisyServer::Reply(Session* session, const std::string& payload) {
+  StopRequestClock(session);
+  return WriteFrame(session->fd, payload).ok();
+}
+
+bool DaisyServer::ReplyError(Session* session, const Status& s) {
+  return Reply(session, ErrorMsg::FromStatus(s).Encode());
 }
 
 }  // namespace server

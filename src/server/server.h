@@ -116,6 +116,16 @@ class DaisyServer {
   /// Sends an Error frame for `s`; returns false if the send failed.
   bool SendError(int fd, const Status& s);
 
+  /// Observes the current request's latency, once. Called just before its
+  /// last reply frame is written, so the server's interval nests inside
+  /// the client's and excludes the teardown after the reply.
+  void StopRequestClock(Session* session);
+  /// Writes the request's last reply frame (stopping its clock first);
+  /// returns false if the send failed.
+  bool Reply(Session* session, const std::string& payload);
+  /// Reply() with an Error frame for `s`.
+  bool ReplyError(Session* session, const Status& s);
+
   DaisyEngine* engine_;
   ServerOptions options_;
 

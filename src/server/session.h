@@ -15,7 +15,12 @@
 #include <atomic>
 #include <cstdint>
 
+#include "common/timer.h"
+
 namespace daisy {
+
+class Histogram;
+
 namespace server {
 
 struct Session {
@@ -28,6 +33,11 @@ struct Session {
   // Per-session statement counters (server-side observability).
   uint64_t queries = 0;
   uint64_t writes = 0;
+
+  /// The request being served: its latency histogram (null once observed)
+  /// and its clock, started when its frame was read.
+  Histogram* request_latency = nullptr;
+  Timer request_timer;
 };
 
 }  // namespace server

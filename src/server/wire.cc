@@ -309,10 +309,28 @@ Result<RowHeaderMsg> RowHeaderMsg::Decode(const std::string& payload) {
 }
 
 std::string RowBatchMsg::Encode() const {
+  RowBatchWriter w;
+  for (const std::vector<Value>& row : rows) {
+    w.BeginRow(row.size());
+    for (const Value& v : row) w.AddValue(v);
+  }
+  return w.Finish();
+}
+
+void RowBatchWriter::BeginRow(size_t ncells) {
+  body_.WriteU64(ncells);
+  ++rows_;
+}
+
+std::string RowBatchWriter::Finish() {
   BinaryWriter w;
   w.WriteU8(static_cast<uint8_t>(MessageType::kRowBatch));
-  EncodeRows(&w, rows);
-  return w.TakeBuffer();
+  w.WriteU64(rows_);
+  std::string payload = w.TakeBuffer();
+  payload += body_.buffer();
+  body_ = BinaryWriter();
+  rows_ = 0;
+  return payload;
 }
 
 Result<RowBatchMsg> RowBatchMsg::Decode(const std::string& payload) {

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/status.h"
 #include "common/value.h"
 
@@ -159,8 +160,24 @@ struct RowHeaderMsg {
 
 struct RowBatchMsg {
   std::vector<std::vector<Value>> rows;
-  std::string Encode() const;
+  std::string Encode() const;  ///< via RowBatchWriter
   static Result<RowBatchMsg> Decode(const std::string& payload);
+};
+
+/// Encodes a RowBatch payload one value at a time, with no row vectors:
+/// the payload equals RowBatchMsg{rows}.Encode() for the same rows.
+class RowBatchWriter {
+ public:
+  /// Starts a row; AddValue must follow `ncells` times.
+  void BeginRow(size_t ncells);
+  void AddValue(const Value& v) { body_.WriteValue(v); }
+  size_t rows() const { return rows_; }
+  /// The payload of the rows added since the last Finish; starts afresh.
+  std::string Finish();
+
+ private:
+  BinaryWriter body_;  ///< the rows, without the type byte and row count
+  size_t rows_ = 0;
 };
 
 struct QueryDoneMsg {

@@ -335,11 +335,17 @@ TEST_P(DaisyOfflineEquivalenceTest, FdWorkloadMatchesOffline) {
     auto offline_out = offline_exec.Execute(sql);
     ASSERT_TRUE(offline_out.ok()) << sql;
     // Same corrected result (same row multiset — compare sorted lineage).
-    auto a = daisy_report.value().output.lineage;
-    auto b = offline_out.value().lineage;
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "result rows diverge for: " << sql;
+    auto sorted_tuples = [](const JoinedRows& rows) {
+      std::vector<std::vector<RowId>> out;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        out.emplace_back(rows[i], rows[i] + rows.width);
+      }
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    EXPECT_EQ(sorted_tuples(daisy_report.value().output.lineage),
+              sorted_tuples(offline_out.value().lineage))
+        << "result rows diverge for: " << sql;
   }
 
   // After the covering workload, the datasets must agree cell by cell.

@@ -519,11 +519,12 @@ Result<QueryOutput> OracleQuery(Database* db, const std::string& sql) {
                    tables[i]->AllRowIds()));
     rows.push_back(std::move(kept));
   }
-  std::vector<JoinedRow> joined;
-  JoinedRow tuple(tables.size(), 0);
+  JoinedRows joined;
+  joined.width = tables.size();
+  std::vector<RowId> tuple(tables.size(), 0);
   std::function<void(size_t)> extend = [&](size_t t) {
     if (t == tables.size()) {
-      joined.push_back(tuple);
+      joined.ids.insert(joined.ids.end(), tuple.begin(), tuple.end());
       return;
     }
     for (RowId r : rows[t]) {
@@ -543,7 +544,13 @@ Result<QueryOutput> OracleQuery(Database* db, const std::string& sql) {
     }
   };
   extend(0);
-  return QueryExecutor::BuildOutput(stmt, tables, std::move(joined));
+  QueryOutput out;
+  TableSink sink(&out);
+  DAISY_RETURN_IF_ERROR(QueryExecutor::BuildOutput(stmt, tables,
+                                                   std::move(joined),
+                                                   /*row_limit=*/0, &sink)
+                            .status());
+  return out;
 }
 
 // Runs `sql` through the cleaning-oblivious planner with the optimizer set

@@ -1,11 +1,14 @@
 // Tests for the physical plan layer: compiled-filter equivalence with the
 // row-path evaluator (property-style over ops, nulls and candidate cells),
-// batch-size invariance, planner lowering through QueryExecutor, and the
-// plan-time FROM width limit.
+// batch-size invariance, planner lowering through QueryExecutor, the
+// plan-time FROM width limit, and the join root's canonical tuple order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "plan/compiled_filter.h"
@@ -186,9 +189,8 @@ TEST(PlanTest, ExecutorLowersThroughPlanner) {
   QueryExecutor exec(&db);
   auto out = exec.Execute("SELECT a FROM m WHERE a = 5").ValueOrDie();
   EXPECT_EQ(out.rows_scanned, 300u);
-  for (const JoinedRow& j : out.lineage) {
-    ASSERT_EQ(j.size(), 1u);
-  }
+  EXPECT_EQ(out.lineage.width, 1u);
+  EXPECT_EQ(out.lineage.size(), out.result.num_rows());
 }
 
 TEST(PlanTest, FromWidthLimitIsEnforcedAtPlanTime) {
@@ -210,11 +212,101 @@ TEST(PlanTest, FromWidthLimitIsEnforcedAtPlanTime) {
   auto widest = exec.Execute("SELECT w0.k, w63.k FROM " + from);
   ASSERT_TRUE(widest.ok()) << widest.status().ToString();
   EXPECT_EQ(widest.value().result.num_rows(), 1u);
-  EXPECT_EQ(widest.value().lineage.at(0).size(), kMaxFromTables);
+  EXPECT_EQ(widest.value().lineage.width, kMaxFromTables);
+  EXPECT_EQ(widest.value().lineage.ids.size(), kMaxFromTables);
 
   auto too_wide = exec.Execute("SELECT w0.k FROM " + from + ", w64");
   ASSERT_FALSE(too_wide.ok());
   EXPECT_EQ(too_wide.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The root sort's reference: the same tuples as per-tuple vectors, ordered
+// by std::sort.
+std::vector<std::vector<RowId>> VectorSorted(const JoinedRows& rows) {
+  std::vector<std::vector<RowId>> out;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out.emplace_back(rows[i], rows[i] + rows.width);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::vector<RowId>> AsVectors(const JoinedRows& rows) {
+  std::vector<std::vector<RowId>> out;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out.emplace_back(rows[i], rows[i] + rows.width);
+  }
+  return out;
+}
+
+// t<i>(a, b) with small repeated keys, so joins fan out and the emission
+// order of a reordered tree is far from lexicographic.
+std::vector<Table> MakeSortTables(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::vector<Table> out;
+  for (size_t i = 0; i < n; ++i) {
+    Table t("t" + std::to_string(i),
+            Schema({{"a", ValueType::kInt}, {"b", ValueType::kInt}}));
+    for (size_t r = 0; r < 12; ++r) {
+      EXPECT_TRUE(t.AppendRow({Value(rng.UniformInt(0, 3)),
+                               Value(rng.UniformInt(0, 3))})
+                      .ok());
+    }
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+TEST(PlanTest, RootSortOfCartesianStepMatchesVectorSort) {
+  // FROM t0, t1 with t1 on the left: the step emits t1-major, and the
+  // root sort must restore lexicographic (t0, t1) order.
+  std::vector<Table> owned = MakeSortTables(5, 2);
+  const std::vector<const Table*> tables = {&owned[0], &owned[1]};
+  const std::vector<SplitWhere::JoinPred> joins;
+  HashJoinStepNode step(PlanNode::Kind::kHashJoin, &tables, &joins,
+                        /*pred_idx=*/0, /*left_mask=*/0b10,
+                        /*right_mask=*/0b01, /*left_from=*/1,
+                        /*right_from=*/0, /*build_left=*/false,
+                        std::make_unique<ScanNode>(tables[1]),
+                        std::make_unique<ScanNode>(tables[0]));
+  step.set_sort_output(true);
+  ExecContext ctx;
+  JoinedRows out = step.ExecuteJoined(&ctx).ValueOrDie();
+  ASSERT_EQ(out.width, 2u);
+  ASSERT_EQ(out.size(), 12u * 12u);
+  EXPECT_NE(out[0][1], out[1][1]);  // t1 varies fastest once sorted
+  EXPECT_EQ(AsVectors(out), VectorSorted(out));
+}
+
+TEST(PlanTest, RootSortOfThreeTableChainMatchesVectorSort) {
+  // FROM t0, t1, t2 WHERE t0.a = t2.a AND t1.b = t2.b, joined as
+  // (t0 ⋈ t2) ⋈ t1: the root probes with t1, so it emits t1-major.
+  std::vector<Table> owned = MakeSortTables(9, 3);
+  const std::vector<const Table*> tables = {&owned[0], &owned[1], &owned[2]};
+  std::vector<SplitWhere::JoinPred> joins(2);
+  joins[0] = {0, 0, 2, 0};  // t0.a = t2.a
+  joins[1] = {1, 1, 2, 1};  // t1.b = t2.b
+  auto inner = std::make_unique<HashJoinStepNode>(
+      PlanNode::Kind::kHashJoin, &tables, &joins, /*pred_idx=*/0,
+      /*left_mask=*/0b001, /*right_mask=*/0b100, /*left_from=*/0,
+      /*right_from=*/2, /*build_left=*/false,
+      std::make_unique<ScanNode>(tables[0]),
+      std::make_unique<ScanNode>(tables[2]));
+  HashJoinStepNode root(PlanNode::Kind::kHashJoin, &tables, &joins,
+                        /*pred_idx=*/1, /*left_mask=*/0b101,
+                        /*right_mask=*/0b010, /*left_from=*/-1,
+                        /*right_from=*/1, /*build_left=*/true,
+                        std::move(inner),
+                        std::make_unique<ScanNode>(tables[1]));
+  ExecContext ctx;
+  JoinedRows unsorted = root.ExecuteJoined(&ctx).ValueOrDie();
+  ASSERT_EQ(unsorted.width, 3u);
+  ASSERT_GT(unsorted.size(), 50u);
+  ASSERT_NE(AsVectors(unsorted), VectorSorted(unsorted));
+
+  root.set_sort_output(true);
+  JoinedRows sorted = root.ExecuteJoined(&ctx).ValueOrDie();
+  EXPECT_EQ(AsVectors(sorted), VectorSorted(unsorted));
 }
 
 }  // namespace
