@@ -1,14 +1,13 @@
 // Concurrent query serving: read-path throughput at 1/2/4/8 client
-// threads, plus morsel-parallel filter latency at 1/2/4/8 workers.
+// threads.
 //
 // Setup: a 50k-row salary/tax relation under one order DC and one FD,
 // prepared and fully cleaned, so every measured query is quiescent and
-// served under the engine's shared reader lock. Leg 1 hammers the engine
-// from N client threads and reports queries/sec (the 1-thread row is the
-// no-regression baseline against the pre-concurrency engine: same plan,
-// one uncontended shared-lock acquire per query). Leg 2 runs one client
-// with DaisyOptions::query_threads = N so a single heavy scan+filter fans
-// morsels across the worker pool.
+// served under the engine's shared reader lock. The first leg hammers the
+// engine from N client threads and reports queries/sec (the 1-thread row
+// is the no-regression baseline against the pre-concurrency engine: same
+// plan, one uncontended shared-lock acquire per query). Each query runs on
+// its client's thread; parallelism comes only from concurrent clients.
 //
 // Wall-clock scaling requires physical cores; on a 1-CPU container the
 // rows stay flat but the protocol overhead is still visible in the
@@ -74,8 +73,7 @@ Table BaseTable(uint64_t seed) {
   return t;
 }
 
-std::unique_ptr<DaisyEngine> MakeCleanEngine(Database* db,
-                                             size_t query_threads) {
+std::unique_ptr<DaisyEngine> MakeCleanEngine(Database* db) {
   ConstraintSet rules;
   const Table* t = UnwrapOrDie(
       static_cast<const Database*>(db)->GetTable("emp"), "get emp");
@@ -84,7 +82,6 @@ std::unique_ptr<DaisyEngine> MakeCleanEngine(Database* db,
           "parse dc");
   DaisyOptions options;
   options.theta_partitions = 64;
-  options.query_threads = query_threads;
   auto engine = std::make_unique<DaisyEngine>(db, std::move(rules), options);
   CheckOk(engine->Prepare(), "Prepare");
   CheckOk(engine->CleanAllRemaining(), "CleanAllRemaining");
@@ -136,7 +133,7 @@ int main() {
   for (size_t clients : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     Database db;
     CheckOk(db.AddTable(BaseTable(7)), "add table");
-    std::unique_ptr<DaisyEngine> engine = MakeCleanEngine(&db, 1);
+    std::unique_ptr<DaisyEngine> engine = MakeCleanEngine(&db);
     // One warm query so the first measured one pays no cold output path.
     (void)UnwrapOrDie(engine->Query(QueryFor(0)), "warm query");
 
@@ -164,33 +161,6 @@ int main() {
     json.Add(std::move(r));
   }
 
-  std::printf("\n# Morsel-parallel filter: one client, "
-              "query_threads workers per scan\n");
-  std::printf("# %-16s %10s %12s %9s\n", "query_threads", "wall_s",
-              "queries/s", "speedup");
-  double base_morsel_qps = 0;
-  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    Database db;
-    CheckOk(db.AddTable(BaseTable(7)), "add table");
-    std::unique_ptr<DaisyEngine> engine = MakeCleanEngine(&db, workers);
-    (void)UnwrapOrDie(engine->Query(QueryFor(0)), "warm query");
-
-    Timer timer;
-    size_t served = 0;
-    ClientThread(engine.get(), &served);
-    const double wall = timer.ElapsedSeconds();
-    const double qps = static_cast<double>(served) / wall;
-    if (workers == 1) base_morsel_qps = qps;
-    std::printf("  %-16zu %10.3f %12.1f %8.2fx\n", workers, wall, qps,
-                qps / base_morsel_qps);
-    BenchResult r;
-    r.name = "morsel_filter_workers_" + std::to_string(workers);
-    r.wall_ms = wall * 1000;
-    r.counters = {{"queries_per_s", qps},
-                  {"speedup_vs_1", qps / base_morsel_qps}};
-    json.Add(std::move(r));
-  }
-
   // ----------------------------------------- degraded-read-only serving --
   // Persistence dies mid-checkpoint (injected fsync failure), the engine
   // degrades to read-only, and the same read mix keeps hammering it: reads
@@ -204,7 +174,7 @@ int main() {
     Database db;
     CheckOk(db.AddTable(BaseTable(7)), "add table");
     persist::FaultInjectingEnv fenv;  // must outlive the engine's WAL file
-    std::unique_ptr<DaisyEngine> engine = MakeCleanEngine(&db, 1);
+    std::unique_ptr<DaisyEngine> engine = MakeCleanEngine(&db);
     CheckOk(engine->EnablePersistence(ScratchDir() + "/state", &fenv),
             "enable persistence");
     fenv.FailNthSync(fenv.syncs() + 1, EIO);

@@ -140,22 +140,6 @@ void BM_ThetaJoin50kIncremental(benchmark::State& state) {
 }
 BENCHMARK(BM_ThetaJoin50kIncremental)->Unit(benchmark::kMillisecond);
 
-// DetectAll worker-pool scaling on the flat layout (deterministic merge).
-void BM_ThetaJoinParallelDetectAll(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  Table t = MakeSalaryTable(4000, 0.02);
-  auto dc = ParseConstraint("dc: !(t1.salary < t2.salary & t1.tax > t2.tax)",
-                            "emp", t.schema())
-                .ValueOrDie();
-  for (auto _ : state) {
-    ThetaJoinDetector detector(&t, &dc, 32, threads);
-    auto v = detector.DetectAll();
-    benchmark::DoNotOptimize(v.size());
-  }
-  state.SetLabel("threads=" + std::to_string(threads));
-}
-BENCHMARK(BM_ThetaJoinParallelDetectAll)->Arg(1)->Arg(2)->Arg(4);
-
 // Estimate_Errors: binary-searched range counts over the per-partition
 // sorted projections (was a linear partition rescan per atom pair).
 void BM_EstimateErrors(benchmark::State& state) {

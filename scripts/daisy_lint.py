@@ -54,9 +54,8 @@ RAW_THREAD_EXEMPT = {
     "src/common/thread_annotations.h",
 }
 # std::thread (but not raw mutexes) is allowed in the approved pool files.
+# Queries run on the calling thread; only the server spawns threads.
 THREAD_POOL_FILES = {
-    "src/plan/plan_node.cc",     # morsel worker pool
-    "src/detect/theta_join.cc",  # DetectAll partition scan pool
     "src/server/server.cc",      # accept/worker/watchdog threads
     "src/server/server.h",
 }

@@ -65,9 +65,11 @@ FIXTURES = [
      "void f() { std::shared_lock<std::shared_mutex> l(mu); }\n", 2),
     ("raw thread flagged outside pool files", "src/x/i.cc",
      "#include <thread>\nvoid f() { std::thread t; t.join(); }\n", 1),
-    ("thread allowed in pool file", "src/plan/plan_node.cc",
+    ("thread allowed in pool file", "src/server/server.cc",
      "#include <thread>\nvoid f() { std::thread t; t.join(); }\n", 0),
-    ("mutex NOT allowed in pool file", "src/plan/plan_node.cc",
+    ("thread flagged in the plan layer", "src/plan/plan_node.cc",
+     "#include <thread>\nvoid f() { std::thread t; t.join(); }\n", 1),
+    ("mutex NOT allowed in pool file", "src/server/server.cc",
      "#include <mutex>\nstd::mutex mu;\n", 1),
     ("wrapper header exempt", "src/common/mutex.h",
      "#include <mutex>\nstd::mutex mu;\nstd::condition_variable cv;\n", 0),

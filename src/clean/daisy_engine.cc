@@ -1,8 +1,6 @@
 #include "clean/daisy_engine.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <string>
 
 #include "common/logger.h"
@@ -15,15 +13,6 @@
 namespace daisy {
 
 namespace {
-
-// A malformed override must not be silently dropped (strtol parses
-// "banana" to 0, which the old `n > 0` guard swallowed) — warn loudly,
-// naming the variable and the bad value, and keep the previous setting.
-void WarnBadOverride(const char* var, const char* value,
-                     const char* expected) {
-  LogWarn("engine", "ignoring malformed environment override",
-          {{"var", var}, {"value", value}, {"expected", expected}});
-}
 
 // Cached instrument pointers for the engine hot paths — one registry
 // lookup per process, one relaxed atomic add per event thereafter.
@@ -65,55 +54,17 @@ struct EngineMetrics {
   }
 };
 
-// Applies `var` to `*flag` iff it holds exactly "0"/"false"/"1"/"true".
-// Returns true when the variable was set (well-formed or not).
-bool ApplyBoolEnv(const char* var, bool* flag) {
-  const char* v = std::getenv(var);
-  if (v == nullptr) return false;
-  const std::string s(v);
-  if (s == "0" || s == "false") {
-    *flag = false;
-  } else if (s == "1" || s == "true") {
-    *flag = true;
-  } else {
-    WarnBadOverride(var, v, "\"0\", \"1\", \"false\", or \"true\"");
-  }
-  return true;
-}
-
-// Applies `var` to `*count` iff it parses fully as a positive integer:
-// no leading junk, no trailing junk, no "-4", no "0", no overflow.
-bool ApplyThreadCountEnv(const char* var, size_t* count) {
-  const char* v = std::getenv(var);
-  if (v == nullptr) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long n = std::strtol(v, &end, 10);
-  if (errno != 0 || end == v || *end != '\0' || n <= 0) {
-    WarnBadOverride(var, v, "a positive integer");
-  } else {
-    *count = static_cast<size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 void ApplyEnvOverrides(DaisyOptions* options) {
-  bool fired = false;
-  fired |= ApplyBoolEnv("DAISY_OPTIMIZER", &options->optimizer);
-  fired |= ApplyThreadCountEnv("DAISY_DETECT_THREADS",
-                               &options->detect_threads);
-  fired |= ApplyThreadCountEnv("DAISY_QUERY_THREADS",
-                               &options->query_threads);
   // The override silently replacing explicitly passed options would be a
-  // debugging trap outside CI (e.g. vars left exported from reproducing
-  // the ablation leg locally) — announce it once per process.
-  if (fired) {
+  // debugging trap outside CI (e.g. the variable left exported from
+  // reproducing the ablation leg locally) — announce it once per process.
+  if (ApplyOptimizerEnv(&options->optimizer)) {
     static const bool announced = [] {
       LogInfo("engine",
-              "DAISY_OPTIMIZER/DAISY_DETECT_THREADS/DAISY_QUERY_THREADS set: "
-              "overriding DaisyOptions (CI ablation hook)");
+              "DAISY_OPTIMIZER set: overriding DaisyOptions (CI ablation "
+              "hook)");
       return true;
     }();
     (void)announced;
@@ -240,7 +191,7 @@ Status DaisyEngine::Prepare() {
     ProvenanceStore* prov = &provenance_[dc.table()];
     if (!dc.IsFd()) {
       state.theta = std::make_unique<ThetaJoinDetector>(
-          table, &dc, options_.theta_partitions, options_.detect_threads);
+          table, &dc, options_.theta_partitions);
     } else {
       // One grouping pass serves both the delta-maintained detector and
       // the precomputed statistics (ExportStats ≡ Statistics::Compute for
@@ -334,12 +285,8 @@ Result<Plan> DaisyEngine::MakePlan(const SelectStmt& stmt) {
   if (!prepared_) {
     return Status::Internal("DaisyEngine::Prepare() must be called first");
   }
-  Planner planner(db_);
-  planner.set_optimizer(options_.optimizer);
-  DAISY_ASSIGN_OR_RETURN(Plan plan,
-                         planner.PlanQuery(stmt, plan_context_.get()));
-  plan.set_worker_threads(options_.query_threads);
-  return plan;
+  Planner planner(db_, options_.optimizer);
+  return planner.PlanQuery(stmt, plan_context_.get());
 }
 
 Result<QueryReport> DaisyEngine::ExecutePlanLocked(Plan* plan, bool read_path,

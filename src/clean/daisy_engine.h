@@ -54,9 +54,6 @@ struct DaisyOptions {
   double accuracy_threshold = 0.5;
   /// Theta-join matrix partitions (p).
   size_t theta_partitions = 16;
-  /// Worker threads for the theta-join DetectAll partition scan (1 =
-  /// serial). Results are deterministic for any value.
-  size_t detect_threads = 1;
   /// Cost-based optimizer pass (src/plan/optimizer.h): DP join ordering
   /// and cleanσ placement between Planner lowering and execution. Off =
   /// the syntactic left-deep plan. Outputs
@@ -65,9 +62,6 @@ struct DaisyOptions {
   /// qualifying set — the query-driven ideal), so the flag is
   /// semantics-affecting for WAL replay and persisted with snapshots.
   bool optimizer = true;
-  /// Morsel workers for a single query's Scan+Filter chains (1 = serial).
-  /// Results are deterministic for any value.
-  size_t query_threads = 1;
   /// TryRecover() backoff: first retry is admitted `recover_backoff_ms`
   /// after a failed attempt, doubling per failure up to the cap. The first
   /// attempt after entering degraded mode is always admitted.
@@ -75,14 +69,14 @@ struct DaisyOptions {
   uint32_t recover_backoff_max_ms = 10000;
 };
 
-/// CI ablation hooks: when the environment variables DAISY_OPTIMIZER
-/// ("0"/"1"/"true"/"false"), DAISY_DETECT_THREADS, or DAISY_QUERY_THREADS
-/// (positive integers) are set, they override the corresponding fields so
-/// the whole test suite can run with a non-default configuration (see the
-/// ablation leg in .github/workflows). A no-op when no variable is set.
-/// Malformed values are rejected with a structured-log warning naming the
-/// variable and the bad value; the option keeps its previous setting.
-/// Applied by the DaisyEngine constructor.
+/// CI ablation hook: when the environment variable DAISY_OPTIMIZER
+/// ("0"/"1"/"true"/"false") is set, it overrides `optimizer` so the whole
+/// test suite can run under the FROM-order plan (see the ablation leg in
+/// .github/workflows). A no-op when the variable is unset. A malformed
+/// value is rejected with a structured-log warning naming the variable and
+/// the bad value; the option keeps its previous setting (the one parser is
+/// ApplyOptimizerEnv in plan/planner.h). Applied by the DaisyEngine
+/// constructor.
 void ApplyEnvOverrides(DaisyOptions* options);
 
 /// Engine health state machine (see docs/architecture.md). Transitions are
@@ -278,7 +272,7 @@ class DaisyEngine {
   /// restarting. The semantics-affecting options (mode, accuracy
   /// threshold, partitions, optimizer) are adopted from the snapshot so
   /// the replay runs under the config that produced the log; only
-  /// `options`' perf knobs (thread counts) take effect. A snapshot whose
+  /// `options`' recovery-backoff fields take effect. A snapshot whose
   /// meta section records statistics or theta-join pruning as off (written
   /// by an engine that still had those switches) is rejected with a
   /// ParseError: its log cannot replay bit-identically here.

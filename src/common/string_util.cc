@@ -52,4 +52,23 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+Result<uint64_t> ParseUintInRange(std::string_view text, uint64_t lo,
+                                  uint64_t hi) {
+  auto reject = [&]() {
+    return Status::InvalidArgument(
+        "'" + std::string(text) + "' is not an integer in [" +
+        std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  };
+  if (text.empty()) return reject();
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return reject();
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return reject();
+    value = value * 10 + digit;
+  }
+  if (value < lo || value > hi) return reject();
+  return value;
+}
+
 }  // namespace daisy

@@ -3,9 +3,12 @@
 #ifndef DAISY_COMMON_STRING_UTIL_H_
 #define DAISY_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/status.h"
 
 namespace daisy {
 
@@ -24,6 +27,14 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep);
+
+/// Parses the whole of `text` as a decimal integer in [lo, hi]: one or
+/// more ASCII digits and nothing else — no sign, no whitespace, no leading
+/// or trailing junk. An empty string, overflow or an out-of-range value is
+/// InvalidArgument naming the text and the range. For numbers that come
+/// from outside the process (command-line flags, socket addresses).
+Result<uint64_t> ParseUintInRange(std::string_view text, uint64_t lo,
+                                  uint64_t hi);
 
 }  // namespace daisy
 

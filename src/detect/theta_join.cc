@@ -1,10 +1,8 @@
 #include "detect/theta_join.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 namespace daisy {
 
@@ -49,11 +47,10 @@ using detail::RangeFeasible;
 
 ThetaJoinDetector::ThetaJoinDetector(const Table* table,
                                      const DenialConstraint* dc,
-                                     size_t partitions, size_t threads)
+                                     size_t partitions)
     : table_(table),
       dc_(dc),
-      requested_partitions_(std::max<size_t>(1, partitions)),
-      threads_(std::max<size_t>(1, threads)) {
+      requested_partitions_(std::max<size_t>(1, partitions)) {
   // Primary partition attribute: the first cross-tuple order-comparison atom;
   // falls back to the first atom's left column.
   sort_column_ = dc_->atoms().empty() ? 0 : dc_->atoms()[0].left_column;
@@ -493,32 +490,7 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectAll() {
   }
 
   std::vector<ViolationPair> out = std::move(drained);
-  const size_t workers = std::min(threads_, std::max<size_t>(1, cells.size()));
-  if (workers <= 1) {
-    for (const auto& [i, j] : cells) ScanCell(i, j, &out, &pairs_checked_);
-  } else {
-    // Each cell collects into its own buffer; buffers are concatenated in
-    // cell order afterwards, so the output is identical to the serial scan.
-    std::vector<std::vector<ViolationPair>> cell_out(cells.size());
-    std::vector<size_t> cell_pairs(cells.size(), 0);
-    std::atomic<size_t> next{0};
-    auto work = [&]() {
-      while (true) {
-        const size_t k = next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= cells.size()) break;
-        ScanCell(cells[k].first, cells[k].second, &cell_out[k],
-                 &cell_pairs[k]);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t t = 0; t < workers; ++t) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-    for (size_t k = 0; k < cells.size(); ++k) {
-      pairs_checked_ += cell_pairs[k];
-      out.insert(out.end(), cell_out[k].begin(), cell_out[k].end());
-    }
-  }
+  for (const auto& [i, j] : cells) ScanCell(i, j, &out, &pairs_checked_);
   std::fill(checked_.begin(), checked_.end(), true);
   checked_count_ = checked_.size();
   MergeIntoMaintained(out);

@@ -44,10 +44,6 @@
 // must not silently lose new-vs-checked-row coverage). Either way each
 // cross pair is checked exactly once and the maintained set stays
 // identical to a from-scratch DetectAll.
-//
-// DetectAll optionally fans the surviving partition cells out over a small
-// thread pool. Results are merged in cell order, so the violation vector is
-// identical for any thread count.
 
 #ifndef DAISY_DETECT_THETA_JOIN_H_
 #define DAISY_DETECT_THETA_JOIN_H_
@@ -113,14 +109,12 @@ struct ThetaPersistState {
 class ThetaJoinDetector {
  public:
   /// `partitions` is the paper's p (number of ranges the sorted domain is
-  /// split into); `threads` caps the DetectAll worker pool (1 = serial).
-  /// The table and constraint must outlive the detector.
+  /// split into). The table and constraint must outlive the detector.
   ThetaJoinDetector(const Table* table, const DenialConstraint* dc,
-                    size_t partitions = 16, size_t threads = 1);
+                    size_t partitions = 16);
 
   /// Checks the full upper-triangle matrix (both tuple orientations per
-  /// pair) with partition pruning. Marks every row checked. The result is
-  /// deterministic and independent of the thread count.
+  /// pair) with partition pruning. Marks every row checked.
   std::vector<ViolationPair> DetectAll();
 
   /// Partial theta-join: checks `result_rows` (must be sorted ascending)
@@ -203,9 +197,6 @@ class ThetaJoinDetector {
   void set_pruning_enabled(bool enabled) {
     if (pruning_enabled_ != enabled) pruning_enabled_ = enabled;
   }
-
-  /// DetectAll worker-pool size; clamped to at least 1.
-  void set_threads(size_t threads) { threads_ = threads == 0 ? 1 : threads; }
 
   /// Captures the coverage state for a snapshot (syncs with the table
   /// first, so pending deltas are folded in before the copy).
@@ -297,7 +288,6 @@ class ThetaJoinDetector {
   const Table* table_;
   const DenialConstraint* dc_;
   size_t requested_partitions_;
-  size_t threads_ = 1;
   bool pruning_enabled_ = true;
 
   size_t sort_column_ = 0;             ///< primary inequality attribute

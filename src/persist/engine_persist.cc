@@ -399,9 +399,8 @@ Result<std::unique_ptr<DaisyEngine>> DaisyEngine::Open(const std::string& dir,
 
   // The semantics-affecting options travel with the state: replaying the
   // WAL under a different mode/threshold/optimizer config would diverge
-  // from the engine that wrote it. The caller's perf knobs (thread
-  // counts) are kept — results are deterministic across those by
-  // contract.
+  // from the engine that wrote it. The caller's recovery-backoff fields
+  // are kept — they never change a result.
   options.mode = snap.options.mode == 0 ? DaisyOptions::Mode::kIncremental
                                         : DaisyOptions::Mode::kAdaptive;
   options.accuracy_threshold = snap.options.accuracy_threshold;

@@ -48,11 +48,10 @@ struct RuleSnapshot {
 };
 
 /// The semantics-affecting engine options, persisted so recovery replays
-/// the WAL under the exact configuration that produced it (the perf-only
-/// knobs — thread counts — are free to differ; results are deterministic
-/// across them by contract). Mirrors the corresponding
-/// DaisyOptions fields; kept as a separate struct so the persist layer
-/// does not depend on the engine header.
+/// the WAL under the exact configuration that produced it (the recovery-
+/// backoff fields are not persisted; they never change a result). Mirrors
+/// the corresponding DaisyOptions fields; kept as a separate struct so the
+/// persist layer does not depend on the engine header.
 struct PersistedEngineOptions {
   uint8_t mode = 1;  ///< 0 = kIncremental, 1 = kAdaptive
   double accuracy_threshold = 0.5;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "query/eval.h"
@@ -117,101 +116,14 @@ std::string FilterNode::Label() const {
 Status FilterNode::Open(ExecContext* ctx) {
   NodeStatsTimer timer(&stats_.open_us);
   DAISY_RETURN_IF_ERROR(child_rows_->Open(ctx));
-  parallel_ = false;
-  parallel_rows_.clear();
-  parallel_pos_ = 0;
   DAISY_ASSIGN_OR_RETURN(CompiledFilter compiled,
                          CompiledFilter::Compile(*table_, *expr_));
   compiled_ = std::make_unique<CompiledFilter>(std::move(compiled));
-  // Minimum-work gate: below two morsels the thread create/join overhead
-  // exceeds the scan itself, so small tables keep the serial pull.
-  if (ctx->worker_threads > 1 &&
-      children_[0]->kind() == Kind::kScan &&
-      table_->Snapshot().num_rows >= 2 * kMorselRows) {
-    DAISY_RETURN_IF_ERROR(ParallelScan(ctx));
-    parallel_ = true;
-  }
-  return Status::OK();
-}
-
-Status FilterNode::ParallelScan(ExecContext* ctx) {
-  // The child Scan was Opened (snapshot pinned, rows_scanned accounted)
-  // but is not pulled: the morsel pool scans the same pinned range
-  // directly against the compiled filter.
-  const size_t n = table_->Snapshot().num_rows;
-  const size_t morsels = (n + kMorselRows - 1) / kMorselRows;
-  std::vector<std::vector<RowId>> matches(morsels);
-  std::vector<size_t> live_in_morsel(morsels, 0);
-  std::atomic<size_t> next{0};
-  std::atomic<bool> interrupted{false};
-  auto work = [&]() {
-    while (true) {
-      const size_t m = next.fetch_add(1, std::memory_order_relaxed);
-      if (m >= morsels) break;
-      // Per-morsel cancellation probe (read-only, so safe off-thread); the
-      // serial CheckResources below records the cut after the pool joins.
-      if (interrupted.load(std::memory_order_relaxed) ||
-          ctx->InterruptRequested()) {
-        interrupted.store(true, std::memory_order_relaxed);
-        break;
-      }
-      const RowId lo = m * kMorselRows;
-      const RowId hi = std::min<RowId>(n, lo + kMorselRows);
-      std::vector<RowId>& out = matches[m];
-      for (RowId r = lo; r < hi; ++r) {
-        if (!table_->is_live(r)) continue;
-        ++live_in_morsel[m];
-        if (compiled_->Matches(r)) out.push_back(r);
-      }
-    }
-  };
-  const size_t workers =
-      std::min(ctx->worker_threads, std::max<size_t>(1, morsels));
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (size_t t = 0; t < workers; ++t) pool.emplace_back(work);
-  for (std::thread& t : pool) t.join();
-  if (interrupted.load(std::memory_order_relaxed)) {
-    // The same condition the workers observed still holds (cancel flags
-    // stay set, deadlines stay expired), so this records the cut here and
-    // returns the typed error; the partial morsel results are discarded.
-    DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
-  }
-
-  // Deterministic merge: morsel order == ascending row order == the exact
-  // stream the serial pull produces.
-  size_t total_live = 0, total_matches = 0;
-  for (size_t m = 0; m < morsels; ++m) {
-    total_live += live_in_morsel[m];
-    total_matches += matches[m].size();
-  }
-  parallel_rows_.reserve(total_matches);
-  for (std::vector<RowId>& m : matches) {
-    parallel_rows_.insert(parallel_rows_.end(), m.begin(), m.end());
-  }
-  // The bypassed Scan still reports what it (logically) produced; this
-  // node's own counters accrue as the materialized stream is served.
-  NodeStats& scan_stats = children_[0]->stats();
-  scan_stats.rows_out = total_live;
-  scan_stats.batches = morsels;
-  stats_.rows_in = total_live;
   return Status::OK();
 }
 
 Result<bool> FilterNode::NextBatch(ExecContext* ctx, RowIdBatch* out) {
   NodeStatsTimer timer(&stats_.next_us);
-  if (parallel_) {
-    DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
-    if (parallel_pos_ >= parallel_rows_.size()) return false;
-    const size_t count =
-        std::min(ctx->batch_size, parallel_rows_.size() - parallel_pos_);
-    out->assign(parallel_rows_.begin() + parallel_pos_,
-                parallel_rows_.begin() + parallel_pos_ + count);
-    parallel_pos_ += count;
-    stats_.rows_out += count;
-    ++stats_.batches;
-    return true;
-  }
   RowIdBatch in;
   DAISY_ASSIGN_OR_RETURN(bool more, child_rows_->NextBatch(ctx, &in));
   if (!more) return false;

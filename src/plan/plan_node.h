@@ -89,11 +89,6 @@ class PlanNode;
 /// Per-execution state threaded through the operator tree.
 struct ExecContext {
   size_t batch_size = 1024;
-  /// Morsel workers for the Scan+Filter chain (1 = serial). A compiled
-  /// Filter directly above a Scan fans row-range morsels out over a small
-  /// thread pool at Open and merges the matches in morsel order, so the
-  /// emitted row stream is identical for any worker count.
-  size_t worker_threads = 1;
   size_t rows_scanned = 0;  ///< Σ base-table rows opened by Scan nodes
   CleaningExecStats cleaning;
 
@@ -116,16 +111,6 @@ struct ExecContext {
   /// happens *between* units of work, so the state left behind is always
   /// a completed prefix.
   Status CheckResources(PlanNode* node);
-
-  /// Deadline/cancel probe without the serial bookkeeping — safe from
-  /// morsel worker threads (reads only). The owning node re-runs
-  /// CheckResources after joining its pool to record the cut.
-  bool InterruptRequested() const {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      return true;
-    }
-    return has_deadline && std::chrono::steady_clock::now() >= deadline;
-  }
 };
 
 /// Base of every physical operator.
@@ -247,25 +232,10 @@ class FilterNode : public RowSetNode {
   Result<bool> NextBatch(ExecContext* ctx, RowIdBatch* out) override;
 
  private:
-  /// Morsel granularity of the parallel scan; also sets the minimum-work
-  /// gate (tables under two morsels keep the serial pull).
-  static constexpr size_t kMorselRows = 4096;
-
-  /// Morsel-parallel evaluation over the child Scan's pinned row range:
-  /// workers claim fixed-size morsels off an atomic counter (the
-  /// detect_threads pool pattern of theta_join.cc) and the per-morsel
-  /// matches are concatenated in morsel order, so the materialized row
-  /// stream is bit-identical to the serial scan. Taken at Open when the
-  /// filter compiled, the child is a Scan, and ctx->worker_threads > 1.
-  Status ParallelScan(ExecContext* ctx);
-
   const Table* table_;
   const Expr* expr_;  ///< owned by the Plan (SplitWhere)
   std::unique_ptr<CompiledFilter> compiled_;  ///< rebuilt per execution
   RowSetNode* child_rows_;
-  bool parallel_ = false;            ///< morsel path taken this execution
-  std::vector<RowId> parallel_rows_; ///< materialized matches, morsel order
-  size_t parallel_pos_ = 0;
 };
 
 /// The one cleanσ step both plan placements run: the per-rule resource

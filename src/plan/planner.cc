@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/logger.h"
 #include "detect/theta_join.h"
 #include "plan/cardinality.h"
 #include "plan/optimizer.h"
@@ -60,7 +61,6 @@ std::vector<size_t> QueryColumnsForTable(const SelectStmt& stmt,
 Status Plan::Execute(ResultSink* sink) {
   ExecContext ctx;
   ctx.batch_size = batch_size_;
-  ctx.worker_threads = worker_threads_;
   ctx.row_limit = limits_.row_limit;
   ctx.cancel = limits_.cancel;
   ctx.trip_after_checks = limits_.trip_after_checks;
@@ -247,13 +247,24 @@ std::unique_ptr<PlanNode> BuildJoinTreeNode(
 
 }  // namespace
 
-Planner::Planner(Database* db) : db_(db) {
-  const char* env = std::getenv("DAISY_OPTIMIZER");
-  if (env != nullptr) {
-    const std::string v(env);
-    optimizer_ = !(v == "0" || v == "false");
+bool ApplyOptimizerEnv(bool* enabled) {
+  const char* v = std::getenv("DAISY_OPTIMIZER");
+  if (v == nullptr) return false;
+  const std::string s(v);
+  if (s == "0" || s == "false") {
+    *enabled = false;
+  } else if (s == "1" || s == "true") {
+    *enabled = true;
+  } else {
+    LogWarn("plan", "ignoring malformed environment override",
+            {{"var", "DAISY_OPTIMIZER"},
+             {"value", v},
+             {"expected", "\"0\", \"1\", \"false\", or \"true\""}});
   }
+  return true;
 }
+
+Planner::Planner(Database* db) : db_(db) { ApplyOptimizerEnv(&optimizer_); }
 
 Result<Plan> Planner::PlanQuery(const SelectStmt& stmt) {
   return PlanQuery(stmt, nullptr);

@@ -109,10 +109,6 @@ class Plan {
   /// Row-id batch granularity of the Scan/Filter pipeline.
   void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
 
-  /// Morsel workers for the Scan+Filter chains (see ExecContext); results
-  /// are identical for any value.
-  void set_worker_threads(size_t n) { worker_threads_ = n == 0 ? 1 : n; }
-
   /// Resource limits (deadline, row limit, cancel flag) applied to the
   /// next Execute(); the wall-clock timeout becomes a deadline at Execute
   /// entry. A cut execution (timeout/cancel) is NOT an error: Execute
@@ -153,20 +149,31 @@ class Plan {
   size_t rows_scanned_ = 0;
   bool executed_ = false;
   size_t batch_size_ = 1024;
-  size_t worker_threads_ = 1;
   ExecLimits limits_;
   QueryTermination termination_ = QueryTermination::kComplete;
   std::string cut_node_;
   uint64_t resource_checks_ = 0;
 };
 
+/// The one parser of the CI ablation switch DAISY_OPTIMIZER: "0"/"false"
+/// store false in `*enabled`, "1"/"true" store true. Any other value is
+/// rejected with a structured-log warning naming the variable and the bad
+/// value, and `*enabled` keeps its setting. Returns whether the variable is
+/// set (well-formed or not).
+bool ApplyOptimizerEnv(bool* enabled);
+
 /// Stateless plan builder over a database catalog.
 class Planner {
  public:
-  /// The constructor defaults the optimizer from DAISY_OPTIMIZER so bare
-  /// consumers (QueryExecutor) honor the ablation env directly; the Daisy
-  /// engine overrides it from DaisyOptions::optimizer right after.
+  /// Defaults the optimizer from DAISY_OPTIMIZER (ApplyOptimizerEnv) so
+  /// bare consumers (QueryExecutor) honor the ablation env directly.
   explicit Planner(Database* db);
+  /// Takes the optimizer setting as given, without reading the env; the
+  /// Daisy engine passes DaisyOptions::optimizer, which already had it
+  /// applied. Cost-based optimization (join reordering + cleanσ
+  /// placement, see plan/optimizer.h); off keeps the FROM-order left-deep
+  /// join tree.
+  Planner(Database* db, bool optimizer) : db_(db), optimizer_(optimizer) {}
 
   /// Cleaning-oblivious plan (plain SPJ + group-by).
   Result<Plan> PlanQuery(const SelectStmt& stmt);
@@ -176,9 +183,6 @@ class Planner {
   Result<Plan> PlanQuery(const SelectStmt& stmt,
                          const CleaningPlanContext* clean);
 
-  /// Cost-based optimization (join reordering + cleanσ placement, see
-  /// plan/optimizer.h). Off keeps the FROM-order left-deep join tree.
-  void set_optimizer(bool enabled) { optimizer_ = enabled; }
   bool optimizer() const { return optimizer_; }
 
  private:

@@ -135,6 +135,33 @@ TEST(StringUtilTest, TrimAndLowerAndJoin) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
 }
 
+TEST(StringUtilTest, ParseUintInRangeAcceptsPlainDecimals) {
+  EXPECT_EQ(ParseUintInRange("1", 1, 1024).value(), 1u);
+  EXPECT_EQ(ParseUintInRange("1024", 1, 1024).value(), 1024u);
+  EXPECT_EQ(ParseUintInRange("0", 0, 65535).value(), 0u);
+  EXPECT_EQ(ParseUintInRange("007", 0, 65535).value(), 7u);
+  EXPECT_EQ(ParseUintInRange("18446744073709551615", 0, UINT64_MAX).value(),
+            UINT64_MAX);
+}
+
+TEST(StringUtilTest, ParseUintInRangeRejectsEverythingElse) {
+  const char* bad[] = {"",   "-1", "+4",   " 4",  "4 ", "4x",    "x4",
+                       "0x10", "1e3", "4.0", "abc", "0",  "1025",
+                       "18446744073709551616", "99999999999999999999999"};
+  for (const char* text : bad) {
+    Result<uint64_t> r = ParseUintInRange(text, 1, 1024);
+    ASSERT_FALSE(r.ok()) << "'" << text << "' parsed as " << r.value();
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(r.status().message().find("[1, 1024]"), std::string::npos)
+        << r.status();
+  }
+  // Overflow is caught even when the range admits every uint64_t.
+  EXPECT_FALSE(ParseUintInRange("18446744073709551616", 0, UINT64_MAX).ok());
+  // A port range: 65536 overflows uint16 and must not wrap to 0.
+  EXPECT_FALSE(ParseUintInRange("65536", 0, 65535).ok());
+  EXPECT_FALSE(ParseUintInRange("70000", 0, 65535).ok());
+}
+
 // ------------------------------------------------------------------- CSV --
 
 TEST(CsvTest, ParsesPlainLine) {

@@ -16,8 +16,7 @@
 //    seeds.
 //
 // Plus: a TSAN-targeted mini-stress of pure shared-path readers (maximal
-// read overlap, zero writers), morsel-parallel filter determinism
-// (query_threads 1 vs 4), and snapshot/epoch unit checks.
+// read overlap, zero writers) and snapshot/epoch unit checks.
 
 #include <gtest/gtest.h>
 
@@ -135,8 +134,7 @@ struct Record {
   TableDelta delta;        // ingest
 };
 
-std::unique_ptr<DaisyEngine> MakeEngine(Database* db, uint64_t seed,
-                                        size_t query_threads = 1) {
+std::unique_ptr<DaisyEngine> MakeEngine(Database* db, uint64_t seed) {
   ConstraintSet rules;
   EXPECT_TRUE(
       rules.AddFromText("phi: FD s -> b", "t", TestSchema()).ok());
@@ -148,7 +146,6 @@ std::unique_ptr<DaisyEngine> MakeEngine(Database* db, uint64_t seed,
   options.mode = (seed % 2 == 0) ? DaisyOptions::Mode::kAdaptive
                                  : DaisyOptions::Mode::kIncremental;
   options.theta_partitions = 6;
-  options.query_threads = query_threads;
   auto engine = std::make_unique<DaisyEngine>(db, std::move(rules), options);
   EXPECT_TRUE(engine->Prepare().ok());
   return engine;
@@ -417,104 +414,6 @@ TEST(ConcurrencyStressTest, SharedReadersAfterConvergence) {
   }
   for (size_t t = 1; t < kThreads; ++t) {
     EXPECT_EQ(result_rows[t], result_rows[0]);
-  }
-}
-
-// ------------------------------------------------------ morsel determinism --
-
-// The morsel-parallel Scan+Filter path must be output- and
-// counter-identical to the serial pull. Small tables sit below the
-// minimum-work gate (two morsels), so the parallel engine must be
-// bit-equal there trivially; the large-table test below actually crosses
-// the gate.
-TEST(ConcurrencyStressTest, MorselParallelAboveGateMatchesSerial) {
-  // 12k rows >= 2 morsels: the parallel path engages. The DC data is
-  // mostly clean (b monotone in a, a handful of injected errors) so the
-  // theta-join work stays small and the test runs under TSAN.
-  auto build = [] {
-    Rng rng(3);
-    Table t("t", TestSchema());
-    for (size_t i = 0; i < 12000; ++i) {
-      const int64_t a = rng.UniformInt(0, 10000);
-      int64_t b = a / 40;
-      if (rng.Bernoulli(0.001)) b += 300;
-      EXPECT_TRUE(t.AppendRow({Value(a), Value(b),
-                               Value("s" + std::to_string(
-                                               rng.UniformInt(0, 2)))})
-                      .ok());
-    }
-    return t;
-  };
-  auto make_engine = [](Database* db, size_t query_threads) {
-    ConstraintSet rules;
-    EXPECT_TRUE(rules
-                    .AddFromText("psi: !(t1.a < t2.a & t1.b > t2.b)", "t",
-                                 TestSchema())
-                    .ok());
-    DaisyOptions options;
-    options.theta_partitions = 32;
-    options.query_threads = query_threads;
-    auto engine =
-        std::make_unique<DaisyEngine>(db, std::move(rules), options);
-    EXPECT_TRUE(engine->Prepare().ok());
-    return engine;
-  };
-  Database db_serial, db_parallel;
-  ASSERT_TRUE(db_serial.AddTable(build()).ok());
-  ASSERT_TRUE(db_parallel.AddTable(build()).ok());
-  std::unique_ptr<DaisyEngine> serial = make_engine(&db_serial, 1);
-  std::unique_ptr<DaisyEngine> parallel = make_engine(&db_parallel, 4);
-  for (const char* sql :
-       {"SELECT * FROM t WHERE a >= 7000", "SELECT a, b FROM t WHERE b < 50",
-        "SELECT * FROM t WHERE a = 4000", "SELECT s, b FROM t"}) {
-    QueryReport a = serial->Query(sql).ValueOrDie();
-    QueryReport b = parallel->Query(sql).ValueOrDie();
-    ExpectSameReports(a, b, sql);
-  }
-  EXPECT_TRUE(SameTables(*db_serial.GetTable("t").ValueOrDie(),
-                         *db_parallel.GetTable("t").ValueOrDie()));
-}
-
-TEST(ConcurrencyStressTest, MorselParallelFiltersMatchSerial) {
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    Database db_serial, db_parallel;
-    ASSERT_TRUE(db_serial.AddTable(BaseTable(seed)).ok());
-    ASSERT_TRUE(db_parallel.AddTable(BaseTable(seed)).ok());
-    std::unique_ptr<DaisyEngine> serial = MakeEngine(&db_serial, seed, 1);
-    std::unique_ptr<DaisyEngine> parallel = MakeEngine(&db_parallel, seed, 4);
-
-    const std::vector<PlannedOp> ops = PlanThreadOps(seed, 0);
-    std::vector<RowId> my_live_serial;
-    for (const PlannedOp& op : ops) {
-      if (op.kind == PlannedOp::Kind::kQuery) {
-        QueryReport a = serial->Query(op.sql).ValueOrDie();
-        QueryReport b = parallel->Query(op.sql).ValueOrDie();
-        ExpectSameReports(a, b, op.sql);
-      } else if (op.kind == PlannedOp::Kind::kAppend) {
-        ASSERT_TRUE(serial->AppendRows("t", op.rows).ok());
-        ASSERT_TRUE(parallel->AppendRows("t", op.rows).ok());
-      } else {
-        const size_t n = std::min(op.delete_count, my_live_serial.size());
-        if (n == 0) continue;
-        std::vector<RowId> victims(my_live_serial.begin(),
-                                   my_live_serial.begin() + n);
-        my_live_serial.erase(my_live_serial.begin(),
-                             my_live_serial.begin() + n);
-        ASSERT_TRUE(serial->DeleteRows("t", victims).ok());
-        ASSERT_TRUE(parallel->DeleteRows("t", victims).ok());
-      }
-      if (op.kind == PlannedOp::Kind::kAppend) {
-        // Track appended ids for later deletes (both engines agree on ids).
-        const Table* t = db_serial.GetTable("t").ValueOrDie();
-        const size_t rows = t->num_rows();
-        for (size_t i = rows - op.rows.size(); i < rows; ++i) {
-          my_live_serial.push_back(i);
-        }
-      }
-    }
-    EXPECT_TRUE(SameTables(*db_serial.GetTable("t").ValueOrDie(),
-                           *db_parallel.GetTable("t").ValueOrDie()));
   }
 }
 

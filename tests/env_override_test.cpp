@@ -1,44 +1,39 @@
-// Pins ApplyEnvOverrides (src/clean/daisy_engine.cc): well-formed values
-// override DaisyOptions, malformed values are rejected with a structured-
-// log warning (JSON on stderr, common/logger.h) naming the variable and
-// the bad value, and the option keeps its previous setting — never a
-// silent drop, never a garbage parse.
+// Pins the DAISY_OPTIMIZER override: well-formed values override
+// DaisyOptions (ApplyEnvOverrides, src/clean/daisy_engine.cc) and the
+// default of a bare Planner (src/plan/planner.cc); malformed values are
+// rejected by the same parser, ApplyOptimizerEnv, with a structured-log
+// warning (JSON on stderr, common/logger.h) naming the variable and the bad
+// value, and the setting keeps its previous value — never a silent drop,
+// never a garbage parse.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <map>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "clean/daisy_engine.h"
+#include "plan/planner.h"
+#include "storage/database.h"
 
 namespace daisy {
 namespace {
 
-// The overrides read process-global env vars; save/clear them around each
+// The overrides read a process-global env var; save/clear it around each
 // test so results do not depend on the caller's environment (e.g. the CI
-// ablation leg exporting DAISY_DETECT_THREADS for the whole suite).
+// ablation leg exporting DAISY_OPTIMIZER for the whole suite).
 class EnvOverrideTest : public ::testing::Test {
  protected:
-  static constexpr const char* kVars[] = {
-      "DAISY_OPTIMIZER", "DAISY_DETECT_THREADS", "DAISY_QUERY_THREADS"};
-
   void SetUp() override {
-    for (const char* var : kVars) {
-      if (const char* v = std::getenv(var)) saved_[var] = v;
-      ::unsetenv(var);
-    }
+    if (const char* v = std::getenv("DAISY_OPTIMIZER")) saved_ = v;
+    ::unsetenv("DAISY_OPTIMIZER");
   }
 
   void TearDown() override {
-    for (const char* var : kVars) {
-      auto it = saved_.find(var);
-      if (it == saved_.end()) {
-        ::unsetenv(var);
-      } else {
-        ::setenv(var, it->second.c_str(), /*overwrite=*/1);
-      }
+    if (saved_.has_value()) {
+      ::setenv("DAISY_OPTIMIZER", saved_->c_str(), /*overwrite=*/1);
+    } else {
+      ::unsetenv("DAISY_OPTIMIZER");
     }
   }
 
@@ -52,18 +47,20 @@ class EnvOverrideTest : public ::testing::Test {
     return ::testing::internal::GetCapturedStderr();
   }
 
-  std::map<std::string, std::string> saved_;
+  // Constructs a bare Planner with DAISY_OPTIMIZER=`value` set, capturing
+  // stderr; returns the planner's optimizer default.
+  bool PlannerWith(const char* value, std::string* err) {
+    ::setenv("DAISY_OPTIMIZER", value, /*overwrite=*/1);
+    ::testing::internal::CaptureStderr();
+    Database db;
+    const Planner planner(&db);
+    *err = ::testing::internal::GetCapturedStderr();
+    ::unsetenv("DAISY_OPTIMIZER");
+    return planner.optimizer();
+  }
+
+  std::optional<std::string> saved_;
 };
-
-constexpr const char* EnvOverrideTest::kVars[];
-
-TEST_F(EnvOverrideTest, ValidThreadCountsOverride) {
-  DaisyOptions options;
-  ApplyWith("DAISY_DETECT_THREADS", "4", &options);
-  EXPECT_EQ(options.detect_threads, 4u);
-  ApplyWith("DAISY_QUERY_THREADS", "8", &options);
-  EXPECT_EQ(options.query_threads, 8u);
-}
 
 TEST_F(EnvOverrideTest, ValidBoolsOverride) {
   DaisyOptions options;
@@ -77,37 +74,6 @@ TEST_F(EnvOverrideTest, ValidBoolsOverride) {
   EXPECT_TRUE(options.optimizer);
 }
 
-TEST_F(EnvOverrideTest, MalformedThreadCountWarnsAndKeepsSetting) {
-  const struct {
-    const char* var;
-    const char* value;
-  } cases[] = {
-      {"DAISY_DETECT_THREADS", "banana"},
-      {"DAISY_DETECT_THREADS", "-4"},
-      {"DAISY_DETECT_THREADS", "0"},
-      {"DAISY_DETECT_THREADS", "4x"},
-      {"DAISY_DETECT_THREADS", ""},
-      {"DAISY_QUERY_THREADS", "not-a-number"},
-      {"DAISY_QUERY_THREADS", "-1"},
-      {"DAISY_QUERY_THREADS", "999999999999999999999999"},
-  };
-  for (const auto& c : cases) {
-    DaisyOptions options;
-    options.detect_threads = 3;
-    options.query_threads = 5;
-    const std::string err = ApplyWith(c.var, c.value, &options);
-    EXPECT_EQ(options.detect_threads, 3u) << c.var << "=" << c.value;
-    EXPECT_EQ(options.query_threads, 5u) << c.var << "=" << c.value;
-    EXPECT_NE(err.find("\"level\":\"warn\""), std::string::npos)
-        << c.var << "=" << c.value << " produced: " << err;
-    EXPECT_NE(err.find(c.var), std::string::npos)
-        << c.var << "=" << c.value << " produced: " << err;
-    EXPECT_NE(err.find(std::string("\"") + c.value + "\""),
-              std::string::npos)
-        << c.var << "=" << c.value << " produced: " << err;
-  }
-}
-
 TEST_F(EnvOverrideTest, MalformedBoolWarnsAndKeepsSetting) {
   const char* bad_values[] = {"maybe", "2", "yes", "TRUE", ""};
   for (const char* value : bad_values) {
@@ -119,13 +85,42 @@ TEST_F(EnvOverrideTest, MalformedBoolWarnsAndKeepsSetting) {
         << "DAISY_OPTIMIZER=" << value << " produced: " << err;
     EXPECT_NE(err.find("DAISY_OPTIMIZER"), std::string::npos)
         << "DAISY_OPTIMIZER=" << value << " produced: " << err;
+    EXPECT_NE(err.find(std::string("\"") + value + "\""), std::string::npos)
+        << "DAISY_OPTIMIZER=" << value << " produced: " << err;
   }
+}
+
+// A bare Planner (QueryExecutor's) reads the variable through the same
+// strict parser as ApplyEnvOverrides: a malformed value keeps the optimizer
+// on and is logged, never read as "on" in silence.
+TEST_F(EnvOverrideTest, BarePlannerWarnsOnMalformedValue) {
+  std::string err;
+  EXPECT_TRUE(PlannerWith("off", &err));
+  EXPECT_NE(err.find("\"level\":\"warn\""), std::string::npos) << err;
+  EXPECT_NE(err.find("DAISY_OPTIMIZER"), std::string::npos) << err;
+  EXPECT_NE(err.find("\"off\""), std::string::npos) << err;
+}
+
+TEST_F(EnvOverrideTest, BarePlannerHonorsWellFormedValues) {
+  std::string err;
+  EXPECT_FALSE(PlannerWith("0", &err));
+  EXPECT_TRUE(err.empty()) << err;
+  EXPECT_FALSE(PlannerWith("false", &err));
+  EXPECT_TRUE(PlannerWith("1", &err));
+  EXPECT_TRUE(PlannerWith("true", &err));
+  EXPECT_TRUE(err.empty()) << err;
+  Database db;
+  EXPECT_TRUE(Planner(&db).optimizer());  // unset: on
+  // The engine's constructor takes the setting as given.
+  ::setenv("DAISY_OPTIMIZER", "1", /*overwrite=*/1);
+  EXPECT_FALSE(Planner(&db, false).optimizer());
+  ::unsetenv("DAISY_OPTIMIZER");
 }
 
 TEST_F(EnvOverrideTest, ValidValueDoesNotWarn) {
   DaisyOptions options;
-  const std::string err = ApplyWith("DAISY_DETECT_THREADS", "2", &options);
-  EXPECT_EQ(options.detect_threads, 2u);
+  const std::string err = ApplyWith("DAISY_OPTIMIZER", "0", &options);
+  EXPECT_FALSE(options.optimizer);
   EXPECT_EQ(err.find("\"level\":\"warn\""), std::string::npos) << err;
 }
 
@@ -135,8 +130,6 @@ TEST_F(EnvOverrideTest, NoVariablesSetIsANoOp) {
   ::testing::internal::CaptureStderr();
   ApplyEnvOverrides(&options);
   const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_EQ(options.detect_threads, defaults.detect_threads);
-  EXPECT_EQ(options.query_threads, defaults.query_threads);
   EXPECT_EQ(options.optimizer, defaults.optimizer);
   EXPECT_TRUE(err.empty()) << err;
 }

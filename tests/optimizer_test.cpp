@@ -564,8 +564,7 @@ size_t ExpectMatchesOracle(Database* db, const std::string& sql) {
   if (!want.ok()) return 0;
   const SelectStmt stmt = ParseQuery(sql).ValueOrDie();
   for (bool optimizer : {true, false}) {
-    Planner planner(db);
-    planner.set_optimizer(optimizer);
+    Planner planner(db, optimizer);
     Result<Plan> plan = planner.PlanQuery(stmt);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     if (!plan.ok()) continue;

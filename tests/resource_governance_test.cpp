@@ -12,8 +12,8 @@
 // idempotent and confluent).
 //
 // The trip sweep doubles as cut-site coverage: across plan shapes the
-// recorded cut_node labels must span Scan, Filter, CleanSelect, a join,
-// and the output node.
+// recorded cut_node labels must span Scan, CleanSelect, a join, and the
+// output node.
 
 #include <gtest/gtest.h>
 
@@ -147,10 +147,10 @@ TEST(Timeout, ZeroBudgetCutsAtFirstBoundary) {
   EXPECT_GT(r.value().resource_checks, 0u);
 }
 
-TEST(Timeout, CutsMorselParallelFilter) {
-  // Enough rows for >= 2 morsels of 4096 so the compiled Filter actually
-  // fans out; the cut is still observed at the serial boundary after the
-  // pool joins, regardless of worker count.
+TEST(Timeout, CutsMultiBatchFilter) {
+  // Ten 1024-row batches through the compiled Filter: the expired deadline
+  // cuts the pull at its first boundary check, and the engine still
+  // serves the same query in full afterwards.
   RunState run;
   Table big("big", Schema({{"k", ValueType::kInt}, {"x", ValueType::kDouble}}));
   for (int64_t i = 0; i < 10000; ++i) {
@@ -158,10 +158,7 @@ TEST(Timeout, CutsMorselParallelFilter) {
         big.AppendRow({Value(i), Value(static_cast<double>(i % 97))}).ok());
   }
   ASSERT_TRUE(run.db.AddTable(std::move(big)).ok());
-  DaisyOptions options;
-  options.query_threads = 4;
-  run.engine =
-      std::make_unique<DaisyEngine>(&run.db, ConstraintSet{}, options);
+  run.engine = std::make_unique<DaisyEngine>(&run.db, ConstraintSet{});
   ASSERT_TRUE(run.engine->Prepare().ok());
 
   QueryLimits limits;
@@ -234,46 +231,8 @@ TEST(TripSweep, CutsEveryBoundaryAndCoversAllNodeKinds) {
       cut_labels.insert(r.value().cut_node);
     }
   }
-  // In the serial pull the boundary check lives in the Scan below the
-  // Filter; the Filter-labeled site belongs to the morsel-parallel path,
-  // so cover it by sweeping a query big enough to engage the pool.
-  auto build_big = [](RunState* run) {
-    Table big("big",
-              Schema({{"k", ValueType::kInt}, {"x", ValueType::kDouble}}));
-    for (int64_t i = 0; i < 10000; ++i) {
-      ASSERT_TRUE(
-          big.AppendRow({Value(i), Value(static_cast<double>(i % 97))}).ok());
-    }
-    ASSERT_TRUE(run->db.AddTable(std::move(big)).ok());
-    DaisyOptions options;
-    options.query_threads = 4;
-    run->engine =
-        std::make_unique<DaisyEngine>(&run->db, ConstraintSet{}, options);
-    ASSERT_TRUE(run->engine->Prepare().ok());
-  };
-  const std::string big_sql = "SELECT k FROM big WHERE x > 50";
-  uint64_t big_checks = 0;
-  {
-    RunState probe;
-    build_big(&probe);
-    Result<QueryReport> full = probe.engine->Query(big_sql);
-    ASSERT_TRUE(full.ok()) << full.status();
-    big_checks = full.value().resource_checks;
-    ASSERT_GT(big_checks, 0u);
-  }
-  for (uint64_t k = 1; k <= big_checks; ++k) {
-    SCOPED_TRACE("big trip at check " + std::to_string(k));
-    RunState run;
-    build_big(&run);
-    QueryLimits limits;
-    limits.trip_after_checks = k;
-    Result<QueryReport> r = run.engine->Query(big_sql, limits);
-    ASSERT_TRUE(r.ok()) << r.status();
-    EXPECT_EQ(r.value().termination, QueryTermination::kCancelled);
-    ASSERT_FALSE(r.value().cut_node.empty());
-    cut_labels.insert(r.value().cut_node);
-  }
-
+  // The Filter is not a boundary site: in the pull its checks live in the
+  // Scan below it.
   auto covered = [&](const std::string& prefix) {
     for (const std::string& label : cut_labels) {
       if (label.compare(0, prefix.size(), prefix) == 0) return true;
@@ -281,7 +240,6 @@ TEST(TripSweep, CutsEveryBoundaryAndCoversAllNodeKinds) {
     return false;
   };
   EXPECT_TRUE(covered("Scan ["));
-  EXPECT_TRUE(covered("Filter ["));
   EXPECT_TRUE(covered("CleanSelect ["));
   EXPECT_TRUE(covered("HashJoin [") || covered("CleanJoin ["))
       << "no join cut site recorded";

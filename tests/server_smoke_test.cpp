@@ -118,6 +118,50 @@ class DaisydProcess {
   int stdout_fd_ = -1;
 };
 
+/// fork/execs `binary` with `args`, its stdout and stderr on one pipe, and
+/// waits up to 30 s for it to exit (then SIGKILLs it). Returns the wait
+/// status; `*output` receives everything the child printed.
+int RunToExit(const char* binary, const std::vector<std::string>& args,
+              std::string* output) {
+  int pipefd[2];
+  if (::pipe(pipefd) != 0) return -1;
+  const pid_t pid = ::fork();
+  if (pid < 0) return -1;
+  if (pid == 0) {
+    ::dup2(pipefd[1], STDOUT_FILENO);
+    ::dup2(pipefd[1], STDERR_FILENO);
+    ::close(pipefd[0]);
+    ::close(pipefd[1]);
+    std::vector<char*> argv;
+    argv.push_back(const_cast<char*>(binary));
+    for (const std::string& a : args) {
+      argv.push_back(const_cast<char*>(a.c_str()));
+    }
+    argv.push_back(nullptr);
+    ::execv(binary, argv.data());
+    ::_exit(127);
+  }
+  ::close(pipefd[1]);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{pipefd[0], POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    char chunk[256];
+    const ssize_t n = ::read(pipefd[0], chunk, sizeof(chunk));
+    if (n <= 0) break;  // EOF: the child exited (or closed its output)
+    output->append(chunk, static_cast<size_t>(n));
+  }
+  ::close(pipefd[0]);
+  int status = 0;
+  if (::waitpid(pid, &status, WNOHANG) == 0) {
+    // Still running past the deadline (e.g. serving on a wrong port).
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+  }
+  return status;
+}
+
 class ServerSmokeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -415,6 +459,38 @@ TEST_F(ServerSmokeTest, MetricsScrapeSpansLayersAndDumpsOnSigterm) {
     EXPECT_NE(dumped.value().find(family), std::string::npos)
         << "dump missing " << family << "; page:\n" << dumped.value();
   }
+}
+
+// Numeric flags come from outside the process: a negative worker count or
+// an out-of-range port is a usage error (exit status 2, usage text), never
+// a crash, a thread storm or a silently wrong port.
+TEST_F(ServerSmokeTest, MalformedNumericFlagsExitWithUsage) {
+  const std::vector<std::vector<std::string>> bad_daisyd = {
+      {"--listen", "unix:" + sock_, "--workers", "-1"},
+      {"--listen", "unix:" + sock_, "--workers", "0"},
+      {"--listen", "unix:" + sock_, "--backlog", "4x"},
+      {"--listen", "tcp:127.0.0.1:70000"},
+      {"--listen", "tcp:127.0.0.1:abc"},
+  };
+  for (const std::vector<std::string>& args : bad_daisyd) {
+    std::string flags;
+    for (const std::string& a : args) flags += a + " ";
+    SCOPED_TRACE("daisyd " + flags);
+    std::string output;
+    const int status = RunToExit(DAISY_DAISYD_PATH, args, &output);
+    ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal; output: " << output;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << output;
+    EXPECT_NE(output.find("usage:"), std::string::npos) << output;
+    EXPECT_EQ(output.find("daisyd ready"), std::string::npos) << output;
+  }
+
+  std::string output;
+  const int status = RunToExit(
+      DAISY_CLI_PATH, {"--connect", "tcp:127.0.0.1:70000", "-e", ".health"},
+      &output);
+  ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal; output: " << output;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output;
+  EXPECT_NE(output.find("usage:"), std::string::npos) << output;
 }
 
 }  // namespace

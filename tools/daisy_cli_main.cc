@@ -19,7 +19,8 @@
 //   .quit
 //
 // Exit status: 0 on success; 1 when a statement failed (one-shot mode) or
-// the connection was lost.
+// the connection was lost; 2 on a usage error, such as a TCP port outside
+// 1..65535.
 
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "server/client.h"
 
 namespace {
@@ -259,19 +261,33 @@ int main(int argc, char** argv) {
   }
   if (connect.empty()) return Usage(argv[0]);
 
+  // tcp:HOST:PORT — a port that is not a plain decimal in 1..65535 is a
+  // usage error, never a silently wrong port.
+  std::string tcp_host;
+  int tcp_port = 0;
+  if (connect.rfind("tcp:", 0) == 0) {
+    const std::string hostport = connect.substr(4);
+    const size_t colon = hostport.rfind(':');
+    if (colon == std::string::npos) return Usage(argv[0]);
+    Result<uint64_t> port =
+        daisy::ParseUintInRange(hostport.substr(colon + 1), 1, 65535);
+    if (!port.ok()) {
+      // daisy-lint: allow(raw-stderr) CLI flag diagnostic, not engine logging
+      std::fprintf(stderr, "--connect port: %s\n",
+                   port.status().message().c_str());
+      return Usage(argv[0]);
+    }
+    tcp_host = hostport.substr(0, colon);
+    tcp_port = static_cast<int>(port.value());
+  }
+
   Result<std::unique_ptr<DaisyClient>> client =
       [&]() -> Result<std::unique_ptr<DaisyClient>> {
     if (connect.rfind("unix:", 0) == 0) {
       return DaisyClient::ConnectUnix(connect.substr(5));
     }
-    if (connect.rfind("tcp:", 0) == 0) {
-      const std::string hostport = connect.substr(4);
-      const size_t colon = hostport.rfind(':');
-      if (colon == std::string::npos) {
-        return Status::InvalidArgument("bad tcp spec: " + connect);
-      }
-      return DaisyClient::ConnectTcp(hostport.substr(0, colon),
-                                     std::atoi(hostport.c_str() + colon + 1));
+    if (tcp_port != 0) {
+      return DaisyClient::ConnectTcp(tcp_host, tcp_port);
     }
     return Status::InvalidArgument("bad --connect spec: " + connect);
   }();

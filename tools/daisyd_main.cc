@@ -22,9 +22,12 @@
 //   2. otherwise                      -> bootstrap from --table/--csv/--rule,
 //      then EnablePersistence(--data-dir) when a data dir was given.
 //
-// Environment overrides (DAISY_QUERY_THREADS, DAISY_DETECT_THREADS,
-// DAISY_OPTIMIZER) apply on top of defaults;
-// malformed values are ignored with a structured-log warning.
+// Numeric flags (--workers 1..1024, --backlog 1..65535, the TCP port
+// 0..65535, 0 = kernel-assigned) must be plain decimal integers in range;
+// anything else prints the usage text and exits with status 2.
+//
+// The environment override DAISY_OPTIMIZER applies on top of defaults; a
+// malformed value is ignored with a structured-log warning.
 //
 // Once serving, prints exactly one readiness line to stdout:
 //   daisyd ready unix=<path> tcp_port=<port|-1>
@@ -45,6 +48,7 @@
 #include "common/csv.h"
 #include "common/logger.h"
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "persist/io_util.h"
 #include "server/server.h"
 
@@ -77,6 +81,22 @@ int Usage(const char* argv0) {
       "          [--workers N] [--backlog N] [--metrics-dump PATH]\n",
       argv0);
   return 2;
+}
+
+/// Strictly parses the value of a numeric flag into `*out`. False, after
+/// naming the flag and the bad value, when the value is missing, not a
+/// plain decimal integer, or outside [lo, hi].
+bool ParseNumericFlag(const char* flag, const char* value, uint64_t lo,
+                      uint64_t hi, uint64_t* out) {
+  if (value == nullptr) return false;
+  Result<uint64_t> n = daisy::ParseUintInRange(value, lo, hi);
+  if (!n.ok()) {
+    // daisy-lint: allow(raw-stderr) flag-parse diagnostic before logger use
+    std::fprintf(stderr, "%s: %s\n", flag, n.status().message().c_str());
+    return false;
+  }
+  *out = n.value();
+  return true;
 }
 
 struct TableSpec {
@@ -208,8 +228,14 @@ int main(int argc, char** argv) {
         const std::string hostport = spec.substr(4);
         const size_t colon = hostport.rfind(':');
         if (colon == std::string::npos) return Usage(argv[0]);
+        uint64_t port = 0;  // 0 = kernel-assigned
+        if (!ParseNumericFlag("--listen port",
+                              hostport.c_str() + colon + 1, 0, 65535,
+                              &port)) {
+          return Usage(argv[0]);
+        }
         server_options.tcp_host = hostport.substr(0, colon);
-        server_options.tcp_port = std::atoi(hostport.c_str() + colon + 1);
+        server_options.tcp_port = static_cast<int>(port);
       } else {
         return Usage(argv[0]);
       }
@@ -233,13 +259,17 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       rule_specs.push_back(v);
     } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      server_options.worker_threads = static_cast<size_t>(std::atoi(v));
+      uint64_t n = 0;
+      if (!ParseNumericFlag("--workers", next(), 1, 1024, &n)) {
+        return Usage(argv[0]);
+      }
+      server_options.worker_threads = static_cast<size_t>(n);
     } else if (arg == "--backlog") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      server_options.accept_backlog = static_cast<size_t>(std::atoi(v));
+      uint64_t n = 0;
+      if (!ParseNumericFlag("--backlog", next(), 1, 65535, &n)) {
+        return Usage(argv[0]);
+      }
+      server_options.accept_backlog = static_cast<size_t>(n);
     } else if (arg == "--metrics-dump") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
