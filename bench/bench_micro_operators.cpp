@@ -4,15 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
-#include "clean/statistics.h"
 #include "common/rng.h"
 #include "datagen/ssb.h"
+#include "detect/fd_delta.h"
 #include "detect/fd_detector.h"
 #include "detect/theta_join.h"
 #include "plan/planner.h"
 #include "query/eval.h"
 #include "query/parser.h"
-#include "relax/relaxation.h"
 #include "repair/fd_repair.h"
 #include "storage/database.h"
 
@@ -39,9 +38,9 @@ void BM_RelaxFdResult(benchmark::State& state) {
   std::vector<RowId> answer;
   for (RowId r = 0; r < rows / 50; ++r) answer.push_back(r);
   // Built once per rule in production; each query only relaxes.
-  const FdRelaxIndex index(t, dc.fd());
+  const FdDeltaDetector index(&t, &dc);
   for (auto _ : state) {
-    RelaxResult res = index.Relax(t, dc.fd(), answer);
+    RelaxResult res = index.Relax(answer);
     benchmark::DoNotOptimize(res.extra.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -220,19 +219,18 @@ void BM_PlanFilterScan50k(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanFilterScan50k)->Unit(benchmark::kMillisecond);
 
-void BM_StatisticsCompute(benchmark::State& state) {
+// The per-rule FD index build DaisyEngine::Prepare runs: lhs groups, rhs
+// buckets and the ε / p counters in one pass over the live rows.
+void BM_FdIndexBuild(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
-  Database db;
-  (void)db.AddTable(MakeLineorder(rows, rows / 20, 50));
-  ConstraintSet rules;
-  (void)rules.AddFromText("phi: FD orderkey -> suppkey", "lineorder",
-                          db.GetTable("lineorder").ValueOrDie()->schema());
+  Table t = MakeLineorder(rows, rows / 20, 50);
+  DenialConstraint dc = OrderFd(t);
   for (auto _ : state) {
-    Statistics stats;
-    benchmark::DoNotOptimize(stats.Compute(db, rules).ok());
+    FdDeltaDetector index(&t, &dc);
+    benchmark::DoNotOptimize(index.stats().num_violating_rows);
   }
 }
-BENCHMARK(BM_StatisticsCompute)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_FdIndexBuild)->Arg(1000)->Arg(10000);
 
 }  // namespace
 }  // namespace daisy

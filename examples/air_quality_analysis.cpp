@@ -33,11 +33,11 @@ int main() {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  const auto* stats = engine.statistics().ForRule("phi");
+  const FdRuleStats stats = engine.fd_index("phi")->stats();
   std::printf(
       "airquality: %zu rows; %zu rows inside %zu violating county groups\n",
-      stats->table_rows, stats->num_violating_rows,
-      stats->num_violating_groups);
+      stats.table_rows, stats.num_violating_rows,
+      stats.num_violating_groups);
 
   // One query per analyzed location: average CO by year for a county.
   // The sampled counties span the popularity range, so some of them sit in
@@ -69,6 +69,6 @@ int main() {
       "analysis over 12 counties: %.1f ms total, %zu tuples repaired "
       "on demand (the remaining %zu dirty rows were never touched)\n",
       total.ElapsedMillis(), repaired_total,
-      stats->num_violating_rows - repaired_total);
+      stats.num_violating_rows - repaired_total);
   return 0;
 }

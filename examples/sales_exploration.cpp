@@ -47,10 +47,10 @@ int main() {
     return 1;
   }
 
-  const auto* stats = engine.statistics().ForRule("phi");
+  const FdRuleStats stats = engine.fd_index("phi")->stats();
   std::printf("lineorder: %zu rows, %zu violating rows in %zu dirty groups\n",
-              stats->table_rows, stats->num_violating_rows,
-              stats->num_violating_groups);
+              stats.table_rows, stats.num_violating_rows,
+              stats.num_violating_groups);
 
   // --- Workload: 20 SP range scans + 5 joins. ----------------------------
   auto sp_queries =

@@ -28,6 +28,13 @@ Rules (each scoped to the directories where the invariant applies):
               ``time(nullptr)``. Tests seed their PRNGs with constants so
               failures replay.
 
+  layering    [src/{common,storage,constraints,detect,repair}/]  No
+              ``#include`` of a ``clean/``, ``plan/``, ``persist/`` or
+              ``server/`` header: the data, rule, detection and repair
+              layers sit below the cleaning engine, the planner, the
+              persistence layer and the service, never the other way
+              round.
+
 A finding can be suppressed with an inline pragma on the same line or the
 line directly above, with a mandatory reason:
 
@@ -61,6 +68,10 @@ THREAD_POOL_FILES = {
 }
 
 SOURCE_EXTS = (".cc", ".h", ".cpp", ".hpp")
+
+# A preprocessor include on a comment-stripped line (strip_code blanks the
+# quoted path, so the layering rule reads the path off the raw line).
+INCLUDE_DIRECTIVE_RE = re.compile(r"^\s*#\s*include\b")
 
 RULES = [
     {
@@ -121,6 +132,18 @@ RULES = [
              "C PRNG; use a fixed-seed <random> engine"),
             (re.compile(r"\btime\s*\(\s*(nullptr|NULL|0)\s*\)"),
              "wall-clock seed; use a fixed constant"),
+        ],
+    },
+    {
+        "name": "layering",
+        "dirs": ("src/common", "src/storage", "src/constraints",
+                 "src/detect", "src/repair"),
+        "exempt": set(),
+        "includes_only": True,
+        "patterns": [
+            (re.compile(r'#\s*include\s*"(clean|plan|persist|server)/'),
+             "lower layer includes an engine-layer header (clean/, plan/, "
+             "persist/, server/)"),
         ],
     },
 ]
@@ -221,11 +244,15 @@ def lint_file(root, rel):
     allowed, bad_pragmas = allowances(raw_lines)
 
     findings = [(rel, ln, "lint", msg) for ln, msg in bad_pragmas]
-    top_dir = rel.split("/", 1)[0]
     for rule in RULES:
-        if top_dir not in rule["dirs"] or rel in rule["exempt"]:
+        if (not any(rel.startswith(d + "/") for d in rule["dirs"])
+                or rel in rule["exempt"]):
             continue
         for idx, line in enumerate(code_lines, start=1):
+            if rule.get("includes_only"):
+                if not INCLUDE_DIRECTIVE_RE.match(line):
+                    continue
+                line = raw_lines[idx - 1]
             for pattern, msg in rule["patterns"]:
                 if not pattern.search(line):
                     continue

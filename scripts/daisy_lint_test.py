@@ -82,6 +82,15 @@ FIXTURES = [
      "#include <random>\nstd::mt19937 rng(42);\n", 0),
     ("nondet not scoped to src", "src/x/j.cc",
      "#include <random>\nstd::random_device rd;\n", 0),
+    # --- layering ---
+    ("detect including a clean/ header flagged", "src/detect/fd_delta.h",
+     '#include "clean/statistics.h"\n#include "storage/table.h"\n', 1),
+    ("lower layers may include each other", "src/repair/p.cc",
+     '#include "detect/fd_detector.h"\n#include "storage/table.h"\n', 0),
+    ("engine layers may include lower ones", "src/clean/q.cc",
+     '#include "plan/planner.h"\n#include "detect/fd_delta.h"\n', 0),
+    ("commented-out include ignored", "src/storage/r.cc",
+     '// #include "server/wire.h"\n/* #include "plan/planner.h" */\n', 0),
 ]
 
 

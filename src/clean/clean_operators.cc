@@ -4,19 +4,18 @@
 #include <unordered_set>
 
 #include "query/eval.h"
-#include "relax/relaxation.h"
 #include "repair/dc_repair.h"
 #include "repair/fd_repair.h"
 
 namespace daisy {
 
 CleanSelect::CleanSelect(Table* table, const DenialConstraint* dc,
-                         ProvenanceStore* provenance, const Statistics* stats,
+                         ProvenanceStore* provenance, const FdDeltaDetector* fd,
                          ThetaJoinDetector* theta)
     : table_(table),
       dc_(dc),
       provenance_(provenance),
-      stats_(stats),
+      fd_(fd),
       theta_(theta) {
   checked_.assign(table_->num_rows(), false);
   for (RowId r = 0; r < checked_.size(); ++r) {
@@ -69,9 +68,6 @@ Status CleanSelect::ImportPersistState(const CleanSelectPersistState& state) {
   }
   pending_rows_ = state.pending_rows;
   pending_deltas_ = state.pending_deltas;
-  // The relaxation index stays lazy: its delta-maintained contents are
-  // bit-identical to a fresh build over the restored table.
-  relax_index_.reset();
   return Status::OK();
 }
 
@@ -99,13 +95,7 @@ void CleanSelect::ApplyDelta(const TableDelta& delta,
   for (RowId r : delta.appended) {
     if (table_->is_live(r)) pending_rows_.push_back(r);
   }
-  if (dc_->IsFd()) {
-    if (relax_index_ != nullptr) {
-      relax_index_->ApplyDelta(*table_, dc_->fd(), delta);
-    }
-  } else if (!delta.empty()) {
-    pending_deltas_.push_back(delta);
-  }
+  if (!dc_->IsFd() && !delta.empty()) pending_deltas_.push_back(delta);
 }
 
 Status CleanSelect::DrainPendingDeltas(CleanSelectResult* out,
@@ -177,6 +167,9 @@ Result<CleanSelectResult> CleanSelect::Run(
 
 Result<CleanSelectResult> CleanSelect::RunFd(
     const Expr* filter, const std::vector<RowId>& dirty_result) {
+  if (fd_ == nullptr) {
+    return Status::Internal("CleanSelect for an FD needs its FdDeltaDetector");
+  }
   CleanSelectResult out;
   out.final_rows = dirty_result;
   // The group statistics were delta-maintained at ingest; this query is the
@@ -201,29 +194,15 @@ Result<CleanSelectResult> CleanSelect::RunFd(
   }
 
   // Fast path 2: statistics pruning — the result touches no dirty group.
-  if (stats_ != nullptr &&
-      !stats_->RowsTouchDirty(*table_, *dc_, dirty_result)) {
+  if (!fd_->RowsTouchDirty(dirty_result)) {
     out.pruned = true;
     MarkChecked(dirty_result);
     return out;
   }
 
-  // (a) relax: correlated tuples via Algorithm 1, served from the per-rule
-  // correlation index (built once over the immutable original values).
-  if (relax_index_ == nullptr) {
-    relax_index_ = std::make_unique<FdRelaxIndex>(*table_, dc_->fd());
-  }
-  const FdRuleStats* rule_stats =
-      stats_ != nullptr ? stats_->ForRule(dc_->name()) : nullptr;
-  FdRelaxIndex::DirtyFilter dirty_filter;
-  const FdRelaxIndex::DirtyFilter* filter_ptr = nullptr;
-  if (rule_stats != nullptr) {
-    dirty_filter.lhs_keys = &rule_stats->dirty_lhs_keys;
-    dirty_filter.already_checked = &checked_;
-    filter_ptr = &dirty_filter;
-  }
-  RelaxResult relaxed =
-      relax_index_->Relax(*table_, dc_->fd(), dirty_result, filter_ptr);
+  // (a) relax: correlated tuples via Algorithm 1, expanded only from the
+  // unchecked rows of violating groups.
+  RelaxResult relaxed = fd_->Relax(dirty_result, &checked_);
   out.extra_tuples = relaxed.extra.size();
   out.relax_iterations = relaxed.iterations;
   out.tuples_scanned = relaxed.tuples_scanned;

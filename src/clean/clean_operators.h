@@ -13,14 +13,12 @@
 #ifndef DAISY_CLEAN_CLEAN_OPERATORS_H_
 #define DAISY_CLEAN_CLEAN_OPERATORS_H_
 
-#include <memory>
 #include <vector>
 
-#include "clean/statistics.h"
 #include "constraints/denial_constraint.h"
+#include "detect/fd_delta.h"
 #include "detect/theta_join.h"
 #include "query/ast.h"
-#include "relax/relaxation.h"
 #include "repair/provenance.h"
 #include "storage/table.h"
 
@@ -52,8 +50,8 @@ struct CleanSelectResult {
 
 /// The persistable slice of one CleanSelect: everything that accrues across
 /// queries and cannot be re-derived from the table alone. Snapshotted by
-/// the persistence layer; the lazily built relaxation index is excluded
-/// (its delta-maintained state is bit-identical to a fresh build).
+/// the persistence layer; the rule's FdDeltaDetector is excluded (its
+/// delta-maintained state is bit-identical to a fresh build).
 struct CleanSelectPersistState {
   std::vector<uint8_t> checked;        ///< one byte per row, 1 = checked
   std::vector<RowId> pending_rows;     ///< ingested, not yet settled
@@ -65,11 +63,12 @@ struct CleanSelectPersistState {
 /// information about the already checked tuples by each rule").
 class CleanSelect {
  public:
-  /// For general (non-FD) DCs pass a persistent ThetaJoinDetector; FDs pass
-  /// nullptr. `table`, `dc`, `provenance`, `stats`, `theta` must outlive
-  /// the operator.
+  /// FD rules pass the rule's FdDeltaDetector (relaxation and dirty-group
+  /// pruning read it) and a null `theta`; general DCs pass a persistent
+  /// ThetaJoinDetector and a null `fd`. `table`, `dc`, `provenance`, `fd`,
+  /// `theta` must outlive the operator.
   CleanSelect(Table* table, const DenialConstraint* dc,
-              ProvenanceStore* provenance, const Statistics* stats,
+              ProvenanceStore* provenance, const FdDeltaDetector* fd,
               ThetaJoinDetector* theta);
 
   /// Runs relax -> detect -> repair -> update for a select result.
@@ -87,8 +86,8 @@ class CleanSelect {
   /// `stale_rows` (live members of violating FD groups whose membership
   /// the batch changed — see FdDeltaDetector::ApplyDelta) lose their
   /// checked status so the next touching query re-repairs them against the
-  /// new data. FD rules also extend the correlation index; DC rules queue
-  /// the delta for a DetectDelta pass on the next Run.
+  /// new data. DC rules also queue the delta for a DetectDelta pass on the
+  /// next Run (FD rules read the detector the caller already patched).
   void ApplyDelta(const TableDelta& delta,
                   const std::vector<RowId>& stale_rows);
 
@@ -145,11 +144,8 @@ class CleanSelect {
   Table* table_;
   const DenialConstraint* dc_;
   ProvenanceStore* provenance_;
-  const Statistics* stats_;
+  const FdDeltaDetector* fd_;
   ThetaJoinDetector* theta_;
-  /// Lazily built correlation index over the FD's original values,
-  /// delta-maintained by ApplyDelta.
-  std::unique_ptr<FdRelaxIndex> relax_index_;
   std::vector<bool> checked_;
   size_t checked_count_ = 0;
   /// DC rules: ingest batches not yet delta-detected (drained in order).

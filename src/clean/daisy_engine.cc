@@ -180,7 +180,6 @@ std::vector<DaisyEngine::TableSummary> DaisyEngine::TableSummaries() const {
 Status DaisyEngine::Prepare() {
   WriterLock lock(&*mu_);
   epoch_ = 0;
-  statistics_.Clear();
   rules_.clear();
   provenance_.clear();
   for (const DenialConstraint& dc : constraints_.all()) {
@@ -193,16 +192,10 @@ Status DaisyEngine::Prepare() {
       state.theta = std::make_unique<ThetaJoinDetector>(
           table, &dc, options_.theta_partitions);
     } else {
-      // One grouping pass serves both the delta-maintained detector and
-      // the precomputed statistics (ExportStats ≡ Statistics::Compute for
-      // this rule — the differential harness pins the equivalence).
       state.fd_delta = std::make_unique<FdDeltaDetector>(table, &dc);
-      FdRuleStats stats;
-      state.fd_delta->ExportStats(&stats);
-      statistics_.Put(std::move(stats));
     }
-    state.op = std::make_unique<CleanSelect>(table, &dc, prov, &statistics_,
-                                             state.theta.get());
+    state.op = std::make_unique<CleanSelect>(
+        table, &dc, prov, state.fd_delta.get(), state.theta.get());
     rules_.emplace(dc.name(), std::move(state));
   }
 
@@ -210,7 +203,6 @@ Status DaisyEngine::Prepare() {
   // through the shared plan layer with these side-inputs.
   plan_context_ = std::make_unique<CleaningPlanContext>();
   plan_context_->constraints = &constraints_;
-  plan_context_->statistics = &statistics_;
   plan_context_->options.accuracy_threshold = options_.accuracy_threshold;
   plan_context_->adaptive = options_.mode == DaisyOptions::Mode::kAdaptive;
   for (auto& [name, state] : rules_) {
@@ -220,6 +212,7 @@ Status DaisyEngine::Prepare() {
     binding.op = state.op.get();
     binding.cost = &state.cost;
     binding.theta = state.theta.get();
+    binding.fd = state.fd_delta.get();
     plan_context_->rules.emplace(name, binding);
   }
   prepared_ = true;
@@ -488,8 +481,7 @@ Status DaisyEngine::ApplyDeltaToRules(const std::string& table_name,
     if (state.dc->table() != table_name) continue;
     std::vector<RowId> stale_rows;
     if (state.fd_delta != nullptr) {
-      stale_rows =
-          state.fd_delta->ApplyDelta(delta, statistics_.MutableForRule(name));
+      stale_rows = state.fd_delta->ApplyDelta(delta);
       // The batch changed these rows' violating groups, so their earlier
       // fixes no longer cover the data (Lemma 1 assumed a static relation):
       // drop this rule's records and let the next touching query re-derive
@@ -571,6 +563,12 @@ const CostModel* DaisyEngine::cost_model(const std::string& rule) const {
   ReaderLock lock(&*mu_);
   auto it = rules_.find(rule);
   return it == rules_.end() ? nullptr : &it->second.cost;
+}
+
+const FdDeltaDetector* DaisyEngine::fd_index(const std::string& rule) const {
+  ReaderLock lock(&*mu_);
+  auto it = rules_.find(rule);
+  return it == rules_.end() ? nullptr : it->second.fd_delta.get();
 }
 
 const ProvenanceStore* DaisyEngine::provenance(

@@ -26,7 +26,6 @@
 
 #include "clean/clean_operators.h"
 #include "clean/cost_model.h"
-#include "clean/statistics.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "constraints/constraint_set.h"
@@ -170,8 +169,8 @@ class DaisyEngine {
   DaisyEngine(DaisyEngine&&) noexcept;
   DaisyEngine& operator=(DaisyEngine&&) noexcept;
 
-  /// Precomputes statistics and builds the per-rule operators. Must be
-  /// called before Query().
+  /// Builds the per-rule state (an FD rule's FdDeltaDetector, a general
+  /// DC's ThetaJoinDetector) and operators. Must be called before Query().
   Status Prepare();
 
   /// Parses and executes `sql`, weaving cleanσ/clean⋈ into the plan.
@@ -212,8 +211,8 @@ class DaisyEngine {
                                      const QueryLimits& limits);
 
   /// Transactional ingest: appends `rows` to `table` and folds the delta
-  /// into every dependent rule's state in O(delta) — FD group statistics
-  /// and dirty sets, relaxation indexes, checked coverage; general-DC rules
+  /// into every dependent rule's state in O(delta) — an FD rule's groups,
+  /// rhs buckets and counters, checked coverage; general-DC rules
   /// queue the batch for a DetectDelta pass on the next touching query, so
   /// a post-ingest query pays new x old instead of a full re-detection.
   /// Must be called after Prepare().
@@ -221,7 +220,7 @@ class DaisyEngine {
                                 std::vector<std::vector<Value>> rows);
 
   /// Transactional ingest: tombstones `ids` in `table`, prunes their
-  /// violations/provenance, and updates the per-rule statistics — a rule
+  /// violations/provenance, and updates each FD rule's detector — a rule
   /// whose last violation disappears re-engages statistics pruning.
   Result<TableDelta> DeleteRows(const std::string& table,
                                 std::vector<RowId> ids);
@@ -327,12 +326,14 @@ class DaisyEngine {
   // returned reference/pointer is NOT protected afterwards: concurrent
   // writer operations mutate the pointed-to state (repairs append
   // provenance records, writer queries feed the cost model, ingest patches
-  // statistics). Only read through these while no concurrent writers run —
-  // single-threaded use, a quiesced workload, or caller-side
+  // the FD detectors). Only read through these while no concurrent writers
+  // run — single-threaded use, a quiesced workload, or caller-side
   // serialization.
   const ConstraintSet& constraints() const { return constraints_; }
-  const Statistics& statistics() const { return statistics_; }
   const CostModel* cost_model(const std::string& rule) const;
+  /// The FD rule's delta-maintained index (groups, rhs buckets, ε / p
+  /// counters); nullptr for unknown or non-FD rules.
+  const FdDeltaDetector* fd_index(const std::string& rule) const;
   const ProvenanceStore* provenance(const std::string& table) const;
   Database* database() { return db_; }
   const DaisyOptions& options() const { return options_; }
@@ -416,18 +417,17 @@ class DaisyEngine {
   /// parseable snapshot).
   Status RotateGenerationLocked() DAISY_REQUIRES(*mu_);
 
-  // Members NOT annotated GUARDED_BY(mu_), deliberately: db_, options_,
-  // constraints_ and statistics_ are handed out through unlocked inline
-  // accessors under the caller-side serialization contract documented
-  // above them, and every persistence field (persist_dir_ ... wal_replay_)
-  // is written by the static Open() path before the engine is shared and
-  // read by unlocked accessors afterwards. Annotating them would force
+  // Members NOT annotated GUARDED_BY(mu_), deliberately: db_, options_ and
+  // constraints_ are handed out through unlocked inline accessors under
+  // the caller-side serialization contract documented above them, and
+  // every persistence field (persist_dir_ ... wal_replay_) is written by
+  // the static Open() path before the engine is shared and read by
+  // unlocked accessors afterwards. Annotating them would force
   // locks onto paths whose protocol is "single-threaded by construction",
   // which the analysis cannot express.
   Database* db_;
   ConstraintSet constraints_;
   DaisyOptions options_;
-  Statistics statistics_;
   /// Engine-wide reader/writer lock: exclusive for anything that may
   /// mutate cleaning state (writer queries, ingest, CleanAllRemaining,
   /// ImportProvenance, Prepare), shared for quiescent-plan queries and
@@ -438,8 +438,7 @@ class DaisyEngine {
   std::map<std::string, RuleState> rules_ DAISY_GUARDED_BY(*mu_);
   std::map<std::string, ProvenanceStore> provenance_
       DAISY_GUARDED_BY(*mu_);  ///< by table name
-  /// Planner side-inputs pointing into rules_/statistics_; rebuilt by
-  /// Prepare().
+  /// Planner side-inputs pointing into rules_; rebuilt by Prepare().
   std::unique_ptr<CleaningPlanContext> plan_context_ DAISY_GUARDED_BY(*mu_);
   bool prepared_ DAISY_GUARDED_BY(*mu_) = false;
   /// Committed writer count; written under the exclusive lock, read under

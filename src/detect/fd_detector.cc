@@ -63,13 +63,4 @@ std::vector<FdGroup> DetectFdViolations(const Table& table,
   return out;
 }
 
-size_t CountFdViolatingRows(const Table& table, const DenialConstraint& dc) {
-  size_t count = 0;
-  for (const FdGroup& g :
-       DetectFdViolations(table, dc, table.AllRowIds(), false)) {
-    count += g.total();
-  }
-  return count;
-}
-
 }  // namespace daisy

@@ -33,10 +33,6 @@ std::vector<FdGroup> DetectFdViolations(const Table& table,
                                         const std::vector<RowId>& rows,
                                         bool include_clean = false);
 
-/// Count of rows that participate in some violating group of `dc` over the
-/// whole table — the paper's #vio statistic.
-size_t CountFdViolatingRows(const Table& table, const DenialConstraint& dc);
-
 /// Canonical ordering of detection output, shared by the from-scratch
 /// detectors above and the delta-maintained FdDeltaDetector so their group
 /// lists compare bit-identically: groups by lhs key (Value::Compare), each

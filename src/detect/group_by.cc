@@ -88,9 +88,4 @@ GroupMap GroupRowsBy(const Table& table, const std::vector<size_t>& columns,
   return groups;
 }
 
-GroupMap GroupAllRowsBy(const Table& table,
-                        const std::vector<size_t>& columns) {
-  return GroupRowsBy(table, columns, table.AllRowIds());
-}
-
 }  // namespace daisy

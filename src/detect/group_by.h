@@ -1,6 +1,5 @@
 // Hash-based grouping of table rows on column subsets — the BigDansing-style
-// O(n) detection primitive for FDs, and the statistics precomputation
-// primitive of the cost model.
+// O(n) detection primitive for FDs.
 //
 // Grouping runs on the table's columnar dictionary codes: each row
 // contributes one uint32_t per grouping column instead of hashing a Value
@@ -54,9 +53,6 @@ GroupKey MakeGroupKey(const Table& table, RowId r,
 /// table's columnar dictionary codes.
 GroupMap GroupRowsBy(const Table& table, const std::vector<size_t>& columns,
                      const std::vector<RowId>& rows);
-
-/// Groups all rows of `table` by `columns`.
-GroupMap GroupAllRowsBy(const Table& table, const std::vector<size_t>& columns);
 
 }  // namespace daisy
 

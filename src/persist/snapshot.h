@@ -12,10 +12,10 @@
 // The state sections capture what a restarted engine cannot cheaply
 // re-derive: per-rule checked bitmaps and pending ingest work, theta-join
 // coverage + maintained violation sets, cost-model ledgers, and the full
-// ProvenanceStore. FD group state and statistics are deliberately NOT
-// serialized: FdDeltaDetector's maintained state is bit-identical to a
-// fresh build over the restored rows (the PR 3 differential invariant), so
-// Prepare() reconstructs them in O(n) with no detection or repair work.
+// ProvenanceStore. FD group state is deliberately NOT serialized:
+// FdDeltaDetector's maintained state is bit-identical to a fresh build
+// over the restored rows (tests/differential_test.cpp pins it), so
+// Prepare() reconstructs it in O(n) with no detection or repair work.
 
 #ifndef DAISY_PERSIST_SNAPSHOT_H_
 #define DAISY_PERSIST_SNAPSHOT_H_

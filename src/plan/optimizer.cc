@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "clean/cost_model.h"
-#include "clean/statistics.h"
+#include "detect/fd_delta.h"
 
 namespace daisy {
 

@@ -98,9 +98,9 @@ std::unique_ptr<JoinTree> EnumerateJoinOrder(
 /// CostModel ledger (observed cumulative cost over observed result rows —
 /// the adaptive switch's own signal); before any sample is recorded it
 /// falls back to the statistics formula 1 + dirty_fraction x (1 +
-/// candidate_width), with the rule's maintained theta-violation count
-/// standing in for the dirty fraction when precomputed statistics are
-/// absent.
+/// candidate_width) over an FD rule's FdDeltaDetector::stats(), with the
+/// rule's maintained theta-violation count standing in for the dirty
+/// fraction when `rstats` is null (general DCs).
 double CleaningUnitCost(const CostModel* cost, const FdRuleStats* rstats,
                         size_t maintained_violations, double table_rows);
 

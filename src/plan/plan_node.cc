@@ -141,14 +141,14 @@ Result<bool> FilterNode::NextBatch(ExecContext* ctx, RowIdBatch* out) {
 
 CleanSelectStep::CleanSelectStep(Table* table, const DenialConstraint* dc,
                                  CleanSelect* op, CostModel* cost,
-                                 const FdRuleStats* rule_stats,
+                                 const FdDeltaDetector* fd,
                                  const Expr* filter, CleaningOptions options,
                                  bool adaptive)
     : table_(table),
       dc_(dc),
       op_(op),
       cost_(cost),
-      rule_stats_(rule_stats),
+      fd_(fd),
       filter_(filter),
       options_(options),
       adaptive_(adaptive) {}
@@ -190,8 +190,18 @@ Status CleanSelectStep::Run(ExecContext* ctx, PlanNode* node, bool deferred,
   // invocations did no relaxation/repair work and accrue no incremental
   // cost. The planner armed `adaptive_` at construction; the trigger itself
   // is inherently data-dependent.
-  const double width =
-      rule_stats_ != nullptr ? rule_stats_->avg_candidates : 2.0;
+  // FD rules read ε / violating groups / p off the rule's detector; DC
+  // rules fall back to fixed guesses.
+  FdRuleStats rule_stats;
+  if (fd_ != nullptr) {
+    rule_stats = fd_->stats();
+  } else {
+    rule_stats.num_violating_rows = table_->num_live_rows() / 10;
+    rule_stats.num_violating_groups =
+        std::max<size_t>(1, rule_stats.num_violating_rows / 10);
+    rule_stats.avg_candidates = 2.0;
+  }
+  const double width = rule_stats.avg_candidates;
   if (!cres.pruned) {
     QueryCostSample sample;
     sample.dataset_size = table_->num_live_rows();
@@ -203,14 +213,9 @@ Status CleanSelectStep::Run(ExecContext* ctx, PlanNode* node, bool deferred,
     cost_->RecordQuery(sample);
   }
   if (!adaptive_ || op_->fully_checked()) return Status::OK();
-  const size_t epsilon = rule_stats_ != nullptr
-                             ? rule_stats_->num_violating_rows
-                             : table_->num_live_rows() / 10;
-  const size_t groups = rule_stats_ != nullptr
-                            ? rule_stats_->num_violating_groups
-                            : std::max<size_t>(1, epsilon / 10);
-  if (!cost_->ShouldSwitchToFull(table_->num_live_rows(), groups, epsilon,
-                                 width)) {
+  if (!cost_->ShouldSwitchToFull(table_->num_live_rows(),
+                                 rule_stats.num_violating_groups,
+                                 rule_stats.num_violating_rows, width)) {
     return Status::OK();
   }
   // The full-clean sweep is another all-or-nothing unit; re-check the

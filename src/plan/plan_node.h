@@ -24,7 +24,7 @@
 
 #include "clean/clean_operators.h"
 #include "clean/cost_model.h"
-#include "clean/statistics.h"
+#include "detect/fd_delta.h"
 #include "plan/compiled_filter.h"
 #include "query/ast.h"
 #include "query/executor.h"
@@ -247,7 +247,7 @@ class FilterNode : public RowSetNode {
 class CleanSelectStep {
  public:
   CleanSelectStep(Table* table, const DenialConstraint* dc, CleanSelect* op,
-                  CostModel* cost, const FdRuleStats* rule_stats,
+                  CostModel* cost, const FdDeltaDetector* fd,
                   const Expr* filter, CleaningOptions options, bool adaptive);
 
   /// "CleanSelect [rule=<name> fd|dc]", plus " [adaptive]" when armed.
@@ -272,7 +272,7 @@ class CleanSelectStep {
   const DenialConstraint* dc_;
   CleanSelect* op_;
   CostModel* cost_;
-  const FdRuleStats* rule_stats_;
+  const FdDeltaDetector* fd_;  ///< FD rules: ε / groups / p; else null
   const Expr* filter_;  ///< the table's predicate; nullable
   CleaningOptions options_;
   bool adaptive_;

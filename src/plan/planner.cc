@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "common/logger.h"
@@ -147,7 +148,7 @@ namespace {
 struct RuleSlot {
   const DenialConstraint* dc = nullptr;
   const CleaningRuleBinding* binding = nullptr;
-  const FdRuleStats* rstats = nullptr;
+  std::optional<FdRuleStats> rstats;  ///< FD rules only
   bool statically_pruned = false;
   bool deferred = false;    ///< run above the join instead of in the chain
   double unit_cost = 0.0;   ///< per-row cleaning price (optimizer path)
@@ -312,15 +313,15 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
         RuleSlot slot;
         slot.dc = dc;
         slot.binding = &it->second;
-        slot.rstats = clean->statistics != nullptr
-                          ? clean->statistics->ForRule(dc->name())
-                          : nullptr;
-        // The statistics prove the table clean for this rule: the node's
+        if (slot.binding->fd != nullptr) {
+          slot.rstats = slot.binding->fd->stats();
+        }
+        // The FD index proves the table clean for this rule: the node's
         // runtime fast path can never do repair work, so the rendered
         // plan drops it. Execution keeps the per-query prune-and-mark
         // bookkeeping of the pre-plan engine loop.
         slot.statically_pruned =
-            slot.rstats != nullptr && slot.rstats->num_violating_rows == 0;
+            slot.rstats && slot.rstats->num_violating_rows == 0;
         table_rules[i].push_back(slot);
       }
     }
@@ -376,7 +377,7 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
           for (size_t k = 0; k < table_rules[i].size(); ++k) {
             RuleSlot& slot = table_rules[i][k];
             slot.unit_cost = CleaningUnitCost(
-                slot.binding->cost, slot.rstats,
+                slot.binding->cost, slot.rstats ? &*slot.rstats : nullptr,
                 slot.binding->theta != nullptr
                     ? slot.binding->theta->maintained_violation_count()
                     : 0,
@@ -410,7 +411,7 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
   // The cleanσ step of one scheduled rule, whichever placement runs it.
   auto make_step = [&](const RuleSlot& slot, size_t i) {
     return CleanSelectStep(slot.binding->table, slot.dc, slot.binding->op,
-                           slot.binding->cost, slot.rstats,
+                           slot.binding->cost, slot.binding->fd,
                            state->split.table_filters[i].get(),
                            clean->options, clean->adaptive);
   };

@@ -10,9 +10,9 @@
 //  * rule overlap ((X∪Y) ∩ (P∪W) ≠ ∅) decides which rules get a
 //    CleanSelect node at all;
 //  * statistics pruning drops the node entirely when the rule's
-//    precomputed statistics prove the table clean for that rule (zero
-//    violating rows) — the per-query dirty-group check stays inside the
-//    operator since it depends on the qualifying rows;
+//    FdDeltaDetector proves the table clean for that rule (zero violating
+//    rows) — the per-query dirty-group check stays inside the operator
+//    since it depends on the qualifying rows;
 //  * the cost-model full-clean switch is armed on the node when the engine
 //    runs in adaptive mode (the trigger itself is data-dependent).
 
@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "clean/statistics.h"
 #include "constraints/constraint_set.h"
 #include "plan/plan_node.h"
 #include "query/ast.h"
@@ -51,16 +50,19 @@ struct CleaningRuleBinding {
   CleanSelect* op = nullptr;
   CostModel* cost = nullptr;
   /// Optional: the rule's incremental violation index. The optimizer reads
-  /// its maintained count as a dirtiness signal when precomputed
-  /// statistics are absent (never synchronized at plan time — see
+  /// its maintained count as a dirtiness signal when the rule has no
+  /// FdDeltaDetector (never synchronized at plan time — see
   /// ThetaJoinDetector::maintained_violation_count).
   const ThetaJoinDetector* theta = nullptr;
+  /// FD rules: the rule's delta-maintained index, whose counters give
+  /// static pruning, the optimizer's cleaning price and the cost model's
+  /// ε / violating groups / p.
+  const FdDeltaDetector* fd = nullptr;
 };
 
 /// Cleaning side-inputs for plan construction.
 struct CleaningPlanContext {
   const ConstraintSet* constraints = nullptr;
-  const Statistics* statistics = nullptr;
   CleaningOptions options;
   bool adaptive = false;  ///< arm the cost-model switch on cleanσ nodes
   std::map<std::string, CleaningRuleBinding> rules;  ///< by rule name

@@ -1,4 +1,4 @@
-// Tests for the cleaning core: statistics, the cost model, the cleanσ /
+// Tests for the cleaning core: the FD index, the cost model, the cleanσ /
 // clean⋈ operators, and the DaisyEngine — including the paper's FD
 // correctness guarantee (Daisy == offline) as a property test.
 
@@ -29,42 +29,40 @@ Table CitiesTable(const std::string& name = "cities") {
   return t;
 }
 
-// -------------------------------------------------------------- Statistics --
+// ---------------------------------------------------------------- FD index --
 
-TEST(StatisticsTest, ComputesDirtyGroups) {
+TEST(FdIndexTest, CountsDirtyGroups) {
   Database db;
   ASSERT_TRUE(db.AddTable(CitiesTable()).ok());
   ConstraintSet rules;
   ASSERT_TRUE(rules.AddFromText("phi: FD zip -> city", "cities", CitySchema())
                   .ok());
-  Statistics stats;
-  ASSERT_TRUE(stats.Compute(db, rules).ok());
-  const FdRuleStats* s = stats.ForRule("phi");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->num_violating_groups, 2u);
-  EXPECT_EQ(s->num_violating_rows, 5u);
-  EXPECT_NEAR(s->avg_candidates, 2.0, 1e-12);
-  EXPECT_EQ(s->dirty_lhs_keys.size(), 2u);
-  EXPECT_EQ(stats.ForRule("unknown"), nullptr);
+  DaisyEngine engine(&db, std::move(rules));
+  ASSERT_TRUE(engine.Prepare().ok());
+  const FdDeltaDetector* fd = engine.fd_index("phi");
+  ASSERT_NE(fd, nullptr);
+  const FdRuleStats s = fd->stats();
+  EXPECT_EQ(s.table_rows, 5u);
+  EXPECT_EQ(s.num_violating_groups, 2u);
+  EXPECT_EQ(s.num_violating_rows, 5u);
+  EXPECT_NEAR(s.avg_candidates, 2.0, 1e-12);
+  EXPECT_EQ(fd->ViolatingGroups().size(), 2u);
+  EXPECT_EQ(engine.fd_index("unknown"), nullptr);
 }
 
-TEST(StatisticsTest, RowsTouchDirtyPruning) {
-  Database db;
+TEST(FdIndexTest, RowsTouchDirtyPruning) {
   Table t("cities", CitySchema());
   ASSERT_TRUE(t.AppendRow({Value(1), Value("a")}).ok());
   ASSERT_TRUE(t.AppendRow({Value(1), Value("b")}).ok());   // dirty group
   ASSERT_TRUE(t.AppendRow({Value(2), Value("c")}).ok());   // clean group
-  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
-  ConstraintSet rules;
-  ASSERT_TRUE(rules.AddFromText("phi: FD zip -> city", "cities", CitySchema())
-                  .ok());
-  Statistics stats;
-  ASSERT_TRUE(stats.Compute(db, rules).ok());
-  const Table* table = db.GetTable("cities").ValueOrDie();
-  const DenialConstraint* dc = rules.FindByName("phi").ValueOrDie();
-  EXPECT_TRUE(stats.RowsTouchDirty(*table, *dc, {0}));
-  EXPECT_FALSE(stats.RowsTouchDirty(*table, *dc, {2}));
-  EXPECT_FALSE(stats.RowsTouchDirty(*table, *dc, {}));
+  ASSERT_TRUE(t.AppendRow({Value(3), Value("b")}).ok());   // clean, dirty rhs
+  auto dc =
+      ParseConstraint("phi: FD zip -> city", "cities", CitySchema()).ValueOrDie();
+  FdDeltaDetector fd(&t, &dc);
+  EXPECT_TRUE(fd.RowsTouchDirty({0}));
+  EXPECT_FALSE(fd.RowsTouchDirty({2}));
+  EXPECT_FALSE(fd.RowsTouchDirty({}));
+  EXPECT_TRUE(fd.RowsTouchDirty({3}));  // "b" appears in group 1's conflict
 }
 
 // -------------------------------------------------------------- CostModel --
@@ -124,7 +122,8 @@ TEST(CleanSelectTest, FdPathRepairsAndExtendsResult) {
   auto dc =
       ParseConstraint("phi: FD zip -> city", "cities", CitySchema()).ValueOrDie();
   ProvenanceStore prov;
-  CleanSelect op(&t, &dc, &prov, nullptr, nullptr);
+  FdDeltaDetector fd(&t, &dc);
+  CleanSelect op(&t, &dc, &prov, &fd, nullptr);
   // Query: zip == 9001 (Example 3). Dirty result rows 0-2.
   auto stmt = ParseQuery("SELECT city FROM cities WHERE zip = 9001")
                   .ValueOrDie();
@@ -144,7 +143,8 @@ TEST(CleanSelectTest, SecondRunIsPrunedByCheckedState) {
   auto dc =
       ParseConstraint("phi: FD zip -> city", "cities", CitySchema()).ValueOrDie();
   ProvenanceStore prov;
-  CleanSelect op(&t, &dc, &prov, nullptr, nullptr);
+  FdDeltaDetector fd(&t, &dc);
+  CleanSelect op(&t, &dc, &prov, &fd, nullptr);
   auto stmt = ParseQuery("SELECT city FROM cities WHERE zip = 9001")
                   .ValueOrDie();
   (void)op.Run(stmt.where.get(), {0, 1, 2}, CleaningOptions{}).ValueOrDie();
@@ -155,21 +155,15 @@ TEST(CleanSelectTest, SecondRunIsPrunedByCheckedState) {
 }
 
 TEST(CleanSelectTest, StatisticsPruningSkipsCleanRegions) {
-  Database db;
   Table t("cities", CitySchema());
   ASSERT_TRUE(t.AppendRow({Value(1), Value("a")}).ok());
   ASSERT_TRUE(t.AppendRow({Value(1), Value("b")}).ok());
   ASSERT_TRUE(t.AppendRow({Value(2), Value("c")}).ok());
-  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
-  ConstraintSet rules;
-  ASSERT_TRUE(rules.AddFromText("phi: FD zip -> city", "cities", CitySchema())
-                  .ok());
-  Statistics stats;
-  ASSERT_TRUE(stats.Compute(db, rules).ok());
-  Table* table = db.GetTable("cities").ValueOrDie();
-  const DenialConstraint* dc = rules.FindByName("phi").ValueOrDie();
+  auto dc =
+      ParseConstraint("phi: FD zip -> city", "cities", CitySchema()).ValueOrDie();
   ProvenanceStore prov;
-  CleanSelect op(table, dc, &prov, &stats, nullptr);
+  FdDeltaDetector fd(&t, &dc);
+  CleanSelect op(&t, &dc, &prov, &fd, nullptr);
   // Row 2 is in a clean group: pruned, no relaxation.
   auto res = op.Run(nullptr, {2}, CleaningOptions{}).ValueOrDie();
   EXPECT_TRUE(res.pruned);
@@ -181,7 +175,8 @@ TEST(CleanSelectTest, CleanRemainingChecksEverything) {
   auto dc =
       ParseConstraint("phi: FD zip -> city", "cities", CitySchema()).ValueOrDie();
   ProvenanceStore prov;
-  CleanSelect op(&t, &dc, &prov, nullptr, nullptr);
+  FdDeltaDetector fd(&t, &dc);
+  CleanSelect op(&t, &dc, &prov, &fd, nullptr);
   EXPECT_FALSE(op.fully_checked());
   auto res = op.CleanRemaining().ValueOrDie();
   EXPECT_TRUE(op.fully_checked());

@@ -335,7 +335,8 @@ void RunStress(uint64_t seed, size_t num_threads) {
   }
 
   // Final state: repaired table (cells and candidate sets), coverage, and
-  // delta-maintained statistics all match the serial replay.
+  // the delta-maintained FD index (every group and the counters) all match
+  // the serial replay.
   EXPECT_TRUE(SameTables(*db.GetTable("t").ValueOrDie(),
                          *replay_db.GetTable("t").ValueOrDie()));
   for (const char* rule : {"phi", "psi"}) {
@@ -343,15 +344,25 @@ void RunStress(uint64_t seed, size_t num_threads) {
               replay->RuleFullyChecked(rule).ValueOrDie())
         << rule;
   }
-  const FdRuleStats* stats = engine->statistics().ForRule("phi");
-  const FdRuleStats* replay_stats = replay->statistics().ForRule("phi");
-  ASSERT_NE(stats, nullptr);
-  ASSERT_NE(replay_stats, nullptr);
-  EXPECT_EQ(stats->num_violating_rows, replay_stats->num_violating_rows);
-  EXPECT_EQ(stats->num_violating_groups, replay_stats->num_violating_groups);
-  EXPECT_EQ(stats->avg_candidates, replay_stats->avg_candidates);
-  EXPECT_EQ(stats->dirty_lhs_keys, replay_stats->dirty_lhs_keys);
-  EXPECT_EQ(stats->dirty_rhs_vals, replay_stats->dirty_rhs_vals);
+  const FdDeltaDetector* fd = engine->fd_index("phi");
+  const FdDeltaDetector* replay_fd = replay->fd_index("phi");
+  ASSERT_NE(fd, nullptr);
+  ASSERT_NE(replay_fd, nullptr);
+  const FdRuleStats stats = fd->stats();
+  const FdRuleStats replay_stats = replay_fd->stats();
+  EXPECT_EQ(stats.num_violating_rows, replay_stats.num_violating_rows);
+  EXPECT_EQ(stats.num_violating_groups, replay_stats.num_violating_groups);
+  EXPECT_EQ(stats.avg_candidates, replay_stats.avg_candidates);
+  const std::vector<FdGroup> groups = fd->ViolatingGroups(true);
+  const std::vector<FdGroup> replay_groups = replay_fd->ViolatingGroups(true);
+  ASSERT_EQ(groups.size(), replay_groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    EXPECT_TRUE(GroupKeyEq()(groups[g].lhs_key, replay_groups[g].lhs_key))
+        << "group " << g;
+    EXPECT_EQ(groups[g].rows, replay_groups[g].rows) << "group " << g;
+    EXPECT_EQ(groups[g].rhs_histogram, replay_groups[g].rhs_histogram)
+        << "group " << g;
+  }
 }
 
 TEST(ConcurrencyStressTest, SerialEquivalenceTwoThreads) {

@@ -9,10 +9,13 @@
 #include "datagen/ssb.h"
 #include "datagen/workload.h"
 #include "detect/fd_detector.h"
+#include "detect_oracle.h"
 #include "query/parser.h"
 
 namespace daisy {
 namespace {
+
+using testutil::CountFdViolatingRows;
 
 DenialConstraint FdFor(const Table& t, const std::string& text) {
   return ParseConstraint(text, t.name(), t.schema()).ValueOrDie();

@@ -6,15 +6,22 @@
 #ifndef DAISY_TESTS_DETECT_ORACLE_H_
 #define DAISY_TESTS_DETECT_ORACLE_H_
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "constraints/denial_constraint.h"
+#include "detect/fd_delta.h"
 #include "detect/fd_detector.h"
 #include "detect/group_by.h"
 #include "detect/theta_join.h"
+#include "relax_oracle.h"
 #include "storage/table.h"
 
 namespace daisy {
@@ -30,6 +37,24 @@ inline GroupMap GroupRowsByRowPath(const Table& table,
     groups[MakeGroupKey(table, r, columns)].push_back(r);
   }
   return groups;
+}
+
+/// Groups all rows of `table` by `columns` (GroupRowsBy over AllRowIds).
+inline GroupMap GroupAllRowsBy(const Table& table,
+                               const std::vector<size_t>& columns) {
+  return GroupRowsBy(table, columns, table.AllRowIds());
+}
+
+/// Count of rows that participate in some violating group of `dc` over the
+/// whole table — the paper's #vio statistic.
+inline size_t CountFdViolatingRows(const Table& table,
+                                   const DenialConstraint& dc) {
+  size_t count = 0;
+  for (const FdGroup& g :
+       DetectFdViolations(table, dc, table.AllRowIds(), false)) {
+    count += g.total();
+  }
+  return count;
 }
 
 /// Row-at-a-time DetectFdViolations: the same groups in the same
@@ -56,6 +81,114 @@ inline std::vector<FdGroup> DetectFdViolationsRowPath(
   }
   SortFdGroups(&out);
   return out;
+}
+
+/// From-scratch FdDeltaDetector::stats(): ε, violating groups and p of
+/// `dc` over the live rows, counted off DetectFdViolations.
+inline FdRuleStats FdStatsFromScratch(const Table& table,
+                                      const DenialConstraint& dc) {
+  FdRuleStats stats;
+  stats.table_rows = table.num_live_rows();
+  size_t candidate_sum = 0;
+  for (const FdGroup& g :
+       DetectFdViolations(table, dc, table.AllRowIds(), false)) {
+    ++stats.num_violating_groups;
+    stats.num_violating_rows += g.total();
+    candidate_sum += g.rhs_histogram.size();
+  }
+  if (stats.num_violating_groups > 0) {
+    stats.avg_candidates = static_cast<double>(candidate_sum) /
+                           static_cast<double>(stats.num_violating_groups);
+  }
+  return stats;
+}
+
+/// Checks a delta-maintained FdDeltaDetector against a fresh one and the
+/// from-scratch oracles: every group (clean ones included) against the
+/// fresh detector and DetectFdViolations; stats() against
+/// FdStatsFromScratch; RowsTouchDirty of every live row against the lhs
+/// keys and rhs values of the from-scratch violating groups; Relax on a
+/// `seed`-drawn answer against the fresh detector, bit for bit, with and
+/// without a drawn checked mask; and the unfiltered closure's extras
+/// against RelaxFdResult over the live rows.
+inline ::testing::AssertionResult MatchesFreshFdIndex(
+    const FdDeltaDetector& maintained, const Table& table,
+    const DenialConstraint& dc, uint64_t seed) {
+  auto same_groups = [](const std::vector<FdGroup>& a,
+                        const std::vector<FdGroup>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (!GroupKeyEq()(a[i].lhs_key, b[i].lhs_key) ||
+          a[i].rows != b[i].rows ||
+          a[i].rhs_histogram != b[i].rhs_histogram) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const FdDeltaDetector fresh(&table, &dc);
+  const std::vector<FdGroup> groups = maintained.ViolatingGroups(true);
+  if (!same_groups(groups, fresh.ViolatingGroups(true)) ||
+      !same_groups(groups,
+                   DetectFdViolations(table, dc, table.AllRowIds(), true))) {
+    return ::testing::AssertionFailure() << "maintained groups diverge";
+  }
+  const FdRuleStats m = maintained.stats();
+  const FdRuleStats f = FdStatsFromScratch(table, dc);
+  if (m.table_rows != f.table_rows ||
+      m.num_violating_rows != f.num_violating_rows ||
+      m.num_violating_groups != f.num_violating_groups ||
+      m.avg_candidates != f.avg_candidates) {
+    return ::testing::AssertionFailure()
+           << "maintained stats diverge: rows " << m.num_violating_rows
+           << " vs " << f.num_violating_rows << ", groups "
+           << m.num_violating_groups << " vs " << f.num_violating_groups;
+  }
+
+  std::unordered_set<GroupKey, GroupKeyHash, GroupKeyEq> dirty_keys;
+  std::unordered_set<Value, ValueHash> dirty_vals;
+  for (const FdGroup& g : groups) {
+    if (!g.violating()) continue;
+    dirty_keys.insert(g.lhs_key);
+    for (const auto& [value, count] : g.rhs_histogram) dirty_vals.insert(value);
+  }
+  const FdView& fd = dc.fd();
+  for (RowId r : table.AllRowIds()) {
+    const bool dirty = dirty_keys.count(MakeGroupKey(table, r, fd.lhs)) > 0 ||
+                       dirty_vals.count(table.cell(r, fd.rhs).original()) > 0;
+    if (maintained.RowsTouchDirty({r}) != dirty) {
+      return ::testing::AssertionFailure()
+             << "RowsTouchDirty({" << r << "}) diverges";
+    }
+  }
+
+  Rng rng(seed);
+  std::vector<RowId> answer;
+  for (RowId r : table.AllRowIds()) {
+    if (rng.Bernoulli(0.1)) answer.push_back(r);
+  }
+  std::vector<bool> checked(table.num_rows());
+  for (size_t r = 0; r < checked.size(); ++r) checked[r] = rng.Bernoulli(0.3);
+  const std::vector<bool>* masks[] = {nullptr, &checked};
+  for (const std::vector<bool>* mask : masks) {
+    const RelaxResult a = maintained.Relax(answer, mask);
+    const RelaxResult b = fresh.Relax(answer, mask);
+    if (a.extra != b.extra || a.iterations != b.iterations ||
+        a.tuples_scanned != b.tuples_scanned) {
+      return ::testing::AssertionFailure()
+             << "Relax diverges from a fresh build (checked mask "
+             << (mask != nullptr) << ")";
+    }
+  }
+  std::vector<RowId> extra = maintained.Relax(answer).extra;
+  std::vector<RowId> scanned = RelaxFdResult(table, dc, answer).extra;
+  std::sort(extra.begin(), extra.end());
+  std::sort(scanned.begin(), scanned.end());
+  if (extra != scanned) {
+    return ::testing::AssertionFailure()
+           << "Relax extras diverge from the scan form of Algorithm 1";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 using PairSet = std::set<std::pair<RowId, RowId>>;

@@ -17,7 +17,9 @@ namespace {
 
 using testutil::AsSet;
 using testutil::BruteForce;
+using testutil::CountFdViolatingRows;
 using testutil::DetectFdViolationsRowPath;
+using testutil::GroupAllRowsBy;
 using testutil::GroupRowsByRowPath;
 
 Schema CitySchema() {

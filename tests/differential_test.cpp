@@ -7,15 +7,15 @@
 //  1. Delta-maintained detection state is bit-identical to from-scratch
 //     detection: the theta-join detector's maintained violation set (kept
 //     current via DetectDelta) equals a fresh DetectAll; the FD group state
-//     (FdDeltaDetector) equals DetectFdViolations; the patched per-rule
-//     statistics equal a fresh Statistics::Compute.
+//     (FdDeltaDetector) equals DetectFdViolations; its counters, dirty
+//     pruning test and relaxation equal a fresh FdDeltaDetector's.
 //
 //  2. The detectors agree with the test oracles (detect_oracle.h): the
 //     maintained theta-join set equals the ViolatedBy all-pairs set, and
 //     FD detection equals the row-at-a-time grouping. A full DaisyEngine
-//     driven through the same ingest + query sequence keeps its
-//     delta-patched rule statistics equal to a fresh recompute after every
-//     query, and finishes with CleanAllRemaining.
+//     driven through the same ingest + query sequence keeps its FD index
+//     (groups, stats, relaxation) equal to a fresh build and the oracles
+//     after every query, and finishes with CleanAllRemaining.
 
 #include <gtest/gtest.h>
 
@@ -191,25 +191,6 @@ bool SameGroups(const std::vector<FdGroup>& a, const std::vector<FdGroup>& b) {
   return true;
 }
 
-::testing::AssertionResult SameStats(const FdRuleStats* m,
-                                     const FdRuleStats* f) {
-  if (m == nullptr || f == nullptr) {
-    return ::testing::AssertionFailure() << "missing stats";
-  }
-  if (m->table_rows != f->table_rows ||
-      m->num_violating_rows != f->num_violating_rows ||
-      m->num_violating_groups != f->num_violating_groups ||
-      m->avg_candidates != f->avg_candidates ||
-      m->dirty_lhs_keys != f->dirty_lhs_keys ||
-      m->dirty_rhs_vals != f->dirty_rhs_vals) {
-    return ::testing::AssertionFailure()
-           << "maintained stats diverge: rows " << m->num_violating_rows
-           << " vs " << f->num_violating_rows << ", groups "
-           << m->num_violating_groups << " vs " << f->num_violating_groups;
-  }
-  return ::testing::AssertionSuccess();
-}
-
 // ------------------------------------------- detector-level differential --
 
 // Pure detection (no repairs): maintained state vs from-scratch and vs the
@@ -245,7 +226,7 @@ void RunDetectorDifferential(uint64_t seed) {
       continue;  // queries are the engine-level harness's concern
     }
     (void)theta.DetectDelta(delta);
-    (void)fd_state.ApplyDelta(delta, nullptr);
+    (void)fd_state.ApplyDelta(delta);
 
     // Delta-maintained == from-scratch.
     ThetaJoinDetector scratch(&t, &dc, 6);
@@ -255,6 +236,7 @@ void RunDetectorDifferential(uint64_t seed) {
               testutil::BruteForce(t, dc));
     EXPECT_TRUE(SameGroups(fd_state.ViolatingGroups(),
                            DetectFdViolations(t, fd, t.AllRowIds(), false)));
+    EXPECT_TRUE(testutil::MatchesFreshFdIndex(fd_state, t, fd, seed + i));
     EXPECT_TRUE(SameGroups(
         DetectFdViolations(t, fd, t.AllRowIds(), false),
         testutil::DetectFdViolationsRowPath(t, fd, t.AllRowIds(), false)));
@@ -264,8 +246,8 @@ void RunDetectorDifferential(uint64_t seed) {
 // --------------------------------------------- engine-level differential --
 
 // One full engine replays the ingest + query sequence; after every query
-// its delta-patched statistics must equal a fresh recompute over the
-// current data (repairs never change original values).
+// its delta-maintained FD index must equal a fresh build and the oracles
+// over the current data (repairs never change original values).
 void RunEngineSequence(uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Scenario s = MakeScenario(seed);
@@ -294,10 +276,11 @@ void RunEngineSequence(uint64_t seed) {
       ASSERT_TRUE(engine.DeleteRows("t", victims).ok());
     } else {
       ASSERT_TRUE(engine.Query(op.sql).ok()) << op.sql;
-      Statistics fresh;
-      ASSERT_TRUE(fresh.Compute(db, engine.constraints()).ok());
-      EXPECT_TRUE(SameStats(engine.statistics().ForRule("phi"),
-                            fresh.ForRule("phi")))
+      const FdDeltaDetector* fd = engine.fd_index("phi");
+      ASSERT_NE(fd, nullptr);
+      EXPECT_TRUE(testutil::MatchesFreshFdIndex(
+          *fd, *db.GetTable("t").ValueOrDie(),
+          *engine.constraints().FindByName("phi").ValueOrDie(), seed + i))
           << op.sql;
     }
   }

@@ -1,20 +1,19 @@
 // Unit tests for the incremental ingest layer: the transactional Table
 // batch-update API, O(delta) ColumnCache extension (the append/content
 // generation split), delta-aware theta-join detection, the delta-maintained
-// FD group state, and relaxation-index maintenance.
+// FD index (groups, counters and the relaxation buckets).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
-#include "clean/statistics.h"
 #include "common/rng.h"
+#include "constraints/constraint_set.h"
 #include "detect/fd_delta.h"
 #include "detect/fd_detector.h"
 #include "detect/theta_join.h"
 #include "detect_oracle.h"
-#include "relax/relaxation.h"
 #include "repair/provenance.h"
 #include "storage/column_cache.h"
 #include "storage/database.h"
@@ -363,7 +362,7 @@ TEST(FdDeltaTest, MaintainedGroupsMatchFromScratch) {
               0, static_cast<int64_t>(live.size()) - 1))]};
       delta = t.DeleteRows(victims).ValueOrDie();
     }
-    (void)detector.ApplyDelta(delta, nullptr);
+    (void)detector.ApplyDelta(delta);
     EXPECT_TRUE(SameGroups(detector.ViolatingGroups(),
                            DetectFdViolations(t, fd, t.AllRowIds(), false)))
         << "step " << step;
@@ -388,8 +387,6 @@ TEST(FdDeltaTest, StatsPatchMatchesRecompute) {
   ConstraintSet rules;
   ASSERT_TRUE(
       rules.AddFromText("phi: FD zip -> city", "cities", CitySchema()).ok());
-  Statistics maintained;
-  ASSERT_TRUE(maintained.Compute(db, rules).ok());
   FdDeltaDetector detector(table, &rules.at(0));
 
   for (int step = 0; step < 8; ++step) {
@@ -407,25 +404,22 @@ TEST(FdDeltaTest, StatsPatchMatchesRecompute) {
                       0, static_cast<int64_t>(live.size()) - 1))]})
                   .ValueOrDie();
     }
-    (void)detector.ApplyDelta(delta, maintained.MutableForRule("phi"));
+    (void)detector.ApplyDelta(delta);
 
-    Statistics fresh;
-    ASSERT_TRUE(fresh.Compute(db, rules).ok());
-    const FdRuleStats* m = maintained.ForRule("phi");
-    const FdRuleStats* f = fresh.ForRule("phi");
-    ASSERT_NE(m, nullptr);
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(m->table_rows, f->table_rows) << "step " << step;
-    EXPECT_EQ(m->num_violating_rows, f->num_violating_rows) << "step " << step;
-    EXPECT_EQ(m->num_violating_groups, f->num_violating_groups)
+    const FdRuleStats m = detector.stats();
+    const FdRuleStats f = testutil::FdStatsFromScratch(*table, rules.at(0));
+    EXPECT_EQ(m.table_rows, f.table_rows) << "step " << step;
+    EXPECT_EQ(m.num_violating_rows, f.num_violating_rows) << "step " << step;
+    EXPECT_EQ(m.num_violating_groups, f.num_violating_groups)
         << "step " << step;
-    EXPECT_DOUBLE_EQ(m->avg_candidates, f->avg_candidates) << "step " << step;
-    EXPECT_EQ(m->dirty_lhs_keys, f->dirty_lhs_keys) << "step " << step;
-    EXPECT_EQ(m->dirty_rhs_vals, f->dirty_rhs_vals) << "step " << step;
+    EXPECT_DOUBLE_EQ(m.avg_candidates, f.avg_candidates) << "step " << step;
+    EXPECT_TRUE(testutil::MatchesFreshFdIndex(detector, *table, rules.at(0),
+                                              static_cast<uint64_t>(step)))
+        << "step " << step;
   }
 }
 
-// ------------------------------------------------------ relaxation index --
+// ------------------------------------------------------------ relaxation --
 
 TEST(RelaxDeltaTest, MaintainedIndexMatchesFreshBuild) {
   Rng rng(41);
@@ -438,20 +432,28 @@ TEST(RelaxDeltaTest, MaintainedIndexMatchesFreshBuild) {
   DenialConstraint fd =
       ParseConstraint("phi: FD zip -> city", "cities", CitySchema())
           .ValueOrDie();
-  FdRelaxIndex maintained(t, fd.fd());
+  FdDeltaDetector maintained(&t, &fd);
   auto d1 = t.AppendRows({{Value(2), Value("c9")}, {Value(7), Value("c0")}})
                 .ValueOrDie();
-  maintained.ApplyDelta(t, fd.fd(), d1);
+  (void)maintained.ApplyDelta(d1);
   auto d2 = t.DeleteRows({3, 10}).ValueOrDie();
-  maintained.ApplyDelta(t, fd.fd(), d2);
+  (void)maintained.ApplyDelta(d2);
 
-  FdRelaxIndex fresh(t, fd.fd());
+  FdDeltaDetector fresh(&t, &fd);
   const std::vector<RowId> answer = {0, 5};
-  RelaxResult a = maintained.Relax(t, fd.fd(), answer);
-  RelaxResult b = fresh.Relax(t, fd.fd(), answer);
+  RelaxResult a = maintained.Relax(answer);
+  RelaxResult b = fresh.Relax(answer);
   EXPECT_EQ(a.extra, b.extra);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.tuples_scanned, b.tuples_scanned);
+  // The dirty-restricted closure the engine runs agrees as well.
+  std::vector<bool> checked(t.num_rows(), false);
+  checked[0] = true;
+  RelaxResult c = maintained.Relax(answer, &checked);
+  RelaxResult d = fresh.Relax(answer, &checked);
+  EXPECT_EQ(c.extra, d.extra);
+  EXPECT_EQ(c.iterations, d.iterations);
+  EXPECT_EQ(c.tuples_scanned, d.tuples_scanned);
 }
 
 // ----------------------------------------------------------- provenance --

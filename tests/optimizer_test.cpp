@@ -33,7 +33,7 @@
 
 #include "clean/cost_model.h"
 #include "clean/daisy_engine.h"
-#include "clean/statistics.h"
+#include "detect/fd_delta.h"
 #include "common/rng.h"
 #include "plan/cardinality.h"
 #include "plan/optimizer.h"

@@ -8,8 +8,8 @@
 #include <set>
 
 #include "common/rng.h"
+#include "detect/fd_delta.h"
 #include "detect/fd_detector.h"
-#include "relax/relaxation.h"
 #include "repair/fd_repair.h"
 #include "repair/provenance.h"
 #include "relax_oracle.h"
@@ -151,8 +151,8 @@ TEST_P(RelaxEquivalenceTest, IndexedClosureEqualsScanClosure) {
   std::sort(answer.begin(), answer.end());
 
   RelaxResult scan = RelaxFdResult(t, dc, answer);
-  FdRelaxIndex index(t, dc.fd());
-  RelaxResult indexed = index.Relax(t, dc.fd(), answer);
+  FdDeltaDetector index(&t, &dc);
+  RelaxResult indexed = index.Relax(answer);
 
   std::vector<RowId> a = scan.extra;
   std::vector<RowId> b = indexed.extra;
@@ -182,16 +182,12 @@ TEST_P(RelaxEquivalenceTest, DirtyFilterPreservesRepairedScope) {
     ProvenanceStore prov;
     (void)RepairFdViolations(&full_t, dc, scope, &prov).ValueOrDie();
   }
-  // Restricted closure scope repair.
+  // Restricted closure scope repair: nothing checked yet, so expansion
+  // runs from exactly the rows of violating groups.
   {
-    const auto groups =
-        DetectFdViolations(restricted_t, dc, restricted_t.AllRowIds());
-    std::unordered_set<GroupKey, GroupKeyHash, GroupKeyEq> dirty_keys;
-    for (const FdGroup& g : groups) dirty_keys.insert(g.lhs_key);
-    FdRelaxIndex index(restricted_t, dc.fd());
-    FdRelaxIndex::DirtyFilter filter;
-    filter.lhs_keys = &dirty_keys;
-    RelaxResult r = index.Relax(restricted_t, dc.fd(), answer, &filter);
+    FdDeltaDetector index(&restricted_t, &dc);
+    const std::vector<bool> checked(restricted_t.num_rows(), false);
+    RelaxResult r = index.Relax(answer, &checked);
     std::vector<RowId> scope = answer;
     scope.insert(scope.end(), r.extra.begin(), r.extra.end());
     ProvenanceStore prov;

@@ -1,18 +1,20 @@
-// Tests for query-result relaxation (Algorithm 1) and the Lemma 2/3
-// analytical estimates.
+// Tests for query-result relaxation (Algorithm 1) — the scan form and
+// FdDeltaDetector::Relax — and the Lemma 2/3 analytical estimates.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/rng.h"
-#include "relax/estimates.h"
-#include "relax/relaxation.h"
+#include "detect/fd_delta.h"
 #include "relax_oracle.h"
 
 namespace daisy {
 namespace {
 
+using testutil::AttributeFrequencies;
+using testutil::ProbAtLeastOneViolation;
+using testutil::RelaxedResultUpperBound;
 using testutil::RelaxFdResult;
 
 Schema CitySchema() {
@@ -34,6 +36,15 @@ DenialConstraint ZipCityFd() {
       .ValueOrDie();
 }
 
+// The extras FdDeltaDetector::Relax adds to `answer`, ascending.
+std::vector<RowId> IndexedExtras(const Table& t, const DenialConstraint& dc,
+                                 const std::vector<RowId>& answer) {
+  FdDeltaDetector index(&t, &dc);
+  std::vector<RowId> extra = index.Relax(answer).extra;
+  std::sort(extra.begin(), extra.end());
+  return extra;
+}
+
 TEST(RelaxationTest, Example2RhsFilterClosure) {
   // Query: city = 'Los Angeles' (a filter on the FD's rhs). Dirty result:
   // rows 0 and 2. Relaxation adds row 1 (same lhs 9001); the transitive
@@ -49,6 +60,7 @@ TEST(RelaxationTest, Example2RhsFilterClosure) {
   std::vector<RowId> extra = r.extra;
   std::sort(extra.begin(), extra.end());
   EXPECT_EQ(extra, (std::vector<RowId>{1, 3, 4}));
+  EXPECT_EQ(IndexedExtras(t, dc, {0, 2}), (std::vector<RowId>{1, 3, 4}));
   // The tuple that makes row 1's lhs candidates {9001, 10001} (Table 2b)
   // is in the scope.
   EXPECT_TRUE(std::binary_search(extra.begin(), extra.end(), RowId{3}));
@@ -64,6 +76,7 @@ TEST(RelaxationTest, Example3LhsFilterTransitiveClosure) {
   std::vector<RowId> extra = r.extra;
   std::sort(extra.begin(), extra.end());
   EXPECT_EQ(extra, (std::vector<RowId>{3, 4}));
+  EXPECT_EQ(IndexedExtras(t, dc, {0, 1, 2}), (std::vector<RowId>{3, 4}));
   EXPECT_GE(r.iterations, 2u);  // needs the extra pass of Lemma 2
 }
 
@@ -74,6 +87,7 @@ TEST(RelaxationTest, CleanResultNoExtras) {
   DenialConstraint dc = ZipCityFd();
   RelaxResult r = RelaxFdResult(t, dc, {0});
   EXPECT_TRUE(r.extra.empty());
+  EXPECT_TRUE(IndexedExtras(t, dc, {0}).empty());
 }
 
 TEST(RelaxationTest, EmptyAnswerRelaxesToNothing) {
@@ -81,6 +95,7 @@ TEST(RelaxationTest, EmptyAnswerRelaxesToNothing) {
   DenialConstraint dc = ZipCityFd();
   RelaxResult r = RelaxFdResult(t, dc, {});
   EXPECT_TRUE(r.extra.empty());
+  EXPECT_TRUE(IndexedExtras(t, dc, {}).empty());
 }
 
 TEST(RelaxationTest, UniverseRestrictsScanning) {
