@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "datagen/ssb.h"
 #include "detect/fd_delta.h"
-#include "detect/fd_detector.h"
 #include "detect/theta_join.h"
 #include "plan/planner.h"
 #include "query/eval.h"
@@ -48,15 +47,15 @@ void BM_RelaxFdResult(benchmark::State& state) {
 }
 BENCHMARK(BM_RelaxFdResult)->Arg(1000)->Arg(10000)->Arg(50000);
 
-// FD detection via the dictionary-code group-by.
+// FD detection: the index's grouping pass over the live rows, then its
+// violating groups.
 void BM_FdDetection(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   Table t = MakeLineorder(rows, rows / 20, 50);
   DenialConstraint dc = OrderFd(t);
-  const std::vector<RowId> all = t.AllRowIds();
-  (void)DetectFdViolations(t, dc, all);  // build the column cache once
   for (auto _ : state) {
-    auto groups = DetectFdViolations(t, dc, all);
+    const FdDeltaDetector index(&t, &dc);
+    auto groups = index.ViolatingGroups();
     benchmark::DoNotOptimize(groups.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -155,16 +154,18 @@ void BM_EstimateErrors(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimateErrors)->Arg(10000)->Arg(50000);
 
+// FD repair of the whole table off a built index (CleanAll's repair).
 void BM_FdRepair(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
     Table t = MakeLineorder(rows, rows / 20, 50);
     DenialConstraint dc = OrderFd(t);
+    const FdDeltaDetector index(&t, &dc);
     ProvenanceStore prov;
     state.ResumeTiming();
-    auto stats = RepairFdViolations(&t, dc, t.AllRowIds(), &prov);
-    benchmark::DoNotOptimize(stats.ok());
+    auto stats = RepairFdViolations(&t, index, t.AllRowIds(), &prov);
+    benchmark::DoNotOptimize(stats.tuples_repaired);
   }
 }
 BENCHMARK(BM_FdRepair)->Arg(1000)->Arg(10000);
@@ -174,7 +175,7 @@ void BM_ProbabilisticFilter(benchmark::State& state) {
   Table t = MakeLineorder(rows, rows / 20, 50);
   DenialConstraint dc = OrderFd(t);
   ProvenanceStore prov;
-  (void)RepairFdViolations(&t, dc, t.AllRowIds(), &prov);
+  (void)RepairFdViolations(&t, FdDeltaDetector(&t, &dc), t.AllRowIds(), &prov);
   auto stmt =
       ParseQuery("SELECT * FROM lineorder WHERE suppkey >= 10 AND suppkey <= 20")
           .ValueOrDie();

@@ -35,6 +35,13 @@ Rules (each scoped to the directories where the invariant applies):
               persistence layer and the service, never the other way
               round.
 
+  comparators [src/, tools/]  No ``#include`` of an ``offline/``,
+              ``holo/`` or ``datagen/`` header outside
+              src/{offline,holo,datagen}/: the paper's comparators (the
+              offline cleaner, the HoloClean simulator) and the data
+              generators are for benches and tests, never for the engine,
+              the service or its tools.
+
 A finding can be suppressed with an inline pragma on the same line or the
 line directly above, with a mandatory reason:
 
@@ -66,6 +73,10 @@ THREAD_POOL_FILES = {
     "src/server/server.cc",      # accept/worker/watchdog threads
     "src/server/server.h",
 }
+
+# The paper's comparators and data generators: only each other, benches
+# and tests may include their headers.
+COMPARATOR_DIRS = ("src/offline", "src/holo", "src/datagen")
 
 SOURCE_EXTS = (".cc", ".h", ".cpp", ".hpp")
 
@@ -144,6 +155,18 @@ RULES = [
             (re.compile(r'#\s*include\s*"(clean|plan|persist|server)/'),
              "lower layer includes an engine-layer header (clean/, plan/, "
              "persist/, server/)"),
+        ],
+    },
+    {
+        "name": "comparators",
+        "dirs": ("src", "tools"),
+        "exempt": set(),
+        "exempt_dirs": COMPARATOR_DIRS,
+        "includes_only": True,
+        "patterns": [
+            (re.compile(r'#\s*include\s*"(offline|holo|datagen)/'),
+             "engine or tool includes a paper comparator or data generator "
+             "header (offline/, holo/, datagen/)"),
         ],
     },
 ]
@@ -246,7 +269,9 @@ def lint_file(root, rel):
     findings = [(rel, ln, "lint", msg) for ln, msg in bad_pragmas]
     for rule in RULES:
         if (not any(rel.startswith(d + "/") for d in rule["dirs"])
-                or rel in rule["exempt"]):
+                or rel in rule["exempt"]
+                or any(rel.startswith(d + "/")
+                       for d in rule.get("exempt_dirs", ()))):
             continue
         for idx, line in enumerate(code_lines, start=1):
             if rule.get("includes_only"):

@@ -86,11 +86,27 @@ FIXTURES = [
     ("detect including a clean/ header flagged", "src/detect/fd_delta.h",
      '#include "clean/statistics.h"\n#include "storage/table.h"\n', 1),
     ("lower layers may include each other", "src/repair/p.cc",
-     '#include "detect/fd_detector.h"\n#include "storage/table.h"\n', 0),
+     '#include "detect/fd_delta.h"\n#include "storage/table.h"\n', 0),
     ("engine layers may include lower ones", "src/clean/q.cc",
      '#include "plan/planner.h"\n#include "detect/fd_delta.h"\n', 0),
     ("commented-out include ignored", "src/storage/r.cc",
      '// #include "server/wire.h"\n/* #include "plan/planner.h" */\n', 0),
+    # --- comparators ---
+    ("engine including the offline cleaner flagged", "src/clean/s.cc",
+     '#include "offline/offline_cleaner.h"\n#include "detect/fd_delta.h"\n',
+     1),
+    ("tool including a generator and the simulator flagged",
+     "tools/t_main.cc",
+     '#include "datagen/ssb.h"\n#include "holo/holoclean_sim.h"\n', 2),
+    ("comparators may include each other", "src/datagen/u.h",
+     '#include "holo/holoclean_sim.h"\n#include "datagen/ssb.h"\n', 0),
+    ("comparators may include the engine layers", "src/offline/v.cc",
+     '#include "offline/offline_cleaner.h"\n#include "repair/fd_repair.h"\n',
+     0),
+    ("tests and benches may include comparators", "tests/w_test.cpp",
+     '#include "offline/offline_cleaner.h"\n#include "datagen/ssb.h"\n', 0),
+    ("comparator include in a comment ignored", "src/server/x.cc",
+     '// #include "datagen/ssb.h"\nint x;\n', 0),
 ]
 
 

@@ -210,9 +210,8 @@ Result<CleanSelectResult> CleanSelect::RunFd(
   // (b) detect + fix within the relaxed scope.
   std::vector<RowId> scope = dirty_result;
   scope.insert(scope.end(), relaxed.extra.begin(), relaxed.extra.end());
-  DAISY_ASSIGN_OR_RETURN(RepairStats stats,
-                         RepairFdViolations(table_, *dc_, scope, provenance_));
-  out.errors_fixed = stats.tuples_repaired;
+  out.errors_fixed =
+      RepairFdViolations(table_, *fd_, scope, provenance_).tuples_repaired;
   out.detect_ops = scope.size();
 
   // (c) the in-place update already happened through the provenance store;
@@ -286,14 +285,16 @@ Result<CleanSelectResult> CleanSelect::CleanRemaining() {
   SyncRowCount();
   CleanSelectResult out;
   if (dc_->IsFd()) {
+    if (fd_ == nullptr) {
+      return Status::Internal(
+          "CleanSelect for an FD needs its FdDeltaDetector");
+    }
     out.delta_rows_checked = pending_rows_.size();
     pending_rows_.clear();
-    // Repair every not-yet-checked tuple. The scope must include the whole
-    // table so candidate distributions are complete.
+    // Repair every tuple of a violating group not repaired yet.
     std::vector<RowId> all = table_->AllRowIds();
-    DAISY_ASSIGN_OR_RETURN(RepairStats stats,
-                           RepairFdViolations(table_, *dc_, all, provenance_));
-    out.errors_fixed = stats.tuples_repaired;
+    out.errors_fixed =
+        RepairFdViolations(table_, *fd_, all, provenance_).tuples_repaired;
     out.detect_ops = all.size();
     MarkChecked(all);
     return out;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/logger.h"
 #include "common/metrics.h"
@@ -9,6 +10,7 @@
 #include "plan/planner.h"
 #include "query/parser.h"
 #include "repair/dc_repair.h"
+#include "repair/fd_repair.h"
 
 namespace daisy {
 
@@ -481,7 +483,8 @@ Status DaisyEngine::ApplyDeltaToRules(const std::string& table_name,
     if (state.dc->table() != table_name) continue;
     std::vector<RowId> stale_rows;
     if (state.fd_delta != nullptr) {
-      stale_rows = state.fd_delta->ApplyDelta(delta);
+      FdDeltaEffect effect = state.fd_delta->ApplyDelta(delta);
+      stale_rows = std::move(effect.stale_rows);
       // The batch changed these rows' violating groups, so their earlier
       // fixes no longer cover the data (Lemma 1 assumed a static relation):
       // drop this rule's records and let the next touching query re-derive
@@ -490,6 +493,12 @@ Status DaisyEngine::ApplyDeltaToRules(const std::string& table_name,
       for (RowId r : stale_rows) {
         prov.DropRuleRecords(state.table, r, name);
       }
+      // The rows still repaired keep their P(rhs | lhs) (their groups are
+      // unchanged), but their P(lhs | rhs) reads the whole rhs bucket:
+      // re-derive it in place for every bucket the batch changed. Their
+      // checked status stands — the fix is complete again.
+      RefreshFdLhsCandidates(state.table, *state.fd_delta, effect.changed_rhs,
+                             &prov);
     } else if (state.theta != nullptr && !delta.deleted.empty()) {
       // A deletion that retracts violating pairs invalidates the repairs
       // derived from them. DC pair evidence accumulates per cell and is

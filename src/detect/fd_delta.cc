@@ -5,6 +5,25 @@
 
 namespace daisy {
 
+void SortFdGroups(std::vector<FdGroup>* groups) {
+  std::sort(groups->begin(), groups->end(),
+            [](const FdGroup& a, const FdGroup& b) {
+              const size_t n = std::min(a.lhs_key.size(), b.lhs_key.size());
+              for (size_t i = 0; i < n; ++i) {
+                const int c = a.lhs_key[i].Compare(b.lhs_key[i]);
+                if (c != 0) return c < 0;
+              }
+              return a.lhs_key.size() < b.lhs_key.size();
+            });
+}
+
+void SortFdRhsHistogram(std::vector<std::pair<Value, size_t>>* hist) {
+  std::sort(hist->begin(), hist->end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first.Compare(b.first) < 0;
+  });
+}
+
 FdDeltaDetector::FdDeltaDetector(const Table* table,
                                  const DenialConstraint* dc)
     : table_(table), dc_(dc) {
@@ -15,7 +34,7 @@ FdDeltaDetector::FdDeltaDetector(const Table* table,
   for (RowId r = 0; r < n; ++r) {
     if (!table_->is_live(r)) continue;
     const Value& rhs = table_->cell(r, fd.rhs).original();
-    GroupState& g = groups_[MakeGroupKey(*table_, r, fd.lhs)];
+    Group& g = groups_[MakeGroupKey(*table_, r, fd.lhs)];
     g.rows.push_back(r);  // ascending: rows visited in id order
     ++g.hist[rhs];
     by_rhs_[rhs].push_back(r);
@@ -26,7 +45,7 @@ FdDeltaDetector::FdDeltaDetector(const Table* table,
 void FdDeltaDetector::RemoveContribution(const GroupKey& key) {
   auto it = groups_.find(key);
   if (it == groups_.end() || !it->second.violating()) return;
-  const GroupState& g = it->second;
+  const Group& g = it->second;
   --violating_groups_;
   violating_rows_ -= g.rows.size();
   candidate_sum_ -= g.hist.size();
@@ -38,7 +57,7 @@ void FdDeltaDetector::RemoveContribution(const GroupKey& key) {
   }
 }
 
-void FdDeltaDetector::AddContribution(const GroupState& group) {
+void FdDeltaDetector::AddContribution(const Group& group) {
   if (!group.violating()) return;
   ++violating_groups_;
   violating_rows_ += group.rows.size();
@@ -46,8 +65,13 @@ void FdDeltaDetector::AddContribution(const GroupState& group) {
   for (const auto& [value, count] : group.hist) ++dirty_rhs_refs_[value];
 }
 
-std::vector<RowId> FdDeltaDetector::ApplyDelta(const TableDelta& delta) {
+FdDeltaEffect FdDeltaDetector::ApplyDelta(const TableDelta& delta) {
   const FdView& fd = dc_->fd();
+  FdDeltaEffect effect;
+  std::unordered_set<Value, ValueHash> changed_rhs;
+  auto bucket_changed = [&](const Value& rhs) {
+    if (changed_rhs.insert(rhs).second) effect.changed_rhs.push_back(rhs);
+  };
   // Groups whose membership this batch touches: their contribution to the
   // counters is retracted up front and re-added once the batch is folded
   // in, so every transition (clean<->violating, histogram growth) patches
@@ -72,16 +96,17 @@ std::vector<RowId> FdDeltaDetector::ApplyDelta(const TableDelta& delta) {
     const Value& rhs = table_->cell(r, fd.rhs).original();
     GroupKey key = MakeGroupKey(*table_, r, fd.lhs);
     touch(key);
-    GroupState& g = groups_[key];
+    Group& g = groups_[key];
     g.rows.push_back(r);  // appended ids exceed all existing: stays sorted
     ++g.hist[rhs];
     by_rhs_[rhs].push_back(r);
+    bucket_changed(rhs);
   }
   for (RowId r : delta.deleted) {
     GroupKey key = MakeGroupKey(*table_, r, fd.lhs);
     auto it = groups_.find(key);
     if (it == groups_.end()) continue;
-    GroupState& g = it->second;
+    Group& g = it->second;
     const auto pos = std::find(g.rows.begin(), g.rows.end(), r);
     if (pos == g.rows.end()) continue;  // row never tracked (stale delta)
     touch(key);  // reads counters only; g and pos stay valid
@@ -96,9 +121,10 @@ std::vector<RowId> FdDeltaDetector::ApplyDelta(const TableDelta& delta) {
       if (at != rows.end()) rows.erase(at);
       if (rows.empty()) by_rhs_.erase(bucket);
     }
+    bucket_changed(rhs);
   }
 
-  std::vector<RowId> stale;
+  std::vector<RowId>& stale = effect.stale_rows;
   for (const GroupKey& key : touched_order) {
     auto it = groups_.find(key);
     if (it == groups_.end()) continue;
@@ -118,7 +144,7 @@ std::vector<RowId> FdDeltaDetector::ApplyDelta(const TableDelta& delta) {
   }
   std::sort(stale.begin(), stale.end());
   stale.erase(std::unique(stale.begin(), stale.end()), stale.end());
-  return stale;
+  return effect;
 }
 
 std::vector<FdGroup> FdDeltaDetector::ViolatingGroups(
@@ -136,6 +162,17 @@ std::vector<FdGroup> FdDeltaDetector::ViolatingGroups(
   }
   SortFdGroups(&out);
   return out;
+}
+
+const FdDeltaDetector::Group* FdDeltaDetector::GroupOf(RowId r) const {
+  const auto it = groups_.find(MakeGroupKey(*table_, r, dc_->fd().lhs));
+  return it == groups_.end() ? nullptr : &it->second;
+}
+
+const std::vector<RowId>& FdDeltaDetector::RhsBucket(const Value& rhs) const {
+  static const std::vector<RowId> kEmpty;
+  const auto it = by_rhs_.find(rhs);
+  return it == by_rhs_.end() ? kEmpty : it->second;
 }
 
 RelaxResult FdDeltaDetector::Relax(const std::vector<RowId>& answer,
@@ -175,10 +212,7 @@ RelaxResult FdDeltaDetector::Relax(const std::vector<RowId>& answer,
         take(group->second.rows);
       }
       const Value& rhs = table_->cell(r, fd.rhs).original();
-      if (seen_rhs.insert(rhs).second) {
-        const auto bucket = by_rhs_.find(rhs);
-        if (bucket != by_rhs_.end()) take(bucket->second);
-      }
+      if (seen_rhs.insert(rhs).second) take(RhsBucket(rhs));
     }
     frontier.swap(next);
     next.clear();
@@ -190,8 +224,8 @@ bool FdDeltaDetector::RowsTouchDirty(const std::vector<RowId>& rows) const {
   if (violating_groups_ == 0) return false;
   const FdView& fd = dc_->fd();
   for (RowId r : rows) {
-    const auto group = groups_.find(MakeGroupKey(*table_, r, fd.lhs));
-    if (group != groups_.end() && group->second.violating()) return true;
+    const Group* group = GroupOf(r);
+    if (group != nullptr && group->violating()) return true;
     if (dirty_rhs_refs_.count(table_->cell(r, fd.rhs).original()) > 0) {
       return true;
     }

@@ -1,12 +1,15 @@
 // Delta-maintained FD state: the one per-rule index an FD rule keeps (the
 // BigDansing group-by detection primitive kept warm across ingest batches).
 //
-// Where DetectFdViolations re-groups the whole relation per call, an
-// FdDeltaDetector holds the lhs-group membership with per-group rhs
+// An FdDeltaDetector holds the lhs-group membership with per-group rhs
 // histograms, the rhs -> rows buckets, and the dirty-rhs reference counts,
-// and folds each TableDelta in with O(|delta|) map updates. Every answer
-// an FD rule needs reads this one structure:
-//  * ViolatingGroups() reproduces DetectFdViolations over the live rows;
+// built by one grouping pass and folded forward per TableDelta with
+// O(|delta|) map updates. Every answer an FD rule needs reads this one
+// structure:
+//  * ViolatingGroups() lists the violating lhs groups of the live rows;
+//  * GroupOf() and RhsBucket() are the two distributions of Section 4.1
+//    (P(rhs | lhs) over a row's lhs group, P(lhs | rhs) over the rows
+//    sharing its rhs) that repair/fd_repair.h writes as candidates;
 //  * Relax() runs Algorithm 1's transitive closure through the lhs groups
 //    and rhs buckets;
 //  * RowsTouchDirty() is the per-query dirty-group pruning test and
@@ -17,10 +20,9 @@
 // ApplyDelta also reports which live rows' repair state the batch made
 // stale — members of touched groups that violate now (earlier repairs are
 // incomplete against the new data) or violated before (a delete resolved
-// the group; the survivors' fixes must be retracted). Per-rule checked
-// bookkeeping uncovers them and provenance drops the rule's records (the
-// caller passes them to CleanSelect::ApplyDelta /
-// ProvenanceStore::DropRuleRecords).
+// the group; the survivors' fixes must be retracted) — and which rhs
+// buckets changed, whose repaired rows need their P(lhs | rhs) candidates
+// re-derived (RefreshFdLhsCandidates).
 //
 // Grouping runs on original values (Value-keyed maps), which never change
 // in the engine's repair model — repairs only attach candidate sets.
@@ -29,14 +31,33 @@
 #define DAISY_DETECT_FD_DELTA_H_
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "constraints/denial_constraint.h"
-#include "detect/fd_detector.h"
 #include "detect/group_by.h"
 #include "storage/table.h"
 
 namespace daisy {
+
+/// All rows sharing one lhs value combination, with the distinct rhs values
+/// observed. The group violates the FD iff it has >1 distinct rhs.
+struct FdGroup {
+  GroupKey lhs_key;
+  std::vector<RowId> rows;
+  /// Distinct rhs values with their in-group frequencies (SortFdRhsHistogram
+  /// order).
+  std::vector<std::pair<Value, size_t>> rhs_histogram;
+
+  bool violating() const { return rhs_histogram.size() > 1; }
+  size_t total() const { return rows.size(); }
+};
+
+/// Canonical ordering of group lists, so a maintained index, a fresh one
+/// and the test oracles compare bit-identically: groups by lhs key
+/// (Value::Compare), each histogram by (count desc, value).
+void SortFdGroups(std::vector<FdGroup>* groups);
+void SortFdRhsHistogram(std::vector<std::pair<Value, size_t>>* hist);
 
 /// The outcome of relaxing a query answer under one FD.
 struct RelaxResult {
@@ -56,23 +77,45 @@ struct FdRuleStats {
   double avg_candidates = 1.0;      ///< p: mean distinct rhs per dirty group
 };
 
+/// What one ingest batch changed for an FD rule's repairs.
+struct FdDeltaEffect {
+  /// Live rows whose repair state may be stale — members of every touched
+  /// group that violates after the batch *or* violated before it (a
+  /// delete resolving a group leaves survivors whose fixes must be
+  /// retracted) — ascending and unique.
+  std::vector<RowId> stale_rows;
+  /// rhs values whose bucket gained or lost a row, unique, in first-seen
+  /// order.
+  std::vector<Value> changed_rhs;
+};
+
 class FdDeltaDetector {
  public:
+  /// One lhs group's live members (ascending) and rhs frequencies.
+  struct Group {
+    std::vector<RowId> rows;
+    std::unordered_map<Value, size_t, ValueHash> hist;
+    bool violating() const { return hist.size() > 1; }
+  };
+
   /// Requires dc->IsFd(). `table` and `dc` must outlive the detector.
   /// Builds the group state over the live rows immediately.
   FdDeltaDetector(const Table* table, const DenialConstraint* dc);
 
   /// Folds one ingest batch into the maintained state in O(|delta|).
-  /// Returns the live rows whose repair state may be stale — members of
-  /// every touched group that violates after the batch *or* violated
-  /// before it (a delete resolving a group leaves survivors whose fixes
-  /// must be retracted) — ascending and unique.
-  std::vector<RowId> ApplyDelta(const TableDelta& delta);
+  FdDeltaEffect ApplyDelta(const TableDelta& delta);
 
-  /// Materializes the maintained groups in the canonical detection order —
-  /// identical to DetectFdViolations(table, dc, table.AllRowIds(),
-  /// include_clean).
+  /// Materializes the maintained groups (clean ones too when
+  /// `include_clean`) in the canonical SortFdGroups order.
   std::vector<FdGroup> ViolatingGroups(bool include_clean = false) const;
+
+  /// Row `r`'s lhs group, or nullptr when no live row has its lhs key.
+  const Group* GroupOf(RowId r) const;
+
+  /// The live rows carrying rhs original `rhs`, ascending (empty if none).
+  const std::vector<RowId>& RhsBucket(const Value& rhs) const;
+
+  const DenialConstraint& dc() const { return *dc_; }
 
   /// Transitive-closure relaxation (Algorithm 1) of `answer` via the lhs
   /// groups and rhs buckets: produces exactly the extras of the scan form
@@ -97,16 +140,11 @@ class FdDeltaDetector {
   FdRuleStats stats() const;
 
  private:
-  struct GroupState {
-    std::vector<RowId> rows;  ///< live members, ascending
-    std::unordered_map<Value, size_t, ValueHash> hist;  ///< rhs frequencies
-    bool violating() const { return hist.size() > 1; }
-  };
   using GroupMapState =
-      std::unordered_map<GroupKey, GroupState, GroupKeyHash, GroupKeyEq>;
+      std::unordered_map<GroupKey, Group, GroupKeyHash, GroupKeyEq>;
 
   void RemoveContribution(const GroupKey& key);
-  void AddContribution(const GroupState& group);
+  void AddContribution(const Group& group);
 
   const Table* table_;
   const DenialConstraint* dc_;

@@ -1,20 +1,13 @@
-// Hash-based grouping of table rows on column subsets — the BigDansing-style
-// O(n) detection primitive for FDs.
-//
-// Grouping runs on the table's columnar dictionary codes: each row
-// contributes one uint32_t per grouping column instead of hashing a Value
-// tuple per row. Group keys in the returned map are the dictionary's
-// representative values — Equals/Hash-consistent with the cell values, so
-// lookups by a per-row MakeGroupKey find the row's group.
+// Grouping keys on column subsets: the tuple of a row's original values on
+// the grouping columns, with the hash and equality the FD index and the
+// executor's GROUP BY key their maps by.
 
 #ifndef DAISY_DETECT_GROUP_BY_H_
 #define DAISY_DETECT_GROUP_BY_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/value.h"
-#include "storage/column_cache.h"
 #include "storage/table.h"
 
 namespace daisy {
@@ -42,17 +35,9 @@ struct GroupKeyEq {
   }
 };
 
-using GroupMap =
-    std::unordered_map<GroupKey, std::vector<RowId>, GroupKeyHash, GroupKeyEq>;
-
 /// Extracts the grouping key (original values) of row `r` on `columns`.
 GroupKey MakeGroupKey(const Table& table, RowId r,
                       const std::vector<size_t>& columns);
-
-/// Groups `rows` of `table` by the original values of `columns`, using the
-/// table's columnar dictionary codes.
-GroupMap GroupRowsBy(const Table& table, const std::vector<size_t>& columns,
-                     const std::vector<RowId>& rows);
 
 }  // namespace daisy
 

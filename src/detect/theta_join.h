@@ -191,12 +191,10 @@ class ThetaJoinDetector {
   size_t pairs_checked() const { return pairs_checked_; }
   size_t partitions_pruned() const { return partitions_pruned_; }
 
-  /// Disables partition pruning (ablation switch for benches). Written
-  /// conditionally: concurrent quiescent readers re-apply the value already
-  /// set, which must not count as a write.
-  void set_pruning_enabled(bool enabled) {
-    if (pruning_enabled_ != enabled) pruning_enabled_ = enabled;
-  }
+  /// Turns partition pruning on or off: the ablation switch tests and
+  /// benches use to compare pruned and unpruned detection. The engine
+  /// always prunes.
+  void set_pruning_enabled(bool enabled) { pruning_enabled_ = enabled; }
 
   /// Captures the coverage state for a snapshot (syncs with the table
   /// first, so pending deltas are folded in before the copy).

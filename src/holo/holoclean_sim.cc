@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "detect/fd_detector.h"
+#include "detect/fd_delta.h"
 #include "detect/theta_join.h"
 
 namespace daisy {
@@ -29,8 +29,7 @@ HoloCleanSim::CollectDirtyCells() {
   for (const DenialConstraint* dc : constraints_->ForTable(table_->name())) {
     if (dc->IsFd()) {
       const FdView& fd = dc->fd();
-      for (const FdGroup& g :
-           DetectFdViolations(*table_, *dc, table_->AllRowIds(), false)) {
+      for (const FdGroup& g : FdDeltaDetector(table_, dc).ViolatingGroups()) {
         for (RowId r : g.rows) add(r, fd.rhs);
       }
       continue;

@@ -1,10 +1,11 @@
 #include "offline/offline_cleaner.h"
 
-#include <unordered_map>
+#include <vector>
 
-#include "detect/fd_detector.h"
+#include "detect/fd_delta.h"
 #include "detect/theta_join.h"
 #include "repair/dc_repair.h"
+#include "repair/fd_repair.h"
 
 namespace daisy {
 
@@ -35,67 +36,30 @@ Result<OfflineCleanStats> OfflineCleaner::CleanFd(const DenialConstraint& dc) {
   const FdView& fd = dc.fd();
 
   // Detection: one group-by pass (the BigDansing optimization).
-  const std::vector<FdGroup> groups =
-      DetectFdViolations(*table, dc, table->AllRowIds(), false);
+  const FdDeltaDetector index(table, &dc);
   ++stats.dataset_passes;
 
   // Repair: the offline engine assembles the candidate evidence with one
-  // traversal per violating group — the O(ε·n) term of Section 5.2.1.
-  for (const FdGroup& group : groups) {
+  // traversal per violating group — the O(ε·n) term of Section 5.2.1. The
+  // traversal collects the tuples sharing an rhs value with the group (the
+  // group itself included); the candidates are written for them from the
+  // index, as the engine writes its own.
+  for (const FdGroup& group : index.ViolatingGroups()) {
     ++stats.violating_groups;
-    // Pass over the dataset: collect, for every rhs value present in this
-    // group, the lhs histogram of tuples carrying that rhs.
-    std::unordered_map<Value,
-                       std::unordered_map<Value, size_t, ValueHash>, ValueHash>
-        lhs_by_rhs;  // keyed on rhs value -> (lhs first attr -> count)
-    std::unordered_map<Value, std::vector<RowId>, ValueHash> rows_by_rhs;
-    for (const auto& [rhs_value, _] : group.rhs_histogram) {
-      lhs_by_rhs[rhs_value];  // pre-register the group's rhs values
-    }
     ++stats.dataset_passes;
+    std::vector<RowId> evidence;
     for (RowId r = 0; r < table->num_rows(); ++r) {
       if (!table->is_live(r)) continue;
       const Value& rv = table->cell(r, fd.rhs).original();
-      auto it = lhs_by_rhs.find(rv);
-      if (it == lhs_by_rhs.end()) continue;
-      rows_by_rhs[rv].push_back(r);
-    }
-
-    for (RowId r : group.rows) {
-      if (prov.HasRecord(r, fd.rhs, dc.name())) continue;
-      ++stats.tuples_repaired;
-      // rhs candidates: P(rhs | lhs) from the group's histogram.
-      RepairRecord rec;
-      rec.rule = dc.name();
-      rec.pair_tag = 0;
-      rec.conflicting_rows = group.rows;
-      for (const auto& [value, count] : group.rhs_histogram) {
-        rec.sources.push_back(
-            {value, static_cast<double>(count), CandidateKind::kPoint});
-      }
-      prov.Record(table, r, fd.rhs, std::move(rec));
-
-      // lhs candidates: P(lhs | rhs) over the tuples sharing r's rhs.
-      const Value& rhs_val = table->cell(r, fd.rhs).original();
-      auto rows_it = rows_by_rhs.find(rhs_val);
-      if (rows_it == rows_by_rhs.end()) continue;
-      for (size_t lhs_col : fd.lhs) {
-        std::unordered_map<Value, size_t, ValueHash> hist;
-        for (RowId o : rows_it->second) {
-          hist[table->cell(o, lhs_col).original()] += 1;
+      for (const auto& [rhs_value, count] : group.rhs_histogram) {
+        if (rv == rhs_value) {
+          evidence.push_back(r);
+          break;
         }
-        if (hist.size() <= 1) continue;
-        RepairRecord lrec;
-        lrec.rule = dc.name();
-        lrec.pair_tag = 1;
-        lrec.conflicting_rows = rows_it->second;
-        for (const auto& [value, count] : hist) {
-          lrec.sources.push_back(
-              {value, static_cast<double>(count), CandidateKind::kPoint});
-        }
-        prov.Record(table, r, lhs_col, std::move(lrec));
       }
     }
+    stats.tuples_repaired +=
+        RepairFdViolations(table, index, evidence, &prov).tuples_repaired;
   }
   return stats;
 }

@@ -171,6 +171,21 @@ void ProvenanceStore::DropRuleRecords(Table* table, RowId row,
   }
 }
 
+void ProvenanceStore::DropRecord(Table* table, RowId row, size_t col,
+                                 const std::string& rule, int32_t pair_tag) {
+  auto it = records_.find({row, col});
+  if (it == records_.end()) return;
+  std::vector<RepairRecord>& recs = it->second;
+  const auto rec =
+      std::find_if(recs.begin(), recs.end(), [&](const RepairRecord& r) {
+        return r.rule == rule && r.pair_tag == pair_tag;
+      });
+  if (rec == recs.end()) return;
+  recs.erase(rec);
+  if (recs.empty()) records_.erase(it);
+  RebuildCell(table, row, col);
+}
+
 void ProvenanceStore::RebuildCell(Table* table, RowId row, size_t col) const {
   auto it = records_.find({row, col});
   Cell& cell = table->mutable_cell(row, col);

@@ -82,6 +82,12 @@ class ProvenanceStore {
   /// (records of other rules are kept and keep contributing).
   void DropRuleRecords(Table* table, RowId row, const std::string& rule);
 
+  /// Removes `rule`'s pair-`pair_tag` record of one cell, if any, and
+  /// rebuilds the cell. The FD ingest path uses this when a repaired row's
+  /// P(lhs | rhs) distribution collapses to a single value.
+  void DropRecord(Table* table, RowId row, size_t col,
+                  const std::string& rule, int32_t pair_tag);
+
   /// Removes every record `rule` contributed anywhere in the table and
   /// rebuilds the affected cells. The DC ingest path uses this when a
   /// deletion retracted violating pairs: the rule's accumulated pair

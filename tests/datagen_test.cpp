@@ -8,7 +8,7 @@
 #include "datagen/realworld.h"
 #include "datagen/ssb.h"
 #include "datagen/workload.h"
-#include "detect/fd_detector.h"
+#include "detect/fd_delta.h"
 #include "detect_oracle.h"
 #include "query/parser.h"
 
@@ -46,7 +46,7 @@ TEST(SsbTest, ViolatingFractionControlsDirtyGroups) {
   GeneratedData data = GenerateLineorder(config);
   DenialConstraint fd = FdFor(data.dirty, "FD orderkey -> suppkey");
   const auto groups =
-      DetectFdViolations(data.dirty, fd, data.dirty.AllRowIds());
+      FdDeltaDetector(&data.dirty, &fd).ViolatingGroups();
   // ~40% of the 100 orderkeys violate (sampling is exact by construction).
   EXPECT_EQ(groups.size(), 40u);
 }
@@ -155,7 +155,7 @@ TEST(RealWorldTest, NestleConflictingMaterials) {
   DenialConstraint fd = FdFor(data.dirty, "FD material -> category");
   EXPECT_EQ(CountFdViolatingRows(data.truth, fd), 0u);
   const auto groups =
-      DetectFdViolations(data.dirty, fd, data.dirty.AllRowIds());
+      FdDeltaDetector(&data.dirty, &fd).ViolatingGroups();
   EXPECT_GT(groups.size(), 50u);  // most populated materials conflict
 }
 
@@ -171,9 +171,9 @@ TEST(RealWorldTest, AirQualityViolatingGroupFraction) {
       FdFor(low.dirty, "FD state_code, county_code -> county_name");
   EXPECT_EQ(CountFdViolatingRows(low.truth, fd), 0u);
   const size_t low_groups =
-      DetectFdViolations(low.dirty, fd, low.dirty.AllRowIds()).size();
+      FdDeltaDetector(&low.dirty, &fd).ViolatingGroups().size();
   const size_t high_groups =
-      DetectFdViolations(high.dirty, fd, high.dirty.AllRowIds()).size();
+      FdDeltaDetector(&high.dirty, &fd).ViolatingGroups().size();
   EXPECT_GT(low_groups, 0u);
   EXPECT_GT(high_groups, low_groups * 2);
 }

@@ -1,7 +1,8 @@
 // Reference implementations the detectors are checked against, one copy
 // each. They trade speed for obviousness: grouping and FD detection hash a
-// Value tuple per row (Cell::original()), and general denial constraints
-// run DenialConstraint::ViolatedBy over every ordered pair of live rows.
+// Value tuple per row (Cell::original()) of the rows handed in, and general
+// denial constraints run DenialConstraint::ViolatedBy over every ordered
+// pair of live rows.
 
 #ifndef DAISY_TESTS_DETECT_ORACLE_H_
 #define DAISY_TESTS_DETECT_ORACLE_H_
@@ -18,7 +19,6 @@
 #include "common/rng.h"
 #include "constraints/denial_constraint.h"
 #include "detect/fd_delta.h"
-#include "detect/fd_detector.h"
 #include "detect/group_by.h"
 #include "detect/theta_join.h"
 #include "relax_oracle.h"
@@ -27,7 +27,11 @@
 namespace daisy {
 namespace testutil {
 
-/// Row-at-a-time GroupRowsBy: the same grouping, keyed by MakeGroupKey.
+using GroupMap =
+    std::unordered_map<GroupKey, std::vector<RowId>, GroupKeyHash, GroupKeyEq>;
+
+/// Groups `rows` of `table` by the original values of `columns`, keyed by
+/// MakeGroupKey; members keep the order of `rows`.
 inline GroupMap GroupRowsByRowPath(const Table& table,
                                    const std::vector<size_t>& columns,
                                    const std::vector<RowId>& rows) {
@@ -39,26 +43,10 @@ inline GroupMap GroupRowsByRowPath(const Table& table,
   return groups;
 }
 
-/// Groups all rows of `table` by `columns` (GroupRowsBy over AllRowIds).
-inline GroupMap GroupAllRowsBy(const Table& table,
-                               const std::vector<size_t>& columns) {
-  return GroupRowsBy(table, columns, table.AllRowIds());
-}
-
-/// Count of rows that participate in some violating group of `dc` over the
-/// whole table — the paper's #vio statistic.
-inline size_t CountFdViolatingRows(const Table& table,
-                                   const DenialConstraint& dc) {
-  size_t count = 0;
-  for (const FdGroup& g :
-       DetectFdViolations(table, dc, table.AllRowIds(), false)) {
-    count += g.total();
-  }
-  return count;
-}
-
-/// Row-at-a-time DetectFdViolations: the same groups in the same
-/// canonical order (SortFdGroups / SortFdRhsHistogram).
+/// FD detection among `rows`: the groups of `rows` on the lhs with >1
+/// distinct rhs (all groups when `include_clean`), in the canonical order
+/// (SortFdGroups / SortFdRhsHistogram) FdDeltaDetector::ViolatingGroups
+/// lists them in.
 inline std::vector<FdGroup> DetectFdViolationsRowPath(
     const Table& table, const DenialConstraint& dc,
     const std::vector<RowId>& rows, bool include_clean = false) {
@@ -83,15 +71,27 @@ inline std::vector<FdGroup> DetectFdViolationsRowPath(
   return out;
 }
 
+/// Count of rows that participate in some violating group of `dc` over the
+/// whole table — the paper's #vio statistic.
+inline size_t CountFdViolatingRows(const Table& table,
+                                   const DenialConstraint& dc) {
+  size_t count = 0;
+  for (const FdGroup& g : DetectFdViolationsRowPath(table, dc,
+                                                    table.AllRowIds())) {
+    count += g.total();
+  }
+  return count;
+}
+
 /// From-scratch FdDeltaDetector::stats(): ε, violating groups and p of
-/// `dc` over the live rows, counted off DetectFdViolations.
+/// `dc` over the live rows, counted off DetectFdViolationsRowPath.
 inline FdRuleStats FdStatsFromScratch(const Table& table,
                                       const DenialConstraint& dc) {
   FdRuleStats stats;
   stats.table_rows = table.num_live_rows();
   size_t candidate_sum = 0;
   for (const FdGroup& g :
-       DetectFdViolations(table, dc, table.AllRowIds(), false)) {
+       DetectFdViolationsRowPath(table, dc, table.AllRowIds())) {
     ++stats.num_violating_groups;
     stats.num_violating_rows += g.total();
     candidate_sum += g.rhs_histogram.size();
@@ -105,7 +105,7 @@ inline FdRuleStats FdStatsFromScratch(const Table& table,
 
 /// Checks a delta-maintained FdDeltaDetector against a fresh one and the
 /// from-scratch oracles: every group (clean ones included) against the
-/// fresh detector and DetectFdViolations; stats() against
+/// fresh detector and DetectFdViolationsRowPath; stats() against
 /// FdStatsFromScratch; RowsTouchDirty of every live row against the lhs
 /// keys and rhs values of the from-scratch violating groups; Relax on a
 /// `seed`-drawn answer against the fresh detector, bit for bit, with and
@@ -129,8 +129,8 @@ inline ::testing::AssertionResult MatchesFreshFdIndex(
   const FdDeltaDetector fresh(&table, &dc);
   const std::vector<FdGroup> groups = maintained.ViolatingGroups(true);
   if (!same_groups(groups, fresh.ViolatingGroups(true)) ||
-      !same_groups(groups,
-                   DetectFdViolations(table, dc, table.AllRowIds(), true))) {
+      !same_groups(groups, DetectFdViolationsRowPath(
+                               table, dc, table.AllRowIds(), true))) {
     return ::testing::AssertionFailure() << "maintained groups diverge";
   }
   const FdRuleStats m = maintained.stats();

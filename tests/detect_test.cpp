@@ -7,7 +7,7 @@
 #include <set>
 
 #include "common/rng.h"
-#include "detect/fd_detector.h"
+#include "detect/fd_delta.h"
 #include "detect/group_by.h"
 #include "detect/theta_join.h"
 #include "detect_oracle.h"
@@ -19,7 +19,7 @@ using testutil::AsSet;
 using testutil::BruteForce;
 using testutil::CountFdViolatingRows;
 using testutil::DetectFdViolationsRowPath;
-using testutil::GroupAllRowsBy;
+using testutil::GroupMap;
 using testutil::GroupRowsByRowPath;
 
 Schema CitySchema() {
@@ -50,7 +50,7 @@ DenialConstraint SalaryDc(const Schema& schema) {
 
 TEST(GroupByTest, GroupsByKey) {
   Table t = CitiesTable();
-  GroupMap groups = GroupAllRowsBy(t, {0});
+  GroupMap groups = GroupRowsByRowPath(t, {0}, t.AllRowIds());
   EXPECT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[GroupKey{Value(9001)}].size(), 3u);
   EXPECT_EQ(groups[GroupKey{Value(10001)}].size(), 2u);
@@ -58,13 +58,15 @@ TEST(GroupByTest, GroupsByKey) {
 
 TEST(GroupByTest, MultiColumnKey) {
   Table t = CitiesTable();
-  GroupMap groups = GroupAllRowsBy(t, {0, 1});
+  GroupMap groups = GroupRowsByRowPath(t, {0, 1}, t.AllRowIds());
   EXPECT_EQ(groups.size(), 4u);  // (9001,LA)x2 collapses
+  EXPECT_EQ(MakeGroupKey(t, 2, {0, 1}),
+            (GroupKey{Value(9001), Value("Los Angeles")}));
 }
 
 TEST(GroupByTest, SubsetOfRows) {
   Table t = CitiesTable();
-  GroupMap groups = GroupRowsBy(t, {0}, {0, 3});
+  GroupMap groups = GroupRowsByRowPath(t, {0}, {0, 3});
   EXPECT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[GroupKey{Value(9001)}].size(), 1u);
 }
@@ -75,7 +77,7 @@ TEST(FdDetectorTest, FindsViolatingGroups) {
   Table t = CitiesTable();
   auto dc =
       ParseConstraint("FD zip -> city", "cities", CitySchema()).ValueOrDie();
-  auto groups = DetectFdViolations(t, dc, t.AllRowIds());
+  auto groups = FdDeltaDetector(&t, &dc).ViolatingGroups();
   ASSERT_EQ(groups.size(), 2u);  // both zips violate
   // Deterministic order: 9001 first.
   EXPECT_EQ(groups[0].lhs_key, GroupKey{Value(9001)});
@@ -95,52 +97,41 @@ TEST(FdDetectorTest, CleanGroupsFiltered) {
   ASSERT_TRUE(t.AppendRow({Value(2), Value("b")}).ok());
   auto dc =
       ParseConstraint("FD zip -> city", "cities", CitySchema()).ValueOrDie();
-  EXPECT_TRUE(DetectFdViolations(t, dc, t.AllRowIds()).empty());
-  EXPECT_EQ(DetectFdViolations(t, dc, t.AllRowIds(), true).size(), 2u);
+  const FdDeltaDetector index(&t, &dc);
+  EXPECT_TRUE(index.ViolatingGroups().empty());
+  EXPECT_EQ(index.ViolatingGroups(true).size(), 2u);
   EXPECT_EQ(CountFdViolatingRows(t, dc), 0u);
 }
 
-TEST(FdDetectorTest, ScopeRestriction) {
+TEST(FdDetectorTest, GroupAndRhsBucketLookups) {
   Table t = CitiesTable();
   auto dc =
       ParseConstraint("FD zip -> city", "cities", CitySchema()).ValueOrDie();
-  // Only rows 0 and 2 (both LA): no violation within the scope.
-  EXPECT_TRUE(DetectFdViolations(t, dc, {0, 2}).empty());
-  // Rows 0 and 1 conflict.
-  EXPECT_EQ(DetectFdViolations(t, dc, {0, 1}).size(), 1u);
+  const FdDeltaDetector index(&t, &dc);
+  // Row 1's lhs group is the 9001 cluster, whatever member asks.
+  const FdDeltaDetector::Group* group = index.GroupOf(1);
+  ASSERT_NE(group, nullptr);
+  EXPECT_EQ(group, index.GroupOf(2));
+  EXPECT_EQ(group->rows, (std::vector<RowId>{0, 1, 2}));
+  EXPECT_TRUE(group->violating());
+  EXPECT_EQ(group->hist.at(Value("Los Angeles")), 2u);
+  // P(lhs | rhs) reads the live rows sharing the rhs, ascending.
+  EXPECT_EQ(index.RhsBucket(Value("San Francisco")),
+            (std::vector<RowId>{1, 3}));
+  EXPECT_TRUE(index.RhsBucket(Value("Boston")).empty());
 }
 
-// ------------------------------------------------- columnar equivalence --
-
-TEST(GroupByTest, ColumnarMatchesRowPath) {
-  Table t = CitiesTable();
-  for (const std::vector<size_t>& cols :
-       {std::vector<size_t>{}, std::vector<size_t>{0},
-        std::vector<size_t>{1}, std::vector<size_t>{0, 1}}) {
-    GroupMap columnar = GroupRowsBy(t, cols, t.AllRowIds());
-    GroupMap row_path = GroupRowsByRowPath(t, cols, t.AllRowIds());
-    ASSERT_EQ(columnar.size(), row_path.size());
-    for (const auto& [key, members] : row_path) {
-      auto it = columnar.find(key);
-      ASSERT_NE(it, columnar.end());
-      EXPECT_EQ(it->second, members);
-    }
-  }
-  // No rows and no columns: no groups, not one empty group.
-  EXPECT_TRUE(GroupRowsBy(t, {}, {}).empty());
-}
-
-TEST(FdDetectorTest, ColumnarMatchesRowPath) {
+TEST(FdDetectorTest, IndexMatchesRowPath) {
   Table t = CitiesTable();
   auto dc =
       ParseConstraint("FD zip -> city", "cities", CitySchema()).ValueOrDie();
-  const auto columnar = DetectFdViolations(t, dc, t.AllRowIds(), true);
+  const auto indexed = FdDeltaDetector(&t, &dc).ViolatingGroups(true);
   const auto row_path = DetectFdViolationsRowPath(t, dc, t.AllRowIds(), true);
-  ASSERT_EQ(columnar.size(), row_path.size());
-  for (size_t i = 0; i < columnar.size(); ++i) {
-    EXPECT_EQ(columnar[i].lhs_key, row_path[i].lhs_key);
-    EXPECT_EQ(columnar[i].rows, row_path[i].rows);
-    EXPECT_EQ(columnar[i].rhs_histogram, row_path[i].rhs_histogram);
+  ASSERT_EQ(indexed.size(), row_path.size());
+  for (size_t i = 0; i < indexed.size(); ++i) {
+    EXPECT_EQ(indexed[i].lhs_key, row_path[i].lhs_key);
+    EXPECT_EQ(indexed[i].rows, row_path[i].rows);
+    EXPECT_EQ(indexed[i].rhs_histogram, row_path[i].rhs_histogram);
   }
 }
 

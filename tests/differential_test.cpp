@@ -7,7 +7,7 @@
 //  1. Delta-maintained detection state is bit-identical to from-scratch
 //     detection: the theta-join detector's maintained violation set (kept
 //     current via DetectDelta) equals a fresh DetectAll; the FD group state
-//     (FdDeltaDetector) equals DetectFdViolations; its counters, dirty
+//     (FdDeltaDetector) equals from-scratch grouping; its counters, dirty
 //     pruning test and relaxation equal a fresh FdDeltaDetector's.
 //
 //  2. The detectors agree with the test oracles (detect_oracle.h): the
@@ -16,6 +16,10 @@
 //     driven through the same ingest + query sequence keeps its FD index
 //     (groups, stats, relaxation) equal to a fresh build and the oracles
 //     after every query, and finishes with CleanAllRemaining.
+//
+// A third check covers repairs: an FD-only engine's cells after the
+// sequence and CleanAllRemaining equal those of a fresh engine cleaned
+// over the final live rows.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +30,6 @@
 #include "clean/daisy_engine.h"
 #include "common/rng.h"
 #include "detect/fd_delta.h"
-#include "detect/fd_detector.h"
 #include "detect/theta_join.h"
 #include "detect_oracle.h"
 #include "storage/database.h"
@@ -234,12 +237,10 @@ void RunDetectorDifferential(uint64_t seed) {
     // Detectors == oracles.
     EXPECT_EQ(testutil::AsSet(theta.maintained_violations()),
               testutil::BruteForce(t, dc));
-    EXPECT_TRUE(SameGroups(fd_state.ViolatingGroups(),
-                           DetectFdViolations(t, fd, t.AllRowIds(), false)));
-    EXPECT_TRUE(testutil::MatchesFreshFdIndex(fd_state, t, fd, seed + i));
     EXPECT_TRUE(SameGroups(
-        DetectFdViolations(t, fd, t.AllRowIds(), false),
+        fd_state.ViolatingGroups(),
         testutil::DetectFdViolationsRowPath(t, fd, t.AllRowIds(), false)));
+    EXPECT_TRUE(testutil::MatchesFreshFdIndex(fd_state, t, fd, seed + i));
   }
 }
 
@@ -287,12 +288,78 @@ void RunEngineSequence(uint64_t seed) {
   ASSERT_TRUE(engine.CleanAllRemaining().ok());
 }
 
+// ------------------------------------- maintained == from-scratch repair --
+
+// An FD-only engine replays the sequence and cleans everything left; every
+// live cell must then equal the cell of a fresh engine loaded with the
+// live rows (id order) and cleaned the same way — the candidates of a
+// repair maintained across ingest are those of cleaning the final data.
+void RunFdRepairSequence(uint64_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  const Scenario s = MakeScenario(seed);
+  Database db;
+  ASSERT_TRUE(db.AddTable(BuildTable(s)).ok());
+  ConstraintSet rules;
+  ASSERT_TRUE(rules.AddFromText(s.fd_text, "t", s.schema).ok());
+  DaisyOptions options;
+  options.mode = (seed % 2 == 0) ? DaisyOptions::Mode::kAdaptive
+                                 : DaisyOptions::Mode::kIncremental;
+  DaisyEngine engine(&db, std::move(rules), options);
+  ASSERT_TRUE(engine.Prepare().ok());
+  const Table& t = *db.GetTable("t").ValueOrDie();
+
+  const std::vector<Op> ops = MakeOps(seed, s);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const Op& op = ops[i];
+    if (op.kind == Op::Kind::kAppend) {
+      ASSERT_TRUE(engine.AppendRows("t", op.rows).ok());
+    } else if (op.kind == Op::Kind::kDelete) {
+      std::vector<RowId> victims = PickVictims(t, op.delete_count, seed + i);
+      if (victims.empty()) continue;
+      ASSERT_TRUE(engine.DeleteRows("t", victims).ok());
+    } else {
+      ASSERT_TRUE(engine.Query(op.sql).ok()) << op.sql;
+    }
+  }
+  ASSERT_TRUE(engine.CleanAllRemaining().ok());
+
+  const std::vector<RowId> live = t.AllRowIds();
+  Database fresh_db;
+  Table fresh_t("t", s.schema);
+  for (RowId r : live) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      row.push_back(t.cell(r, c).original());
+    }
+    ASSERT_TRUE(fresh_t.AppendRow(row).ok());
+  }
+  ASSERT_TRUE(fresh_db.AddTable(std::move(fresh_t)).ok());
+  ConstraintSet fresh_rules;
+  ASSERT_TRUE(fresh_rules.AddFromText(s.fd_text, "t", s.schema).ok());
+  DaisyEngine fresh(&fresh_db, std::move(fresh_rules), options);
+  ASSERT_TRUE(fresh.Prepare().ok());
+  ASSERT_TRUE(fresh.CleanAllRemaining().ok());
+
+  const Table& f = *fresh_db.GetTable("t").ValueOrDie();
+  size_t differing = 0;
+  for (size_t i = 0; i < live.size(); ++i) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      if (!(t.cell(live[i], c) == f.cell(i, c))) ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0u) << "cells differ from a from-scratch clean";
+}
+
 TEST(DifferentialTest, DetectorStateAcross100Seeds) {
   for (uint64_t seed = 1; seed <= 100; ++seed) RunDetectorDifferential(seed);
 }
 
 TEST(DifferentialTest, EngineSequencesAcross100Seeds) {
   for (uint64_t seed = 1; seed <= 100; ++seed) RunEngineSequence(seed);
+}
+
+TEST(DifferentialTest, MaintainedFdRepairsEqualFromScratchAcross100Seeds) {
+  for (uint64_t seed = 1; seed <= 100; ++seed) RunFdRepairSequence(seed);
 }
 
 }  // namespace

@@ -8,10 +8,10 @@
 #include <algorithm>
 #include <set>
 
+#include "clean/daisy_engine.h"
 #include "common/rng.h"
 #include "constraints/constraint_set.h"
 #include "detect/fd_delta.h"
-#include "detect/fd_detector.h"
 #include "detect/theta_join.h"
 #include "detect_oracle.h"
 #include "repair/provenance.h"
@@ -364,11 +364,12 @@ TEST(FdDeltaTest, MaintainedGroupsMatchFromScratch) {
     }
     (void)detector.ApplyDelta(delta);
     EXPECT_TRUE(SameGroups(detector.ViolatingGroups(),
-                           DetectFdViolations(t, fd, t.AllRowIds(), false)))
+                           testutil::DetectFdViolationsRowPath(
+                               t, fd, t.AllRowIds(), false)))
         << "step " << step;
-    EXPECT_TRUE(
-        SameGroups(detector.ViolatingGroups(true),
-                   DetectFdViolations(t, fd, t.AllRowIds(), true)))
+    EXPECT_TRUE(SameGroups(detector.ViolatingGroups(true),
+                           testutil::DetectFdViolationsRowPath(
+                               t, fd, t.AllRowIds(), true)))
         << "step " << step;
   }
 }
@@ -454,6 +455,73 @@ TEST(RelaxDeltaTest, MaintainedIndexMatchesFreshBuild) {
   EXPECT_EQ(c.extra, d.extra);
   EXPECT_EQ(c.iterations, d.iterations);
   EXPECT_EQ(c.tuples_scanned, d.tuples_scanned);
+}
+
+// ------------------------------------------- P(lhs | rhs) after ingest --
+
+// FD zip -> city over `rows`; the engine owns the rule state.
+struct CitiesEngine {
+  explicit CitiesEngine(const std::vector<std::pair<int, std::string>>& rows) {
+    Table t("cities", CitySchema());
+    for (const auto& [zip, city] : rows) {
+      EXPECT_TRUE(t.AppendRow({Value(zip), Value(city)}).ok());
+    }
+    EXPECT_TRUE(db.AddTable(std::move(t)).ok());
+    ConstraintSet rules;
+    EXPECT_TRUE(
+        rules.AddFromText("phi: FD zip -> city", "cities", CitySchema()).ok());
+    engine = std::make_unique<DaisyEngine>(&db, std::move(rules));
+    EXPECT_TRUE(engine->Prepare().ok());
+  }
+  const Cell& cell(RowId r, size_t c) {
+    return db.GetTable("cities").ValueOrDie()->cell(r, c);
+  }
+  Database db;
+  std::unique_ptr<DaisyEngine> engine;
+};
+
+// The zip candidates of a cell as (value, probability) pairs.
+std::vector<std::pair<int64_t, double>> ZipCandidates(const Cell& cell) {
+  std::vector<std::pair<int64_t, double>> out;
+  for (const Candidate& c : cell.candidates()) {
+    EXPECT_EQ(c.pair_id, 1);
+    out.emplace_back(c.value.as_int(), c.prob);
+  }
+  return out;
+}
+
+TEST(FdIngestRepairTest, DeleteShrinksLhsCandidatesOfRepairedRows) {
+  CitiesEngine e({{1, "A"}, {1, "B"}, {2, "B"}, {3, "B"}});
+  ASSERT_TRUE(e.engine->Query("SELECT * FROM cities WHERE zip = 1").ok());
+  EXPECT_EQ(ZipCandidates(e.cell(1, 0)),
+            (std::vector<std::pair<int64_t, double>>{
+                {1, 1.0 / 3}, {2, 1.0 / 3}, {3, 1.0 / 3}}));
+  // The deleted tuple's zip no longer supports a repair of (1, B).
+  ASSERT_TRUE(e.engine->DeleteRows("cities", {2}).ok());
+  ASSERT_TRUE(e.engine->Query("SELECT * FROM cities WHERE zip = 1").ok());
+  EXPECT_EQ(ZipCandidates(e.cell(1, 0)),
+            (std::vector<std::pair<int64_t, double>>{{1, 0.5}, {3, 0.5}}));
+
+  // Down to one zip for city B: the lhs candidates collapse, the cell is
+  // clean again, and the city candidates of the zip-1 group stay.
+  ASSERT_TRUE(e.engine->DeleteRows("cities", {3}).ok());
+  EXPECT_FALSE(e.cell(1, 0).is_probabilistic());
+  EXPECT_TRUE(e.cell(1, 1).is_probabilistic());
+}
+
+TEST(FdIngestRepairTest, AppendGrowsLhsCandidatesOfRepairedRows) {
+  CitiesEngine e({{1, "A"}, {1, "B"}, {2, "B"}});
+  ASSERT_TRUE(e.engine->CleanAllRemaining().ok());
+  EXPECT_EQ(ZipCandidates(e.cell(1, 0)),
+            (std::vector<std::pair<int64_t, double>>{{1, 0.5}, {2, 0.5}}));
+  ASSERT_TRUE(e.engine->AppendRows("cities", {{Value(3), Value("B")}}).ok());
+  EXPECT_EQ(ZipCandidates(e.cell(1, 0)),
+            (std::vector<std::pair<int64_t, double>>{
+                {1, 1.0 / 3}, {2, 1.0 / 3}, {3, 1.0 / 3}}));
+  // Row 0's city A gains a second zip: its lhs cell turns probabilistic.
+  ASSERT_TRUE(e.engine->AppendRows("cities", {{Value(4), Value("A")}}).ok());
+  EXPECT_EQ(ZipCandidates(e.cell(0, 0)),
+            (std::vector<std::pair<int64_t, double>>{{1, 0.5}, {4, 0.5}}));
 }
 
 // ----------------------------------------------------------- provenance --

@@ -7,8 +7,11 @@
 
 #include "datagen/metrics.h"
 #include "datagen/realworld.h"
+#include "detect/fd_delta.h"
 #include "holo/holoclean_sim.h"
 #include "offline/offline_cleaner.h"
+#include "repair/fd_repair.h"
+#include "repair_oracle.h"
 
 namespace daisy {
 namespace {
@@ -44,6 +47,41 @@ TEST(OfflineCleanerTest, RepairsAllGroupsWithPerGroupPasses) {
   const Table* t = db.GetTable("cities").ValueOrDie();
   EXPECT_GT(t->CountProbabilisticCells(), 0u);
   EXPECT_NE(cleaner.provenance("cities"), nullptr);
+}
+
+TEST(OfflineCleanerTest, RecordsEqualEngineRepairOfAllRows) {
+  // The offline baseline writes the records cleanσ and CleanAll write:
+  // RepairFdViolations over every live row, record for record.
+  AirQualityConfig config;
+  config.num_rows = 3000;
+  config.violating_group_fraction = 0.5;
+  GeneratedData data = GenerateAirQuality(config);
+  const std::string fd_text = "phi: FD state_code, county_code -> county_name";
+  Table engine_t = data.dirty;
+  Database db;
+  ASSERT_TRUE(db.AddTable(std::move(data.dirty)).ok());
+  const Table* offline_t = db.GetTable(engine_t.name()).ValueOrDie();
+  ConstraintSet rules;
+  ASSERT_TRUE(
+      rules.AddFromText(fd_text, engine_t.name(), engine_t.schema()).ok());
+  OfflineCleaner cleaner(&db, &rules);
+  const OfflineCleanStats stats = cleaner.CleanRule("phi").ValueOrDie();
+
+  const FdDeltaDetector index(&engine_t, &rules.at(0));
+  ProvenanceStore engine_prov;
+  const RepairStats repaired =
+      RepairFdViolations(&engine_t, index, engine_t.AllRowIds(), &engine_prov);
+  EXPECT_GT(repaired.tuples_repaired, 0u);
+  EXPECT_EQ(stats.tuples_repaired, repaired.tuples_repaired);
+  EXPECT_EQ(stats.violating_groups, repaired.violating_groups);
+  EXPECT_TRUE(
+      testutil::SameRecords(*cleaner.provenance(engine_t.name()), engine_prov));
+  for (RowId r = 0; r < engine_t.num_rows(); ++r) {
+    for (size_t c = 0; c < engine_t.num_columns(); ++c) {
+      ASSERT_EQ(offline_t->cell(r, c), engine_t.cell(r, c))
+          << "row " << r << " col " << c;
+    }
+  }
 }
 
 TEST(OfflineCleanerTest, DatasetPassesScaleWithGroups) {

@@ -9,10 +9,10 @@
 
 #include "common/rng.h"
 #include "detect/fd_delta.h"
-#include "detect/fd_detector.h"
 #include "repair/fd_repair.h"
 #include "repair/provenance.h"
 #include "relax_oracle.h"
+#include "repair_oracle.h"
 
 namespace daisy {
 namespace {
@@ -54,8 +54,9 @@ TEST_P(RepairNormalizationTest, CandidateProbabilitiesSumToOne) {
   Table t = RandomCities(p.seed, p.rows, p.zips, p.cities);
   auto dc =
       ParseConstraint("phi: FD zip -> city", "cities", CitySchema()).ValueOrDie();
+  const FdDeltaDetector index(&t, &dc);
   ProvenanceStore prov;
-  (void)RepairFdViolations(&t, dc, t.AllRowIds(), &prov).ValueOrDie();
+  (void)RepairFdViolations(&t, index, t.AllRowIds(), &prov);
   for (RowId r = 0; r < t.num_rows(); ++r) {
     for (size_t c = 0; c < t.num_columns(); ++c) {
       const Cell& cell = t.cell(r, c);
@@ -86,9 +87,10 @@ TEST_P(RepairCoverageTest, EveryViolatingTupleGetsRhsCandidates) {
   Table t = RandomCities(p.seed, p.rows, p.zips, p.cities);
   auto dc =
       ParseConstraint("phi: FD zip -> city", "cities", CitySchema()).ValueOrDie();
-  const auto groups = DetectFdViolations(t, dc, t.AllRowIds());
+  const FdDeltaDetector index(&t, &dc);
+  const auto groups = testutil::DetectFdViolationsRowPath(t, dc, t.AllRowIds());
   ProvenanceStore prov;
-  (void)RepairFdViolations(&t, dc, t.AllRowIds(), &prov).ValueOrDie();
+  (void)RepairFdViolations(&t, index, t.AllRowIds(), &prov);
   for (const FdGroup& g : groups) {
     for (RowId r : g.rows) {
       const Cell& rhs = t.cell(r, 1);
@@ -117,14 +119,15 @@ TEST_P(RepairCoverageTest, RepairIsIdempotent) {
   Table t = RandomCities(p.seed, p.rows, p.zips, p.cities);
   auto dc =
       ParseConstraint("phi: FD zip -> city", "cities", CitySchema()).ValueOrDie();
+  const FdDeltaDetector index(&t, &dc);
   ProvenanceStore prov;
-  (void)RepairFdViolations(&t, dc, t.AllRowIds(), &prov).ValueOrDie();
+  (void)RepairFdViolations(&t, index, t.AllRowIds(), &prov);
   // Snapshot.
   std::vector<Cell> snapshot;
   for (RowId r = 0; r < t.num_rows(); ++r) {
     snapshot.push_back(t.cell(r, 1));
   }
-  auto again = RepairFdViolations(&t, dc, t.AllRowIds(), &prov).ValueOrDie();
+  auto again = RepairFdViolations(&t, index, t.AllRowIds(), &prov);
   EXPECT_EQ(again.tuples_repaired, 0u);
   for (RowId r = 0; r < t.num_rows(); ++r) {
     EXPECT_EQ(t.cell(r, 1), snapshot[r]);
@@ -161,42 +164,65 @@ TEST_P(RelaxEquivalenceTest, IndexedClosureEqualsScanClosure) {
   EXPECT_EQ(a, b);
 }
 
-TEST_P(RelaxEquivalenceTest, DirtyFilterPreservesRepairedScope) {
-  // The restricted closure may fetch fewer tuples, but repairs computed on
-  // its scope must equal those computed on the full closure's scope.
+TEST_P(RelaxEquivalenceTest, IndexRepairEqualsScopeOracleOverQueries) {
+  // Lemmas 1-2 over a query sequence: each query relaxes its answer from
+  // the rows CleanSelect has not checked yet, and the index-based repair
+  // over that scope writes exactly the records the scope-restricted
+  // oracle counts from the scope alone.
   const RandomParam p = GetParam();
   auto dc =
       ParseConstraint("phi: FD zip -> city", "cities", CitySchema()).ValueOrDie();
+  Table indexed_t = RandomCities(p.seed, p.rows, p.zips, p.cities);
+  Table oracle_t = indexed_t;
+  const FdDeltaDetector index(&indexed_t, &dc);
+  ProvenanceStore indexed_prov;
+  ProvenanceStore oracle_prov;
+  std::vector<bool> checked(indexed_t.num_rows(), false);
   Rng rng(p.seed + 2000);
-  Table full_t = RandomCities(p.seed, p.rows, p.zips, p.cities);
-  Table restricted_t = full_t;
-  std::vector<size_t> answer =
-      rng.SampleWithoutReplacement(p.rows, std::max<size_t>(1, p.rows / 8));
-  std::sort(answer.begin(), answer.end());
-
-  // Full closure scope repair.
-  {
-    RelaxResult r = RelaxFdResult(full_t, dc, answer);
+  for (int q = 0; q < 8; ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    // A point query on zip or city.
+    const bool by_zip = rng.Bernoulli(0.5);
+    const Value probe =
+        by_zip ? Value(rng.UniformInt(0, static_cast<int64_t>(p.zips) - 1))
+               : Value("c" + std::to_string(rng.UniformInt(
+                                 0, static_cast<int64_t>(p.cities) - 1)));
+    std::vector<RowId> answer;
+    for (RowId r : indexed_t.AllRowIds()) {
+      if (indexed_t.cell(r, by_zip ? 0 : 1).original() == probe) {
+        answer.push_back(r);
+      }
+    }
+    // CleanSelect::RunFd's bookkeeping: a fully checked answer repairs
+    // nothing, a clean one is marked checked, the rest relax from their
+    // unchecked rows and mark the scope checked.
+    if (std::all_of(answer.begin(), answer.end(),
+                    [&](RowId r) { return checked[r]; })) {
+      continue;
+    }
     std::vector<RowId> scope = answer;
-    scope.insert(scope.end(), r.extra.begin(), r.extra.end());
-    ProvenanceStore prov;
-    (void)RepairFdViolations(&full_t, dc, scope, &prov).ValueOrDie();
+    if (index.RowsTouchDirty(answer)) {
+      const RelaxResult relaxed = index.Relax(answer, &checked);
+      scope.insert(scope.end(), relaxed.extra.begin(), relaxed.extra.end());
+      const RepairStats a =
+          RepairFdViolations(&indexed_t, index, scope, &indexed_prov);
+      const RepairStats b = testutil::RepairFdViolationsOverScope(
+          &oracle_t, dc, scope, &oracle_prov);
+      EXPECT_EQ(a.tuples_repaired, b.tuples_repaired);
+      EXPECT_EQ(a.cells_repaired, b.cells_repaired);
+      ASSERT_TRUE(testutil::SameRecords(indexed_prov, oracle_prov));
+    }
+    for (RowId r : scope) checked[r] = true;
   }
-  // Restricted closure scope repair: nothing checked yet, so expansion
-  // runs from exactly the rows of violating groups.
-  {
-    FdDeltaDetector index(&restricted_t, &dc);
-    const std::vector<bool> checked(restricted_t.num_rows(), false);
-    RelaxResult r = index.Relax(answer, &checked);
-    std::vector<RowId> scope = answer;
-    scope.insert(scope.end(), r.extra.begin(), r.extra.end());
-    ProvenanceStore prov;
-    (void)RepairFdViolations(&restricted_t, dc, scope, &prov).ValueOrDie();
-  }
-  // Cells of tuples in the answer's dirty groups must agree.
-  for (RowId r : answer) {
-    for (size_t c = 0; c < full_t.num_columns(); ++c) {
-      EXPECT_EQ(full_t.cell(r, c), restricted_t.cell(r, c))
+  // The cost-model switch: everything left, over the whole relation.
+  (void)RepairFdViolations(&indexed_t, index, indexed_t.AllRowIds(),
+                           &indexed_prov);
+  (void)testutil::RepairFdViolationsOverScope(
+      &oracle_t, dc, oracle_t.AllRowIds(), &oracle_prov);
+  EXPECT_TRUE(testutil::SameRecords(indexed_prov, oracle_prov));
+  for (RowId r = 0; r < indexed_t.num_rows(); ++r) {
+    for (size_t c = 0; c < indexed_t.num_columns(); ++c) {
+      EXPECT_EQ(indexed_t.cell(r, c), oracle_t.cell(r, c))
           << "row " << r << " col " << c;
     }
   }

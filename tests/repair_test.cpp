@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "detect/fd_delta.h"
 #include "detect/theta_join.h"
 #include "repair/dc_repair.h"
 #include "repair/fd_repair.h"
@@ -241,14 +242,15 @@ Table CitiesTable() {
 }
 
 TEST(FdRepairTest, Example2Probabilities) {
-  // Paper Example 2 over Table 2a: repair the 9001 cluster (rows 0-3 are
-  // the relaxed scope of the "Los Angeles" query).
+  // Paper Example 2 over Table 2a: repair the 9001 cluster. The
+  // distributions are the whole relation's, so row 1's zip candidates
+  // count row 3 (10001, San Francisco) without it being repaired.
   Table t = CitiesTable();
   auto dc =
       ParseConstraint("phi: FD zip -> city", "cities", CitySchema()).ValueOrDie();
+  const FdDeltaDetector index(&t, &dc);
   ProvenanceStore prov;
-  auto stats =
-      RepairFdViolations(&t, dc, {0, 1, 2, 3}, &prov).ValueOrDie();
+  auto stats = RepairFdViolations(&t, index, {0, 1, 2}, &prov);
   EXPECT_EQ(stats.violating_groups, 1u);
   EXPECT_EQ(stats.tuples_repaired, 3u);  // rows 0,1,2 (the 9001 group)
 
@@ -276,7 +278,7 @@ TEST(FdRepairTest, Example2Probabilities) {
   EXPECT_TRUE(t.cell(0, 1).is_probabilistic());
   EXPECT_FALSE(t.cell(0, 0).is_probabilistic());
 
-  // Rows 3 and 4 were not in a violating group within scope: untouched.
+  // Rows 3 and 4 (the 10001 group) were not handed in: untouched.
   EXPECT_FALSE(t.cell(3, 1).is_probabilistic());
   EXPECT_FALSE(t.cell(4, 1).is_probabilistic());
 }
@@ -285,22 +287,13 @@ TEST(FdRepairTest, IdempotentPerRule) {
   Table t = CitiesTable();
   auto dc =
       ParseConstraint("phi: FD zip -> city", "cities", CitySchema()).ValueOrDie();
+  const FdDeltaDetector index(&t, &dc);
   ProvenanceStore prov;
-  (void)RepairFdViolations(&t, dc, t.AllRowIds(), &prov).ValueOrDie();
+  (void)RepairFdViolations(&t, index, t.AllRowIds(), &prov);
   const Cell snapshot = t.cell(1, 1);
-  auto again = RepairFdViolations(&t, dc, t.AllRowIds(), &prov).ValueOrDie();
+  auto again = RepairFdViolations(&t, index, t.AllRowIds(), &prov);
   EXPECT_EQ(again.tuples_repaired, 0u);  // skipped via provenance
   EXPECT_EQ(t.cell(1, 1), snapshot);
-}
-
-TEST(FdRepairTest, RequiresFd) {
-  Table t("emp", Schema({{"salary", ValueType::kDouble},
-                         {"tax", ValueType::kDouble}}));
-  auto dc = ParseConstraint("!(t1.salary < t2.salary & t1.tax > t2.tax)",
-                            "emp", t.schema())
-                .ValueOrDie();
-  ProvenanceStore prov;
-  EXPECT_FALSE(RepairFdViolations(&t, dc, {}, &prov).ok());
 }
 
 TEST(FdRepairTest, MultiAttributeLhs) {
@@ -312,8 +305,9 @@ TEST(FdRepairTest, MultiAttributeLhs) {
   ASSERT_TRUE(t.AppendRow({Value(1), Value(2), Value("y")}).ok());
   ASSERT_TRUE(t.AppendRow({Value(1), Value(3), Value("x")}).ok());
   auto dc = ParseConstraint("FD a, b -> c", "t", s).ValueOrDie();
+  const FdDeltaDetector index(&t, &dc);
   ProvenanceStore prov;
-  auto stats = RepairFdViolations(&t, dc, t.AllRowIds(), &prov).ValueOrDie();
+  auto stats = RepairFdViolations(&t, index, t.AllRowIds(), &prov);
   EXPECT_EQ(stats.violating_groups, 1u);
   // Rows 0 and 1 get rhs candidates {x, y}; lhs attr b of row 1 gets
   // candidates from tuples with c = 'y'... which is only itself -> clean;
