@@ -1,23 +1,32 @@
-// Ingest-delta bench: delta detection vs full re-detection on the
-// theta-join workload.
+// Ingest-delta bench, two legs.
 //
-// Setup: a 50k-row salary/tax relation under the order DC
+// Theta-join leg: delta detection vs full re-detection. A 50k-row
+// salary/tax relation under the order DC
 // ¬(t1.salary < t2.salary ∧ t1.tax > t2.tax), fully checked, then an
-// append batch of {100, 1k, 10k} rows. Before this PR any append
-// invalidated the detector state wholesale, so the post-ingest query paid
-// a full re-detection over n+d rows; DetectDelta pays only the
-// new x old + new x new partial theta-join with pairwise partition
-// pruning. Both paths must produce the identical violation set (checked
-// here per batch).
+// append batch of {100, 1k, 10k} rows. A full re-detection pays the
+// theta-join over n+d rows; DetectDelta pays only the new x old + new x
+// new partial theta-join with pairwise partition pruning. Both paths must
+// produce the identical violation set (checked here per batch).
 //
-// Output: one line per batch size with both wall times, the checked-pair
-// counts, and the speedup.
+// FD settle leg: the cost of settling a small delta as the table grows.
+// t(k int, v int, x double) under FD k -> v with 1% dirty rhs is cleaned
+// in full, then 40 times: append 10 in-domain rows carrying one violation,
+// then a point query on k (a writer query: it settles the delta). At 20k,
+// 80k and 320k rows it reports the median append and settling-query times,
+// the same point query with nothing left to settle (its full scan is the
+// part that grows with the table), and the column-cache rows maintained per
+// iteration (daisy_storage_cache_rows_maintained_total, deterministic):
+// candidate-only repairs patch the cache in place and appends extend it, so
+// the settling work stays O(delta) whatever the table size.
+//
+// Output: one line per batch size or table size.
 
 #include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "constraints/constraint_set.h"
 #include "detect/theta_join.h"
 
 using namespace daisy;
@@ -61,6 +70,106 @@ std::vector<std::vector<Value>> Batch(uint64_t seed, size_t n) {
 std::vector<ViolationPair> Sorted(std::vector<ViolationPair> v) {
   std::sort(v.begin(), v.end());
   return v;
+}
+
+constexpr size_t kSettleLoops = 40;
+constexpr size_t kSettleBatch = 10;
+constexpr size_t kRowsPerKey = 10;
+constexpr double kDirtyRhs = 0.01;
+
+// The clean rhs of key k; a dirty cell holds another key's rhs.
+int64_t CleanRhs(int64_t k) { return (k * 7919) % 100003; }
+
+std::vector<Value> SettleRow(Rng* rng, int64_t keys, bool dirty) {
+  const int64_t k = rng->UniformInt(0, keys - 1);
+  const int64_t other = (k + 1 + rng->UniformInt(0, keys - 2)) % keys;
+  const int64_t v = CleanRhs(dirty ? other : k);
+  return {Value(k), Value(v), Value(rng->UniformDouble(0, 1))};
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+BenchResult FdSettle(size_t rows) {
+  const int64_t keys = static_cast<int64_t>(rows / kRowsPerKey);
+  Rng rng(rows);
+  Database db;
+  Table t("t", Schema({{"k", ValueType::kInt},
+                       {"v", ValueType::kInt},
+                       {"x", ValueType::kDouble}}));
+  t.Reserve(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    CheckOk(t.AppendRow(SettleRow(&rng, keys, rng.Bernoulli(kDirtyRhs))),
+            "append base row");
+  }
+  CheckOk(db.AddTable(std::move(t)), "add table");
+  ConstraintSet rules;
+  CheckOk(rules.AddFromText("phi: FD k -> v", "t",
+                            UnwrapOrDie(db.GetTable("t"), "table")->schema()),
+          "parse rule");
+  DaisyEngine engine(&db, std::move(rules));
+  CheckOk(engine.Prepare(), "prepare");
+  CheckOk(engine.CleanAllRemaining(), "clean all");
+
+  auto point_query = [&](int64_t key) {
+    Timer timer;
+    UnwrapOrDie(engine.Query("SELECT * FROM t WHERE k = " + std::to_string(key)),
+                "point query");
+    return timer.ElapsedSeconds() * 1e3;
+  };
+  (void)point_query(0);  // first build of the scanned column, not measured
+
+  std::vector<double> append_ms;
+  std::vector<double> query_ms;
+  RegistryCounterDelta maintained;
+  for (size_t loop = 0; loop < kSettleLoops; ++loop) {
+    std::vector<std::vector<Value>> batch;
+    for (size_t i = 0; i < kSettleBatch; ++i) {
+      batch.push_back(SettleRow(&rng, keys, i == 0));
+    }
+    const int64_t dirty_key = batch[0][0].as_int();
+    Timer append_timer;
+    UnwrapOrDie(engine.AppendRows("t", std::move(batch)), "append batch");
+    append_ms.push_back(append_timer.ElapsedSeconds() * 1e3);
+    Timer query_timer;
+    const QueryReport report = UnwrapOrDie(
+        engine.Query("SELECT * FROM t WHERE k = " + std::to_string(dirty_key)),
+        "settling query");
+    query_ms.push_back(query_timer.ElapsedSeconds() * 1e3);
+    if (report.read_path) {
+      std::fprintf(stderr, "[bench] settling query took the read path\n");
+      std::exit(1);
+    }
+  }
+  const double per_query =
+      static_cast<double>(
+          maintained.Delta("daisy_storage_cache_rows_maintained_total")) /
+      kSettleLoops;
+  double total_ms = 0;
+  for (double ms : query_ms) total_ms += ms;
+  // The same point query with nothing left to settle: the scan's share of
+  // query_ms, which grows with the table on any path.
+  std::vector<double> idle_ms;
+  for (size_t loop = 0; loop < kSettleLoops; ++loop) {
+    idle_ms.push_back(point_query(rng.UniformInt(0, keys - 1)));
+  }
+
+  std::printf("  %-8zu %12.3f %12.3f %12.3f %14.1f\n", rows,
+              Median(append_ms), Median(query_ms), Median(idle_ms),
+              per_query);
+  BenchResult result;
+  result.name = "fd_settle_" + std::to_string(rows);
+  result.wall_ms = total_ms;
+  result.counters = {{"append_ms", Median(append_ms)},
+                     {"query_ms", Median(query_ms)},
+                     {"idle_query_ms", Median(idle_ms)},
+                     {"rows_maintained_per_query", per_query}};
+  result.config = {{"loops", std::to_string(kSettleLoops)},
+                   {"batch_rows", std::to_string(kSettleBatch)},
+                   {"rule", "FD k -> v"}};
+  return result;
 }
 
 }  // namespace
@@ -122,6 +231,15 @@ int main() {
                      {"partitions", std::to_string(kPartitions)},
                      {"rule", kRule}};
     json.Add(std::move(result));
+  }
+
+  std::printf("# FD settle: %zu x (append %zu rows with one violation, "
+              "point query), dirty rhs %.0f%%\n",
+              kSettleLoops, kSettleBatch, kDirtyRhs * 100);
+  std::printf("# %-8s %12s %12s %12s %14s\n", "rows", "append_ms",
+              "query_ms", "idle_q_ms", "maintained/q");
+  for (size_t rows : {size_t{20000}, size_t{80000}, size_t{320000}}) {
+    json.Add(FdSettle(rows));
   }
   return 0;
 }

@@ -219,9 +219,7 @@ Result<Table> DecodeTable(BinaryReader* r) {
       cand.kind = static_cast<CandidateKind>(kind);
       cands.push_back(std::move(cand));
     }
-    // AppendRowUnchecked gave us fresh rows; writing candidates through the
-    // mutable path here is fine — the cache does not exist yet.
-    table.mutable_cell(row, col).set_candidates(std::move(cands));
+    table.SetCandidates(row, col, std::move(cands));
   }
 
   DAISY_RETURN_IF_ERROR(table.RestorePersistedState(
@@ -430,8 +428,8 @@ void EncodeProvenanceRecords(
         w->WriteDouble(s.count);
         w->WriteU8(static_cast<uint8_t>(s.kind));
       }
-      w->WriteU64(rec.conflicting_rows.size());
-      for (RowId r : rec.conflicting_rows) w->WriteU64(r);
+      w->WriteU64(rec.conflicting().size());
+      for (RowId r : rec.conflicting()) w->WriteU64(r);
     }
   }
 }
@@ -465,10 +463,15 @@ DecodeProvenanceRecords(BinaryReader* r) {
         rec.sources.push_back(std::move(src));
       }
       DAISY_ASSIGN_OR_RETURN(uint64_t nconf, r->ReadCount(8));
-      rec.conflicting_rows.reserve(nconf);
+      std::vector<RowId> conflicting;
+      conflicting.reserve(nconf);
       for (uint64_t s = 0; s < nconf; ++s) {
         DAISY_ASSIGN_OR_RETURN(uint64_t id, r->ReadU64());
-        rec.conflicting_rows.push_back(id);
+        conflicting.push_back(id);
+      }
+      if (!conflicting.empty()) {
+        rec.conflicting_rows =
+            std::make_shared<const std::vector<RowId>>(std::move(conflicting));
       }
       records.push_back(std::move(rec));
     }

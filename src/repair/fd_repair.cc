@@ -1,5 +1,6 @@
 #include "repair/fd_repair.h"
 
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -38,7 +39,7 @@ std::vector<std::vector<CandidateSource>> LhsSources(
 
 RepairRecord MakeRecord(const DenialConstraint& dc, int32_t pair_tag,
                         const std::vector<CandidateSource>& sources,
-                        const std::vector<RowId>& conflicting_rows) {
+                        const SharedRows& conflicting_rows) {
   RepairRecord rec;
   rec.rule = dc.name();
   rec.pair_tag = pair_tag;
@@ -46,6 +47,21 @@ RepairRecord MakeRecord(const DenialConstraint& dc, int32_t pair_tag,
   rec.conflicting_rows = conflicting_rows;
   return rec;
 }
+
+SharedRows ShareRows(const std::vector<RowId>& rows) {
+  return std::make_shared<const std::vector<RowId>>(rows);
+}
+
+// A distribution with the rows it was read from, built once per call and
+// shared by every record derived from it: a group's P(rhs | lhs), or an rhs
+// bucket's P(lhs | rhs) per lhs attribute.
+template <typename Sources>
+struct Derived {
+  Sources sources;
+  SharedRows rows;
+};
+using RhsDistribution = Derived<std::vector<CandidateSource>>;
+using LhsDistribution = Derived<std::vector<std::vector<CandidateSource>>>;
 
 }  // namespace
 
@@ -57,12 +73,9 @@ RepairStats RepairFdViolations(Table* table, const FdDeltaDetector& fd,
   RepairStats stats;
   // Each distribution is built once per call, on the first repaired row
   // that needs it: a group's P(rhs | lhs) and an rhs value's P(lhs | rhs).
-  std::unordered_map<const FdDeltaDetector::Group*,
-                     std::vector<CandidateSource>>
+  std::unordered_map<const FdDeltaDetector::Group*, RhsDistribution>
       rhs_sources;
-  std::unordered_map<Value, std::vector<std::vector<CandidateSource>>,
-                     ValueHash>
-      lhs_sources;
+  std::unordered_map<Value, LhsDistribution, ValueHash> lhs_sources;
   for (RowId r : rows) {
     const FdDeltaDetector::Group* group = fd.GroupOf(r);
     if (group == nullptr || !group->violating()) continue;
@@ -70,28 +83,34 @@ RepairStats RepairFdViolations(Table* table, const FdDeltaDetector& fd,
     if (new_group) ++stats.violating_groups;
     if (provenance->HasRecord(r, view.rhs, dc.name())) continue;
     ++stats.tuples_repaired;
-    if (rhs_it->second.empty()) {
-      rhs_it->second = ToSources({group->hist.begin(), group->hist.end()});
+    RhsDistribution& rhs_dist = rhs_it->second;
+    if (rhs_dist.rows == nullptr) {
+      rhs_dist.sources = ToSources({group->hist.begin(), group->hist.end()});
+      rhs_dist.rows = ShareRows(group->rows);
     }
 
     // Instance "lhs clean": rhs candidates = P(rhs | lhs) (pair tag 0).
     provenance->Record(table, r, view.rhs,
-                       MakeRecord(dc, 0, rhs_it->second, group->rows));
+                       MakeRecord(dc, 0, rhs_dist.sources, rhs_dist.rows));
     ++stats.cells_repaired;
 
     // Instance "rhs clean": per-attribute lhs candidates = P(lhs | rhs)
     // over the rows sharing r's rhs (pair tag 1).
     const Value& rhs = table->cell(r, view.rhs).original();
-    const std::vector<RowId>& bucket = fd.RhsBucket(rhs);
     auto lhs_it = lhs_sources.find(rhs);
     if (lhs_it == lhs_sources.end()) {
-      lhs_it =
-          lhs_sources.emplace(rhs, LhsSources(*table, view, bucket)).first;
+      const std::vector<RowId>& bucket = fd.RhsBucket(rhs);
+      lhs_it = lhs_sources
+                   .emplace(rhs, LhsDistribution{
+                                     LhsSources(*table, view, bucket),
+                                     ShareRows(bucket)})
+                   .first;
     }
+    const LhsDistribution& lhs_dist = lhs_it->second;
     for (size_t i = 0; i < view.lhs.size(); ++i) {
-      if (lhs_it->second[i].empty()) continue;
+      if (lhs_dist.sources[i].empty()) continue;
       provenance->Record(table, r, view.lhs[i],
-                         MakeRecord(dc, 1, lhs_it->second[i], bucket));
+                         MakeRecord(dc, 1, lhs_dist.sources[i], lhs_dist.rows));
       ++stats.cells_repaired;
     }
   }
@@ -105,16 +124,18 @@ void RefreshFdLhsCandidates(Table* table, const FdDeltaDetector& fd,
   const FdView& view = dc.fd();
   for (const Value& rhs : rhs_values) {
     const std::vector<RowId>& bucket = fd.RhsBucket(rhs);
-    std::vector<std::vector<CandidateSource>> lhs;  // built on first use
+    LhsDistribution lhs;  // built on first use
     for (RowId r : bucket) {
       if (!provenance->HasRecord(r, view.rhs, dc.name())) continue;
-      if (lhs.empty()) lhs = LhsSources(*table, view, bucket);
+      if (lhs.rows == nullptr) {
+        lhs = {LhsSources(*table, view, bucket), ShareRows(bucket)};
+      }
       for (size_t i = 0; i < view.lhs.size(); ++i) {
-        if (lhs[i].empty()) {
+        if (lhs.sources[i].empty()) {
           provenance->DropRecord(table, r, view.lhs[i], dc.name(), 1);
         } else {
           provenance->Record(table, r, view.lhs[i],
-                             MakeRecord(dc, 1, lhs[i], bucket));
+                             MakeRecord(dc, 1, lhs.sources[i], lhs.rows));
         }
       }
     }

@@ -28,6 +28,11 @@ bool TighterBound(CandidateKind kind, const Value& a, const Value& b) {
 
 }  // namespace
 
+const std::vector<RowId>& RepairRecord::conflicting() const {
+  static const std::vector<RowId> kNone;
+  return conflicting_rows == nullptr ? kNone : *conflicting_rows;
+}
+
 void ProvenanceStore::Record(Table* table, RowId row, size_t col,
                              RepairRecord record) {
   std::vector<RepairRecord>& recs = records_[{row, col}];
@@ -82,15 +87,17 @@ void ProvenanceStore::AppendSources(
     }
     if (!merged) target->sources.push_back(src);
   }
+  // The set may be shared with other records: grow a copy.
+  std::vector<RowId> grown = target->conflicting();
+  const size_t before = grown.size();
   for (RowId r : conflicting_rows) {
-    bool present = false;
-    for (RowId existing : target->conflicting_rows) {
-      if (existing == r) {
-        present = true;
-        break;
-      }
+    if (std::find(grown.begin(), grown.end(), r) == grown.end()) {
+      grown.push_back(r);
     }
-    if (!present) target->conflicting_rows.push_back(r);
+  }
+  if (grown.size() != before) {
+    target->conflicting_rows =
+        std::make_shared<const std::vector<RowId>>(std::move(grown));
   }
   RebuildCell(table, row, col);
 }
@@ -188,9 +195,8 @@ void ProvenanceStore::DropRecord(Table* table, RowId row, size_t col,
 
 void ProvenanceStore::RebuildCell(Table* table, RowId row, size_t col) const {
   auto it = records_.find({row, col});
-  Cell& cell = table->mutable_cell(row, col);
   if (it == records_.end() || it->second.empty()) {
-    cell.ClearCandidates();
+    table->SetCandidates(row, col, {});
     return;
   }
   // Union sources across rules: key = (pair_tag, kind, value), counts sum.
@@ -240,8 +246,8 @@ void ProvenanceStore::RebuildCell(Table* table, RowId row, size_t col) const {
     c.kind = m.kind;
     cands.push_back(std::move(c));
   }
-  cell.set_candidates(std::move(cands));
-  cell.Normalize();
+  NormalizeCandidates(&cands);
+  table->SetCandidates(row, col, std::move(cands));
 }
 
 }  // namespace daisy

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +29,9 @@ struct CandidateSource {
   CandidateKind kind = CandidateKind::kPoint;
 };
 
+/// An immutable row-id set shared by the records derived from it.
+using SharedRows = std::shared_ptr<const std::vector<RowId>>;
+
 /// The outcome of repairing one cell under one rule.
 struct RepairRecord {
   std::string rule;
@@ -37,8 +41,13 @@ struct RepairRecord {
   int32_t pair_tag = 0;
   std::vector<CandidateSource> sources;
   /// Row ids of the conflicting tuples this fix was derived from (the T_i
-  /// sets in Lemma 4) — kept for inference and audits.
-  std::vector<RowId> conflicting_rows;
+  /// sets in Lemma 4) — kept for inference and audits. FD repair shares one
+  /// set among the records of a whole lhs group or rhs bucket; null means
+  /// none were recorded.
+  SharedRows conflicting_rows;
+
+  /// The conflicting rows, empty when none were recorded.
+  const std::vector<RowId>& conflicting() const;
 };
 
 /// Records repairs per (row, column) cell of a single table and rebuilds the

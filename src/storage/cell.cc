@@ -20,12 +20,12 @@ const char* CandidateKindToString(CandidateKind kind) {
   return "?";
 }
 
-void Cell::Normalize() {
-  if (candidates_.empty()) return;
+void NormalizeCandidates(std::vector<Candidate>* cands) {
+  if (cands->empty()) return;
   double total = 0.0;
-  for (const Candidate& c : candidates_) total += c.prob;
+  for (const Candidate& c : *cands) total += c.prob;
   if (total <= 0.0) return;
-  for (Candidate& c : candidates_) c.prob /= total;
+  for (Candidate& c : *cands) c.prob /= total;
 }
 
 const Value& Cell::MostProbable() const {

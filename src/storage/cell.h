@@ -44,6 +44,10 @@ struct Candidate {
   }
 };
 
+/// Rescales the candidates' probabilities to sum to 1 (no-op on an empty
+/// set or when the total mass is zero).
+void NormalizeCandidates(std::vector<Candidate>* cands);
+
 /// A table cell: clean (single deterministic value) or probabilistic
 /// (original value retained as provenance + candidate set).
 class Cell {
@@ -71,7 +75,7 @@ class Cell {
 
   /// Rescales probabilities to sum to 1 (no-op on a clean cell or when the
   /// total mass is zero).
-  void Normalize();
+  void Normalize() { NormalizeCandidates(&candidates_); }
 
   /// The single most probable point candidate, or the original value for a
   /// clean cell. Range candidates are skipped (they have no point value).

@@ -5,10 +5,24 @@
 #include <numeric>
 #include <unordered_map>
 
+#include "common/metrics.h"
+
 namespace daisy {
 
 namespace {
+
 std::atomic<uint64_t> g_next_cache_id{1};
+
+// Cached rows (re)derived: n per Rebuild, the delta per Extend, 1 per
+// in-place candidate patch — the cache's maintenance work, independent of
+// timing.
+Counter* RowsMaintained() {
+  static Counter* const rows = MetricsRegistry::Global().GetCounter(
+      "daisy_storage_cache_rows_maintained_total",
+      "Column-cache rows (re)derived by rebuilds, extensions and patches");
+  return rows;
+}
+
 }  // namespace
 
 ColumnCache::ColumnCache(const Table* table)
@@ -118,13 +132,15 @@ void ColumnCache::Rebuild(size_t c) {
   slot.built = true;
   slot.built_content_version = table_->content_version(c);
   slot.built_rows = n;
+  RowsMaintained()->Increment(n);
 }
 
 // Append-only extension: rows [built_rows, num_rows) join the projections
-// in O(delta) (plus one O(n) merge pass for the sorted index and, only when
-// the delta introduced a new distinct value, an O(n) rank relabel). The
-// content `generation` deliberately stays put — the prefix the consumers'
-// derived state was computed on is unchanged.
+// in O(delta) (plus a block shift of the sorted-index entries ordered after
+// the delta's smallest key and, only when the delta introduced a new
+// distinct value, an O(n) rank relabel). The content `generation`
+// deliberately stays put — the prefix the consumers' derived state was
+// computed on is unchanged.
 void ColumnCache::Extend(size_t c) {
   const size_t n = table_->num_rows();
   Slot& slot = slots_[c];
@@ -157,23 +173,52 @@ void ColumnCache::Extend(size_t c) {
     }
   }
 
-  // Merge the sorted new tail into the sorted index.
-  const size_t old_sorted = col.sorted_rows.size();
-  for (RowId r = old_n; r < n; ++r) col.sorted_rows.push_back(r);
+  // Merge the sorted new tail into the sorted index from the back: each
+  // tail row binary-searches its slot among the old entries, and the
+  // entries after it shift up in one block copy. Entries ordered before the
+  // tail's smallest key never move, and no step gathers through `num`.
+  // Every old row id is below every tail row id, so among equal keys the
+  // old entries come first: the slot is the upper bound of the key.
   const auto by_num_then_id = [&](RowId a, RowId b) {
     if (col.num[a] != col.num[b]) return col.num[a] < col.num[b];
     return a < b;
   };
-  std::sort(col.sorted_rows.begin() + old_sorted, col.sorted_rows.end(),
-            by_num_then_id);
-  std::inplace_merge(col.sorted_rows.begin(),
-                     col.sorted_rows.begin() + old_sorted,
-                     col.sorted_rows.end(), by_num_then_id);
-  col.sorted_num.clear();
-  col.sorted_num.reserve(n);
-  for (RowId r : col.sorted_rows) col.sorted_num.push_back(col.num[r]);
+  std::vector<RowId> tail(n - old_n);
+  std::iota(tail.begin(), tail.end(), old_n);
+  std::sort(tail.begin(), tail.end(), by_num_then_id);
+  col.sorted_rows.resize(n);
+  col.sorted_num.resize(n);
+  size_t old_end = old_n;  // old entries not yet placed: [0, old_end)
+  size_t out = n;          // placed entries: [out, n)
+  for (size_t j = tail.size(); j > 0; --j) {
+    const RowId t = tail[j - 1];
+    const double key = col.num[t];
+    const size_t lo = static_cast<size_t>(
+        std::upper_bound(col.sorted_num.begin(),
+                         col.sorted_num.begin() + old_end, key) -
+        col.sorted_num.begin());
+    std::copy_backward(col.sorted_rows.begin() + lo,
+                       col.sorted_rows.begin() + old_end,
+                       col.sorted_rows.begin() + out);
+    std::copy_backward(col.sorted_num.begin() + lo,
+                       col.sorted_num.begin() + old_end,
+                       col.sorted_num.begin() + out);
+    out -= old_end - lo + 1;
+    old_end = lo;
+    col.sorted_rows[out] = t;
+    col.sorted_num[out] = key;
+  }
 
   slot.built_rows = n;
+  RowsMaintained()->Increment(n - old_n);
+}
+
+void ColumnCache::PatchCandidates(RowId r, size_t c, bool probabilistic) {
+  MutexLock lock(&build_mu_);
+  Slot& slot = slots_[c];
+  if (!slot.built || r >= slot.built_rows) return;
+  slot.col.probs[r] = probabilistic ? 1 : 0;
+  RowsMaintained()->Increment();
 }
 
 size_t ColumnCache::TrimmedDistinctCount(size_t c, double frac) {

@@ -1,6 +1,6 @@
 // Columnar fast-path layer: per-column typed projections of a row-store
 // table, rebuilt lazily when the owning table's per-column version counter
-// moves.
+// moves, extended on appends and patched in place on candidate-only writes.
 //
 // Detection and statistics hot loops (theta-join pair checks, FD group-bys,
 // Estimate_Errors range counting) pay per-cell std::variant dispatch when
@@ -27,19 +27,27 @@
 //               and binary-search range counts.
 //
 // Invalidation protocol: Table bumps a per-column *content* version on
-// every mutable cell access (conservative — attaching repair candidates
-// bumps it too even though detection reads originals). On the next access
-// the cache rebuilds the column and compares content against the previous
-// build; `generation` advances only if the data actually changed. Consumers
-// that keep derived state (partition boundaries, checked-row sets) key it
-// to `generation`, so candidate-only repairs rebuild the projection without
-// discarding incremental detection coverage, while an original-value edit
-// invalidates everything that depends on the column.
+// every mutable_cell access, the one path that may edit an original value
+// (the data generators corrupting fresh tables). On the next access the
+// cache rebuilds the column and compares content against the previous
+// build; `generation` advances only if the data actually changed.
+// Consumers that keep derived state (partition boundaries, checked-row
+// sets) key it to `generation`, so an original-value edit invalidates
+// everything that depends on the column.
+//
+// Candidate-only writes are not content changes: every repair the engine
+// makes, and the snapshot decoder, go through Table::SetCandidates, which
+// moves no version and flips the row's `probs` bit of a built column in
+// place (under the build mutex, only for rows the column already covers;
+// Extend reads the bit of later rows from the cells). A writer section
+// therefore maintains the cache in O(changed cells) and never discards
+// incremental detection coverage.
 //
 // Appends are NOT content changes: when the table grew but the column's
 // content version did not move, the projections are *extended* in O(delta)
 // — new rows join num/codes/nulls/probs and the dictionary directly; the
-// sorted index merges the (sorted) new tail in one pass; ranks extend by
+// sorted index merges the (sorted) new tail in from the back, shifting only
+// the entries that sort after its smallest key; ranks extend by
 // table lookup unless the delta introduced a new distinct value (then the
 // dense rank relabeling is recomputed — O(n), no value re-read). The
 // content `generation` stays put, so delta-aware detectors keep their
@@ -83,9 +91,8 @@ class ColumnCache {
     std::vector<uint8_t> nulls;     ///< row-ordered null mask (1 = null)
     /// Cells carrying repair candidates (1 = probabilistic). Consumers that
     /// answer from the projected originals must fall back to per-cell
-    /// evaluation for these rows. Deliberately excluded from the content
-    /// comparison: attaching candidates refreshes this mask on rebuild but
-    /// does not advance `generation`.
+    /// evaluation for these rows. Table::SetCandidates patches it in place;
+    /// it is not content and never advances `generation`.
     std::vector<uint8_t> probs;
     std::vector<Value> dict;        ///< code -> first-seen value
     std::vector<Value> sorted_distinct;  ///< rank -> representative value
@@ -205,6 +212,13 @@ class ColumnCache {
     std::atomic<bool> published{false};
   };
 
+  friend class Table;
+
+  /// Table::SetCandidates's hook: sets row `r`'s `probs` bit of column `c`
+  /// if the column is built and covers the row. Writers call it with
+  /// exclusive access to the table, so no reader holds the arrays.
+  void PatchCandidates(RowId r, size_t c, bool probabilistic);
+
   void Rebuild(size_t c) DAISY_REQUIRES(build_mu_);
   void Extend(size_t c) DAISY_REQUIRES(build_mu_);
   static void AssignRanks(Slot* slot);
@@ -212,11 +226,12 @@ class ColumnCache {
   const Table* table_;
   /// Sized at construction, never resized. Slots are not GUARDED_BY: the
   /// vector itself is immutable after construction, each slot's arrays are
-  /// written only under build_mu_ (via Rebuild/Extend), and the published_*
-  /// atomics are the slot's own release/acquire gate for lock-free readers.
+  /// written only under build_mu_ (Rebuild/Extend/PatchCandidates), and
+  /// the published_* atomics are the slot's own release/acquire gate for
+  /// lock-free readers.
   std::vector<Slot> slots_;
   uint64_t id_;
-  Mutex build_mu_;  ///< serializes Rebuild/Extend and publication
+  Mutex build_mu_;  ///< serializes builds, patches and publication
 };
 
 }  // namespace daisy

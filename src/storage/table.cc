@@ -19,7 +19,6 @@ Table::Table(const Table& other)
     : name_(other.name_),
       schema_(other.schema_),
       rows_(other.rows_),
-      version_(other.version_),
       column_versions_(other.column_versions_),
       append_version_(other.append_version_),
       delta_generation_(other.delta_generation_),
@@ -32,7 +31,6 @@ Table& Table::operator=(const Table& other) {
   name_ = other.name_;
   schema_ = other.schema_;
   rows_ = other.rows_;
-  version_ = other.version_;
   column_versions_ = other.column_versions_;
   append_version_ = other.append_version_;
   delta_generation_ = other.delta_generation_;
@@ -53,7 +51,6 @@ Table::Table(Table&& other) noexcept
     : name_(std::move(other.name_)),
       schema_(std::move(other.schema_)),
       rows_(std::move(other.rows_)),
-      version_(other.version_),
       column_versions_(std::move(other.column_versions_)),
       append_version_(other.append_version_),
       delta_generation_(other.delta_generation_),
@@ -69,7 +66,6 @@ Table& Table::operator=(Table&& other) noexcept {
   name_ = std::move(other.name_);
   schema_ = std::move(other.schema_);
   rows_ = std::move(other.rows_);
-  version_ = other.version_;
   column_versions_ = std::move(other.column_versions_);
   append_version_ = other.append_version_;
   delta_generation_ = other.delta_generation_;
@@ -92,6 +88,13 @@ ColumnCache& Table::columns() const {
     cache_ptr_.store(cache_.get(), std::memory_order_release);
   }
   return *cache_;
+}
+
+void Table::SetCandidates(RowId r, size_t c, std::vector<Candidate> cands) {
+  Cell& cell = rows_[r].cells[c];
+  cell.set_candidates(std::move(cands));
+  ColumnCache* cache = cache_ptr_.load(std::memory_order_acquire);
+  if (cache != nullptr) cache->PatchCandidates(r, c, cell.is_probabilistic());
 }
 
 namespace {
@@ -233,13 +236,6 @@ size_t Table::TotalCandidateWidth() const {
     for (const Cell& c : rows_[r].cells) n += c.width();
   }
   return n;
-}
-
-void Table::ResetToOriginal() {
-  for (Row& r : rows_) {
-    for (Cell& c : r.cells) c.ClearCandidates();
-  }
-  BumpAllColumns();
 }
 
 Status Table::RestorePersistedState(std::vector<RowId> deleted_log,

@@ -8,12 +8,16 @@
 //
 // Ingest is transactional and delta-aware: AppendRows/DeleteRows apply one
 // batch atomically and return a TableDelta naming the affected row ids.
-// Two independent generation families let derived state react minimally:
+// Derived state reacts to three kinds of change, each at its own cost:
 //
-//  * content_version(c) moves only when an existing cell of column `c` may
-//    have changed in place (mutable access, ResetToOriginal) — the
-//    ColumnCache rebuilds the column from scratch and its content
-//    generation may advance, discarding detector coverage;
+//  * SetCandidates(r, c, ...) changes only a cell's candidate set — every
+//    repair the engine makes, and the snapshot decoder. It moves no
+//    counter: a built column cache flips that row's `probs` bit in place,
+//    so a writer section costs O(changed cells) in the cache;
+//  * content_version(c) moves on every mutable_cell(r, c) access, which
+//    may change an original value (the data generators' corruption of
+//    fresh tables) — the ColumnCache rebuilds the column from scratch and
+//    its content generation may advance, discarding detector coverage;
 //  * delta_generation() moves on every append/delete batch — appends extend
 //    the derived projections in O(delta) and deletes only flip the live
 //    mask, so delta-aware detectors keep their coverage.
@@ -75,11 +79,11 @@ struct TableSnapshot {
 
 /// A named relation with probabilistic cells.
 ///
-/// Every mutable access path bumps a per-column version counter so the
-/// derived columnar projections (see storage/column_cache.h) can invalidate
-/// only the touched columns. Handing out `mutable_cell`/`mutable_row`
-/// references counts as a mutation of the addressed column(s) — do not
-/// stash such a reference and write through it across reads of the cache.
+/// `mutable_cell` bumps a per-column version counter so the derived
+/// columnar projections (see storage/column_cache.h) rebuild only the
+/// touched column. Handing out the reference counts as a mutation of the
+/// column — do not stash it and write through it across reads of the
+/// cache. Candidate-only writes go through SetCandidates instead.
 class Table {
  public:
   Table();
@@ -108,22 +112,27 @@ class Table {
   }
 
   const Row& row(RowId r) const { return rows_[r]; }
-  Row& mutable_row(RowId r) {
-    BumpAllColumns();
-    return rows_[r];
-  }
   const Cell& cell(RowId r, size_t c) const { return rows_[r].cells[c]; }
+  /// Write access to any part of a cell, its original value included; the
+  /// column's cached projection is rebuilt on its next read.
   Cell& mutable_cell(RowId r, size_t c) {
     BumpColumn(c);
     return rows_[r].cells[c];
   }
 
-  /// In-place mutation counter of column `c`: moves only when an *existing*
-  /// cell may have changed (mutable access, ResetToOriginal) — appends and
-  /// deletes deliberately do not move it, so append-only deltas keep the
-  /// derived columnar projections extendable in O(delta).
+  /// Replaces the candidate set of cell (r, c); an empty `cands` reverts it
+  /// to its clean original value. The original stays untouched, so no
+  /// counter moves: a built column cache flips that row's `probs` bit in
+  /// place instead of rebuilding the column. The only write the engine
+  /// makes to an existing cell.
+  void SetCandidates(RowId r, size_t c, std::vector<Candidate> cands);
+
+  /// In-place mutation counter of column `c`: moves on every mutable_cell
+  /// access to the column, and on nothing else — candidate-only writes,
+  /// appends and deletes leave it, so the derived columnar projections are
+  /// patched or extended instead of rebuilt.
   uint64_t content_version(size_t c) const {
-    return version_ + (c < column_versions_.size() ? column_versions_[c] : 0);
+    return c < column_versions_.size() ? column_versions_[c] : 0;
   }
 
   /// Moves once per appended row (all append paths).
@@ -184,9 +193,6 @@ class Table {
   /// probabilistic version (the paper reports this as dataset growth).
   size_t TotalCandidateWidth() const;
 
-  /// Reverts every cell to its original value (drops all repairs).
-  void ResetToOriginal();
-
   /// Snapshot-recovery hook: installs the ingest history of a persisted
   /// table after its rows were re-appended (AppendRowUnchecked). The ids
   /// in `deleted_log` become tombstones in log order, and the two ingest
@@ -215,7 +221,6 @@ class Table {
     if (column_versions_.size() <= c) column_versions_.resize(c + 1, 0);
     ++column_versions_[c];
   }
-  void BumpAllColumns() { ++version_; }
   /// Drops the derived cache: unpublishes the lock-free pointer, then
   /// destroys the cache under the creation mutex. Callers run with
   /// exclusive access to the table (assignment, restore), but the lock
@@ -229,7 +234,6 @@ class Table {
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
-  uint64_t version_ = 0;  ///< whole-row content mutations (mutable_row etc.)
   std::vector<uint64_t> column_versions_;  ///< per-column cell mutations
   uint64_t append_version_ = 0;       ///< rows appended
   uint64_t delta_generation_ = 0;     ///< ingest batches applied

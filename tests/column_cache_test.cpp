@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "common/metrics.h"
 #include "storage/column_cache.h"
 #include "storage/table.h"
 
@@ -118,14 +119,42 @@ TEST(ColumnCacheTest, GenerationAdvancesOnlyOnContentChange) {
   Table t = MixedTable();
   ColumnCache& cache = t.columns();
   const uint64_t g0 = cache.generation(0);
-  // Candidate-only repair: version moves, content does not -> generation
-  // stays, so detectors keep their incremental coverage.
-  t.mutable_cell(0, 0).add_candidate({Value(6.0), 1.0, 0,
-                                      CandidateKind::kPoint});
+  const uint64_t v0 = t.content_version(0);
+  // Candidate-only repair: neither version nor content moves -> the probs
+  // bit flips in place and generation stays, so detectors keep their
+  // incremental coverage.
+  t.SetCandidates(0, 0, {{Value(6.0), 1.0, 0, CandidateKind::kPoint}});
+  EXPECT_EQ(t.content_version(0), v0);
+  EXPECT_EQ(cache.column(0).probs[0], 1);
   EXPECT_EQ(cache.generation(0), g0);
   // Original-value edit: content changes -> generation advances.
   t.mutable_cell(0, 0) = Cell(Value(6.0));
   EXPECT_GT(cache.generation(0), g0);
+}
+
+TEST(ColumnCacheTest, RowsMaintainedCountsRebuildExtendAndPatch) {
+  auto maintained = [] {
+    return MetricsRegistry::Global().TakeSnapshot().counters.at(
+        "daisy_storage_cache_rows_maintained_total");
+  };
+  Table t = MixedTable();
+  (void)t.columns().column(0);  // registers the counter
+  const uint64_t before = maintained();
+  (void)t.columns().column(1);  // first build: all 5 rows
+  EXPECT_EQ(maintained() - before, 5u);
+  ASSERT_TRUE(t.AppendRow({Value(1.0), Value("X")}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(2.0), Value("Y")}).ok());
+  (void)t.columns().column(1);  // extension: the 2 new rows
+  EXPECT_EQ(maintained() - before, 7u);
+  t.SetCandidates(0, 1, {{Value("SF"), 1.0, 0, CandidateKind::kPoint}});
+  EXPECT_EQ(maintained() - before, 8u);  // one in-place patch
+  t.SetCandidates(6, 0, {{Value(3.0), 1.0, 0, CandidateKind::kPoint}});
+  EXPECT_EQ(maintained() - before, 8u);  // row not built yet: no patch
+  (void)t.columns().column(0);           // extension reads it instead
+  EXPECT_EQ(maintained() - before, 10u);
+  EXPECT_EQ(t.columns().column(0).probs[6], 1);
+  EXPECT_EQ(t.columns().column(1).probs[0], 1);
+  EXPECT_EQ(maintained() - before, 10u);  // fresh columns: no work
 }
 
 TEST(ColumnCacheTest, CopyAndMoveDropDerivedCache) {

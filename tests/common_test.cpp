@@ -1,8 +1,12 @@
 // Unit tests for the common runtime: Status/Result, Value, string utils,
-// CSV, and the deterministic RNG.
+// CSV, the deterministic RNG and the CRC-32 checksum.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "common/binary_io.h"
 #include "common/csv.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -235,6 +239,43 @@ TEST(RngTest, ZipfSkewsTowardLowRanks) {
   }
   // With s=1.2 the first 10 ranks hold well over a third of the mass.
   EXPECT_GT(low, static_cast<size_t>(kDraws / 3));
+}
+
+// ----------------------------------------------------------------- CRC32 --
+
+// The plain one-byte-at-a-time reflected CRC-32 (polynomial 0xEDB88320),
+// the reference the table-driven Crc32 must reproduce bit for bit.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t len, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(check, std::strlen(check)), 0xCBF43926u);
+  EXPECT_EQ(Crc32(check, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(11);
+  std::vector<uint8_t> buf(64 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      EXPECT_EQ(Crc32(p, len), BytewiseCrc32(p, len, 0))
+          << "offset " << offset << " len " << len;
+      // Continuing from a seed equals one pass over the concatenation.
+      const size_t split = len / 3;
+      EXPECT_EQ(Crc32(p + split, len - split, Crc32(p, split)),
+                BytewiseCrc32(p, len, 0))
+          << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 }  // namespace

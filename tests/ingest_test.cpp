@@ -196,6 +196,72 @@ TEST(ColumnCacheDeltaTest, ExtensionMatchesFullRebuild) {
   }
 }
 
+TEST(ColumnCacheDeltaTest, CandidatePatchMatchesFullRebuild) {
+  // Candidate-only writes flip `probs` in place; interleaved with appends
+  // and deletes, every projection must still equal a from-scratch build on
+  // a copy of the table, and neither the content version nor the content
+  // generation may move.
+  Schema schema({{"x", ValueType::kInt}, {"s", ValueType::kString}});
+  const char* kStrings[] = {"aa", "bb", "mm", "zz"};
+  Rng rng(23);
+  auto random_row = [&]() {
+    return std::vector<Value>{Value(rng.UniformInt(0, 9)),
+                              Value(kStrings[rng.UniformInt(0, 3)])};
+  };
+  Table t("t", schema);
+  for (int i = 0; i < 30; ++i) ASSERT_TRUE(t.AppendRow(random_row()).ok());
+  ColumnCache& cache = t.columns();
+  const uint64_t gen[2] = {cache.generation(0), cache.generation(1)};
+  const uint64_t version[2] = {t.content_version(0), t.content_version(1)};
+
+  for (int step = 0; step < 300; ++step) {
+    const int op = static_cast<int>(rng.UniformInt(0, 9));
+    if (op < 6) {
+      const RowId r = static_cast<RowId>(rng.UniformInt(0, t.num_rows() - 1));
+      const size_t c = static_cast<size_t>(rng.UniformInt(0, 1));
+      std::vector<Candidate> cands;
+      if (op < 4) {
+        cands.push_back({t.cell(r, c).original(), 0.5, 0,
+                         CandidateKind::kPoint});
+        cands.push_back({c == 0 ? Value(rng.UniformInt(0, 9)) : Value("qq"),
+                         0.5, 1, CandidateKind::kPoint});
+      }
+      t.SetCandidates(r, c, std::move(cands));  // op 4, 5: clear
+    } else if (op < 8) {
+      std::vector<std::vector<Value>> batch(
+          static_cast<size_t>(rng.UniformInt(1, 3)));
+      for (auto& row : batch) row = random_row();
+      ASSERT_TRUE(t.AppendRows(std::move(batch)).ok());
+    } else {
+      const RowId r = static_cast<RowId>(rng.UniformInt(0, t.num_rows() - 1));
+      if (t.is_live(r)) ASSERT_TRUE(t.DeleteRows({r}).ok());
+    }
+    // Refresh one column now and then, so patches hit both extended and
+    // not-yet-extended rows.
+    if (step % 7 == 0) (void)cache.column(step % 2);
+    if (step % 25 != 24) continue;
+
+    Table copy = t;  // drops the cache: the copy builds from scratch
+    for (size_t c = 0; c < 2; ++c) {
+      const ColumnCache::Column& a = cache.column(c);
+      const ColumnCache::Column& b = copy.columns().column(c);
+      EXPECT_EQ(a.num, b.num) << "col " << c << " step " << step;
+      EXPECT_EQ(a.codes, b.codes) << "col " << c << " step " << step;
+      EXPECT_EQ(a.ranks, b.ranks) << "col " << c << " step " << step;
+      EXPECT_EQ(a.nulls, b.nulls) << "col " << c << " step " << step;
+      EXPECT_EQ(a.probs, b.probs) << "col " << c << " step " << step;
+      EXPECT_EQ(a.dict, b.dict) << "col " << c << " step " << step;
+      EXPECT_EQ(a.sorted_distinct, b.sorted_distinct) << "col " << c;
+      EXPECT_EQ(a.sorted_rows, b.sorted_rows) << "col " << c;
+      EXPECT_EQ(a.sorted_num, b.sorted_num) << "col " << c;
+      EXPECT_EQ(a.numeric_only, b.numeric_only) << "col " << c;
+      EXPECT_EQ(a.has_nulls, b.has_nulls) << "col " << c;
+      EXPECT_EQ(a.generation, gen[c]) << "col " << c << " step " << step;
+      EXPECT_EQ(t.content_version(c), version[c]) << "col " << c;
+    }
+  }
+}
+
 // ------------------------------------------------ theta-join DetectDelta --
 
 TEST(ThetaDeltaTest, DeltaDetectionMatchesFromScratch) {

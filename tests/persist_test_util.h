@@ -178,7 +178,7 @@ inline void ExpectProvenanceEqual(const ProvenanceStore* a,
       const RepairRecord& rb = itb->second[i];
       EXPECT_EQ(ra.rule, rb.rule);
       EXPECT_EQ(ra.pair_tag, rb.pair_tag);
-      EXPECT_EQ(ra.conflicting_rows, rb.conflicting_rows);
+      EXPECT_EQ(ra.conflicting(), rb.conflicting());
       ASSERT_EQ(ra.sources.size(), rb.sources.size());
       for (size_t s = 0; s < ra.sources.size(); ++s) {
         EXPECT_TRUE(ValueExactEq(ra.sources[s].value, rb.sources[s].value));

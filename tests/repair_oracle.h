@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -59,7 +60,8 @@ inline RepairStats RepairFdViolationsOverScope(Table* table,
       rec.rule = dc.name();
       rec.pair_tag = 0;
       rec.sources = SortedSources(group.rhs_histogram);
-      rec.conflicting_rows = group.rows;
+      rec.conflicting_rows =
+          std::make_shared<const std::vector<RowId>>(group.rows);
       provenance->Record(table, r, fd.rhs, std::move(rec));
       ++stats.cells_repaired;
 
@@ -73,7 +75,8 @@ inline RepairStats RepairFdViolationsOverScope(Table* table,
         lhs_rec.rule = dc.name();
         lhs_rec.pair_tag = 1;
         lhs_rec.sources = SortedSources({hist.begin(), hist.end()});
-        lhs_rec.conflicting_rows = same_rhs;
+        lhs_rec.conflicting_rows =
+            std::make_shared<const std::vector<RowId>>(same_rhs);
         provenance->Record(table, r, lhs_col, std::move(lhs_rec));
         ++stats.cells_repaired;
       }
@@ -88,7 +91,7 @@ inline ::testing::AssertionResult SameRecords(const ProvenanceStore& a,
                                               const ProvenanceStore& b) {
   auto same_record = [](const RepairRecord& x, const RepairRecord& y) {
     if (x.rule != y.rule || x.pair_tag != y.pair_tag ||
-        x.conflicting_rows != y.conflicting_rows ||
+        x.conflicting() != y.conflicting() ||
         x.sources.size() != y.sources.size()) {
       return false;
     }

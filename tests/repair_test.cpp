@@ -186,11 +186,13 @@ TEST(ProvenanceTest, Lemma4MergeIsCommutative) {
     RepairRecord phi{"phi", 0,
                      {{Value("LA"), 2.0, CandidateKind::kPoint},
                       {Value("SF"), 1.0, CandidateKind::kPoint}},
-                     {0, 1}};
+                     std::make_shared<const std::vector<RowId>>(
+                         std::vector<RowId>{0, 1})};
     RepairRecord psi{"psi", 0,
                      {{Value("LA"), 1.0, CandidateKind::kPoint},
                       {Value("NY"), 1.0, CandidateKind::kPoint}},
-                     {0, 2}};
+                     std::make_shared<const std::vector<RowId>>(
+                         std::vector<RowId>{0, 2})};
     if (phi_first) {
       prov.Record(&t, 0, 1, phi);
       prov.Record(&t, 0, 1, psi);
@@ -226,7 +228,7 @@ TEST(ProvenanceTest, AppendSourcesAccumulates) {
   const std::vector<RepairRecord>* recs = prov.RecordsFor(0, 1);
   ASSERT_NE(recs, nullptr);
   ASSERT_EQ(recs->size(), 1u);
-  EXPECT_EQ((*recs)[0].conflicting_rows, (std::vector<RowId>{0, 1}));
+  EXPECT_EQ((*recs)[0].conflicting(), (std::vector<RowId>{0, 1}));
 }
 
 // ------------------------------------------------------------- FD repair --

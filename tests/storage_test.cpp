@@ -159,8 +159,9 @@ TEST(TableTest, ProbabilisticCounters) {
                                       CandidateKind::kPoint});
   EXPECT_EQ(t.CountProbabilisticCells(), 1u);
   EXPECT_EQ(t.TotalCandidateWidth(), 5u);
-  t.ResetToOriginal();
+  t.SetCandidates(0, 1, {});  // an empty set reverts the cell
   EXPECT_EQ(t.CountProbabilisticCells(), 0u);
+  EXPECT_EQ(t.TotalCandidateWidth(), 4u);
 }
 
 TEST(TableTest, CsvRoundTrip) {
