@@ -141,6 +141,15 @@ int main() {
         static_cast<double>(reg.Delta("daisy_engine_repairs_total"));
     const double delta_rows =
         static_cast<double>(reg.Delta("daisy_engine_delta_rows_checked_total"));
+    // Plan-layer work of the same leg: GROUP BY key cells that missed the
+    // dictionary-code path, and join-root sorts that found their input
+    // already in canonical order (kept) or had to permute it (sorted).
+    const double value_keyed = static_cast<double>(
+        reg.Delta("daisy_plan_agg_value_keyed_cells_total"));
+    const double sorts_kept = static_cast<double>(
+        reg.Delta("daisy_plan_root_sorts_total{order=\"kept\"}"));
+    const double sorts_sorted = static_cast<double>(
+        reg.Delta("daisy_plan_root_sorts_total{order=\"sorted\"}"));
     FamilyRun off = RunFamily(family, config, /*optimizer=*/false);
     series.push_back(on.cold.per_query_seconds);
 
@@ -158,7 +167,10 @@ int main() {
         {"repaired_off", static_cast<double>(off.cold.total_repaired)},
         {"registry_detect_ops", detect_ops},
         {"registry_repairs", registry_repairs},
-        {"registry_delta_rows_checked", delta_rows}};
+        {"registry_delta_rows_checked", delta_rows},
+        {"agg_value_keyed_cells", value_keyed},
+        {"root_sorts_kept", sorts_kept},
+        {"root_sorts_sorted", sorts_sorted}};
     result.config = {{"rows", std::to_string(config.num_rows)},
                      {"queries", "10 cold + 50 warm"},
                      {"optimizer", "on (counters: off leg)"}};

@@ -397,11 +397,10 @@ Result<std::string> DaisyEngine::ExplainAnalyze(const std::string& sql) {
 Result<std::string> DaisyEngine::ExplainAnalyze(const std::string& sql,
                                                 const QueryLimits& limits) {
   DAISY_ASSIGN_OR_RETURN(SelectStmt stmt, ParseQuery(sql));
-  // Query's protocol, side effects and output included; the analyze
-  // rendering is a pure read on top of the execution.
+  // Query's protocol and side effects; the analyze rendering is a pure
+  // read on top of the execution, so the result rows are only counted.
   std::string rendered;
-  QueryOutput output;
-  TableSink sink(&output);
+  CountingSink sink;
   DAISY_RETURN_IF_ERROR(
       ExecuteStatement(stmt, limits, &sink, &rendered).status());
   return rendered;

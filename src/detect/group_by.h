@@ -1,6 +1,6 @@
 // Grouping keys on column subsets: the tuple of a row's original values on
-// the grouping columns, with the hash and equality the FD index and the
-// executor's GROUP BY key their maps by.
+// the grouping columns, with the hash and equality the FD index keys its
+// maps by.
 
 #ifndef DAISY_DETECT_GROUP_BY_H_
 #define DAISY_DETECT_GROUP_BY_H_

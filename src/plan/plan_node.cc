@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/metrics.h"
 #include "query/eval.h"
 
 namespace daisy {
@@ -298,20 +299,38 @@ bool TupleLess(const RowId* a, const RowId* b, size_t width) {
   return std::lexicographical_compare(a, a + width, b, b + width);
 }
 
-// Sorts the tuples lexicographically: a permutation of tuple indices is
-// sorted, then applied, so the result is exactly the order a sort over
-// per-tuple vectors gives.
+// Root sorts by outcome: input already in canonical order (kept as is)
+// or permuted into it.
+Counter* RootSorts(bool kept) {
+  static Counter* const kept_sorts = MetricsRegistry::Global().GetCounter(
+      "daisy_plan_root_sorts_total{order=\"kept\"}",
+      "Join-root canonical sorts, by whether the input was already in order");
+  static Counter* const sorted_sorts = MetricsRegistry::Global().GetCounter(
+      "daisy_plan_root_sorts_total{order=\"sorted\"}");
+  return kept ? kept_sorts : sorted_sorts;
+}
+
+// Sorts the tuples lexicographically. One O(n) pass first: input already
+// in order (equal tuples are identical bytes) is the sort's result as is.
+// Otherwise a permutation of tuple indices is sorted, then applied, so the
+// result is exactly the order a sort over per-tuple vectors gives.
 void SortTuples(JoinedRows* rows) {
   const size_t w = rows->width;
-  std::vector<size_t> perm(rows->size());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+  const size_t n = rows->size();
+  size_t i = 1;
+  while (i < n && !TupleLess((*rows)[i], (*rows)[i - 1], w)) ++i;
+  const bool kept = i >= n;
+  RootSorts(kept)->Increment();
+  if (kept) return;
+  std::vector<size_t> perm(n);
+  for (size_t k = 0; k < n; ++k) perm[k] = k;
   std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
     return TupleLess((*rows)[a], (*rows)[b], w);
   });
   std::vector<RowId> sorted;
   sorted.reserve(rows->ids.size());
-  for (size_t i : perm) {
-    const RowId* t = (*rows)[i];
+  for (size_t k : perm) {
+    const RowId* t = (*rows)[k];
     sorted.insert(sorted.end(), t, t + w);
   }
   rows->ids = std::move(sorted);

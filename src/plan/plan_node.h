@@ -336,7 +336,8 @@ class JoinSourceNode : public PlanNode {
 /// step emits left-major in child order: over the FROM-order left-deep
 /// chain that is lexicographic order by FROM-position row-id tuple. The
 /// root of any other tree sorts its output into that order, so every join
-/// order produces the same bytes.
+/// order produces the same bytes; output already in that order (checked
+/// in one pass) is kept as is.
 class HashJoinStepNode : public JoinSourceNode {
  public:
   HashJoinStepNode(Kind kind, const std::vector<const Table*>* tables,

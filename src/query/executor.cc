@@ -1,11 +1,13 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 
-#include "detect/group_by.h"
+#include "common/metrics.h"
 #include "plan/planner.h"
 #include "query/parser.h"
+#include "storage/column_cache.h"
 
 namespace daisy {
 
@@ -24,48 +26,54 @@ std::unique_ptr<Expr> CloneExpr(const Expr& expr) {
   return out;
 }
 
+namespace {
+
+// The one column resolver of every clause (WHERE, select list, GROUP BY).
+// A qualified reference names its FROM table; an unqualified one must
+// match exactly one FROM table (InvalidArgument when ambiguous, NotFound
+// when absent).
+Result<BoundColumn> ResolveColumn(const ColumnRef& ref,
+                                  const std::vector<const Table*>& tables) {
+  if (!ref.table.empty()) {
+    for (size_t i = 0; i < tables.size(); ++i) {
+      if (tables[i]->name() != ref.table) continue;
+      DAISY_ASSIGN_OR_RETURN(size_t col,
+                             tables[i]->schema().ColumnIndex(ref.column));
+      return BoundColumn{i, col};
+    }
+    return Status::NotFound("table '" + ref.table + "' not in FROM clause");
+  }
+  // Unqualified: unique schema match required.
+  size_t found = tables.size();
+  for (size_t i = 0; i < tables.size(); ++i) {
+    if (!tables[i]->schema().HasColumn(ref.column)) continue;
+    if (found != tables.size()) {
+      return Status::InvalidArgument("ambiguous column '" + ref.column + "'");
+    }
+    found = i;
+  }
+  if (found == tables.size()) {
+    return Status::NotFound("column '" + ref.column +
+                            "' not found in any FROM table");
+  }
+  DAISY_ASSIGN_OR_RETURN(size_t col,
+                         tables[found]->schema().ColumnIndex(ref.column));
+  return BoundColumn{found, col};
+}
+
+}  // namespace
+
 Result<SplitWhere> SplitWhereClause(const SelectStmt& stmt,
                                     const std::vector<const Table*>& tables) {
   SplitWhere out;
   out.table_filters.resize(tables.size());
 
-  auto find_table = [&](const ColumnRef& ref) -> Result<size_t> {
-    if (!ref.table.empty()) {
-      for (size_t i = 0; i < tables.size(); ++i) {
-        if (tables[i]->name() == ref.table) return i;
-      }
-      return Status::NotFound("table '" + ref.table + "' not in FROM clause");
-    }
-    // Unqualified: unique schema match required.
-    size_t found = tables.size();
-    for (size_t i = 0; i < tables.size(); ++i) {
-      if (tables[i]->schema().HasColumn(ref.column)) {
-        if (found != tables.size()) {
-          return Status::InvalidArgument("ambiguous column '" + ref.column +
-                                         "'");
-        }
-        found = i;
-      }
-    }
-    if (found == tables.size()) {
-      return Status::NotFound("column '" + ref.column +
-                              "' not found in any FROM table");
-    }
-    return found;
-  };
-
   for (const Expr* conjunct : SplitConjuncts(stmt.where.get())) {
     ColumnRef jl, jr;
     if (MatchJoinPredicate(*conjunct, &jl, &jr)) {
-      SplitWhere::JoinPred pred;
-      DAISY_ASSIGN_OR_RETURN(pred.left_table, find_table(jl));
-      DAISY_ASSIGN_OR_RETURN(pred.right_table, find_table(jr));
-      DAISY_ASSIGN_OR_RETURN(
-          pred.left_col, tables[pred.left_table]->schema().ColumnIndex(jl.column));
-      DAISY_ASSIGN_OR_RETURN(
-          pred.right_col,
-          tables[pred.right_table]->schema().ColumnIndex(jr.column));
-      out.joins.push_back(pred);
+      DAISY_ASSIGN_OR_RETURN(BoundColumn l, ResolveColumn(jl, tables));
+      DAISY_ASSIGN_OR_RETURN(BoundColumn r, ResolveColumn(jr, tables));
+      out.joins.push_back({l.table, l.col, r.table, r.col});
       continue;
     }
     // Single-table predicate (possibly an OR subtree): find its table.
@@ -104,48 +112,26 @@ Result<SplitWhere> SplitWhereClause(const SelectStmt& stmt,
   return out;
 }
 
-namespace {
-
-struct BoundItem {
-  bool star = false;
-  size_t table_idx = 0;
-  size_t col_idx = 0;
-  AggFunc agg = AggFunc::kNone;
-  std::string out_name;
-  ValueType out_type = ValueType::kString;
-};
-
-Result<std::vector<BoundItem>> BindSelectList(
-    const SelectStmt& stmt, const std::vector<const Table*>& tables) {
-  std::vector<BoundItem> items;
-  auto resolve = [&](const ColumnRef& ref, size_t* t_idx,
-                     size_t* c_idx) -> Status {
-    for (size_t i = 0; i < tables.size(); ++i) {
-      if (!ref.table.empty() && tables[i]->name() != ref.table) continue;
-      auto idx = tables[i]->schema().ColumnIndex(ref.column);
-      if (idx.ok()) {
-        *t_idx = i;
-        *c_idx = idx.value();
-        return Status::OK();
-      }
-      if (!ref.table.empty()) return idx.status();
-    }
-    return Status::NotFound("cannot resolve select column " + ref.ToString());
-  };
+Result<BoundOutput> BindOutput(const SelectStmt& stmt,
+                               const std::vector<const Table*>& tables) {
+  BoundOutput out;
+  out.aggregating = stmt.has_aggregate() || !stmt.group_by.empty();
+  for (const ColumnRef& ref : stmt.group_by) {
+    DAISY_ASSIGN_OR_RETURN(BoundColumn col, ResolveColumn(ref, tables));
+    out.group_cols.push_back(col);
+  }
+  const bool qualify = tables.size() > 1;
   for (const SelectItem& item : stmt.select_list) {
     if (item.star && item.agg == AggFunc::kNone) {
       // Expand `*` into every column of every table.
       for (size_t i = 0; i < tables.size(); ++i) {
         for (size_t c = 0; c < tables[i]->schema().num_columns(); ++c) {
           BoundItem b;
-          b.table_idx = i;
-          b.col_idx = c;
-          b.out_name = tables.size() > 1
-                           ? tables[i]->name() + "." +
-                                 tables[i]->schema().column(c).name
-                           : tables[i]->schema().column(c).name;
-          b.out_type = tables[i]->schema().column(c).type;
-          items.push_back(std::move(b));
+          b.src = {i, c};
+          const Column& src = tables[i]->schema().column(c);
+          b.out_name = qualify ? tables[i]->name() + "." + src.name : src.name;
+          b.out_type = src.type;
+          out.items.push_back(std::move(b));
         }
       }
       continue;
@@ -156,17 +142,17 @@ Result<std::vector<BoundItem>> BindSelectList(
       b.star = true;  // COUNT(*)
       b.out_name = item.alias.empty() ? "count" : item.alias;
       b.out_type = ValueType::kInt;
-      items.push_back(std::move(b));
+      out.items.push_back(std::move(b));
       continue;
     }
-    DAISY_RETURN_IF_ERROR(resolve(item.col, &b.table_idx, &b.col_idx));
-    const Column& src = tables[b.table_idx]->schema().column(b.col_idx);
+    DAISY_ASSIGN_OR_RETURN(b.src, ResolveColumn(item.col, tables));
+    const Column& src = tables[b.src.table]->schema().column(b.src.col);
     b.out_name = !item.alias.empty()
                      ? item.alias
                      : (item.agg == AggFunc::kNone
-                            ? (tables.size() > 1
-                                   ? tables[b.table_idx]->name() + "." + src.name
-                                   : src.name)
+                            ? (qualify ? tables[b.src.table]->name() + "." +
+                                             src.name
+                                       : src.name)
                             : std::string(AggFuncToString(item.agg)) + "_" +
                                   src.name);
     if (item.agg == AggFunc::kNone) {
@@ -178,24 +164,91 @@ Result<std::vector<BoundItem>> BindSelectList(
     } else {
       b.out_type = ValueType::kDouble;
     }
-    items.push_back(std::move(b));
+    out.items.push_back(std::move(b));
   }
-  return items;
+  for (BoundItem& b : out.items) {
+    out.columns.push_back({b.out_name, b.out_type});
+    if (!out.aggregating || b.agg != AggFunc::kNone) continue;
+    // A plain item of an aggregating query outputs its group's key value.
+    const auto key = std::find_if(
+        out.group_cols.begin(), out.group_cols.end(),
+        [&](const BoundColumn& g) {
+          return g.table == b.src.table && g.col == b.src.col;
+        });
+    if (key == out.group_cols.end()) {
+      return Status::InvalidArgument("select column '" + b.out_name +
+                                     "' is neither aggregated nor a GROUP "
+                                     "BY key");
+    }
+    b.group_key = static_cast<size_t>(key - out.group_cols.begin());
+  }
+  return out;
 }
 
-// Aggregation accumulator over most-probable values.
+namespace {
+
+// Group-key cells resolved through a Value lookup instead of the column
+// cache's code array: cells carrying candidates, and NaNs.
+Counter* AggValueKeyedCells() {
+  static Counter* const cells = MetricsRegistry::Global().GetCounter(
+      "daisy_plan_agg_value_keyed_cells_total",
+      "GROUP BY key cells resolved through a Value lookup, not a cached "
+      "dictionary code");
+  return cells;
+}
+
+// One GROUP BY column keyed by the table's column-cache dictionary codes,
+// which are Equals/Hash-consistent (int 5 and double 5.0 share one). A
+// clean cell keys by its row's code. A cell carrying candidates keys by the
+// code of its most-probable value, and a value no original equals gets a
+// per-query overflow code past the dictionary. A NaN equals nothing, not
+// even itself, so each NaN occurrence gets a fresh overflow code: every
+// tuple with a NaN key forms its own group, as under Value equality.
+class GroupColumnCodes {
+ public:
+  GroupColumnCodes(const Table* table, size_t col)
+      : table_(table),
+        col_(col),
+        cache_(&table->columns()),
+        arrays_(&table->columns().column(col)) {}
+
+  uint32_t Code(RowId r, uint64_t* value_keyed) {
+    const double num = arrays_->num[r];
+    if (arrays_->probs[r] == 0 && num == num) return arrays_->codes[r];
+    ++*value_keyed;
+    const Value& v = table_->cell(r, col_).MostProbable();
+    uint32_t code;
+    if (cache_->FindCode(col_, v, &code)) return code;
+    const auto next =
+        static_cast<uint32_t>(arrays_->dict.size() + overflow_.size());
+    return overflow_.emplace(v, next).first->second;
+  }
+
+ private:
+  const Table* table_;
+  size_t col_;
+  const ColumnCache* cache_;
+  const ColumnCache::Column* arrays_;  ///< fresh for the whole query
+  std::unordered_map<Value, uint32_t, ValueHash> overflow_;
+};
+
+// Hash of one tuple's group-column codes.
+struct CodeTupleHash {
+  size_t operator()(const std::vector<uint32_t>& key) const {
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (uint32_t code : key) h = (h ^ code) * 0xff51afd7ed558ccdULL;
+    return static_cast<size_t>(h ^ (h >> 32));
+  }
+};
+
+// One aggregate's accumulator over most-probable values. COUNT counts every
+// cell, nulls included; SUM and AVG add the numeric ones. MIN and MAX point
+// at the winning cell value and copy it only at Finish.
 struct AggState {
   double sum = 0;
   size_t count = 0;
-  Value min;
-  Value max;
-
-  void Add(const Value& v) {
-    ++count;
-    if (v.is_numeric()) sum += v.AsDouble();
-    if (min.is_null() || v < min) min = v;
-    if (max.is_null() || v > max) max = v;
-  }
+  const Value* min = nullptr;
+  const Value* max = nullptr;
 
   Value Finish(AggFunc f, ValueType out_type) const {
     switch (f) {
@@ -206,11 +259,12 @@ struct AggState {
                    ? Value(static_cast<int64_t>(sum))
                    : Value(sum);
       case AggFunc::kAvg:
-        return count == 0 ? Value::Null() : Value(sum / static_cast<double>(count));
+        return count == 0 ? Value::Null()
+                          : Value(sum / static_cast<double>(count));
       case AggFunc::kMin:
-        return min;
+        return min != nullptr ? *min : Value::Null();
       case AggFunc::kMax:
-        return max;
+        return max != nullptr ? *max : Value::Null();
       case AggFunc::kNone:
         return Value::Null();
     }
@@ -250,26 +304,22 @@ void TableSink::Finish(JoinedRows lineage) {
 Result<size_t> QueryExecutor::BuildOutput(
     const SelectStmt& stmt, const std::vector<const Table*>& tables,
     JoinedRows joined, size_t row_limit, ResultSink* sink) {
-  DAISY_ASSIGN_OR_RETURN(std::vector<BoundItem> items,
-                         BindSelectList(stmt, tables));
-  std::vector<Column> out_cols;
-  out_cols.reserve(items.size());
-  for (const BoundItem& b : items) out_cols.push_back({b.out_name, b.out_type});
+  DAISY_ASSIGN_OR_RETURN(BoundOutput bound, BindOutput(stmt, tables));
+  const std::vector<BoundItem>& items = bound.items;
   auto emitted = [row_limit](size_t total) {
     return row_limit == 0 ? total : std::min(total, row_limit);
   };
 
-  const bool aggregating = stmt.has_aggregate() || !stmt.group_by.empty();
-  if (!aggregating) {
+  if (!bound.aggregating) {
     const size_t total = joined.size();
     const size_t n = emitted(total);
-    sink->Begin(out_cols, n);
+    sink->Begin(bound.columns, n);
     std::vector<const Cell*> cells(items.size());
     for (size_t i = 0; i < n; ++i) {
       const RowId* j = joined[i];
       for (size_t k = 0; k < items.size(); ++k) {
-        const BoundItem& b = items[k];
-        cells[k] = &tables[b.table_idx]->cell(j[b.table_idx], b.col_idx);
+        const BoundColumn& src = items[k].src;
+        cells[k] = &tables[src.table]->cell(j[src.table], src.col);
       }
       sink->AddCells(cells.data());
     }
@@ -278,81 +328,81 @@ Result<size_t> QueryExecutor::BuildOutput(
     return total;
   }
 
-  // Bind group-by columns.
-  std::vector<std::pair<size_t, size_t>> group_cols;  // (table, col)
-  for (const ColumnRef& ref : stmt.group_by) {
-    bool found = false;
-    for (size_t i = 0; i < tables.size() && !found; ++i) {
-      if (!ref.table.empty() && tables[i]->name() != ref.table) continue;
-      auto idx = tables[i]->schema().ColumnIndex(ref.column);
-      if (idx.ok()) {
-        group_cols.emplace_back(i, idx.value());
-        found = true;
-      }
-    }
-    if (!found) {
-      return Status::NotFound("cannot resolve group-by column " +
-                              ref.ToString());
-    }
+  // Grouping: each tuple's key is the tuple of its group columns'
+  // dictionary codes; group ids follow first appearance, and each group
+  // remembers its first tuple, whose most-probable values are its keys.
+  std::vector<GroupColumnCodes> key_cols;
+  key_cols.reserve(bound.group_cols.size());
+  for (const BoundColumn& g : bound.group_cols) {
+    key_cols.emplace_back(tables[g.table], g.col);
   }
-
-  struct GroupAgg {
-    GroupKey key;
-    std::vector<AggState> states;
-  };
-  std::unordered_map<GroupKey, size_t, GroupKeyHash, GroupKeyEq> index;
-  std::vector<GroupAgg> groups;
+  std::vector<size_t> aggs;  // indices of the aggregate items
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (items[i].agg != AggFunc::kNone) aggs.push_back(i);
+  }
+  static const Value kOne(int64_t{1});  // the value a `*` argument adds
+  std::unordered_map<std::vector<uint32_t>, uint32_t, CodeTupleHash> index;
+  std::vector<uint32_t> key(key_cols.size());
+  std::vector<size_t> first_tuple;
+  std::vector<AggState> states;  // group g's states: [g * aggs.size(), +)
+  uint64_t value_keyed = 0;
   for (size_t t = 0; t < joined.size(); ++t) {
     const RowId* j = joined[t];
-    GroupKey key;
-    key.reserve(group_cols.size());
-    for (const auto& [tab, c] : group_cols) {
-      key.push_back(tables[tab]->cell(j[tab], c).MostProbable());
+    for (size_t k = 0; k < key_cols.size(); ++k) {
+      key[k] = key_cols[k].Code(j[bound.group_cols[k].table], &value_keyed);
     }
-    auto [it, inserted] = index.emplace(key, groups.size());
-    if (inserted) {
-      groups.push_back({key, std::vector<AggState>(items.size())});
+    const auto [it, added] =
+        index.try_emplace(key, static_cast<uint32_t>(first_tuple.size()));
+    const uint32_t g = it->second;
+    if (added) {
+      first_tuple.push_back(t);
+      states.resize(states.size() + aggs.size());
     }
-    GroupAgg& g = groups[it->second];
-    for (size_t i = 0; i < items.size(); ++i) {
-      const BoundItem& b = items[i];
-      if (b.agg == AggFunc::kNone) continue;
-      if (b.star) {
-        g.states[i].Add(Value(static_cast<int64_t>(1)));
-      } else {
-        g.states[i].Add(tables[b.table_idx]->cell(j[b.table_idx], b.col_idx)
-                            .MostProbable());
+    AggState* s = states.data() + g * aggs.size();
+    for (size_t a = 0; a < aggs.size(); ++a, ++s) {
+      const BoundItem& b = items[aggs[a]];
+      ++s->count;
+      if (b.agg == AggFunc::kCount) continue;
+      const Value& v =
+          b.star ? kOne
+                 : tables[b.src.table]->cell(j[b.src.table], b.src.col)
+                       .MostProbable();
+      if (b.agg == AggFunc::kSum || b.agg == AggFunc::kAvg) {
+        if (v.is_numeric()) s->sum += v.AsDouble();
+      } else if (b.agg == AggFunc::kMin) {
+        if (s->min == nullptr || s->min->is_null() || v < *s->min) {
+          s->min = &v;
+        }
+      } else if (s->max == nullptr || s->max->is_null() || v > *s->max) {
+        s->max = &v;
       }
     }
   }
+  if (value_keyed > 0) AggValueKeyedCells()->Increment(value_keyed);
 
   // Aggregates only know their output cardinality after grouping; a row
   // limit keeps the first `row_limit` groups.
-  const size_t n = emitted(groups.size());
-  sink->Begin(out_cols, n);
+  const size_t groups = first_tuple.size();
+  const size_t n = emitted(groups);
+  sink->Begin(bound.columns, n);
   std::vector<Value> row(items.size());
-  for (size_t gi = 0; gi < n; ++gi) {
-    const GroupAgg& g = groups[gi];
+  for (size_t g = 0; g < n; ++g) {
+    const AggState* s = states.data() + g * aggs.size();
     for (size_t i = 0; i < items.size(); ++i) {
       const BoundItem& b = items[i];
       if (b.agg != AggFunc::kNone) {
-        row[i] = g.states[i].Finish(b.agg, b.out_type);
+        row[i] = (s++)->Finish(b.agg, b.out_type);
         continue;
       }
-      // Non-aggregate column: must be a group-by key; take its value.
-      row[i] = Value();
-      for (size_t k = 0; k < group_cols.size(); ++k) {
-        if (group_cols[k].first == b.table_idx &&
-            group_cols[k].second == b.col_idx) {
-          row[i] = g.key[k];
-          break;
-        }
-      }
+      const BoundColumn& key_col = bound.group_cols[b.group_key];
+      row[i] = tables[key_col.table]
+                   ->cell(joined[first_tuple[g]][key_col.table], key_col.col)
+                   .MostProbable();
     }
     sink->AddValues(row.data());
   }
   sink->Finish(std::move(joined));
-  return groups.size();
+  return groups;
 }
 
 Result<QueryOutput> QueryExecutor::Execute(const SelectStmt& stmt) {

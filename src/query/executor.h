@@ -43,6 +43,39 @@ struct SplitWhere {
 Result<SplitWhere> SplitWhereClause(const SelectStmt& stmt,
                                     const std::vector<const Table*>& tables);
 
+/// A column reference bound to its FROM position and schema index.
+struct BoundColumn {
+  size_t table = 0;
+  size_t col = 0;
+};
+
+/// One output column of a bound select list.
+struct BoundItem {
+  bool star = false;  ///< COUNT(*) and friends: no source column
+  BoundColumn src;
+  AggFunc agg = AggFunc::kNone;
+  /// Aggregating queries: the first GROUP BY key equal to `src`, whose
+  /// value a plain (non-aggregate) item outputs.
+  size_t group_key = 0;
+  std::string out_name;
+  ValueType out_type = ValueType::kString;
+};
+
+/// A statement's output shape bound against its FROM tables.
+struct BoundOutput {
+  std::vector<BoundItem> items;  ///< `*` expanded
+  std::vector<Column> columns;   ///< output schema, one per item
+  bool aggregating = false;      ///< has an aggregate or a GROUP BY
+  std::vector<BoundColumn> group_cols;
+};
+
+/// Binds the select list and the GROUP BY list with the WHERE clause's
+/// column resolver: an unqualified column two FROM tables have is
+/// ambiguous (InvalidArgument) in every clause. An aggregating query whose
+/// plain select item is not a GROUP BY key is rejected (InvalidArgument).
+Result<BoundOutput> BindOutput(const SelectStmt& stmt,
+                               const std::vector<const Table*>& tables);
+
 /// Joined intermediate tuples, stored flat: tuple i is the `width` row ids
 /// ids[i * width, (i + 1) * width), one per FROM table. An operator's whole
 /// output is one allocation, not one per tuple.
@@ -98,6 +131,20 @@ class TableSink : public ResultSink {
   QueryOutput* out_;
 };
 
+/// Keeps nothing but the number of rows delivered: for callers that want
+/// only an execution's side effects and statistics (EXPLAIN ANALYZE).
+class CountingSink : public ResultSink {
+ public:
+  void Begin(const std::vector<Column>&, size_t) override {}
+  void AddCells(const Cell* const*) override { ++rows_; }
+  void AddValues(const Value*) override { ++rows_; }
+  void Finish(JoinedRows) override {}
+  size_t rows() const { return rows_; }
+
+ private:
+  size_t rows_ = 0;
+};
+
 /// Executes a statement end-to-end without cleaning.
 class QueryExecutor {
  public:
@@ -114,6 +161,12 @@ class QueryExecutor {
   /// output of `joined` into `sink`: at most `row_limit` rows (0 = all).
   /// Returns the row count of the unlimited output. Exposed so the
   /// cleaning engine can finish a query after its own SPJ phase.
+  ///
+  /// GROUP BY keys each group column by its ColumnCache dictionary code
+  /// (one code tuple per joined tuple; see storage/column_cache.h), which
+  /// groups exactly as Value equality does. Groups come out in first-
+  /// appearance order, and a group's key values are the most-probable
+  /// values of its first tuple.
   static Result<size_t> BuildOutput(const SelectStmt& stmt,
                                     const std::vector<const Table*>& tables,
                                     JoinedRows joined, size_t row_limit,

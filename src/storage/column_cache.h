@@ -122,6 +122,18 @@ class ColumnCache {
   /// bound, which is what the cardinality estimator wants.
   size_t distinct_count(size_t c) { return column(c).dict.size(); }
 
+  /// The dictionary code of `v` in column `c` (Equals/Hash-consistent, as
+  /// `codes`), or false when no cell's original value equals `v` (a NaN
+  /// never does). Read-only and lock-free: call it only after column(c)
+  /// made the slot fresh, and only while no writer can extend it.
+  bool FindCode(size_t c, const Value& v, uint32_t* code) const {
+    const auto& index = slots_[c].dict_index;
+    const auto it = index.find(v);
+    if (it == index.end()) return false;
+    *code = it->second;
+    return true;
+  }
+
   /// Min/max of column `c` over the numeric projection. Only meaningful
   /// when every value is numeric and non-null (otherwise the hash
   /// coordinate of a string/null would pollute the range); returns false

@@ -268,6 +268,26 @@ TEST(ExplainTest, ExplainAnalyzeShowsDeltaRowsChecked) {
   EXPECT_EQ(again.find("delta rows checked"), std::string::npos) << again;
 }
 
+TEST(ExplainTest, ExplainAnalyzeCountsTheRowsQueryReturns) {
+  // ExplainAnalyze only counts the result rows; its root line reports the
+  // count a materializing Query returns, and so does a CountingSink.
+  Database db = MakeEmpDeptDb();
+  DaisyEngine engine(&db, ConstraintSet(), DaisyOptions{});
+  ASSERT_TRUE(engine.Prepare().ok());
+  const std::string sql =
+      "SELECT emp.name, dept.dept_name FROM emp, dept "
+      "WHERE emp.dept_id = dept.id";
+  const std::string text = engine.ExplainAnalyze(sql).ValueOrDie();
+  const QueryReport report = engine.Query(sql).ValueOrDie();
+  CountingSink sink;
+  ASSERT_TRUE(engine.Query(sql, QueryLimits{}, &sink).ok());
+  ASSERT_EQ(report.output.result.num_rows(), 3u);
+  EXPECT_EQ(sink.rows(), 3u);
+  EXPECT_EQ(text.substr(0, text.find('\n')),
+            "Project [emp.name, dept.dept_name] rows=3")
+      << text;
+}
+
 TEST(ExplainTest, CleanJoinGolden) {
   Database db = MakeEmpDeptDb();
   ConstraintSet rules;

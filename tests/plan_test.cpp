@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "plan/compiled_filter.h"
 #include "plan/planner.h"
@@ -257,6 +258,14 @@ std::vector<Table> MakeSortTables(uint64_t seed, size_t n) {
   return out;
 }
 
+// Join-root canonical sorts so far, by outcome.
+uint64_t RootSorts(const char* order) {
+  return MetricsRegistry::Global()
+      .GetCounter(std::string("daisy_plan_root_sorts_total{order=\"") +
+                  order + "\"}")
+      ->Value();
+}
+
 TEST(PlanTest, RootSortOfCartesianStepMatchesVectorSort) {
   // FROM t0, t1 with t1 on the left: the step emits t1-major, and the
   // root sort must restore lexicographic (t0, t1) order.
@@ -271,7 +280,9 @@ TEST(PlanTest, RootSortOfCartesianStepMatchesVectorSort) {
                         std::make_unique<ScanNode>(tables[0]));
   step.set_sort_output(true);
   ExecContext ctx;
+  const uint64_t sorted_before = RootSorts("sorted");
   JoinedRows out = step.ExecuteJoined(&ctx).ValueOrDie();
+  EXPECT_EQ(RootSorts("sorted") - sorted_before, 1u);
   ASSERT_EQ(out.width, 2u);
   ASSERT_EQ(out.size(), 12u * 12u);
   EXPECT_NE(out[0][1], out[1][1]);  // t1 varies fastest once sorted
@@ -304,9 +315,43 @@ TEST(PlanTest, RootSortOfThreeTableChainMatchesVectorSort) {
   ASSERT_GT(unsorted.size(), 50u);
   ASSERT_NE(AsVectors(unsorted), VectorSorted(unsorted));
 
+  // The probe side is not the first FROM table: the one-pass order check
+  // fails and the fallback sort runs.
   root.set_sort_output(true);
+  const uint64_t sorted_before = RootSorts("sorted");
+  const uint64_t kept_before = RootSorts("kept");
   JoinedRows sorted = root.ExecuteJoined(&ctx).ValueOrDie();
   EXPECT_EQ(AsVectors(sorted), VectorSorted(unsorted));
+  EXPECT_EQ(RootSorts("sorted") - sorted_before, 1u);
+  EXPECT_EQ(RootSorts("kept"), kept_before);
+}
+
+TEST(PlanTest, RootSortKeepsInputAlreadyInOrder) {
+  // FROM t0, t1 WHERE t0.a = t1.a probed by t0 and built on t1: per-probe
+  // matches come out in build row order, so the output is already
+  // lexicographic and the root keeps it as is.
+  std::vector<Table> owned = MakeSortTables(13, 2);
+  const std::vector<const Table*> tables = {&owned[0], &owned[1]};
+  std::vector<SplitWhere::JoinPred> joins(1);
+  joins[0] = {0, 0, 1, 0};  // t0.a = t1.a
+  HashJoinStepNode step(PlanNode::Kind::kHashJoin, &tables, &joins,
+                        /*pred_idx=*/0, /*left_mask=*/0b01,
+                        /*right_mask=*/0b10, /*left_from=*/0,
+                        /*right_from=*/1, /*build_left=*/false,
+                        std::make_unique<ScanNode>(tables[0]),
+                        std::make_unique<ScanNode>(tables[1]));
+  ExecContext ctx;
+  JoinedRows plain = step.ExecuteJoined(&ctx).ValueOrDie();
+  ASSERT_GT(plain.size(), 20u);
+  ASSERT_EQ(AsVectors(plain), VectorSorted(plain));
+
+  step.set_sort_output(true);
+  const uint64_t sorted_before = RootSorts("sorted");
+  const uint64_t kept_before = RootSorts("kept");
+  JoinedRows kept = step.ExecuteJoined(&ctx).ValueOrDie();
+  EXPECT_EQ(kept, plain);
+  EXPECT_EQ(RootSorts("kept") - kept_before, 1u);
+  EXPECT_EQ(RootSorts("sorted"), sorted_before);
 }
 
 }  // namespace

@@ -3,6 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "aggregate_oracle.h"
+#include "common/metrics.h"
+#include "common/rng.h"
 #include "query/eval.h"
 #include "query/executor.h"
 #include "query/parser.h"
@@ -316,6 +324,273 @@ TEST(ExecutorTest, ProbabilisticCellsSurviveProjection) {
   EXPECT_EQ(out.result.cell(0, 0).original(), Value("ann"));
   EXPECT_TRUE(out.result.cell(0, 1).is_probabilistic());
   EXPECT_EQ(out.result.cell(0, 1).candidates().size(), 2u);
+}
+
+// Two tables that both have `k`, so an unqualified `k` is ambiguous.
+Database MakeSharedKeyDb() {
+  Database db;
+  Table a("a", Schema({{"k", ValueType::kInt}, {"x", ValueType::kInt}}));
+  Table b("b", Schema({{"k", ValueType::kInt}, {"y", ValueType::kInt}}));
+  EXPECT_TRUE(a.AppendRow({Value(1), Value(10)}).ok());
+  EXPECT_TRUE(a.AppendRow({Value(2), Value(20)}).ok());
+  EXPECT_TRUE(b.AppendRow({Value(1), Value(7)}).ok());
+  EXPECT_TRUE(b.AppendRow({Value(2), Value(8)}).ok());
+  EXPECT_TRUE(db.AddTable(std::move(a)).ok());
+  EXPECT_TRUE(db.AddTable(std::move(b)).ok());
+  return db;
+}
+
+TEST(ExecutorTest, AmbiguousGroupByColumnRejected) {
+  Database db = MakeSharedKeyDb();
+  QueryExecutor exec(&db);
+  auto out = exec.Execute(
+      "SELECT a.k, COUNT(*) FROM a, b WHERE a.k = b.k GROUP BY k");
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(exec.Execute("SELECT a.k, COUNT(*) FROM a, b WHERE a.k = b.k "
+                           "GROUP BY a.k")
+                  .ok());
+}
+
+TEST(ExecutorTest, AmbiguousSelectColumnRejected) {
+  Database db = MakeSharedKeyDb();
+  QueryExecutor exec(&db);
+  auto grouped = exec.Execute(
+      "SELECT k, COUNT(*) FROM a, b WHERE a.k = b.k GROUP BY a.k");
+  ASSERT_FALSE(grouped.ok());
+  EXPECT_EQ(grouped.status().code(), StatusCode::kInvalidArgument);
+  auto projected = exec.Execute("SELECT k FROM a, b WHERE a.k = b.k");
+  ASSERT_FALSE(projected.ok());
+  EXPECT_EQ(projected.status().code(), StatusCode::kInvalidArgument);
+  // A column only one table has needs no qualifier.
+  EXPECT_TRUE(exec.Execute("SELECT x, y FROM a, b WHERE a.k = b.k").ok());
+}
+
+TEST(ExecutorTest, PlainSelectItemMustBeGroupKey) {
+  Database db = MakeSharedKeyDb();
+  QueryExecutor exec(&db);
+  auto out = exec.Execute("SELECT a.x FROM a GROUP BY a.k");
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  auto global = exec.Execute("SELECT x, COUNT(*) FROM a");
+  ASSERT_FALSE(global.ok());
+  EXPECT_EQ(global.status().code(), StatusCode::kInvalidArgument);
+  // The key itself, qualified or not, is fine.
+  auto keyed = exec.Execute("SELECT k, COUNT(*) FROM a GROUP BY a.k");
+  ASSERT_TRUE(keyed.ok()) << keyed.status().ToString();
+  EXPECT_EQ(keyed.value().result.num_rows(), 2u);
+}
+
+// ------------------------------------ code-keyed GROUP BY vs Value-keyed --
+
+// Key values that stress the equality the dictionary codes must reproduce:
+// int 5 next to double 5.0, -0.0 next to int 0, nulls, NaN (equal to
+// nothing), and int64 values beyond 2^53 next to their nearest double.
+std::vector<Value> NumericPool() {
+  const int64_t big = int64_t{1} << 53;
+  return {Value(0),         Value(-0.0),     Value(1),
+          Value(5),         Value(5.0),      Value(2.5),
+          Value::Null(),    Value(std::nan("")), Value(big),
+          Value(big + 1),   Value(static_cast<double>(big))};
+}
+
+std::vector<Value> StringPool() {
+  return {Value("a"), Value("b"), Value("ab"), Value(""), Value::Null()};
+}
+
+Value Pick(Rng* rng, const std::vector<Value>& pool) {
+  return pool[static_cast<size_t>(
+      rng->UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
+}
+
+// A candidate set whose most-probable value differs from the original:
+// a pool value, a value no original holds (so it has no dictionary code),
+// a NaN, or only a range candidate (most-probable stays the original).
+std::vector<Candidate> RandomCandidates(Rng* rng, bool numeric) {
+  const std::vector<Value> pool = numeric ? NumericPool() : StringPool();
+  const std::vector<Value> fresh =
+      numeric ? std::vector<Value>{Value(777), Value(6.5), Value(std::nan(""))}
+              : std::vector<Value>{Value("zz"), Value("q")};
+  std::vector<Candidate> out;
+  if (numeric && rng->Bernoulli(0.1)) {
+    out.push_back({Value(3), 1.0, -1, CandidateKind::kLessThan});
+    return out;
+  }
+  const int64_t n = rng->UniformInt(1, 3);
+  for (int64_t i = 0; i < n; ++i) {
+    Candidate c;
+    c.value = rng->Bernoulli(0.3) ? Pick(rng, fresh) : Pick(rng, pool);
+    c.prob = static_cast<double>(rng->UniformInt(1, 4)) / 4.0;
+    c.pair_id = static_cast<int32_t>(i);
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+// t0(a, s, m) and t1(b, h, w), filled from the pools. The numeric
+// columns are kDouble, the type that admits ints and doubles side by side.
+std::vector<Table> MakeAggTables(Rng* rng) {
+  std::vector<Table> out;
+  out.emplace_back("t0", Schema({{"a", ValueType::kDouble},
+                                 {"s", ValueType::kString},
+                                 {"m", ValueType::kDouble}}));
+  out.emplace_back("t1", Schema({{"b", ValueType::kDouble},
+                                 {"h", ValueType::kString},
+                                 {"w", ValueType::kDouble}}));
+  for (Table& t : out) {
+    const int64_t rows = rng->UniformInt(1, 24);
+    for (int64_t r = 0; r < rows; ++r) {
+      EXPECT_TRUE(t.AppendRow({Pick(rng, NumericPool()),
+                               Pick(rng, StringPool()),
+                               Pick(rng, NumericPool())})
+                      .ok());
+    }
+  }
+  return out;
+}
+
+// Puts fresh candidate sets on (or clears) about a quarter of all cells.
+void RandomizeCandidates(Rng* rng, std::vector<Table>* tables) {
+  for (Table& t : *tables) {
+    for (RowId r = 0; r < t.num_rows(); ++r) {
+      for (size_t c = 0; c < t.num_columns(); ++c) {
+        if (!rng->Bernoulli(0.25)) continue;
+        const bool numeric = t.schema().column(c).type != ValueType::kString;
+        t.SetCandidates(r, c,
+                        rng->Bernoulli(0.2)
+                            ? std::vector<Candidate>{}
+                            : RandomCandidates(rng, numeric));
+      }
+    }
+  }
+}
+
+// SELECT over t0, t1 with `keys` GROUP BY columns (0 = global aggregate),
+// their key items in a shuffled order and one of every aggregate.
+std::string RandomAggregateQuery(Rng* rng, size_t keys) {
+  const std::vector<std::string> cols = {"t0.a", "t0.s", "t0.m",
+                                         "t1.b", "t1.h", "t1.w"};
+  std::vector<size_t> order = rng->SampleWithoutReplacement(cols.size(), keys);
+  std::vector<std::string> items;
+  for (size_t k : order) {
+    if (rng->Bernoulli(0.8)) items.push_back(cols[k]);
+  }
+  for (const char* f : {"SUM", "AVG", "MIN", "MAX", "COUNT"}) {
+    items.push_back(std::string(f) + "(" +
+                    cols[static_cast<size_t>(rng->UniformInt(0, 5))] + ")");
+  }
+  items.push_back("COUNT(*)");
+  if (rng->Bernoulli(0.3)) items.push_back("SUM(*)");
+  if (rng->Bernoulli(0.3)) items.push_back("MIN(*)");
+  for (size_t i = items.size(); i > 1; --i) {
+    std::swap(items[i - 1], items[static_cast<size_t>(rng->UniformInt(
+                                0, static_cast<int64_t>(i) - 1))]);
+  }
+  std::string sql = "SELECT ";
+  for (size_t i = 0; i < items.size(); ++i) {
+    sql += (i > 0 ? ", " : "") + items[i];
+  }
+  sql += " FROM t0, t1";
+  for (size_t i = 0; i < order.size(); ++i) {
+    sql += (i == 0 ? " GROUP BY " : ", ") + cols[order[i]];
+  }
+  return sql;
+}
+
+// Same type and same bits (doubles by memcmp, so NaN and -0.0 count).
+bool SameBits(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (!a.is_double()) return a.is_null() || a == b;
+  const double x = a.as_double_raw();
+  const double y = b.as_double_raw();
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+TEST(AggregateDifferentialTest, CodeKeyedMatchesValueKeyedOracle) {
+  size_t compared_groups = 0;
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    Rng rng(seed);
+    std::vector<Table> owned = MakeAggTables(&rng);
+    const std::vector<const Table*> tables = {&owned[0], &owned[1]};
+    for (int round = 0; round < 4; ++round) {
+      // Candidate writes before and after the column caches are built:
+      // the executor must read patched `probs` bits too.
+      if (round > 0 || rng.Bernoulli(0.5)) RandomizeCandidates(&rng, &owned);
+      const size_t keys = static_cast<size_t>(rng.UniformInt(0, 3));
+      const std::string sql = RandomAggregateQuery(&rng, keys);
+      SelectStmt stmt = ParseQuery(sql).ValueOrDie();
+      JoinedRows joined;
+      joined.width = 2;
+      const int64_t tuples = rng.UniformInt(0, 200);
+      for (int64_t t = 0; t < tuples; ++t) {
+        joined.ids.push_back(static_cast<RowId>(
+            rng.UniformInt(0, static_cast<int64_t>(owned[0].num_rows()) - 1)));
+        joined.ids.push_back(static_cast<RowId>(
+            rng.UniformInt(0, static_cast<int64_t>(owned[1].num_rows()) - 1)));
+      }
+      const size_t limit =
+          rng.Bernoulli(0.3) ? static_cast<size_t>(rng.UniformInt(1, 5)) : 0;
+
+      QueryOutput got;
+      TableSink got_sink(&got);
+      auto got_total =
+          QueryExecutor::BuildOutput(stmt, tables, joined, limit, &got_sink);
+      QueryOutput want;
+      TableSink want_sink(&want);
+      auto want_total = testutil::ValueKeyedAggregate(stmt, tables, joined,
+                                                      limit, &want_sink);
+      ASSERT_TRUE(got_total.ok()) << sql << ": " << got_total.status().ToString();
+      ASSERT_TRUE(want_total.ok()) << sql;
+      SCOPED_TRACE("seed " + std::to_string(seed) + " round " +
+                   std::to_string(round) + ": " + sql);
+      ASSERT_EQ(got_total.value(), want_total.value());
+      ASSERT_EQ(got.lineage, want.lineage);
+      ASSERT_EQ(got.result.num_columns(), want.result.num_columns());
+      ASSERT_EQ(got.result.num_rows(), want.result.num_rows());
+      for (size_t c = 0; c < got.result.num_columns(); ++c) {
+        EXPECT_EQ(got.result.schema().column(c).name,
+                  want.result.schema().column(c).name);
+        EXPECT_EQ(got.result.schema().column(c).type,
+                  want.result.schema().column(c).type);
+      }
+      for (RowId r = 0; r < got.result.num_rows(); ++r) {
+        for (size_t c = 0; c < got.result.num_columns(); ++c) {
+          const Value& g = got.result.cell(r, c).original();
+          const Value& w = want.result.cell(r, c).original();
+          ASSERT_TRUE(SameBits(g, w)) << "row " << r << " col " << c << ": "
+                                      << g.ToString() << " vs "
+                                      << w.ToString();
+        }
+      }
+      compared_groups += got.result.num_rows();
+    }
+  }
+  EXPECT_GT(compared_groups, 2000u);
+}
+
+TEST(AggregateDifferentialTest, ValueKeyedCellsCounted) {
+  // Group cells with candidates or a NaN resolve through a Value lookup;
+  // clean cells read their dictionary code.
+  Database db;
+  Table t("t", Schema({{"g", ValueType::kDouble}, {"v", ValueType::kInt}}));
+  for (double g : {1.0, 2.0, std::nan(""), 1.0, 2.0}) {
+    ASSERT_TRUE(t.AppendRow({Value(g), Value(1)}).ok());
+  }
+  t.SetCandidates(1, 0, {{Value(1.0), 0.6, 0, CandidateKind::kPoint},
+                         {Value(2.0), 0.4, 1, CandidateKind::kPoint}});
+  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+  Counter* cells = MetricsRegistry::Global().GetCounter(
+      "daisy_plan_agg_value_keyed_cells_total");
+  const uint64_t before = cells->Value();
+  QueryExecutor exec(&db);
+  auto out = exec.Execute("SELECT g, COUNT(*) FROM t GROUP BY g").ValueOrDie();
+  EXPECT_EQ(cells->Value() - before, 2u);  // row 1 (candidates), row 2 (NaN)
+  // Rows 0, 1 and 3 are 1.0 (row 1 by its most-probable value); the NaN
+  // is a group of its own.
+  ASSERT_EQ(out.result.num_rows(), 3u);
+  EXPECT_EQ(out.result.cell(0, 1).original(), Value(3));
+  EXPECT_TRUE(std::isnan(out.result.cell(1, 0).original().AsDouble()));
+  EXPECT_EQ(out.result.cell(2, 1).original(), Value(1));
 }
 
 }  // namespace
