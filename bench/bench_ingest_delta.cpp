@@ -19,6 +19,14 @@
 // candidate-only repairs patch the cache in place and appends extend it, so
 // the settling work stays O(delta) whatever the table size.
 //
+// Switched FD settle leg: the same settle loop on an engine whose
+// cost-model switch to full cleaning has already fired (a query over half
+// the keys trips it instead of CleanAllRemaining). Every settling query
+// leaves arrivals outside its answer unchecked, so the switch fires again
+// on each one; rows_swept_per_query (daisy_clean_rows_swept_total) counts
+// the rows each such sweep hands to repair: the unchecked rows, about the
+// delta, not the table.
+//
 // Output: one line per batch size or table size.
 
 #include <algorithm>
@@ -92,7 +100,10 @@ double Median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-BenchResult FdSettle(size_t rows) {
+// `switched`: trip the adaptive switch with a wide query instead of
+// cleaning everything up front, and report the rows each settling
+// query's switch sweeps.
+BenchResult FdSettle(size_t rows, bool switched) {
   const int64_t keys = static_cast<int64_t>(rows / kRowsPerKey);
   Rng rng(rows);
   Database db;
@@ -111,7 +122,15 @@ BenchResult FdSettle(size_t rows) {
           "parse rule");
   DaisyEngine engine(&db, std::move(rules));
   CheckOk(engine.Prepare(), "prepare");
-  CheckOk(engine.CleanAllRemaining(), "clean all");
+  if (!switched) {
+    CheckOk(engine.CleanAllRemaining(), "clean all");
+  } else if (!UnwrapOrDie(engine.Query("SELECT * FROM t WHERE k < " +
+                                       std::to_string(keys / 2)),
+                          "switching query")
+                  .switched_to_full) {
+    std::fprintf(stderr, "[bench] the wide query did not switch\n");
+    std::exit(1);
+  }
 
   auto point_query = [&](int64_t key) {
     Timer timer;
@@ -142,10 +161,18 @@ BenchResult FdSettle(size_t rows) {
       std::fprintf(stderr, "[bench] settling query took the read path\n");
       std::exit(1);
     }
+    if (report.switched_to_full != switched) {
+      std::fprintf(stderr, "[bench] settling query %s\n",
+                   switched ? "did not switch" : "switched");
+      std::exit(1);
+    }
   }
   const double per_query =
       static_cast<double>(
           maintained.Delta("daisy_storage_cache_rows_maintained_total")) /
+      kSettleLoops;
+  const double swept_per_query =
+      static_cast<double>(maintained.Delta("daisy_clean_rows_swept_total")) /
       kSettleLoops;
   double total_ms = 0;
   for (double ms : query_ms) total_ms += ms;
@@ -156,16 +183,20 @@ BenchResult FdSettle(size_t rows) {
     idle_ms.push_back(point_query(rng.UniformInt(0, keys - 1)));
   }
 
-  std::printf("  %-8zu %12.3f %12.3f %12.3f %14.1f\n", rows,
+  std::printf("  %-8zu %12.3f %12.3f %12.3f %14.1f %10.1f\n", rows,
               Median(append_ms), Median(query_ms), Median(idle_ms),
-              per_query);
+              per_query, swept_per_query);
   BenchResult result;
-  result.name = "fd_settle_" + std::to_string(rows);
+  result.name = (switched ? "fd_settle_switched_" : "fd_settle_") +
+                std::to_string(rows);
   result.wall_ms = total_ms;
   result.counters = {{"append_ms", Median(append_ms)},
                      {"query_ms", Median(query_ms)},
                      {"idle_query_ms", Median(idle_ms)},
                      {"rows_maintained_per_query", per_query}};
+  if (switched) {
+    result.counters.push_back({"rows_swept_per_query", swept_per_query});
+  }
   result.config = {{"loops", std::to_string(kSettleLoops)},
                    {"batch_rows", std::to_string(kSettleBatch)},
                    {"rule", "FD k -> v"}};
@@ -236,10 +267,13 @@ int main() {
   std::printf("# FD settle: %zu x (append %zu rows with one violation, "
               "point query), dirty rhs %.0f%%\n",
               kSettleLoops, kSettleBatch, kDirtyRhs * 100);
-  std::printf("# %-8s %12s %12s %12s %14s\n", "rows", "append_ms",
-              "query_ms", "idle_q_ms", "maintained/q");
-  for (size_t rows : {size_t{20000}, size_t{80000}, size_t{320000}}) {
-    json.Add(FdSettle(rows));
+  std::printf("# %-8s %12s %12s %12s %14s %10s\n", "rows", "append_ms",
+              "query_ms", "idle_q_ms", "maintained/q", "swept/q");
+  for (bool switched : {false, true}) {
+    if (switched) std::printf("# switched: the cost model has fired\n");
+    for (size_t rows : {size_t{20000}, size_t{80000}, size_t{320000}}) {
+      json.Add(FdSettle(rows, switched));
+    }
   }
   return 0;
 }

@@ -27,10 +27,11 @@ run", never a traceback); a new result in the current run is reported
 and passes (refresh the baseline to start gating it).
 
 Zero baselines are legitimate (e.g. detect_ops=0 on a warm-recovery
-leg): base == 0 and cur == 0 passes with ratio 1.0, and base == 0 with
-cur > 0 is reported as a "new metric" informational line, not a gated
-regression — a zero baseline can never fail the diff through an
-infinite ratio.
+leg): base == 0 and cur == 0 passes with ratio 1.0 and never prints an
+infinite ratio. base == 0 with cur > 0 fails when the counter is named
+in --gate (a deterministic work count that was zero and is not any more
+is a behaviour change, whatever the threshold); for any other metric,
+time-like ones included, it is a "new metric" informational line.
 
 Exit status: 0 = no regression, 1 = regression or shape error.
 """
@@ -123,12 +124,18 @@ def main():
                 continue
             if base_value == 0.0:
                 # A zero baseline is legitimate (e.g. detect_ops=0 on a
-                # warm-recovery leg); it never gates. 0 -> 0 is a clean
-                # pass, 0 -> nonzero means the metric newly appeared.
+                # warm-recovery leg). 0 -> 0 is a clean pass; 0 -> nonzero
+                # fails a --gate counter and is informational otherwise.
                 if cur_value == 0.0:
                     print(f"{name:<24} {metric:<20} {base_value:>12.3f} "
                           f"{cur_value:>12.3f} {1.0:>7.2f}x  "
                           f"{'time' if gates else 'info'}")
+                elif metric in gated:
+                    print(f"{name:<24} {metric:<20} {base_value:>12.3f} "
+                          f"{cur_value:>12.3f} {'new':>8}  FAIL")
+                    regressions.append(
+                        f"{name}/{metric}: 0 -> {cur_value:.3f} "
+                        f"(gated counter with a zero baseline)")
                 else:
                     print(f"{name:<24} {metric:<20} {base_value:>12.3f} "
                           f"{cur_value:>12.3f} {'new':>8}  info "

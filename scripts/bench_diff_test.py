@@ -3,7 +3,8 @@
 
 Pins the diff semantics the CI gate depends on:
   - zero baselines never fail through an infinite ratio
-    (base == 0, cur == 0 passes; base == 0, cur > 0 is "new metric" info)
+    (base == 0, cur == 0 passes; base == 0, cur > 0 fails a --gate
+    counter and is "new metric" info otherwise)
   - a counter present in the baseline but missing from the current run is
     a clear "counter missing from current run" failure, not a traceback
   - ordinary regressions beyond the threshold still fail
@@ -67,12 +68,46 @@ class BenchDiffTest(unittest.TestCase):
     def test_zero_baseline_nonzero_current_is_new_metric_info(self):
         code, out = self.diff(
             [result("warm", 1.0, {"detect_ops": 0})],
-            [result("warm", 1.0, {"detect_ops": 40})],
-            "--gate", "detect_ops")
+            [result("warm", 1.0, {"detect_ops": 40})])
         self.assertEqual(code, 0, out)
         self.assertIn("new metric", out)
         self.assertNotIn("infx", out)
         self.assertNotIn("REGRESSIONS", out)
+
+    def test_zero_baseline_gated_counter_turning_nonzero_fails(self):
+        code, out = self.diff(
+            [result("q2", 1.0, {"root_sorts_sorted": 0})],
+            [result("q2", 1.0, {"root_sorts_sorted": 60})],
+            "--gate", "root_sorts_sorted", "--threshold", "0")
+        self.assertEqual(code, 1, out)
+        self.assertIn("q2/root_sorts_sorted", out)
+        self.assertIn("zero baseline", out)
+        self.assertNotIn("infx", out)
+        self.assertNotIn("Traceback", out)
+
+    def test_zero_baseline_gated_counter_fails_at_any_threshold(self):
+        code, out = self.diff(
+            [result("q2", 1.0, {"cells": 0})],
+            [result("q2", 1.0, {"cells": 1})],
+            "--gate", "cells", "--threshold", "3.0")
+        self.assertEqual(code, 1, out)
+        self.assertIn("q2/cells", out)
+
+    def test_zero_baseline_gated_counter_staying_zero_passes(self):
+        code, out = self.diff(
+            [result("q2", 1.0, {"cells": 0, "kept": 60})],
+            [result("q2", 1.0, {"cells": 0, "kept": 60})],
+            "--metrics", "cells,kept", "--gate", "cells,kept",
+            "--threshold", "0")
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("REGRESSIONS", out)
+
+    def test_gated_counter_dropping_to_zero_passes(self):
+        code, out = self.diff(
+            [result("q2", 1.0, {"kept": 60})],
+            [result("q2", 1.0, {"kept": 0})],
+            "--gate", "kept", "--threshold", "0")
+        self.assertEqual(code, 0, out)
 
     def test_zero_baseline_time_metric_does_not_gate(self):
         code, out = self.diff(

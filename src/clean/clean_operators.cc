@@ -1,13 +1,31 @@
 #include "clean/clean_operators.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <iterator>
 
 #include "query/eval.h"
 #include "repair/dc_repair.h"
 #include "repair/fd_repair.h"
 
 namespace daisy {
+
+namespace {
+
+// The distinct endpoints of `violations`, ascending: the rows a DC repair
+// of them changes.
+std::vector<RowId> Endpoints(const std::vector<ViolationPair>& violations) {
+  std::vector<RowId> rows;
+  rows.reserve(2 * violations.size());
+  for (const ViolationPair& v : violations) {
+    rows.push_back(v.t1);
+    rows.push_back(v.t2);
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
+}  // namespace
 
 CleanSelect::CleanSelect(Table* table, const DenialConstraint* dc,
                          ProvenanceStore* provenance, const FdDeltaDetector* fd,
@@ -131,22 +149,18 @@ Status CleanSelect::JoinConflictExtras(
     const Expr* filter, const std::vector<ViolationPair>& violations,
     CleanSelectResult* out) {
   if (violations.empty()) return Status::OK();
-  std::unordered_set<RowId> in_result(out->final_rows.begin(),
-                                      out->final_rows.end());
+  const std::vector<RowId> endpoints = Endpoints(violations);
+  std::vector<RowId>& rows = out->final_rows;
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   std::vector<RowId> outside;
-  for (const ViolationPair& v : violations) {
-    if (in_result.insert(v.t1).second) outside.push_back(v.t1);
-    if (in_result.insert(v.t2).second) outside.push_back(v.t2);
-  }
+  std::set_difference(endpoints.begin(), endpoints.end(), rows.begin(),
+                      rows.end(), std::back_inserter(outside));
   out->extra_tuples += outside.size();
-  DAISY_ASSIGN_OR_RETURN(std::vector<RowId> qualifying_extras,
-                         FilterRows(*table_, filter, outside));
-  out->final_rows.insert(out->final_rows.end(), qualifying_extras.begin(),
-                         qualifying_extras.end());
-  std::sort(out->final_rows.begin(), out->final_rows.end());
-  out->final_rows.erase(
-      std::unique(out->final_rows.begin(), out->final_rows.end()),
-      out->final_rows.end());
+  // Every endpoint is re-filtered, the ones inside the result too: a
+  // repair can tighten a range candidate the result row qualified by.
+  DAISY_ASSIGN_OR_RETURN(rows, RefilterChanged(*table_, filter, rows,
+                                               endpoints));
   return Status::OK();
 }
 
@@ -207,11 +221,16 @@ Result<CleanSelectResult> CleanSelect::RunFd(
   out.relax_iterations = relaxed.iterations;
   out.tuples_scanned = relaxed.tuples_scanned;
 
-  // (b) detect + fix within the relaxed scope.
+  // (b) detect + fix within the relaxed scope. Its checked rows already
+  // hold their fixes (see CleanRemaining), so only the rest are repaired.
   std::vector<RowId> scope = dirty_result;
   scope.insert(scope.end(), relaxed.extra.begin(), relaxed.extra.end());
+  std::vector<RowId> unchecked;
+  for (RowId r : scope) {
+    if (!checked_[r]) unchecked.push_back(r);
+  }
   out.errors_fixed =
-      RepairFdViolations(table_, *fd_, scope, provenance_).tuples_repaired;
+      RepairFdViolations(table_, *fd_, unchecked, provenance_).tuples_repaired;
   out.detect_ops = scope.size();
 
   // (c) the in-place update already happened through the provenance store;
@@ -291,18 +310,23 @@ Result<CleanSelectResult> CleanSelect::CleanRemaining() {
     }
     out.delta_rows_checked = pending_rows_.size();
     pending_rows_.clear();
-    // Repair every tuple of a violating group not repaired yet.
-    std::vector<RowId> all = table_->AllRowIds();
-    out.errors_fixed =
-        RepairFdViolations(table_, *fd_, all, provenance_).tuples_repaired;
-    out.detect_ops = all.size();
-    MarkChecked(all);
+    // Repair every tuple of a violating group not repaired yet: by the
+    // checked => recorded invariant those are among the unchecked rows.
+    std::vector<RowId> unchecked;
+    for (RowId r = 0; r < checked_.size(); ++r) {
+      if (!checked_[r] && table_->is_live(r)) unchecked.push_back(r);
+    }
+    out.errors_fixed = RepairFdViolations(table_, *fd_, unchecked, provenance_)
+                           .tuples_repaired;
+    out.detect_ops = table_->num_live_rows();
+    MarkChecked(unchecked);
+    out.swept_rows = std::move(unchecked);
     return out;
   }
   // Delta batches first: DetectAll skips checked-row pairs, so the new x
   // old cross pairs must be paid through DetectDelta before full coverage
-  // is declared. No result set here, so the drained pairs need no
-  // extra-tuples join.
+  // is declared. No result set here: the caller re-filters the swept rows
+  // instead of an extra-tuples join.
   std::vector<ViolationPair> drained;
   DAISY_RETURN_IF_ERROR(DrainPendingDeltas(&out, &drained));
   std::vector<ViolationPair> violations = theta_->DetectAll();
@@ -313,6 +337,8 @@ Result<CleanSelectResult> CleanSelect::CleanRemaining() {
   out.errors_fixed += stats.tuples_repaired;
   out.used_full_clean = true;
   MarkChecked(table_->AllRowIds());
+  violations.insert(violations.end(), drained.begin(), drained.end());
+  out.swept_rows = Endpoints(violations);
   return out;
 }
 

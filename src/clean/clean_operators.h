@@ -46,6 +46,11 @@ struct CleanSelectResult {
   double estimated_accuracy = 1.0; ///< DC path only
   bool used_full_clean = false;    ///< DC accuracy fallback fired
   bool pruned = false;             ///< statistics pruning skipped cleaning
+  /// CleanRemaining only: the rows its sweep handed to repair, the only
+  /// rows whose cells it may have changed — for an FD the unchecked live
+  /// rows, for a general DC the endpoints of the violations it repaired.
+  /// Ascending and unique.
+  std::vector<RowId> swept_rows;
 };
 
 /// The persistable slice of one CleanSelect: everything that accrues across
@@ -78,7 +83,12 @@ class CleanSelect {
                                 const std::vector<RowId>& dirty_result,
                                 const CleaningOptions& options);
 
-  /// Cleans everything not yet checked (the cost-model switch target).
+  /// Cleans everything not yet checked (the cost-model switch target) and
+  /// reports the rows it may have changed in `swept_rows`. An FD rule
+  /// sweeps only its unchecked live rows: a checked row of a violating
+  /// group already holds the rule's record (every path that checks a row
+  /// repairs it or proves its group clean, and ingest drops a row's record
+  /// and un-checks it together), so RepairFdViolations would skip it.
   Result<CleanSelectResult> CleanRemaining();
 
   /// Folds one ingest batch into the per-rule bookkeeping: appended rows
@@ -93,6 +103,8 @@ class CleanSelect {
 
   /// Fraction of rows already checked by this rule.
   double checked_fraction() const;
+  /// True once this rule has checked row `r` (dead rows are checked).
+  bool checked(RowId r) const { return r < checked_.size() && checked_[r]; }
   bool fully_checked() const {
     return checked_count_ == checked_.size() &&
            checked_.size() == table_->num_rows();
@@ -135,8 +147,10 @@ class CleanSelect {
   /// apply the Example-3 extra-tuples join to them too.
   Status DrainPendingDeltas(CleanSelectResult* out,
                             std::vector<ViolationPair>* drained);
-  /// Conflicting tuples outside the current result whose candidate values
-  /// may now satisfy the filter join the corrected result (Example 3).
+  /// Re-filters the endpoints of the repaired `violations` (RefilterChanged):
+  /// conflicting tuples outside the current result whose candidate values
+  /// may now satisfy the filter join the corrected result (Example 3), and
+  /// a result row whose repair tightened it out of the filter leaves.
   Status JoinConflictExtras(const Expr* filter,
                             const std::vector<ViolationPair>& violations,
                             CleanSelectResult* out);

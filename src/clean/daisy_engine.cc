@@ -579,6 +579,12 @@ const FdDeltaDetector* DaisyEngine::fd_index(const std::string& rule) const {
   return it == rules_.end() ? nullptr : it->second.fd_delta.get();
 }
 
+const CleanSelect* DaisyEngine::clean_select(const std::string& rule) const {
+  ReaderLock lock(&*mu_);
+  auto it = rules_.find(rule);
+  return it == rules_.end() ? nullptr : it->second.op.get();
+}
+
 const ProvenanceStore* DaisyEngine::provenance(
     const std::string& table) const {
   ReaderLock lock(&*mu_);

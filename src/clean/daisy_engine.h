@@ -334,6 +334,9 @@ class DaisyEngine {
   /// The FD rule's delta-maintained index (groups, rhs buckets, ε / p
   /// counters); nullptr for unknown or non-FD rules.
   const FdDeltaDetector* fd_index(const std::string& rule) const;
+  /// The rule's cleanσ operator (its checked bookkeeping); nullptr for
+  /// unknown rules.
+  const CleanSelect* clean_select(const std::string& rule) const;
   const ProvenanceStore* provenance(const std::string& table) const;
   Database* database() { return db_; }
   const DaisyOptions& options() const { return options_; }

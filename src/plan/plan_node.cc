@@ -140,6 +140,18 @@ Result<bool> FilterNode::NextBatch(ExecContext* ctx, RowIdBatch* out) {
 
 // ----------------------------------------------------------- CleanSelect --
 
+namespace {
+
+// Rows a switch sweep handed to repair.
+Counter* RowsSwept() {
+  static Counter* const swept = MetricsRegistry::Global().GetCounter(
+      "daisy_clean_rows_swept_total",
+      "Rows a cost-model switch sweep handed to repair");
+  return swept;
+}
+
+}  // namespace
+
 CleanSelectStep::CleanSelectStep(Table* table, const DenialConstraint* dc,
                                  CleanSelect* op, CostModel* cost,
                                  const FdDeltaDetector* fd,
@@ -226,6 +238,12 @@ Status CleanSelectStep::Run(ExecContext* ctx, PlanNode* node, bool deferred,
   cs.switched_to_full = true;
   stats.switched_to_full = true;
   cs.errors_fixed += fres.errors_fixed;
+  RowsSwept()->Increment(fres.swept_rows.size());
+  // The deferred placement's joined rows are invariant under the sweep
+  // (see CleanJoinedNode); the chain placement's qualifying set is not.
+  if (deferred) return Status::OK();
+  DAISY_ASSIGN_OR_RETURN(
+      *rows, RefilterChanged(*table_, filter_, *rows, fres.swept_rows));
   return Status::OK();
 }
 
@@ -245,11 +263,6 @@ Status CleanSelectNode::Open(ExecContext* ctx) {
   DAISY_ASSIGN_OR_RETURN(std::vector<RowId> rows, child_rows_->Drain(ctx));
   stats_.rows_in = rows.size();
   DAISY_RETURN_IF_ERROR(step_.Run(ctx, this, /*deferred=*/false, &rows));
-  if (stats_.switched_to_full) {
-    // Recompute the qualifying rows over the now-clean table.
-    DAISY_ASSIGN_OR_RETURN(rows, FilterRows(*step_.table(), step_.filter(),
-                                            step_.table()->AllRowIds()));
-  }
   rows_ = std::move(rows);
   return Status::OK();
 }

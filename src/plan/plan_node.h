@@ -253,10 +253,12 @@ class CleanSelectStep {
   /// "CleanSelect [rule=<name> fd|dc]", plus " [adaptive]" when armed.
   std::string Label() const;
 
-  /// Cleans `*rows` on behalf of `node` (its resource checks and stats).
-  /// On success `*rows` holds the operator's corrected qualifying rows;
-  /// `node->stats().switched_to_full` reports that the adaptive switch
-  /// cleaned the whole table. `deferred` counts the run in rules_deferred.
+  /// Cleans `*rows` (ascending) on behalf of `node` (its resource checks
+  /// and stats). On success `*rows` holds the operator's corrected
+  /// qualifying rows; `node->stats().switched_to_full` reports that the
+  /// adaptive switch cleaned the whole table, after which the rows the
+  /// sweep repaired are re-filtered (chain placement only). `deferred`
+  /// counts the run in rules_deferred and skips that re-filter.
   Status Run(ExecContext* ctx, PlanNode* node, bool deferred,
              std::vector<RowId>* rows);
 
@@ -264,8 +266,6 @@ class CleanSelectStep {
   /// mutation (see CleanSelect::quiescent) — the engine's shared read path
   /// requires it of every cleanσ in the plan.
   bool quiescent() const { return op_->quiescent(); }
-  Table* table() const { return table_; }
-  const Expr* filter() const { return filter_; }
 
  private:
   Table* table_;
@@ -279,8 +279,8 @@ class CleanSelectStep {
 };
 
 /// cleanσ in a table's chain: drains the child's qualifying rows, runs the
-/// cleanσ step over them, re-filters the table after a switch to full
-/// cleaning, then re-emits the corrected row set in batches.
+/// cleanσ step over them (which re-filters the rows a switch to full
+/// cleaning repaired), then re-emits the corrected row set in batches.
 class CleanSelectNode : public RowSetNode {
  public:
   CleanSelectNode(CleanSelectStep step, std::unique_ptr<PlanNode> child);

@@ -291,6 +291,10 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
   }
   DAISY_ASSIGN_OR_RETURN(state->split,
                          SplitWhereClause(state->stmt, state->const_tables));
+  // Bind the select list and GROUP BY now: a statement that cannot produce
+  // output must fail before any cleanσ repairs a cell on its behalf.
+  DAISY_RETURN_IF_ERROR(
+      BindOutput(state->stmt, state->const_tables).status());
   const size_t n = state->tables.size();
 
   // Collect the per-table cleaning work up front (Overlapping order — the

@@ -181,7 +181,9 @@ class Planner {
   Result<Plan> PlanQuery(const SelectStmt& stmt);
 
   /// Cleaning-augmented plan; `clean` may be null (same as the overload
-  /// above) and must outlive the plan otherwise.
+  /// above) and must outlive the plan otherwise. Binds the WHERE clause,
+  /// the select list and GROUP BY (BindOutput), so a statement that cannot
+  /// bind fails here, before any cleaning runs.
   Result<Plan> PlanQuery(const SelectStmt& stmt,
                          const CleaningPlanContext* clean);
 

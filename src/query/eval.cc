@@ -1,5 +1,8 @@
 #include "query/eval.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace daisy {
 
 namespace {
@@ -182,6 +185,27 @@ Result<std::vector<RowId>> FilterRows(const Table& table, const Expr* expr,
     DAISY_ASSIGN_OR_RETURN(bool ok, RowMaySatisfy(table, r, *expr));
     if (ok) out.push_back(r);
   }
+  return out;
+}
+
+Result<std::vector<RowId>> RefilterChanged(
+    const Table& table, const Expr* expr,
+    const std::vector<RowId>& qualifying, const std::vector<RowId>& changed) {
+  std::vector<RowId> live;
+  live.reserve(changed.size());
+  for (RowId r : changed) {
+    if (table.is_live(r)) live.push_back(r);
+  }
+  DAISY_ASSIGN_OR_RETURN(std::vector<RowId> requalified,
+                         FilterRows(table, expr, live));
+  std::vector<RowId> kept;
+  kept.reserve(qualifying.size());
+  std::set_difference(qualifying.begin(), qualifying.end(), changed.begin(),
+                      changed.end(), std::back_inserter(kept));
+  std::vector<RowId> out;
+  out.reserve(kept.size() + requalified.size());
+  std::merge(kept.begin(), kept.end(), requalified.begin(), requalified.end(),
+             std::back_inserter(out));
   return out;
 }
 

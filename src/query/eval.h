@@ -44,6 +44,17 @@ Result<bool> RowMaySatisfy(const Table& table, RowId row, const Expr& expr);
 Result<std::vector<RowId>> FilterRows(const Table& table, const Expr* expr,
                                       const std::vector<RowId>& input);
 
+/// The qualifying rows after the cells of `changed` were repaired, given
+/// `qualifying`, the rows that qualified before: a row outside `changed`
+/// qualifies as it did, a live row of `changed` is filtered against its
+/// repaired cells (a repair can narrow a range candidate, so a changed
+/// row may also drop out). `qualifying` and `changed` ascending, unique;
+/// the result is ascending. Only the changed rows are filtered.
+Result<std::vector<RowId>> RefilterChanged(const Table& table,
+                                           const Expr* expr,
+                                           const std::vector<RowId>& qualifying,
+                                           const std::vector<RowId>& changed);
+
 /// Flattens top-level ANDs of a WHERE tree into conjuncts.
 std::vector<const Expr*> SplitConjuncts(const Expr* expr);
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "clean/daisy_engine.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "datagen/workload.h"
 #include "offline/offline_cleaner.h"
@@ -208,6 +209,42 @@ TEST(DaisyEngineTest, Example3QueryOnLhs) {
   EXPECT_EQ(report.output.result.num_rows(), 4u);
   EXPECT_GT(report.errors_fixed, 0u);
   EXPECT_EQ(report.rules_applied, 1u);
+}
+
+TEST(DaisyEngineTest, StatementThatCannotBindFailsBeforeCleaning) {
+  // The select list and GROUP BY bind at plan time: a statement naming a
+  // missing column, or a plain item that is no GROUP BY key, repairs
+  // nothing on its way to the error, so no unlogged repair is left behind.
+  Database db;
+  ASSERT_TRUE(db.AddTable(CitiesTable()).ok());
+  DaisyEngine engine = MakeEngine(&db, "phi: FD zip -> city");
+  const Table& t = *db.GetTable("cities").ValueOrDie();
+  const Table before = t;
+  Counter* repairs =
+      MetricsRegistry::Global().GetCounter("daisy_engine_repairs_total");
+  const uint64_t repairs_before = repairs->Value();
+  for (const char* sql :
+       {"SELECT nope FROM cities WHERE zip = 9001",
+        "SELECT COUNT(*) FROM cities WHERE zip = 9001 GROUP BY nope",
+        "SELECT city, COUNT(*) FROM cities WHERE zip = 9001 GROUP BY zip"}) {
+    EXPECT_FALSE(engine.Query(sql).ok()) << sql;
+    EXPECT_FALSE(engine.ExplainAnalyze(sql).ok()) << sql;
+  }
+  EXPECT_EQ(repairs->Value(), repairs_before);
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      EXPECT_TRUE(t.cell(r, c) == before.cell(r, c)) << r << "," << c;
+    }
+  }
+  EXPECT_FALSE(engine.RuleFullyChecked("phi").ValueOrDie());
+
+  // The next valid query still finds and repairs the errors (Table 3).
+  auto report =
+      engine.Query("SELECT zip, city FROM cities WHERE zip = 9001")
+          .ValueOrDie();
+  EXPECT_EQ(report.output.result.num_rows(), 4u);
+  EXPECT_GT(report.errors_fixed, 0u);
+  EXPECT_EQ(repairs->Value(), repairs_before + report.errors_fixed);
 }
 
 TEST(DaisyEngineTest, QueryWithoutOverlapSkipsCleaning) {

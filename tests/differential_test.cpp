@@ -19,7 +19,10 @@
 //
 // A third check covers repairs: an FD-only engine's cells after the
 // sequence and CleanAllRemaining equal those of a fresh engine cleaned
-// over the final live rows.
+// over the final live rows. A fourth covers the adaptive switch: after the
+// cost model fires, an engine under ingest answers like a twin that cleans
+// everything before each query, and every checked row of a violating FD
+// group holds the rule's record.
 
 #include <gtest/gtest.h>
 
@@ -350,6 +353,149 @@ void RunFdRepairSequence(uint64_t seed) {
   EXPECT_EQ(differing, 0u) << "cells differ from a from-scratch clean";
 }
 
+// ------------------------------------ post-switch == clean-all-first --
+
+// The checked => recorded invariant the switch sweep relies on: every
+// checked live row of a violating group of FD `rule` holds its record.
+void ExpectCheckedRowsRecorded(const DaisyEngine& engine, const Table& t,
+                               const std::string& rule) {
+  const FdDeltaDetector* fd = engine.fd_index(rule);
+  const CleanSelect* op = engine.clean_select(rule);
+  const ProvenanceStore* prov = engine.provenance("t");
+  ASSERT_NE(fd, nullptr);
+  ASSERT_NE(op, nullptr);
+  ASSERT_NE(prov, nullptr);
+  const size_t rhs = fd->dc().fd().rhs;
+  size_t missing = 0;
+  for (RowId r : t.AllRowIds()) {
+    const FdDeltaDetector::Group* group = fd->GroupOf(r);
+    if (op->checked(r) && group != nullptr && group->violating() &&
+        !prov->HasRecord(r, rhs, rule)) {
+      ++missing;
+    }
+  }
+  EXPECT_EQ(missing, 0u) << "checked rows of violating groups unrepaired";
+}
+
+size_t CountDifferingCells(const Table& a, const Table& b,
+                           const std::vector<RowId>& rows) {
+  size_t differing = 0;
+  for (RowId r : rows) {
+    for (size_t c = 0; c < a.num_columns(); ++c) {
+      if (!(a.cell(r, c) == b.cell(r, c))) ++differing;
+    }
+  }
+  return differing;
+}
+
+size_t CountDifferingAnswers(const QueryOutput& a, const QueryOutput& b) {
+  if (a.result.num_rows() != b.result.num_rows()) return 1;
+  std::vector<RowId> rows(a.result.num_rows());
+  for (RowId r = 0; r < rows.size(); ++r) rows[r] = r;
+  return CountDifferingCells(a.result, b.result, rows);
+}
+
+// One rule (the scenario's FD or its order DC) in adaptive mode, queried
+// until the cost model switches to full cleaning, then 20 rounds of an
+// append or delete plus a query. A twin engine runs the same operations
+// but cleans everything before each query. From the switching query on,
+// every answer and, at the end, every live cell must be the twin's: the
+// sweep over the unchecked rows and the re-filter of the swept rows lose
+// nothing a whole-table sweep and re-filter would find.
+void RunPostSwitchSequence(uint64_t seed, bool fd_rule) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + (fd_rule ? " fd" : " dc"));
+  const Scenario s = MakeScenario(seed);
+  const std::string rule = fd_rule ? "phi" : "psi";
+  DaisyOptions options;
+  options.mode = DaisyOptions::Mode::kAdaptive;
+  options.theta_partitions = 6;
+  // No Algorithm 2 fallback: a DC query detects incrementally, so its rule
+  // stays partly unchecked until the cost model fires.
+  options.accuracy_threshold = 0.0;
+  Database db;
+  Database twin_db;
+  ASSERT_TRUE(db.AddTable(BuildTable(s)).ok());
+  ASSERT_TRUE(twin_db.AddTable(BuildTable(s)).ok());
+  auto make_rules = [&]() {
+    ConstraintSet rules;
+    EXPECT_TRUE(
+        rules.AddFromText(fd_rule ? s.fd_text : s.dc_text, "t", s.schema)
+            .ok());
+    return rules;
+  };
+  DaisyEngine engine(&db, make_rules(), options);
+  DaisyEngine twin(&twin_db, make_rules(), options);
+  ASSERT_TRUE(engine.Prepare().ok());
+  ASSERT_TRUE(twin.Prepare().ok());
+  const Table& t = *db.GetTable("t").ValueOrDie();
+  const Table& twin_t = *twin_db.GetTable("t").ValueOrDie();
+
+  Rng rng(seed ^ 0x5717c4ULL);
+  auto check_invariant = [&]() {
+    if (fd_rule) ExpectCheckedRowsRecorded(engine, t, rule);
+  };
+  // Returns whether the query switched; compares answers once `compare`
+  // (and on the switching query). A whole-table query would check every
+  // row incrementally and leave the cost model nothing to switch.
+  auto query = [&](bool compare) {
+    std::string sql = RandomQuery(&rng, s);
+    if (sql == "SELECT * FROM t") sql += " WHERE c0 = 0";
+    auto report = engine.Query(sql);
+    EXPECT_TRUE(report.ok()) << sql;
+    EXPECT_TRUE(twin.CleanAllRemaining().ok());
+    auto twin_report = twin.Query(sql);
+    EXPECT_TRUE(twin_report.ok()) << sql;
+    check_invariant();
+    if (!report.ok() || !twin_report.ok()) return false;
+    const bool switched = report.value().switched_to_full;
+    if (compare || switched) {
+      EXPECT_EQ(CountDifferingAnswers(report.value().output,
+                                      twin_report.value().output),
+                0u)
+          << sql;
+    }
+    return switched;
+  };
+  auto append = [&]() {
+    std::vector<std::vector<Value>> rows;
+    const int64_t n = rng.UniformInt(1, 4);
+    for (int64_t i = 0; i < n; ++i) rows.push_back(RandomRow(&rng, s));
+    EXPECT_TRUE(engine.AppendRows("t", rows).ok());
+    EXPECT_TRUE(twin.AppendRows("t", rows).ok());
+    check_invariant();
+  };
+
+  // Incremental queries (and, when a rule has checked everything, an
+  // arrival to leave it work) until the cost model switches.
+  bool switched = false;
+  for (size_t i = 0; i < 200 && !switched; ++i) {
+    if (engine.RuleFullyChecked(rule).ValueOrDie()) append();
+    switched = query(/*compare=*/false);
+  }
+  ASSERT_TRUE(switched) << "the cost model never switched";
+
+  for (size_t round = 0; round < 20; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    if (rng.Bernoulli(0.6)) {
+      append();
+    } else {
+      std::vector<RowId> victims =
+          PickVictims(t, static_cast<size_t>(rng.UniformInt(1, 2)),
+                      seed * 100 + round);
+      if (!victims.empty()) {
+        EXPECT_TRUE(engine.DeleteRows("t", victims).ok());
+        EXPECT_TRUE(twin.DeleteRows("t", victims).ok());
+        check_invariant();
+      }
+    }
+    (void)query(/*compare=*/true);
+  }
+  ASSERT_TRUE(engine.CleanAllRemaining().ok());
+  ASSERT_TRUE(twin.CleanAllRemaining().ok());
+  EXPECT_EQ(CountDifferingCells(t, twin_t, t.AllRowIds()), 0u)
+      << "final cells differ from the clean-all-first twin";
+}
+
 TEST(DifferentialTest, DetectorStateAcross100Seeds) {
   for (uint64_t seed = 1; seed <= 100; ++seed) RunDetectorDifferential(seed);
 }
@@ -360,6 +506,18 @@ TEST(DifferentialTest, EngineSequencesAcross100Seeds) {
 
 TEST(DifferentialTest, MaintainedFdRepairsEqualFromScratchAcross100Seeds) {
   for (uint64_t seed = 1; seed <= 100; ++seed) RunFdRepairSequence(seed);
+}
+
+TEST(DifferentialTest, PostSwitchFdEqualsCleanAllFirstAcross60Seeds) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    RunPostSwitchSequence(seed, /*fd_rule=*/true);
+  }
+}
+
+TEST(DifferentialTest, PostSwitchDcEqualsCleanAllFirstAcross60Seeds) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    RunPostSwitchSequence(seed, /*fd_rule=*/false);
+  }
 }
 
 }  // namespace
