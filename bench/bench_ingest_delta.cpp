@@ -17,7 +17,10 @@
 // part that grows with the table), and the column-cache rows maintained per
 // iteration (daisy_storage_cache_rows_maintained_total, deterministic):
 // candidate-only repairs patch the cache in place and appends extend it, so
-// the settling work stays O(delta) whatever the table size.
+// the settling work stays O(delta) whatever the table size. It also reports
+// the rows the compiled filter evaluates per settling query
+// (daisy_plan_filter_rows_evaluated_total, deterministic): the point
+// query's full scan, so about the table size, plus cleanσ's re-filters.
 //
 // Switched FD settle leg: the same settle loop on an engine whose
 // cost-model switch to full cleaning has already fired (a query over half
@@ -174,6 +177,10 @@ BenchResult FdSettle(size_t rows, bool switched) {
   const double swept_per_query =
       static_cast<double>(maintained.Delta("daisy_clean_rows_swept_total")) /
       kSettleLoops;
+  const double filtered_per_query =
+      static_cast<double>(
+          maintained.Delta("daisy_plan_filter_rows_evaluated_total")) /
+      kSettleLoops;
   double total_ms = 0;
   for (double ms : query_ms) total_ms += ms;
   // The same point query with nothing left to settle: the scan's share of
@@ -183,9 +190,9 @@ BenchResult FdSettle(size_t rows, bool switched) {
     idle_ms.push_back(point_query(rng.UniformInt(0, keys - 1)));
   }
 
-  std::printf("  %-8zu %12.3f %12.3f %12.3f %14.1f %10.1f\n", rows,
+  std::printf("  %-8zu %12.3f %12.3f %12.3f %14.1f %10.1f %12.1f\n", rows,
               Median(append_ms), Median(query_ms), Median(idle_ms),
-              per_query, swept_per_query);
+              per_query, swept_per_query, filtered_per_query);
   BenchResult result;
   result.name = (switched ? "fd_settle_switched_" : "fd_settle_") +
                 std::to_string(rows);
@@ -193,7 +200,8 @@ BenchResult FdSettle(size_t rows, bool switched) {
   result.counters = {{"append_ms", Median(append_ms)},
                      {"query_ms", Median(query_ms)},
                      {"idle_query_ms", Median(idle_ms)},
-                     {"rows_maintained_per_query", per_query}};
+                     {"rows_maintained_per_query", per_query},
+                     {"filter_rows_per_query", filtered_per_query}};
   if (switched) {
     result.counters.push_back({"rows_swept_per_query", swept_per_query});
   }
@@ -267,8 +275,9 @@ int main() {
   std::printf("# FD settle: %zu x (append %zu rows with one violation, "
               "point query), dirty rhs %.0f%%\n",
               kSettleLoops, kSettleBatch, kDirtyRhs * 100);
-  std::printf("# %-8s %12s %12s %12s %14s %10s\n", "rows", "append_ms",
-              "query_ms", "idle_q_ms", "maintained/q", "swept/q");
+  std::printf("# %-8s %12s %12s %12s %14s %10s %12s\n", "rows", "append_ms",
+              "query_ms", "idle_q_ms", "maintained/q", "swept/q",
+              "filtered/q");
   for (bool switched : {false, true}) {
     if (switched) std::printf("# switched: the cost model has fired\n");
     for (size_t rows : {size_t{20000}, size_t{80000}, size_t{320000}}) {

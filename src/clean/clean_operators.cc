@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <iterator>
 
-#include "query/eval.h"
+#include "plan/compiled_filter.h"
 #include "repair/dc_repair.h"
 #include "repair/fd_repair.h"
 
@@ -145,10 +145,10 @@ Status CleanSelect::DrainPendingDeltas(CleanSelectResult* out,
   return Status::OK();
 }
 
-Status CleanSelect::JoinConflictExtras(
-    const Expr* filter, const std::vector<ViolationPair>& violations,
+void CleanSelect::JoinConflictExtras(
+    const CompiledFilter* filter, const std::vector<ViolationPair>& violations,
     CleanSelectResult* out) {
-  if (violations.empty()) return Status::OK();
+  if (violations.empty()) return;
   const std::vector<RowId> endpoints = Endpoints(violations);
   std::vector<RowId>& rows = out->final_rows;
   std::sort(rows.begin(), rows.end());
@@ -159,9 +159,7 @@ Status CleanSelect::JoinConflictExtras(
   out->extra_tuples += outside.size();
   // Every endpoint is re-filtered, the ones inside the result too: a
   // repair can tighten a range candidate the result row qualified by.
-  DAISY_ASSIGN_OR_RETURN(rows, RefilterChanged(*table_, filter, rows,
-                                               endpoints));
-  return Status::OK();
+  rows = RefilterChanged(*table_, filter, rows, endpoints);
 }
 
 double CleanSelect::checked_fraction() const {
@@ -172,7 +170,7 @@ double CleanSelect::checked_fraction() const {
 }
 
 Result<CleanSelectResult> CleanSelect::Run(
-    const Expr* filter, const std::vector<RowId>& dirty_result,
+    const CompiledFilter* filter, const std::vector<RowId>& dirty_result,
     const CleaningOptions& options) {
   SyncRowCount();
   if (dc_->IsFd()) return RunFd(filter, dirty_result);
@@ -180,7 +178,7 @@ Result<CleanSelectResult> CleanSelect::Run(
 }
 
 Result<CleanSelectResult> CleanSelect::RunFd(
-    const Expr* filter, const std::vector<RowId>& dirty_result) {
+    const CompiledFilter* filter, const std::vector<RowId>& dirty_result) {
   if (fd_ == nullptr) {
     return Status::Internal("CleanSelect for an FD needs its FdDeltaDetector");
   }
@@ -236,8 +234,9 @@ Result<CleanSelectResult> CleanSelect::RunFd(
   // (c) the in-place update already happened through the provenance store;
   // recompute the qualifying set: extras whose candidates may satisfy the
   // filter now belong to the corrected result (Example 3).
-  DAISY_ASSIGN_OR_RETURN(std::vector<RowId> qualifying_extras,
-                         FilterRows(*table_, filter, relaxed.extra));
+  const std::vector<RowId> qualifying_extras =
+      filter == nullptr ? std::move(relaxed.extra)
+                        : filter->Filter(std::move(relaxed.extra));
   out.final_rows.insert(out.final_rows.end(), qualifying_extras.begin(),
                         qualifying_extras.end());
   std::sort(out.final_rows.begin(), out.final_rows.end());
@@ -250,7 +249,7 @@ Result<CleanSelectResult> CleanSelect::RunFd(
 }
 
 Result<CleanSelectResult> CleanSelect::RunDc(
-    const Expr* filter, const std::vector<RowId>& dirty_result,
+    const CompiledFilter* filter, const std::vector<RowId>& dirty_result,
     const CleaningOptions& options) {
   if (theta_ == nullptr) {
     return Status::Internal("CleanSelect for a general DC needs a detector");
@@ -270,7 +269,7 @@ Result<CleanSelectResult> CleanSelect::RunDc(
     // "Pruned" means this invocation skipped cleaning entirely — a drain
     // that settled ingested rows did real detection/repair work.
     out.pruned = out.delta_rows_checked == 0;
-    DAISY_RETURN_IF_ERROR(JoinConflictExtras(filter, violations, &out));
+    JoinConflictExtras(filter, violations, &out);
     return out;
   }
 
@@ -293,7 +292,7 @@ Result<CleanSelectResult> CleanSelect::RunDc(
   out.errors_fixed += stats.tuples_repaired;
 
   violations.insert(violations.end(), detected.begin(), detected.end());
-  DAISY_RETURN_IF_ERROR(JoinConflictExtras(filter, violations, &out));
+  JoinConflictExtras(filter, violations, &out);
 
   MarkChecked(dirty_result);
   if (out.used_full_clean) MarkChecked(table_->AllRowIds());

@@ -18,11 +18,12 @@
 #include "constraints/denial_constraint.h"
 #include "detect/fd_delta.h"
 #include "detect/theta_join.h"
-#include "query/ast.h"
 #include "repair/provenance.h"
 #include "storage/table.h"
 
 namespace daisy {
+
+class CompiledFilter;
 
 /// Knobs shared by the cleaning operators.
 struct CleaningOptions {
@@ -77,9 +78,10 @@ class CleanSelect {
               ThetaJoinDetector* theta);
 
   /// Runs relax -> detect -> repair -> update for a select result.
-  /// `filter` is the query's predicate on this table (nullable); it is
-  /// re-applied to relaxation extras to admit new probabilistic qualifiers.
-  Result<CleanSelectResult> Run(const Expr* filter,
+  /// `filter` is the query's compiled predicate on this table (null keeps
+  /// every row); it is re-applied to relaxation extras to admit new
+  /// probabilistic qualifiers.
+  Result<CleanSelectResult> Run(const CompiledFilter* filter,
                                 const std::vector<RowId>& dirty_result,
                                 const CleaningOptions& options);
 
@@ -134,9 +136,9 @@ class CleanSelect {
   Status ImportPersistState(const CleanSelectPersistState& state);
 
  private:
-  Result<CleanSelectResult> RunFd(const Expr* filter,
+  Result<CleanSelectResult> RunFd(const CompiledFilter* filter,
                                   const std::vector<RowId>& dirty_result);
-  Result<CleanSelectResult> RunDc(const Expr* filter,
+  Result<CleanSelectResult> RunDc(const CompiledFilter* filter,
                                   const std::vector<RowId>& dirty_result,
                                   const CleaningOptions& options);
   void MarkChecked(const std::vector<RowId>& rows);
@@ -151,9 +153,9 @@ class CleanSelect {
   /// conflicting tuples outside the current result whose candidate values
   /// may now satisfy the filter join the corrected result (Example 3), and
   /// a result row whose repair tightened it out of the filter leaves.
-  Status JoinConflictExtras(const Expr* filter,
-                            const std::vector<ViolationPair>& violations,
-                            CleanSelectResult* out);
+  void JoinConflictExtras(const CompiledFilter* filter,
+                          const std::vector<ViolationPair>& violations,
+                          CleanSelectResult* out);
 
   Table* table_;
   const DenialConstraint* dc_;

@@ -7,6 +7,7 @@
 #ifndef DAISY_COMMON_VALUE_H_
 #define DAISY_COMMON_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <ostream>
@@ -62,6 +63,7 @@ class Value {
   bool is_double() const { return type() == ValueType::kDouble; }
   bool is_string() const { return type() == ValueType::kString; }
   bool is_numeric() const { return is_int() || is_double(); }
+  bool is_nan() const { return is_double() && std::isnan(as_double_raw()); }
 
   /// Requires is_int().
   int64_t as_int() const { return std::get<int64_t>(var_); }

@@ -1,10 +1,25 @@
 #include "plan/compiled_filter.h"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 
+#include "common/metrics.h"
 #include "query/eval.h"
 
 namespace daisy {
+
+namespace {
+
+// Rows handed to a compiled filter for evaluation, counted per Filter call.
+Counter* RowsEvaluated() {
+  static Counter* const rows = MetricsRegistry::Global().GetCounter(
+      "daisy_plan_filter_rows_evaluated_total",
+      "Rows a compiled filter evaluated");
+  return rows;
+}
+
+}  // namespace
 
 Result<size_t> CompiledFilter::ResolveColumn(const ColumnRef& ref) const {
   if (!ref.table.empty() && ref.table != table_->name()) {
@@ -41,13 +56,17 @@ Result<CompiledFilter::Node> CompiledFilter::CompileNode(const Expr& expr) {
       node.lkind = LeafKind::kConstNull;
       return node;
     }
+    if (left.has_nan || node.rhs_val.is_nan()) {
+      node.lkind = LeafKind::kRowFallback;
+      return node;
+    }
     node.lkind = LeafKind::kConstRank;
     const std::vector<Value>& sorted = left.sorted_distinct;
-    auto it = std::lower_bound(
+    const auto eq = std::equal_range(
         sorted.begin(), sorted.end(), node.rhs_val,
         [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-    node.bound_rank = static_cast<uint32_t>(it - sorted.begin());
-    node.bound_in_dict = it != sorted.end() && it->Compare(node.rhs_val) == 0;
+    node.eq_lo = static_cast<uint32_t>(eq.first - sorted.begin());
+    node.eq_hi = static_cast<uint32_t>(eq.second - sorted.begin());
     node.null_result = NullCompare(true, false, node.op);
     return node;
   }
@@ -59,7 +78,9 @@ Result<CompiledFilter::Node> CompiledFilter::CompileNode(const Expr& expr) {
   node.rnum = &right.num;
   node.rnulls = &right.nulls;
   node.rprob = &right.probs;
-  if (node.left_col == node.right_col) {
+  if (left.has_nan || right.has_nan) {
+    node.lkind = LeafKind::kRowFallback;
+  } else if (node.left_col == node.right_col) {
     node.lkind = LeafKind::kSameColRank;
   } else if (left.numeric_only && right.numeric_only) {
     node.lkind = LeafKind::kNumericCols;
@@ -76,11 +97,6 @@ Result<CompiledFilter> CompiledFilter::Compile(const Table& table,
                                                const Expr& expr) {
   CompiledFilter filter;
   filter.table_ = &table;
-  // One batched build of every referenced projection up front; the compile
-  // walk below then only takes references into fresh storage.
-  std::vector<size_t> cols;
-  CollectExprColumns(expr, table, &cols);
-  table.columns().EnsureBuilt(cols);
   DAISY_ASSIGN_OR_RETURN(filter.root_, filter.CompileNode(expr));
   return filter;
 }
@@ -103,19 +119,17 @@ bool CompiledFilter::EvalLeaf(const Node& node, RowId r) const {
       const uint32_t rank = (*node.lranks)[r];
       switch (node.op) {
         case CompareOp::kEq:
-          return node.bound_in_dict && rank == node.bound_rank;
+          return rank >= node.eq_lo && rank < node.eq_hi;
         case CompareOp::kNeq:
-          return !(node.bound_in_dict && rank == node.bound_rank);
+          return rank < node.eq_lo || rank >= node.eq_hi;
         case CompareOp::kLt:
-          return rank < node.bound_rank;
+          return rank < node.eq_lo;
         case CompareOp::kLeq:
-          return node.bound_in_dict ? rank <= node.bound_rank
-                                    : rank < node.bound_rank;
+          return rank < node.eq_hi;
         case CompareOp::kGt:
-          return node.bound_in_dict ? rank > node.bound_rank
-                                    : rank >= node.bound_rank;
+          return rank >= node.eq_hi;
         case CompareOp::kGeq:
-          return rank >= node.bound_rank;
+          return rank >= node.eq_lo;
       }
       return false;
     }
@@ -131,7 +145,16 @@ bool CompiledFilter::EvalLeaf(const Node& node, RowId r) const {
       if (node.lkind == LeafKind::kSameColRank) {
         return CompareRanks((*node.lranks)[r], node.op, (*node.rranks)[r]);
       }
-      return CompareDoubles((*node.lnum)[r], node.op, (*node.rnum)[r]);
+      // Rounding to double is monotone, so a strict order of the doubles
+      // is the exact order, and equal doubles below 2^53 hold equal
+      // values. A tie beyond that may be two distinct int64s.
+      const double l = (*node.lnum)[r];
+      const double rv = (*node.rnum)[r];
+      if (l < rv || l > rv || std::fabs(l) < 0x1p53) {
+        return CompareDoubles(l, node.op, rv);
+      }
+      return CellsMayMatch(table_->cell(r, node.left_col), node.op,
+                           table_->cell(r, node.right_col));
     }
     case LeafKind::kRowFallback: {
       const Cell& lhs = table_->cell(r, node.left_col);
@@ -162,6 +185,35 @@ bool CompiledFilter::EvalNode(const Node& node, RowId r) const {
   return false;
 }
 
+std::vector<RowId> CompiledFilter::Filter(std::vector<RowId> rows) const {
+  RowsEvaluated()->Increment(rows.size());
+  rows.erase(std::remove_if(rows.begin(), rows.end(),
+                            [this](RowId r) { return !EvalNode(root_, r); }),
+             rows.end());
+  return rows;
+}
+
 bool CompiledFilter::Matches(RowId r) const { return EvalNode(root_, r); }
+
+std::vector<RowId> RefilterChanged(const Table& table,
+                                   const CompiledFilter* filter,
+                                   const std::vector<RowId>& qualifying,
+                                   const std::vector<RowId>& changed) {
+  std::vector<RowId> requalified;
+  requalified.reserve(changed.size());
+  for (RowId r : changed) {
+    if (table.is_live(r)) requalified.push_back(r);
+  }
+  if (filter != nullptr) requalified = filter->Filter(std::move(requalified));
+  std::vector<RowId> kept;
+  kept.reserve(qualifying.size());
+  std::set_difference(qualifying.begin(), qualifying.end(), changed.begin(),
+                      changed.end(), std::back_inserter(kept));
+  std::vector<RowId> out;
+  out.reserve(kept.size() + requalified.size());
+  std::merge(kept.begin(), kept.end(), requalified.begin(), requalified.end(),
+             std::back_inserter(out));
+  return out;
+}
 
 }  // namespace daisy

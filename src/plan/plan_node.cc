@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -129,10 +130,7 @@ Result<bool> FilterNode::NextBatch(ExecContext* ctx, RowIdBatch* out) {
   DAISY_ASSIGN_OR_RETURN(bool more, child_rows_->NextBatch(ctx, &in));
   if (!more) return false;
   stats_.rows_in += in.size();
-  out->clear();
-  for (RowId r : in) {
-    if (compiled_->Matches(r)) out->push_back(r);
-  }
+  *out = compiled_->Filter(std::move(in));
   stats_.rows_out += out->size();
   ++stats_.batches;
   return true;
@@ -177,8 +175,17 @@ Status CleanSelectStep::Run(ExecContext* ctx, PlanNode* node, bool deferred,
   // after the input drained but before this rule cleaned — leaves the
   // cleaning state exactly the prefix of rules that ran before this one.
   DAISY_RETURN_IF_ERROR(ctx->CheckResources(node));
+  // Compiled once for the whole run: the repairs below only flip the
+  // cache's probs bits, which the compiled filter reads in place.
+  std::optional<CompiledFilter> compiled;
+  if (filter_ != nullptr) {
+    DAISY_ASSIGN_OR_RETURN(CompiledFilter f,
+                           CompiledFilter::Compile(*table_, *filter_));
+    compiled.emplace(std::move(f));
+  }
+  const CompiledFilter* filter = compiled ? &*compiled : nullptr;
   DAISY_ASSIGN_OR_RETURN(CleanSelectResult cres,
-                         op_->Run(filter_, *rows, options_));
+                         op_->Run(filter, *rows, options_));
   *rows = std::move(cres.final_rows);
 
   CleaningExecStats& cs = ctx->cleaning;
@@ -242,8 +249,7 @@ Status CleanSelectStep::Run(ExecContext* ctx, PlanNode* node, bool deferred,
   // The deferred placement's joined rows are invariant under the sweep
   // (see CleanJoinedNode); the chain placement's qualifying set is not.
   if (deferred) return Status::OK();
-  DAISY_ASSIGN_OR_RETURN(
-      *rows, RefilterChanged(*table_, filter_, *rows, fres.swept_rows));
+  *rows = RefilterChanged(*table_, filter, *rows, fres.swept_rows);
   return Status::OK();
 }
 

@@ -220,8 +220,8 @@ class ScanNode : public RowSetNode {
 
 /// Predicate filter over its child's batches. Compiles the expression
 /// against the table's ColumnCache typed arrays at every Open (the label's
-/// ` [columnar]` tag names that evaluator). query/eval's RowMaySatisfy is
-/// the row-at-a-time reference it must agree with.
+/// ` [columnar]` tag names that evaluator) and hands each batch to
+/// CompiledFilter::Filter, the one filter entry point.
 class FilterNode : public RowSetNode {
  public:
   FilterNode(const Table* table, const Expr* expr,
@@ -258,7 +258,9 @@ class CleanSelectStep {
   /// qualifying rows; `node->stats().switched_to_full` reports that the
   /// adaptive switch cleaned the whole table, after which the rows the
   /// sweep repaired are re-filtered (chain placement only). `deferred`
-  /// counts the run in rules_deferred and skips that re-filter.
+  /// counts the run in rules_deferred and skips that re-filter. The
+  /// table's filter is compiled once per run and serves both the
+  /// operator and the re-filter.
   Status Run(ExecContext* ctx, PlanNode* node, bool deferred,
              std::vector<RowId>* rows);
 

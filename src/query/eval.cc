@@ -1,8 +1,5 @@
 #include "query/eval.h"
 
-#include <algorithm>
-#include <iterator>
-
 namespace daisy {
 
 namespace {
@@ -130,83 +127,6 @@ bool JoinCellsMayMatch(const Cell& probe, const Cell& build) {
     if (IsPossibleValue(probe, c.value)) return true;
   }
   return has_range && CellsMayMatch(probe, CompareOp::kEq, build);
-}
-
-namespace {
-
-Result<size_t> ResolveLeafColumn(const Table& table, const ColumnRef& ref) {
-  if (!ref.table.empty() && ref.table != table.name()) {
-    return Status::NotFound("column " + ref.ToString() +
-                            " does not belong to table " + table.name());
-  }
-  return table.schema().ColumnIndex(ref.column);
-}
-
-}  // namespace
-
-Result<bool> RowMaySatisfy(const Table& table, RowId row, const Expr& expr) {
-  switch (expr.kind) {
-    case Expr::Kind::kCmp: {
-      DAISY_ASSIGN_OR_RETURN(size_t left_col,
-                             ResolveLeafColumn(table, expr.left));
-      if (expr.right_is_column) {
-        DAISY_ASSIGN_OR_RETURN(size_t right_col,
-                               ResolveLeafColumn(table, expr.right_col));
-        return CellsMayMatch(table.cell(row, left_col), expr.op,
-                             table.cell(row, right_col));
-      }
-      return CellMaySatisfy(table.cell(row, left_col), expr.op,
-                            expr.right_val);
-    }
-    case Expr::Kind::kAnd: {
-      for (const auto& child : expr.children) {
-        DAISY_ASSIGN_OR_RETURN(bool ok, RowMaySatisfy(table, row, *child));
-        if (!ok) return false;
-      }
-      return true;
-    }
-    case Expr::Kind::kOr: {
-      for (const auto& child : expr.children) {
-        DAISY_ASSIGN_OR_RETURN(bool ok, RowMaySatisfy(table, row, *child));
-        if (ok) return true;
-      }
-      return false;
-    }
-  }
-  return Status::Internal("unreachable expr kind");
-}
-
-Result<std::vector<RowId>> FilterRows(const Table& table, const Expr* expr,
-                                      const std::vector<RowId>& input) {
-  if (expr == nullptr) return input;
-  std::vector<RowId> out;
-  out.reserve(input.size());
-  for (RowId r : input) {
-    DAISY_ASSIGN_OR_RETURN(bool ok, RowMaySatisfy(table, r, *expr));
-    if (ok) out.push_back(r);
-  }
-  return out;
-}
-
-Result<std::vector<RowId>> RefilterChanged(
-    const Table& table, const Expr* expr,
-    const std::vector<RowId>& qualifying, const std::vector<RowId>& changed) {
-  std::vector<RowId> live;
-  live.reserve(changed.size());
-  for (RowId r : changed) {
-    if (table.is_live(r)) live.push_back(r);
-  }
-  DAISY_ASSIGN_OR_RETURN(std::vector<RowId> requalified,
-                         FilterRows(table, expr, live));
-  std::vector<RowId> kept;
-  kept.reserve(qualifying.size());
-  std::set_difference(qualifying.begin(), qualifying.end(), changed.begin(),
-                      changed.end(), std::back_inserter(kept));
-  std::vector<RowId> out;
-  out.reserve(kept.size() + requalified.size());
-  std::merge(kept.begin(), kept.end(), requalified.begin(), requalified.end(),
-             std::back_inserter(out));
-  return out;
 }
 
 void CollectExprColumns(const Expr& expr, const Table& table,

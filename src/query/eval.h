@@ -1,17 +1,20 @@
-// Probabilistic predicate evaluation over cells and rows.
+// Probabilistic predicate evaluation over cells, and WHERE-tree helpers.
 //
 // Query operators over the gradually-probabilistic dataset use *possible*
 // semantics: a tuple qualifies iff at least one candidate value of each
 // touched cell can satisfy the condition (Section 4: "query operators
 // output a tuple iff at least one candidate value qualifies"). Conjunctions
-// evaluate cell-wise, matching the attribute-level uncertainty model.
+// evaluate cell-wise, matching the attribute-level uncertainty model. A
+// WHERE tree over a table's rows is evaluated by plan/compiled_filter.h,
+// which calls the cell tests below for candidate-carrying cells; the joins
+// call them for join keys.
 
 #ifndef DAISY_QUERY_EVAL_H_
 #define DAISY_QUERY_EVAL_H_
 
+#include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "query/ast.h"
 #include "storage/table.h"
 
@@ -35,33 +38,12 @@ bool CellsMayMatch(const Cell& a, CompareOp op, const Cell& b);
 /// the point-key half of this test.
 bool JoinCellsMayMatch(const Cell& probe, const Cell& build);
 
-/// Evaluates a WHERE expression over one row of `table`. Every column leaf
-/// must resolve in the table's schema (the qualifier, if present, must be
-/// the table's name). kAnd = all children may hold; kOr = any.
-Result<bool> RowMaySatisfy(const Table& table, RowId row, const Expr& expr);
-
-/// Filters `input` rows of `table` by `expr` (null expr keeps everything).
-Result<std::vector<RowId>> FilterRows(const Table& table, const Expr* expr,
-                                      const std::vector<RowId>& input);
-
-/// The qualifying rows after the cells of `changed` were repaired, given
-/// `qualifying`, the rows that qualified before: a row outside `changed`
-/// qualifies as it did, a live row of `changed` is filtered against its
-/// repaired cells (a repair can narrow a range candidate, so a changed
-/// row may also drop out). `qualifying` and `changed` ascending, unique;
-/// the result is ascending. Only the changed rows are filtered.
-Result<std::vector<RowId>> RefilterChanged(const Table& table,
-                                           const Expr* expr,
-                                           const std::vector<RowId>& qualifying,
-                                           const std::vector<RowId>& changed);
-
 /// Flattens top-level ANDs of a WHERE tree into conjuncts.
 std::vector<const Expr*> SplitConjuncts(const Expr* expr);
 
 /// Appends the indices of `table`'s columns referenced by `expr` leaves
 /// (unqualified or qualified with the table's name; unresolvable leaves are
-/// skipped). Shared by rule-overlap planning and filter compilation so the
-/// two can never disagree on which columns a predicate touches.
+/// skipped). The planner's column sets and rule-overlap checks read it.
 void CollectExprColumns(const Expr& expr, const Table& table,
                         std::vector<size_t>* cols);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <numeric>
 #include <unordered_map>
 
@@ -58,18 +59,39 @@ bool PrefixUnchanged(const ColumnCache::Column& prev,
          std::equal(prev.dict.begin(), prev.dict.end(), next.dict.begin());
 }
 
+// Value::Compare with every NaN after every other number. Compare calls a
+// NaN equal to each number, which is no strict weak order: sorting with it
+// would scramble the ranks of the column's other values.
+int RankCompare(const Value& a, const Value& b) {
+  if (a.is_nan() && b.is_nan()) return 0;
+  if (a.is_nan() != b.is_nan() && a.is_numeric() && b.is_numeric()) {
+    return a.is_nan() ? 1 : -1;
+  }
+  return a.Compare(b);
+}
+
+// The sorted index's key order: ascending, a NaN after every other key.
+bool NumLess(double a, double b) {
+  return a < b || (std::isnan(b) && !std::isnan(a));
+}
+
+// The sorted index's entry order: by key (NumLess), then by row id.
+bool NumThenIdLess(const std::vector<double>& num, RowId a, RowId b) {
+  return NumLess(num[a], num[b]) || (!NumLess(num[b], num[a]) && a < b);
+}
+
 }  // namespace
 
 // Recomputes the dense rank relabeling (code -> rank, sorted_distinct,
-// per-row ranks) from the slot's dictionary and codes. Distinct-under-
-// Equals values never tie under Compare (NaN aside), but break ties by
-// code for determinism anyway.
+// per-row ranks) from the slot's dictionary and codes, under RankCompare.
+// Distinct-under-Equals values tie only when both are NaN (each NaN cell
+// has its own code); ties break by code.
 void ColumnCache::AssignRanks(Slot* slot) {
   Column& col = slot->col;
   std::vector<uint32_t> order(col.dict.size());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const int cmp = col.dict[a].Compare(col.dict[b]);
+    const int cmp = RankCompare(col.dict[a], col.dict[b]);
     if (cmp != 0) return cmp < 0;
     return a < b;
   });
@@ -102,6 +124,7 @@ void ColumnCache::Rebuild(size_t c) {
     fresh.probs.push_back(cell.is_probabilistic() ? 1 : 0);
     fresh.nulls.push_back(v.is_null() ? 1 : 0);
     if (v.is_null()) fresh.has_nulls = true;
+    if (v.is_nan()) fresh.has_nan = true;
     if (!v.is_null() && !v.is_numeric()) fresh.numeric_only = false;
     fresh.num.push_back(NumericCoord(v));
     auto [it, inserted] =
@@ -111,16 +134,11 @@ void ColumnCache::Rebuild(size_t c) {
   }
 
   // Sorted index over the numeric projection, row id as tiebreak — the
-  // exact comparator the theta-join detector has always partitioned with.
+  // order the theta-join detector partitions with.
   fresh.sorted_rows.resize(n);
   std::iota(fresh.sorted_rows.begin(), fresh.sorted_rows.end(), RowId{0});
   std::sort(fresh.sorted_rows.begin(), fresh.sorted_rows.end(),
-            [&](RowId a, RowId b) {
-              if (fresh.num[a] != fresh.num[b]) {
-                return fresh.num[a] < fresh.num[b];
-              }
-              return a < b;
-            });
+            [&](RowId a, RowId b) { return NumThenIdLess(fresh.num, a, b); });
   fresh.sorted_num.reserve(n);
   for (RowId r : fresh.sorted_rows) fresh.sorted_num.push_back(fresh.num[r]);
 
@@ -153,6 +171,7 @@ void ColumnCache::Extend(size_t c) {
     col.probs.push_back(cell.is_probabilistic() ? 1 : 0);
     col.nulls.push_back(v.is_null() ? 1 : 0);
     if (v.is_null()) col.has_nulls = true;
+    if (v.is_nan()) col.has_nan = true;
     if (!v.is_null() && !v.is_numeric()) col.numeric_only = false;
     col.num.push_back(NumericCoord(v));
     auto [it, inserted] =
@@ -179,13 +198,10 @@ void ColumnCache::Extend(size_t c) {
   // tail's smallest key never move, and no step gathers through `num`.
   // Every old row id is below every tail row id, so among equal keys the
   // old entries come first: the slot is the upper bound of the key.
-  const auto by_num_then_id = [&](RowId a, RowId b) {
-    if (col.num[a] != col.num[b]) return col.num[a] < col.num[b];
-    return a < b;
-  };
   std::vector<RowId> tail(n - old_n);
   std::iota(tail.begin(), tail.end(), old_n);
-  std::sort(tail.begin(), tail.end(), by_num_then_id);
+  std::sort(tail.begin(), tail.end(),
+            [&](RowId a, RowId b) { return NumThenIdLess(col.num, a, b); });
   col.sorted_rows.resize(n);
   col.sorted_num.resize(n);
   size_t old_end = old_n;  // old entries not yet placed: [0, old_end)
@@ -195,7 +211,7 @@ void ColumnCache::Extend(size_t c) {
     const double key = col.num[t];
     const size_t lo = static_cast<size_t>(
         std::upper_bound(col.sorted_num.begin(),
-                         col.sorted_num.begin() + old_end, key) -
+                         col.sorted_num.begin() + old_end, key, NumLess) -
         col.sorted_num.begin());
     std::copy_backward(col.sorted_rows.begin() + lo,
                        col.sorted_rows.begin() + old_end,
@@ -239,11 +255,6 @@ size_t ColumnCache::TrimmedDistinctCount(size_t c, double frac) {
   const double scaled = static_cast<double>(distinct) / (1.0 - 2.0 * frac);
   const size_t est = static_cast<size_t>(scaled + 0.5);
   return std::min(col.dict.size(), std::max<size_t>(1, est));
-}
-
-size_t ColumnCache::EnsureBuilt(const std::vector<size_t>& cols) {
-  for (size_t c : cols) (void)column(c);
-  return table_->num_rows();
 }
 
 void ColumnCache::RefreshBuilt() {

@@ -17,14 +17,16 @@
 //               code). Group-bys hash one uint32_t per row instead of a
 //               Value tuple.
 //  * `ranks`  — dense ranks under Value::Compare (nulls first, numerics by
-//               value, strings lexicographically). Same-column atom
-//               comparisons on rank are exact for every type, including
-//               int64 values beyond double precision.
+//               value, strings lexicographically), every NaN after every
+//               other number. Same-column atom comparisons on rank are
+//               exact for every type, including int64 values beyond double
+//               precision, on columns without NaN (Compare calls a NaN
+//               equal to every number, which no rank order can reproduce).
 //  * `nulls`  — null mask; EvalCompare's null semantics are re-applied on
 //               top of the flat arrays by consumers.
-//  * `sorted_rows`/`sorted_num` — row ids sorted by (num, row id) with the
-//               aligned projections, serving the detector's partition sort
-//               and binary-search range counts.
+//  * `sorted_rows`/`sorted_num` — row ids sorted by (num, row id), NaN
+//               keys last, with the aligned projections, serving the
+//               detector's partition sort and binary-search range counts.
 //
 // Invalidation protocol: Table bumps a per-column *content* version on
 // every mutable_cell access, the one path that may edit an original value
@@ -100,6 +102,7 @@ class ColumnCache {
     std::vector<double> sorted_num;      ///< num aligned with sorted_rows
     bool numeric_only = true;  ///< every non-null value is numeric
     bool has_nulls = false;    ///< some value is null
+    bool has_nan = false;      ///< some value is a NaN double
     /// Advances only when a rebuild changed the projection of a previously
     /// built row — appends (pure extensions, or rebuilds that merely picked
     /// up new rows) keep it, so detector coverage survives ingest batches.
@@ -176,12 +179,6 @@ class ColumnCache {
   /// while the central mass keeps the keys that actually join. Falls
   /// back to the dictionary size for non-numeric columns.
   size_t TrimmedDistinctCount(size_t c, double frac);
-
-  /// Batch-scan entry point: (re)builds the projections of every column in
-  /// `cols` in one call and returns the table's row count. Plan operators
-  /// call this once at Open so the per-batch hot loop reads fresh arrays
-  /// without rebuild checks interleaved with evaluation.
-  size_t EnsureBuilt(const std::vector<size_t>& cols);
 
   /// Re-freshens every *already built* column (rebuild on content change,
   /// extend on appends) and leaves never-touched columns lazy. The

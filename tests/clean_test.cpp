@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "datagen/workload.h"
 #include "offline/offline_cleaner.h"
+#include "plan/compiled_filter.h"
 #include "query/parser.h"
 
 namespace daisy {
@@ -128,8 +129,9 @@ TEST(CleanSelectTest, FdPathRepairsAndExtendsResult) {
   // Query: zip == 9001 (Example 3). Dirty result rows 0-2.
   auto stmt = ParseQuery("SELECT city FROM cities WHERE zip = 9001")
                   .ValueOrDie();
-  auto res = op.Run(stmt.where.get(), {0, 1, 2}, CleaningOptions{})
-                 .ValueOrDie();
+  const CompiledFilter filter =
+      CompiledFilter::Compile(t, *stmt.where).ValueOrDie();
+  auto res = op.Run(&filter, {0, 1, 2}, CleaningOptions{}).ValueOrDie();
   // Row 3 now qualifies: its zip candidates include 9001... row 3's zip
   // cell candidates are {9001, 10001} from the San Francisco rhs group.
   EXPECT_TRUE(std::find(res.final_rows.begin(), res.final_rows.end(), 3u) !=
@@ -148,9 +150,10 @@ TEST(CleanSelectTest, SecondRunIsPrunedByCheckedState) {
   CleanSelect op(&t, &dc, &prov, &fd, nullptr);
   auto stmt = ParseQuery("SELECT city FROM cities WHERE zip = 9001")
                   .ValueOrDie();
-  (void)op.Run(stmt.where.get(), {0, 1, 2}, CleaningOptions{}).ValueOrDie();
-  auto res =
-      op.Run(stmt.where.get(), {0, 1, 2}, CleaningOptions{}).ValueOrDie();
+  const CompiledFilter filter =
+      CompiledFilter::Compile(t, *stmt.where).ValueOrDie();
+  (void)op.Run(&filter, {0, 1, 2}, CleaningOptions{}).ValueOrDie();
+  auto res = op.Run(&filter, {0, 1, 2}, CleaningOptions{}).ValueOrDie();
   EXPECT_TRUE(res.pruned);
   EXPECT_EQ(res.errors_fixed, 0u);
 }

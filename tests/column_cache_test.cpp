@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "common/metrics.h"
 #include "storage/column_cache.h"
@@ -87,6 +89,28 @@ TEST(ColumnCacheTest, SortedIndexOrdersByProjectionThenRowId) {
   const ColumnCache::Column& col = t.columns().column(0);
   EXPECT_EQ(col.sorted_rows, (std::vector<RowId>{1, 3, 0, 2}));
   EXPECT_EQ(col.sorted_num, (std::vector<double>{1, 2, 3, 3}));
+}
+
+TEST(ColumnCacheTest, NanSortsLastInRanksAndSortedIndexAcrossExtend) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {2.0, nan, 1.0, nan, 0.5, 3.0, nan};
+  // Built after three rows, then extended by four (new distinct values, so
+  // the ranks are relabeled and the tail merges into the sorted index).
+  Table extended("t", Schema({{"x", ValueType::kDouble}}));
+  Table rebuilt("t", Schema({{"x", ValueType::kDouble}}));
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i == 3) EXPECT_TRUE(extended.columns().column(0).has_nan);
+    ASSERT_TRUE(extended.AppendRow({Value(values[i])}).ok());
+    ASSERT_TRUE(rebuilt.AppendRow({Value(values[i])}).ok());
+  }
+  const ColumnCache::Column& ext = extended.columns().column(0);
+  const ColumnCache::Column& full = rebuilt.columns().column(0);
+  // (num, row id) with every NaN key last; each NaN cell has its own code.
+  EXPECT_EQ(ext.sorted_rows, (std::vector<RowId>{4, 2, 0, 5, 1, 3, 6}));
+  EXPECT_EQ(full.sorted_rows, ext.sorted_rows);
+  EXPECT_EQ(ext.ranks, (std::vector<uint32_t>{2, 4, 1, 5, 0, 3, 6}));
+  EXPECT_EQ(full.ranks, ext.ranks);
+  EXPECT_TRUE(full.has_nan);
 }
 
 TEST(ColumnCacheTest, MutationBumpsOnlyAffectedColumnVersion) {

@@ -35,6 +35,7 @@
 #include "clean/daisy_engine.h"
 #include "detect/fd_delta.h"
 #include "common/rng.h"
+#include "filter_oracle.h"
 #include "plan/cardinality.h"
 #include "plan/optimizer.h"
 #include "plan/planner.h"
@@ -498,11 +499,12 @@ std::vector<RowId> PickVictims(const Table& t, size_t count, uint64_t salt) {
 // --------------------------------------------------- nested-loop oracle --
 
 // Reference join for the differentials below. Extends FROM-order prefixes
-// one table at a time over each table's filtered rows (row-path evaluator),
-// applies every join predicate to each extension — the earlier-FROM
-// endpoint as the probe cell, the orientation every join step uses — and
-// so emits tuples in lexicographic FROM-position row-id order. No hashing
-// and no plan: only the semantics every join tree must reproduce.
+// one table at a time over each table's filtered rows (the row-path
+// evaluator of filter_oracle.h), applies every join predicate to each
+// extension — the earlier-FROM endpoint as the probe cell, the orientation
+// every join step uses — and so emits tuples in lexicographic FROM-position
+// row-id order. No hashing and no plan: only the semantics every join tree
+// must reproduce.
 Result<QueryOutput> OracleQuery(Database* db, const std::string& sql) {
   DAISY_ASSIGN_OR_RETURN(SelectStmt stmt, ParseQuery(sql));
   std::vector<const Table*> tables;
@@ -515,8 +517,8 @@ Result<QueryOutput> OracleQuery(Database* db, const std::string& sql) {
   for (size_t i = 0; i < tables.size(); ++i) {
     DAISY_ASSIGN_OR_RETURN(
         std::vector<RowId> kept,
-        FilterRows(*tables[i], split.table_filters[i].get(),
-                   tables[i]->AllRowIds()));
+        testutil::FilterRows(*tables[i], split.table_filters[i].get(),
+                             tables[i]->AllRowIds()));
     rows.push_back(std::move(kept));
   }
   JoinedRows joined;

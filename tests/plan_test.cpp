@@ -1,20 +1,23 @@
 // Tests for the physical plan layer: compiled-filter equivalence with the
-// row-path evaluator (property-style over ops, nulls and candidate cells),
-// batch-size invariance, planner lowering through QueryExecutor, the
-// plan-time FROM width limit, and the join root's canonical tuple order.
+// row-path oracle (property-style over ops, nulls and candidate cells, and
+// a seeded differential over NaN, int64 beyond 2^53 and candidates written
+// after compilation), batch-size invariance, planner lowering through
+// QueryExecutor, the plan-time FROM width limit, and the join root's
+// canonical tuple order.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "filter_oracle.h"
 #include "plan/compiled_filter.h"
 #include "plan/planner.h"
-#include "query/eval.h"
 #include "query/parser.h"
 #include "storage/database.h"
 
@@ -74,17 +77,33 @@ std::unique_ptr<Expr> ParseWhere(const std::string& condition) {
   return std::move(stmt.where);
 }
 
-// The property: the compiled batch filter admits exactly the rows the
-// row-path evaluator admits.
+// The property: both entry points of the compiled filter admit exactly
+// the rows the row-path oracle admits, Filter in its input's order.
+::testing::AssertionResult MatchesOracle(const Table& t, const Expr& expr,
+                                         const CompiledFilter& compiled,
+                                         const std::vector<RowId>& input) {
+  const std::vector<RowId> oracle =
+      testutil::FilterRows(t, &expr, input).ValueOrDie();
+  std::vector<RowId> matched;
+  for (RowId r : input) {
+    if (compiled.Matches(r)) matched.push_back(r);
+  }
+  if (matched != oracle) {
+    return ::testing::AssertionFailure()
+           << "Matches: " << matched.size() << " rows, oracle "
+           << oracle.size() << ", predicate: " << expr.ToString();
+  }
+  if (compiled.Filter(input) != oracle) {
+    return ::testing::AssertionFailure()
+           << "Filter differs from the oracle, predicate: " << expr.ToString();
+  }
+  return ::testing::AssertionSuccess();
+}
+
 void ExpectEquivalent(const Table& t, const std::string& condition) {
   std::unique_ptr<Expr> expr = ParseWhere(condition);
-  auto row_path = FilterRows(t, expr.get(), t.AllRowIds()).ValueOrDie();
   auto compiled = CompiledFilter::Compile(t, *expr).ValueOrDie();
-  std::vector<RowId> columnar;
-  for (RowId r = 0; r < t.num_rows(); ++r) {
-    if (compiled.Matches(r)) columnar.push_back(r);
-  }
-  EXPECT_EQ(columnar, row_path) << "predicate: " << condition;
+  EXPECT_TRUE(MatchesOracle(t, *expr, compiled, t.AllRowIds()));
 }
 
 TEST(CompiledFilterTest, ConstantLeavesAllOpsAllTypes) {
@@ -158,6 +177,241 @@ TEST(CompiledFilterTest, UnknownColumnFailsCompile) {
   std::unique_ptr<Expr> qualified = ParseWhere("a > 1");
   qualified->left.table = "other";
   EXPECT_FALSE(CompiledFilter::Compile(t, *qualified).ok());
+}
+
+// ---------------------------------------------- Seeded filter differential --
+//
+// Tables whose values break a naive projection: NaN (Compare calls it equal
+// to every number), int64 2^53 and 2^53 + 1 (one double), infinities, -0.0,
+// nulls and strings, plus point and range candidates. Candidates are
+// written with SetCandidates both before and after Compile (point, range,
+// and reverts to none): a compiled filter must stay exact across repairs,
+// which is what lets cleanσ compile its filter once per run.
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+struct DiffConfig {
+  bool nan = true;       ///< double columns may hold NaN
+  bool big_ints = true;  ///< int columns may hold |v| >= 2^53
+};
+
+Value IntValue(Rng* rng, const DiffConfig& cfg) {
+  static const int64_t kSmall[] = {-3, 0, 1, 2, 7};
+  static const int64_t kBig[] = {kTwo53 - 1, kTwo53, kTwo53 + 1, kTwo53 + 2,
+                                 -kTwo53 - 1};
+  if (cfg.big_ints && rng->Bernoulli(0.5)) {
+    return Value(kBig[rng->UniformInt(0, 4)]);
+  }
+  return Value(kSmall[rng->UniformInt(0, 4)]);
+}
+
+Value DoubleValue(Rng* rng, const DiffConfig& cfg, bool nan_column) {
+  static const double kPool[] = {-1.5,
+                                 -0.0,
+                                 0.0,
+                                 2.0,
+                                 2.5,
+                                 7.0,
+                                 9007199254740992.0,  // 2^53
+                                 std::numeric_limits<double>::infinity()};
+  if (cfg.nan && nan_column && rng->Bernoulli(0.2)) {
+    return Value(std::numeric_limits<double>::quiet_NaN());
+  }
+  return Value(kPool[rng->UniformInt(0, 7)]);
+}
+
+Value StringValue(Rng* rng) {
+  static const char* kPool[] = {"", "a", "b", "s1", "zz"};
+  return Value(kPool[rng->UniformInt(0, 4)]);
+}
+
+// Columns: i, j int; d, e double (NaN-bearing per seed); s, u string.
+Value ColumnValue(Rng* rng, const DiffConfig& cfg, size_t col,
+                  bool nan_column) {
+  if (rng->Bernoulli(0.1)) return Value::Null();
+  switch (col) {
+    case 0:
+    case 1:
+      return IntValue(rng, cfg);
+    case 2:
+    case 3:
+      return DoubleValue(rng, cfg, nan_column);
+    default:
+      return StringValue(rng);
+  }
+}
+
+// A candidate set for a cell of `col`: empty (a revert), points, or one
+// range, bounds drawn like the column's values.
+std::vector<Candidate> RandomCandidates(Rng* rng, const DiffConfig& cfg,
+                                        size_t col) {
+  std::vector<Candidate> cands;
+  switch (rng->UniformInt(0, 3)) {
+    case 0:
+      return cands;
+    case 1:
+    case 2: {
+      const int64_t n = rng->UniformInt(1, 3);
+      for (int64_t k = 0; k < n; ++k) {
+        cands.push_back({ColumnValue(rng, cfg, col, true), 1.0 / n,
+                         static_cast<int32_t>(k), CandidateKind::kPoint});
+      }
+      return cands;
+    }
+    default: {
+      static const CandidateKind kRanges[] = {
+          CandidateKind::kLessThan, CandidateKind::kLessEq,
+          CandidateKind::kGreaterThan, CandidateKind::kGreaterEq};
+      Value bound = ColumnValue(rng, cfg, col, true);
+      if (bound.is_null()) bound = Value(int64_t{2});
+      cands.push_back({bound, 1.0, 0, kRanges[rng->UniformInt(0, 3)]});
+      return cands;
+    }
+  }
+}
+
+Table MakeDiffTable(Rng* rng, const DiffConfig& cfg, size_t rows) {
+  Table t("x", Schema({{"i", ValueType::kInt},
+                       {"j", ValueType::kInt},
+                       {"d", ValueType::kDouble},
+                       {"e", ValueType::kDouble},
+                       {"s", ValueType::kString},
+                       {"u", ValueType::kString}}));
+  // Per table, each double column holds NaN or not: both the per-cell path
+  // and the rank path see NaN-free double columns.
+  const bool d_nan = rng->Bernoulli(0.7);
+  const bool e_nan = rng->Bernoulli(0.3);
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < 6; ++c) {
+      row.push_back(ColumnValue(rng, cfg, c, c == 2 ? d_nan : e_nan));
+    }
+    EXPECT_TRUE(t.AppendRow(std::move(row)).ok());
+  }
+  return t;
+}
+
+// Writes a random candidate set into ~`frac` of the cells.
+void WriteCandidates(Rng* rng, const DiffConfig& cfg, double frac, Table* t) {
+  for (RowId r = 0; r < t->num_rows(); ++r) {
+    for (size_t c = 0; c < t->num_columns(); ++c) {
+      if (rng->Bernoulli(frac)) {
+        t->SetCandidates(r, c, RandomCandidates(rng, cfg, c));
+      }
+    }
+  }
+}
+
+// A random WHERE tree of depth <= `depth` over the table's columns:
+// leaves compare a column with another column or with a constant of any
+// type (NaN, 2^53 as a double, ints beyond 2^53, strings, null).
+std::unique_ptr<Expr> RandomExpr(Rng* rng, const DiffConfig& cfg, int depth) {
+  static const char* kCols[] = {"i", "j", "d", "e", "s", "u"};
+  static const CompareOp kOps[] = {CompareOp::kEq,  CompareOp::kNeq,
+                                   CompareOp::kLt,  CompareOp::kLeq,
+                                   CompareOp::kGt,  CompareOp::kGeq};
+  auto expr = std::make_unique<Expr>();
+  if (depth > 0 && rng->Bernoulli(0.4)) {
+    expr->kind = rng->Bernoulli(0.5) ? Expr::Kind::kAnd : Expr::Kind::kOr;
+    const int64_t n = rng->UniformInt(2, 3);
+    for (int64_t k = 0; k < n; ++k) {
+      expr->children.push_back(RandomExpr(rng, cfg, depth - 1));
+    }
+    return expr;
+  }
+  expr->kind = Expr::Kind::kCmp;
+  expr->left.column = kCols[rng->UniformInt(0, 5)];
+  expr->op = kOps[rng->UniformInt(0, 5)];
+  if (rng->Bernoulli(0.35)) {
+    expr->right_is_column = true;
+    expr->right_col.column = kCols[rng->UniformInt(0, 5)];
+  } else {
+    expr->right_val = ColumnValue(rng, cfg, rng->UniformInt(0, 5), true);
+  }
+  return expr;
+}
+
+// One seed: compile predicates, check them, write candidates, check the
+// same compiled filters again. Every check covers Matches, Filter over the
+// row ids in order, and Filter over a shuffled input.
+void RunFilterDifferential(uint64_t seed, const DiffConfig& cfg) {
+  Rng rng(seed);
+  Table t = MakeDiffTable(&rng, cfg, 48);
+  WriteCandidates(&rng, cfg, 0.1, &t);
+  std::vector<std::unique_ptr<Expr>> exprs;
+  std::vector<CompiledFilter> filters;
+  for (int k = 0; k < 12; ++k) {
+    exprs.push_back(RandomExpr(&rng, cfg, 2));
+    filters.push_back(CompiledFilter::Compile(t, *exprs.back()).ValueOrDie());
+  }
+  std::vector<RowId> shuffled = t.AllRowIds();
+  rng.Shuffle(&shuffled);
+  for (int round = 0; round < 3; ++round) {
+    for (size_t k = 0; k < exprs.size(); ++k) {
+      EXPECT_TRUE(MatchesOracle(t, *exprs[k], filters[k], t.AllRowIds()))
+          << "seed " << seed << " round " << round;
+      EXPECT_TRUE(MatchesOracle(t, *exprs[k], filters[k], shuffled))
+          << "seed " << seed << " round " << round << " (shuffled input)";
+    }
+    WriteCandidates(&rng, cfg, 0.15, &t);
+  }
+}
+
+TEST(CompiledFilterDifferential, MatchesOracleAcross120Seeds) {
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    RunFilterDifferential(seed, DiffConfig{});
+  }
+}
+
+TEST(CompiledFilterDifferential, NanColumnsMatchOracle) {
+  DiffConfig cfg;
+  cfg.big_ints = false;
+  for (uint64_t seed = 1001; seed <= 1040; ++seed) {
+    RunFilterDifferential(seed, cfg);
+  }
+}
+
+TEST(CompiledFilterDifferential, IntsBeyondTwoTo53MatchOracle) {
+  DiffConfig cfg;
+  cfg.nan = false;
+  for (uint64_t seed = 2001; seed <= 2040; ++seed) {
+    RunFilterDifferential(seed, cfg);
+  }
+}
+
+// The two divergences the differential found, pinned on fixed rows.
+TEST(CompiledFilterTest, NanColumnKeepsOtherValuesExact) {
+  Table t("m", Schema({{"d", ValueType::kDouble}}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double v : {1.0, nan, 2.0, 3.0, nan, 0.5, 2.0, 4.0}) {
+    ASSERT_TRUE(t.AppendRow({Value(v)}).ok());
+  }
+  const char* kOps[] = {"==", "!=", "<", "<=", ">", ">="};
+  for (const char* op : kOps) {
+    ExpectEquivalent(t, std::string("d ") + op + " 2.0");
+    ExpectEquivalent(t, std::string("d ") + op + " 9.0");
+    ExpectEquivalent(t, std::string("d ") + op + " d");
+  }
+  const ColumnCache::Column& col = t.columns().column(0);
+  EXPECT_TRUE(col.has_nan);
+  // Every NaN ranks after every number.
+  EXPECT_EQ(col.ranks[0], 1u);  // 0.5 < 1.0 < 2.0 < 3.0 < 4.0 < NaN, NaN
+  EXPECT_GT(col.ranks[1], col.ranks[7]);
+  EXPECT_GT(col.ranks[4], col.ranks[7]);
+}
+
+TEST(CompiledFilterTest, IntsBeyondTwoTo53CompareExactly) {
+  Table t("m", Schema({{"a", ValueType::kInt}, {"b", ValueType::kInt}}));
+  ASSERT_TRUE(t.AppendRow({Value(kTwo53), Value(kTwo53 + 1)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(kTwo53 + 1), Value(kTwo53)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(kTwo53 + 1), Value(kTwo53 + 1)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(int64_t{3}), Value(int64_t{3})}).ok());
+  const char* kOps[] = {"==", "!=", "<", "<=", ">", ">="};
+  for (const char* op : kOps) {
+    ExpectEquivalent(t, std::string("a ") + op + " b");
+    // 2^53 and 2^53 + 1 both widen to this double constant.
+    ExpectEquivalent(t, std::string("a ") + op + " 9007199254740992.0");
+  }
 }
 
 // ------------------------------------------------------------- Plan runs --

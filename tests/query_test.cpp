@@ -11,6 +11,7 @@
 #include "aggregate_oracle.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "filter_oracle.h"
 #include "query/eval.h"
 #include "query/executor.h"
 #include "query/parser.h"
@@ -149,24 +150,25 @@ TEST(EvalTest, CellsMayMatchOverlapSemantics) {
   EXPECT_TRUE(CellsMayMatch(a, CompareOp::kLt, c));
 }
 
+// The filter oracle's own semantics (tests/filter_oracle.h).
 TEST(EvalTest, RowMaySatisfyTree) {
   Table t("emp", EmpSchema());
   ASSERT_TRUE(t.AppendRow({Value("eng"), Value(120.0)}).ok());
   auto stmt = ParseQuery(
                   "SELECT * FROM emp WHERE dept = 'eng' AND salary > 100")
                   .ValueOrDie();
-  EXPECT_TRUE(RowMaySatisfy(t, 0, *stmt.where).ValueOrDie());
+  EXPECT_TRUE(testutil::RowMaySatisfy(t, 0, *stmt.where).ValueOrDie());
   auto stmt2 = ParseQuery(
                    "SELECT * FROM emp WHERE dept = 'hr' OR salary < 50")
                    .ValueOrDie();
-  EXPECT_FALSE(RowMaySatisfy(t, 0, *stmt2.where).ValueOrDie());
+  EXPECT_FALSE(testutil::RowMaySatisfy(t, 0, *stmt2.where).ValueOrDie());
 }
 
 TEST(EvalTest, UnknownColumnFails) {
   Table t("emp", EmpSchema());
   ASSERT_TRUE(t.AppendRow({Value("eng"), Value(1.0)}).ok());
   auto stmt = ParseQuery("SELECT * FROM emp WHERE nope = 1").ValueOrDie();
-  EXPECT_FALSE(RowMaySatisfy(t, 0, *stmt.where).ok());
+  EXPECT_FALSE(testutil::RowMaySatisfy(t, 0, *stmt.where).ok());
 }
 
 // -------------------------------------------------------------- Executor --
