@@ -6,10 +6,14 @@
 // options: the pre-persistence engine re-detects and re-repairs everything
 // from scratch (cold), while DaisyEngine::Open restores the snapshot and
 // resumes with detector coverage and repairs already warm. The bench
-// reports both wall times plus the snapshot write cost, asserts the warm
+// reports both wall times plus the snapshot write cost and size, asserts
+// the warm
 // engine's cleaning state is identical to the cold one's (same repaired
 // cells, rules fully checked, zero detection work on the next query), and
-// emits BENCH_recovery.json.
+// emits BENCH_recovery.json. `snapshot_bytes` and `repaired_cells` are
+// deterministic: the snapshot encodes each shared candidate set, source
+// list and conflicting-row set once, so its size tracks the distinct
+// repair distributions, not the repaired cells.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -130,6 +134,13 @@ int main() {
   Timer snapshot_timer;
   CheckOk(engine.EnablePersistence(state_dir), "enable persistence");
   const double snapshot_s = snapshot_timer.ElapsedSeconds();
+  const std::string snapshot_path = state_dir + "/snapshot-000001.dsnap";
+  struct stat snapshot_stat;
+  if (::stat(snapshot_path.c_str(), &snapshot_stat) != 0) {
+    std::fprintf(stderr, "[bench] no snapshot at %s\n", snapshot_path.c_str());
+    return 1;
+  }
+  const double snapshot_bytes = static_cast<double>(snapshot_stat.st_size);
 
   // Cold restart: what a restarted process paid before this layer —
   // rebuild from raw data and re-clean everything.
@@ -160,6 +171,7 @@ int main() {
 
   std::printf("  %-18s %10.4f s\n", "initial_clean", initial_clean_s);
   std::printf("  %-18s %10.4f s\n", "snapshot_write", snapshot_s);
+  std::printf("  %-18s %10.0f B\n", "snapshot_bytes", snapshot_bytes);
   std::printf("  %-18s %10.4f s\n", "cold_reclean", cold_s);
   std::printf("  %-18s %10.4f s\n", "warm_restore", warm_s);
   std::printf("  %-18s %9.1fx\n", "speedup",
@@ -171,6 +183,7 @@ int main() {
   result.counters = {
       {"initial_clean_ms", initial_clean_s * 1e3},
       {"snapshot_write_ms", snapshot_s * 1e3},
+      {"snapshot_bytes", snapshot_bytes},
       {"cold_reclean_ms", cold_s * 1e3},
       {"warm_restore_ms", warm_s * 1e3},
       {"speedup", warm_s > 0 ? cold_s / warm_s : 0.0},
@@ -184,8 +197,7 @@ int main() {
 
   // Best-effort temp-dir cleanup; a leftover file cannot affect the
   // measurements already written out.
-  (void)daisy::persist::RemoveFileIfExists(state_dir +
-                                           "/snapshot-000001.dsnap");
+  (void)daisy::persist::RemoveFileIfExists(snapshot_path);
   (void)daisy::persist::RemoveFileIfExists(state_dir + "/wal-000001.dwal");
   ::rmdir(state_dir.c_str());
   ::rmdir(dir);

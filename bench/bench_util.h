@@ -7,6 +7,7 @@
 #ifndef DAISY_BENCH_BENCH_UTIL_H_
 #define DAISY_BENCH_BENCH_UTIL_H_
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -176,9 +177,13 @@ class BenchJsonWriter {
                    i == 0 ? "" : ",", JsonEscape(r.name).c_str(), r.wall_ms);
       std::fprintf(f, ", \"counters\": {");
       for (size_t k = 0; k < r.counters.size(); ++k) {
-        std::fprintf(f, "%s\"%s\": %.6g", k == 0 ? "" : ", ",
-                     JsonEscape(r.counters[k].first).c_str(),
-                     r.counters[k].second);
+        // Integral counters print exactly (byte and pair counts pass
+        // 10^6); the rest keep six significant digits.
+        const double v = r.counters[k].second;
+        const bool exact = v == std::floor(v) && std::fabs(v) < 0x1p53;
+        std::fprintf(f, exact ? "%s\"%s\": %.0f" : "%s\"%s\": %.6g",
+                     k == 0 ? "" : ", ",
+                     JsonEscape(r.counters[k].first).c_str(), v);
       }
       std::fprintf(f, "}, \"config\": {");
       for (size_t k = 0; k < r.config.size(); ++k) {

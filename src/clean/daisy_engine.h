@@ -380,7 +380,8 @@ class DaisyEngine {
   // Persistence internals (persist/engine_persist.cc). All run with the
   // caller holding mu_ exclusively, except RestorePersistedState's WAL
   // replay which re-enters the public operations.
-  Status WriteSnapshotLocked(const std::string& path) DAISY_REQUIRES(*mu_);
+  /// The bytes of a snapshot of the current state.
+  Result<std::string> EncodeSnapshotLocked() DAISY_REQUIRES(*mu_);
   Status RestoreEngineState(const persist::EngineSnapshot& snap);
   /// Queues one encoded record on the group-commit queue, if a WAL is
   /// attached and this is not a replay. Called at the end of a successful
@@ -417,8 +418,16 @@ class DaisyEngine {
   /// `next` and starts its empty WAL. On success the engine serves from
   /// the new generation; old-generation files are deleted best-effort
   /// (an orphaned old generation is harmless — Open prefers the newest
-  /// parseable snapshot).
-  Status RotateGenerationLocked() DAISY_REQUIRES(*mu_);
+  /// parseable snapshot). Fills `stages`, when given, with the wall time
+  /// of each step; the three sum to the rotation.
+  struct CheckpointStages {
+    uint64_t encode_us = 0;  ///< building the snapshot bytes in memory
+    uint64_t write_us = 0;   ///< WriteFileAtomic: write, fsync, rename,
+                             ///< directory sync
+    uint64_t rotate_us = 0;  ///< group-commit drain, WAL N+1, old-gen cleanup
+  };
+  Status RotateGenerationLocked(CheckpointStages* stages = nullptr)
+      DAISY_REQUIRES(*mu_);
 
   // Members NOT annotated GUARDED_BY(mu_), deliberately: db_, options_ and
   // constraints_ are handed out through unlocked inline accessors under

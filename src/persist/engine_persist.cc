@@ -11,7 +11,6 @@
 #include "clean/daisy_engine.h"
 #include "common/logger.h"
 #include "common/metrics.h"
-#include "common/timer.h"
 #include "persist/env.h"
 #include "persist/format.h"
 #include "persist/io_util.h"
@@ -112,7 +111,7 @@ void DaisyEngine::SweepOrphanTmpFilesLocked() {
   if (removed) (void)persist::SyncDirectory(persist_dir_, env_);
 }
 
-Status DaisyEngine::WriteSnapshotLocked(const std::string& path) {
+Result<std::string> DaisyEngine::EncodeSnapshotLocked() {
   persist::EngineSnapshotView view;
   view.epoch = epoch_;
   view.options.mode =
@@ -138,7 +137,7 @@ Status DaisyEngine::WriteSnapshotLocked(const std::string& path) {
     }
     view.rules.push_back(std::move(rs));
   }
-  return persist::WriteSnapshot(path, view, env_);
+  return persist::EncodeSnapshot(view);
 }
 
 Status DaisyEngine::EnablePersistence(const std::string& dir,
@@ -162,7 +161,9 @@ Status DaisyEngine::EnablePersistence(const std::string& dir,
     }
   }
   const uint64_t seq = 1;
-  DAISY_RETURN_IF_ERROR(WriteSnapshotLocked(SnapshotPath(dir, seq)));
+  DAISY_ASSIGN_OR_RETURN(std::string bytes, EncodeSnapshotLocked());
+  DAISY_RETURN_IF_ERROR(
+      persist::WriteFileAtomic(SnapshotPath(dir, seq), bytes, env_));
   DAISY_ASSIGN_OR_RETURN(
       wal_, persist::WalWriter::Create(WalPath(dir, seq), env_));
   wal_queue_ = std::make_unique<persist::GroupCommitQueue>(wal_.get());
@@ -172,7 +173,20 @@ Status DaisyEngine::EnablePersistence(const std::string& dir,
   return Status::OK();
 }
 
-Status DaisyEngine::RotateGenerationLocked() {
+Status DaisyEngine::RotateGenerationLocked(CheckpointStages* stages) {
+  // Stage laps on one clock: a lap charges the whole microseconds since
+  // the previous one and carries the remainder, so the stages sum to the
+  // rotation.
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point last = Clock::now();
+  auto lap = [&last](uint64_t* stage_us) {
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+        Clock::now() - last);
+    *stage_us += static_cast<uint64_t>(us.count());
+    last += us;
+  };
+  CheckpointStages unused;
+  if (stages == nullptr) stages = &unused;
   // Drain the group-commit queue before any snapshot I/O: an in-flight
   // leader runs outside mu_, and the Env contract requires serialized
   // calls. Holding mu_ exclusively guarantees no new enqueue can race the
@@ -180,6 +194,7 @@ Status DaisyEngine::RotateGenerationLocked() {
   // could not commit fail their (unacked) ops, while their in-memory
   // effects are captured by the snapshot about to be written.
   (void)wal_queue_->Flush();
+  lap(&stages->rotate_us);
   const uint64_t next = persist_seq_ + 1;
   const std::string snap_path = SnapshotPath(persist_dir_, next);
   const std::string next_wal_path = WalPath(persist_dir_, next);
@@ -187,7 +202,12 @@ Status DaisyEngine::RotateGenerationLocked() {
   // become durable before anything of generation N disappears, so a crash
   // at any point leaves at least one complete generation on disk. Open()
   // prefers the newest parseable snapshot.
-  Status rotated = WriteSnapshotLocked(snap_path);
+  Result<std::string> bytes = EncodeSnapshotLocked();
+  lap(&stages->encode_us);
+  Status rotated =
+      bytes.ok() ? persist::WriteFileAtomic(snap_path, bytes.value(), env_)
+                 : bytes.status();
+  lap(&stages->write_us);
   std::unique_ptr<persist::WalWriter> next_wal;
   if (rotated.ok()) {
     Result<std::unique_ptr<persist::WalWriter>> created =
@@ -229,6 +249,7 @@ Status DaisyEngine::RotateGenerationLocked() {
   (void)persist::RemoveFileIfExists(SnapshotPath(persist_dir_, old), env_);
   (void)persist::SyncDirectory(persist_dir_, env_);
   SweepOrphanTmpFilesLocked();
+  lap(&stages->rotate_us);
   return Status::OK();
 }
 
@@ -238,8 +259,8 @@ Status DaisyEngine::Checkpoint() {
     return Status::Internal("Checkpoint() requires EnablePersistence/Open");
   }
   DAISY_RETURN_IF_ERROR(CheckWritableLocked());
-  Timer timer;
-  Status rotated = RotateGenerationLocked();
+  CheckpointStages stages;
+  Status rotated = RotateGenerationLocked(&stages);
   // A checkpoint that cannot complete leaves generation N serving, but
   // the I/O layer just proved itself unreliable: degrade and let
   // TryRecover() probe it back to health.
@@ -248,10 +269,18 @@ Status DaisyEngine::Checkpoint() {
   reg.GetCounter("daisy_persist_checkpoints_total",
                  "Completed checkpoint rotations")
       ->Increment();
-  reg.GetHistogram("daisy_persist_checkpoint_duration_us",
-                   /*first_bound=*/256, /*num_buckets=*/16,
-                   "Checkpoint (snapshot + WAL rotation) wall time")
-      ->Observe(static_cast<uint64_t>(timer.ElapsedMillis() * 1000.0));
+  for (const auto& [stage, us] :
+       {std::pair<const char*, uint64_t>{"encode", stages.encode_us},
+        {"write", stages.write_us},
+        {"rotate", stages.rotate_us}}) {
+    reg.GetHistogram(std::string("daisy_persist_checkpoint_stage_us{stage=\"") +
+                         stage + "\"}",
+                     /*first_bound=*/256, /*num_buckets=*/16,
+                     "Checkpoint wall time by stage: snapshot encode, "
+                     "atomic file write, WAL rotation; the stages sum to "
+                     "the checkpoint")
+        ->Observe(us);
+  }
   return Status::OK();
 }
 

@@ -24,6 +24,26 @@
 // section, or CRC mismatch — Open() then falls back to the previous
 // generation if one survives.
 //
+// Since v3 shared objects are interned by identity: the table section
+// writes each distinct candidate set once,
+//
+//   [8]  set count, then per set: [8] candidate count, the candidates
+//   [8]  probabilistic cell count, then per cell:
+//        [8] row  [4] column  [4] set index
+//
+// and the provenance section does the same per table for source lists and
+// conflicting-row sets (a null handle is an empty entry):
+//
+//   [8]  source-list count, then per list: [8] count, the sources
+//   [8]  row-set count, then per set: [8] count, the u64 row ids
+//   [8]  cell count, then per cell: [8] row  [4] column  [4] record count,
+//        per record: rule string, [4] pair tag, [4] source-list index,
+//        [4] row-set index
+//
+// The decoder rebuilds the sharing: cells or records naming one index get
+// one handle. An index past its table, or a count larger than the bytes
+// left could hold, is a ParseError.
+//
 // WAL layout:
 //
 //   [8]  magic "DSYWAL\x01\x00"
@@ -50,16 +70,21 @@ inline constexpr char kSnapshotMagic[8] = {'D', 'S', 'Y', 'S',
 inline constexpr char kWalMagic[8] = {'D', 'S', 'Y', 'W',
                                       'A', 'L', '\x01', '\x00'};
 
-/// Bumped on any incompatible change to the section payload encodings. A
-/// checked-in v1 fixture pins backward compatibility in the test suite.
+/// Bumped on any incompatible change to the section payload encodings.
+/// Checked-in fixtures of every older version (tests/testdata/golden_v*)
+/// pin backward compatibility in the test suite.
 /// v2 appends the optimizer flag to the meta section; readers accept every
 /// version in [kMinSnapshotVersion, kSnapshotVersion] and default fields a
 /// version predates (v1 snapshots load with optimizer = true, the engine
 /// default). The meta section of every version holds two bytes that once
 /// recorded the statistics- and theta-join pruning switches; pruning is no
 /// longer optional, so both are written as 1 and a reader rejects any other
-/// value with a ParseError naming the field.
-inline constexpr uint32_t kSnapshotVersion = 2;
+/// value with a ParseError naming the field. v3 writes each distinct
+/// candidate set, source list and conflicting-row set once (layout above);
+/// v1 and v2 inline them per cell and per record. The WAL's
+/// kWalImportProvenance payload keeps the per-record encoding: the WAL has
+/// no version field.
+inline constexpr uint32_t kSnapshotVersion = 3;
 inline constexpr uint32_t kMinSnapshotVersion = 1;
 
 // Section ids. New sections get fresh ids; ids are never reused.

@@ -61,6 +61,81 @@ ExactKey MakeExactKey(const Value& v) {
   return {0, 0, nullptr};
 }
 
+// ------------------------------------------------- candidates, sources --
+
+// Smallest encodings: a value tag byte plus the fixed-width fields.
+constexpr size_t kMinCandidateBytes = 1 + 8 + 4 + 1;
+constexpr size_t kMinSourceBytes = 1 + 8 + 1;
+
+void WriteCandidate(const Candidate& cand, BinaryWriter* w) {
+  w->WriteValue(cand.value);
+  w->WriteDouble(cand.prob);
+  w->WriteI32(cand.pair_id);
+  w->WriteU8(static_cast<uint8_t>(cand.kind));
+}
+
+Result<CandidateKind> ReadKind(BinaryReader* r, const char* what) {
+  DAISY_ASSIGN_OR_RETURN(uint8_t kind, r->ReadU8());
+  if (kind > static_cast<uint8_t>(CandidateKind::kGreaterEq)) {
+    return Status::ParseError("snapshot: unknown " + std::string(what) +
+                              " kind " + std::to_string(kind));
+  }
+  return static_cast<CandidateKind>(kind);
+}
+
+Result<Candidate> ReadCandidate(BinaryReader* r) {
+  Candidate cand;
+  DAISY_ASSIGN_OR_RETURN(cand.value, r->ReadValue());
+  DAISY_ASSIGN_OR_RETURN(cand.prob, r->ReadDouble());
+  DAISY_ASSIGN_OR_RETURN(cand.pair_id, r->ReadI32());
+  DAISY_ASSIGN_OR_RETURN(cand.kind, ReadKind(r, "candidate"));
+  return cand;
+}
+
+void WriteSource(const CandidateSource& src, BinaryWriter* w) {
+  w->WriteValue(src.value);
+  w->WriteDouble(src.count);
+  w->WriteU8(static_cast<uint8_t>(src.kind));
+}
+
+Result<CandidateSource> ReadSource(BinaryReader* r) {
+  CandidateSource src;
+  DAISY_ASSIGN_OR_RETURN(src.value, r->ReadValue());
+  DAISY_ASSIGN_OR_RETURN(src.count, r->ReadDouble());
+  DAISY_ASSIGN_OR_RETURN(src.kind, ReadKind(r, "source"));
+  return src;
+}
+
+// Numbers shared objects in first-appearance order, by identity: every
+// handle to one object gets one index, so the object is written once.
+template <typename T>
+class Interner {
+ public:
+  uint32_t Intern(const T* obj) {
+    auto [it, inserted] =
+        index_.emplace(obj, static_cast<uint32_t>(objects_.size()));
+    if (inserted) objects_.push_back(obj);
+    return it->second;
+  }
+  const std::vector<const T*>& objects() const { return objects_; }
+
+ private:
+  std::unordered_map<const T*, uint32_t> index_;
+  std::vector<const T*> objects_;
+};
+
+// The shared object at index `id` of a decoded table, or a ParseError.
+template <typename T>
+Result<T> SharedAt(const std::vector<T>& table, uint32_t id,
+                   const char* what) {
+  if (id >= table.size()) {
+    return Status::ParseError("snapshot: " + std::string(what) + " index " +
+                              std::to_string(id) + " out of range (" +
+                              std::to_string(table.size()) + " entries)");
+  }
+  return table[id];
+}
+
 // ---------------------------------------------------------------- tables --
 
 void EncodeTable(const Table& t, BinaryWriter* w) {
@@ -96,32 +171,92 @@ void EncodeTable(const Table& t, BinaryWriter* w) {
     for (uint32_t code : codes) w->WriteU32(code);
   }
 
-  // Sparse probabilistic cells with their candidate sets.
-  size_t prob_cells = 0;
+  // Candidate sets, each written once however many cells share it, then
+  // the sparse probabilistic cells by set index.
+  struct ProbCell {
+    RowId row;
+    uint32_t col;
+    uint32_t set;
+  };
+  Interner<CandidateSet> sets;
+  std::vector<ProbCell> prob_cells;
   for (RowId r = 0; r < rows; ++r) {
     for (size_t c = 0; c < t.num_columns(); ++c) {
-      if (t.cell(r, c).is_probabilistic()) ++prob_cells;
+      const CandidateSetPtr& set = t.cell(r, c).candidate_set();
+      if (set == nullptr) continue;
+      prob_cells.push_back(
+          {r, static_cast<uint32_t>(c), sets.Intern(set.get())});
     }
   }
-  w->WriteU64(prob_cells);
-  for (RowId r = 0; r < rows; ++r) {
-    for (size_t c = 0; c < t.num_columns(); ++c) {
-      const Cell& cell = t.cell(r, c);
-      if (!cell.is_probabilistic()) continue;
-      w->WriteU64(r);
-      w->WriteU32(static_cast<uint32_t>(c));
-      w->WriteU32(static_cast<uint32_t>(cell.candidates().size()));
-      for (const Candidate& cand : cell.candidates()) {
-        w->WriteValue(cand.value);
-        w->WriteDouble(cand.prob);
-        w->WriteI32(cand.pair_id);
-        w->WriteU8(static_cast<uint8_t>(cand.kind));
-      }
-    }
+  w->WriteU64(sets.objects().size());
+  for (const CandidateSet* set : sets.objects()) {
+    w->WriteU64(set->size());
+    for (const Candidate& cand : set->candidates()) WriteCandidate(cand, w);
+  }
+  w->WriteU64(prob_cells.size());
+  for (const ProbCell& pc : prob_cells) {
+    w->WriteU64(pc.row);
+    w->WriteU32(pc.col);
+    w->WriteU32(pc.set);
   }
 }
 
-Result<Table> DecodeTable(BinaryReader* r) {
+// `ncands` candidates, or a ParseError when the bytes left cannot hold
+// them.
+Result<CandidateSetPtr> ReadCandidateSet(BinaryReader* r, uint64_t ncands) {
+  if (ncands > r->remaining() / kMinCandidateBytes) {
+    return Status::ParseError("snapshot: candidate count " +
+                              std::to_string(ncands) +
+                              " exceeds the section size");
+  }
+  std::vector<Candidate> cands;
+  cands.reserve(ncands);
+  for (uint64_t k = 0; k < ncands; ++k) {
+    DAISY_ASSIGN_OR_RETURN(Candidate cand, ReadCandidate(r));
+    cands.push_back(std::move(cand));
+  }
+  return MakeCandidateSet(std::move(cands));
+}
+
+// The probabilistic cells of a decoded table: v1/v2 inline each cell's
+// candidates; v3 names a set of the table's distinct candidate sets by
+// index, and cells naming one index share one decoded set.
+Status DecodeCandidates(BinaryReader* r, uint32_t version, uint64_t rows,
+                        uint32_t ncols, Table* table) {
+  std::vector<CandidateSetPtr> sets;
+  if (version >= 3) {
+    DAISY_ASSIGN_OR_RETURN(uint64_t nsets, r->ReadCount(8));
+    sets.reserve(nsets);
+    for (uint64_t i = 0; i < nsets; ++i) {
+      DAISY_ASSIGN_OR_RETURN(uint64_t ncands, r->ReadU64());
+      DAISY_ASSIGN_OR_RETURN(CandidateSetPtr set, ReadCandidateSet(r, ncands));
+      sets.push_back(std::move(set));
+    }
+  }
+  DAISY_ASSIGN_OR_RETURN(uint64_t prob_cells, r->ReadCount(16));
+  for (uint64_t i = 0; i < prob_cells; ++i) {
+    DAISY_ASSIGN_OR_RETURN(uint64_t row, r->ReadU64());
+    DAISY_ASSIGN_OR_RETURN(uint32_t col, r->ReadU32());
+    if (row >= rows || col >= ncols) {
+      return Status::ParseError("snapshot: probabilistic cell (" +
+                                std::to_string(row) + ", " +
+                                std::to_string(col) + ") out of range in " +
+                                table->name());
+    }
+    CandidateSetPtr set;
+    if (version >= 3) {
+      DAISY_ASSIGN_OR_RETURN(uint32_t id, r->ReadU32());
+      DAISY_ASSIGN_OR_RETURN(set, SharedAt(sets, id, "candidate set"));
+    } else {
+      DAISY_ASSIGN_OR_RETURN(uint32_t ncands, r->ReadU32());
+      DAISY_ASSIGN_OR_RETURN(set, ReadCandidateSet(r, ncands));
+    }
+    table->SetCandidates(row, col, std::move(set));
+  }
+  return Status::OK();
+}
+
+Result<Table> DecodeTable(BinaryReader* r, uint32_t version) {
   DAISY_ASSIGN_OR_RETURN(std::string name, r->ReadString());
   DAISY_ASSIGN_OR_RETURN(uint32_t ncols, r->ReadU32());
   std::vector<Column> cols;
@@ -193,34 +328,7 @@ Result<Table> DecodeTable(BinaryReader* r) {
     table.AppendRowUnchecked(std::move(row));
   }
 
-  DAISY_ASSIGN_OR_RETURN(uint64_t prob_cells, r->ReadCount(16));
-  for (uint64_t i = 0; i < prob_cells; ++i) {
-    DAISY_ASSIGN_OR_RETURN(uint64_t row, r->ReadU64());
-    DAISY_ASSIGN_OR_RETURN(uint32_t col, r->ReadU32());
-    if (row >= rows || col >= ncols) {
-      return Status::ParseError("snapshot: probabilistic cell (" +
-                                std::to_string(row) + ", " +
-                                std::to_string(col) + ") out of range in " +
-                                name);
-    }
-    DAISY_ASSIGN_OR_RETURN(uint32_t ncands, r->ReadU32());
-    std::vector<Candidate> cands;
-    cands.reserve(ncands);
-    for (uint32_t k = 0; k < ncands; ++k) {
-      Candidate cand;
-      DAISY_ASSIGN_OR_RETURN(cand.value, r->ReadValue());
-      DAISY_ASSIGN_OR_RETURN(cand.prob, r->ReadDouble());
-      DAISY_ASSIGN_OR_RETURN(cand.pair_id, r->ReadI32());
-      DAISY_ASSIGN_OR_RETURN(uint8_t kind, r->ReadU8());
-      if (kind > static_cast<uint8_t>(CandidateKind::kGreaterEq)) {
-        return Status::ParseError("snapshot: unknown candidate kind " +
-                                  std::to_string(kind));
-      }
-      cand.kind = static_cast<CandidateKind>(kind);
-      cands.push_back(std::move(cand));
-    }
-    table.SetCandidates(row, col, std::move(cands));
-  }
+  DAISY_RETURN_IF_ERROR(DecodeCandidates(r, version, rows, ncols, &table));
 
   DAISY_RETURN_IF_ERROR(table.RestorePersistedState(
       std::move(dlog), append_version, delta_generation));
@@ -422,17 +530,147 @@ void EncodeProvenanceRecords(
     for (const RepairRecord& rec : records) {
       w->WriteString(rec.rule);
       w->WriteI32(rec.pair_tag);
-      w->WriteU32(static_cast<uint32_t>(rec.sources.size()));
-      for (const CandidateSource& s : rec.sources) {
-        w->WriteValue(s.value);
-        w->WriteDouble(s.count);
-        w->WriteU8(static_cast<uint8_t>(s.kind));
-      }
+      w->WriteU32(static_cast<uint32_t>(rec.source_list().size()));
+      for (const CandidateSource& src : rec.source_list()) WriteSource(src, w);
       w->WriteU64(rec.conflicting().size());
       for (RowId r : rec.conflicting()) w->WriteU64(r);
     }
   }
 }
+
+namespace {
+
+// A rule string (u32 length), the tag and two u32 fields: no record of
+// either layout encodes in fewer bytes.
+constexpr size_t kMinRecordBytes = 4 + 4 + 4 + 4;
+
+Result<uint32_t> ReadRecordCount(BinaryReader* r) {
+  DAISY_ASSIGN_OR_RETURN(uint32_t nrecs, r->ReadU32());
+  if (nrecs > r->remaining() / kMinRecordBytes) {
+    return Status::ParseError("snapshot: record count " +
+                              std::to_string(nrecs) +
+                              " exceeds the section size");
+  }
+  return nrecs;
+}
+
+// `n` sources, null when there are none, or a ParseError when the bytes
+// left cannot hold them.
+Result<SharedSources> ReadSources(BinaryReader* r, uint64_t n) {
+  if (n > r->remaining() / kMinSourceBytes) {
+    return Status::ParseError("snapshot: source count " + std::to_string(n) +
+                              " exceeds the section size");
+  }
+  if (n == 0) return SharedSources();
+  std::vector<CandidateSource> list;
+  list.reserve(n);
+  for (uint64_t k = 0; k < n; ++k) {
+    DAISY_ASSIGN_OR_RETURN(CandidateSource src, ReadSource(r));
+    list.push_back(std::move(src));
+  }
+  return ShareSources(std::move(list));
+}
+
+// A counted row-id list, null when empty.
+Result<SharedRows> ReadRows(BinaryReader* r) {
+  DAISY_ASSIGN_OR_RETURN(uint64_t n, r->ReadCount(8));
+  if (n == 0) return SharedRows();
+  std::vector<RowId> rows;
+  rows.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    DAISY_ASSIGN_OR_RETURN(uint64_t id, r->ReadU64());
+    rows.push_back(id);
+  }
+  return std::make_shared<const std::vector<RowId>>(std::move(rows));
+}
+
+// v3 provenance of one table: the distinct source lists and conflicting-
+// row sets, each written once however many records share it, then the
+// cells' records naming them by index. A null handle interns as an empty
+// entry.
+void EncodeSharedProvenance(
+    const std::map<ProvenanceStore::CellKey, std::vector<RepairRecord>>& recs,
+    BinaryWriter* w) {
+  Interner<std::vector<CandidateSource>> sources;
+  Interner<std::vector<RowId>> row_sets;
+  std::vector<std::pair<uint32_t, uint32_t>> ids;  // per record, in order
+  for (const auto& [key, records] : recs) {
+    for (const RepairRecord& rec : records) {
+      ids.emplace_back(sources.Intern(rec.sources.get()),
+                       row_sets.Intern(rec.conflicting_rows.get()));
+    }
+  }
+  w->WriteU64(sources.objects().size());
+  for (const std::vector<CandidateSource>* list : sources.objects()) {
+    w->WriteU64(list == nullptr ? 0 : list->size());
+    if (list == nullptr) continue;
+    for (const CandidateSource& src : *list) WriteSource(src, w);
+  }
+  w->WriteU64(row_sets.objects().size());
+  for (const std::vector<RowId>* rows : row_sets.objects()) {
+    w->WriteU64(rows == nullptr ? 0 : rows->size());
+    if (rows == nullptr) continue;
+    for (RowId r : *rows) w->WriteU64(r);
+  }
+  w->WriteU64(recs.size());
+  size_t next = 0;
+  for (const auto& [key, records] : recs) {
+    w->WriteU64(key.first);
+    w->WriteU32(static_cast<uint32_t>(key.second));
+    w->WriteU32(static_cast<uint32_t>(records.size()));
+    for (const RepairRecord& rec : records) {
+      w->WriteString(rec.rule);
+      w->WriteI32(rec.pair_tag);
+      w->WriteU32(ids[next].first);
+      w->WriteU32(ids[next].second);
+      ++next;
+    }
+  }
+}
+
+Result<std::map<ProvenanceStore::CellKey, std::vector<RepairRecord>>>
+DecodeSharedProvenance(BinaryReader* r) {
+  DAISY_ASSIGN_OR_RETURN(uint64_t nsources, r->ReadCount(8));
+  std::vector<SharedSources> sources;
+  sources.reserve(nsources);
+  for (uint64_t i = 0; i < nsources; ++i) {
+    DAISY_ASSIGN_OR_RETURN(uint64_t n, r->ReadU64());
+    DAISY_ASSIGN_OR_RETURN(SharedSources list, ReadSources(r, n));
+    sources.push_back(std::move(list));
+  }
+  DAISY_ASSIGN_OR_RETURN(uint64_t nrow_sets, r->ReadCount(8));
+  std::vector<SharedRows> row_sets;
+  row_sets.reserve(nrow_sets);
+  for (uint64_t i = 0; i < nrow_sets; ++i) {
+    DAISY_ASSIGN_OR_RETURN(SharedRows rows, ReadRows(r));
+    row_sets.push_back(std::move(rows));
+  }
+  std::map<ProvenanceStore::CellKey, std::vector<RepairRecord>> out;
+  DAISY_ASSIGN_OR_RETURN(uint64_t ncells, r->ReadCount(16));
+  for (uint64_t i = 0; i < ncells; ++i) {
+    DAISY_ASSIGN_OR_RETURN(uint64_t row, r->ReadU64());
+    DAISY_ASSIGN_OR_RETURN(uint32_t col, r->ReadU32());
+    DAISY_ASSIGN_OR_RETURN(uint32_t nrecs, ReadRecordCount(r));
+    std::vector<RepairRecord> records;
+    records.reserve(nrecs);
+    for (uint32_t k = 0; k < nrecs; ++k) {
+      RepairRecord rec;
+      DAISY_ASSIGN_OR_RETURN(rec.rule, r->ReadString());
+      DAISY_ASSIGN_OR_RETURN(rec.pair_tag, r->ReadI32());
+      DAISY_ASSIGN_OR_RETURN(uint32_t source_id, r->ReadU32());
+      DAISY_ASSIGN_OR_RETURN(uint32_t rows_id, r->ReadU32());
+      DAISY_ASSIGN_OR_RETURN(rec.sources,
+                             SharedAt(sources, source_id, "source list"));
+      DAISY_ASSIGN_OR_RETURN(rec.conflicting_rows,
+                             SharedAt(row_sets, rows_id, "row set"));
+      records.push_back(std::move(rec));
+    }
+    out.emplace(ProvenanceStore::CellKey{row, col}, std::move(records));
+  }
+  return out;
+}
+
+}  // namespace
 
 Result<std::map<ProvenanceStore::CellKey, std::vector<RepairRecord>>>
 DecodeProvenanceRecords(BinaryReader* r) {
@@ -441,7 +679,7 @@ DecodeProvenanceRecords(BinaryReader* r) {
   for (uint64_t i = 0; i < ncells; ++i) {
     DAISY_ASSIGN_OR_RETURN(uint64_t row, r->ReadU64());
     DAISY_ASSIGN_OR_RETURN(uint32_t col, r->ReadU32());
-    DAISY_ASSIGN_OR_RETURN(uint32_t nrecs, r->ReadU32());
+    DAISY_ASSIGN_OR_RETURN(uint32_t nrecs, ReadRecordCount(r));
     std::vector<RepairRecord> records;
     records.reserve(nrecs);
     for (uint32_t k = 0; k < nrecs; ++k) {
@@ -449,30 +687,8 @@ DecodeProvenanceRecords(BinaryReader* r) {
       DAISY_ASSIGN_OR_RETURN(rec.rule, r->ReadString());
       DAISY_ASSIGN_OR_RETURN(rec.pair_tag, r->ReadI32());
       DAISY_ASSIGN_OR_RETURN(uint32_t nsources, r->ReadU32());
-      rec.sources.reserve(nsources);
-      for (uint32_t s = 0; s < nsources; ++s) {
-        CandidateSource src;
-        DAISY_ASSIGN_OR_RETURN(src.value, r->ReadValue());
-        DAISY_ASSIGN_OR_RETURN(src.count, r->ReadDouble());
-        DAISY_ASSIGN_OR_RETURN(uint8_t kind, r->ReadU8());
-        if (kind > static_cast<uint8_t>(CandidateKind::kGreaterEq)) {
-          return Status::ParseError("snapshot: unknown source kind " +
-                                    std::to_string(kind));
-        }
-        src.kind = static_cast<CandidateKind>(kind);
-        rec.sources.push_back(std::move(src));
-      }
-      DAISY_ASSIGN_OR_RETURN(uint64_t nconf, r->ReadCount(8));
-      std::vector<RowId> conflicting;
-      conflicting.reserve(nconf);
-      for (uint64_t s = 0; s < nconf; ++s) {
-        DAISY_ASSIGN_OR_RETURN(uint64_t id, r->ReadU64());
-        conflicting.push_back(id);
-      }
-      if (!conflicting.empty()) {
-        rec.conflicting_rows =
-            std::make_shared<const std::vector<RowId>>(std::move(conflicting));
-      }
+      DAISY_ASSIGN_OR_RETURN(rec.sources, ReadSources(r, nsources));
+      DAISY_ASSIGN_OR_RETURN(rec.conflicting_rows, ReadRows(r));
       records.push_back(std::move(rec));
     }
     out.emplace(ProvenanceStore::CellKey{row, col}, std::move(records));
@@ -480,8 +696,7 @@ DecodeProvenanceRecords(BinaryReader* r) {
   return out;
 }
 
-Status WriteSnapshot(const std::string& path,
-                     const EngineSnapshotView& view, Env* env) {
+std::string EncodeSnapshot(const EngineSnapshotView& view) {
   std::string bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
   {
     BinaryWriter w;
@@ -529,14 +744,105 @@ Status WriteSnapshot(const std::string& path,
     if (view.provenance != nullptr) {
       for (const auto& [table, store] : *view.provenance) {
         w.WriteString(table);
-        EncodeProvenanceRecords(store.records(), &w);
+        EncodeSharedProvenance(store.records(), &w);
       }
     }
     AppendSection(kSectionProvenance, w.buffer(), &bytes);
   }
   AppendSection(kSectionEnd, std::string(), &bytes);
-  return WriteFileAtomic(path, bytes, env);
+  return bytes;
 }
+
+Status WriteSnapshot(const std::string& path, const EngineSnapshotView& view,
+                     Env* env) {
+  return WriteFileAtomic(path, EncodeSnapshot(view), env);
+}
+
+namespace {
+
+// Decodes one CRC-checked section payload into `snap`.
+Status DecodeSection(uint32_t id, uint32_t version, BinaryReader* section,
+                     EngineSnapshot* snap, bool* saw_end) {
+  switch (id) {
+    case kSectionEnd:
+      *saw_end = true;
+      break;
+    case kSectionMeta: {
+      DAISY_ASSIGN_OR_RETURN(snap->epoch, section->ReadU64());
+      DAISY_RETURN_IF_ERROR(section->ReadU32().status());  // table count
+      DAISY_RETURN_IF_ERROR(section->ReadU32().status());  // rule count
+      DAISY_ASSIGN_OR_RETURN(snap->options.mode, section->ReadU8());
+      if (snap->options.mode > 1) {
+        return Status::ParseError("snapshot: unknown engine mode " +
+                                  std::to_string(snap->options.mode));
+      }
+      DAISY_ASSIGN_OR_RETURN(snap->options.accuracy_threshold,
+                             section->ReadDouble());
+      DAISY_ASSIGN_OR_RETURN(snap->options.theta_partitions,
+                             section->ReadU64());
+      // The pruning switches are gone; a log written with one off cannot
+      // replay bit-identically on an engine that always prunes.
+      for (const char* field : {"use_statistics_pruning", "theta_pruning"}) {
+        DAISY_ASSIGN_OR_RETURN(uint8_t on, section->ReadU8());
+        if (on != 1) {
+          return Status::ParseError("snapshot: meta field " +
+                                    std::string(field) + " is " +
+                                    std::to_string(on) + ", expected 1");
+        }
+      }
+      if (version >= 2) {
+        DAISY_ASSIGN_OR_RETURN(uint8_t optimizer, section->ReadU8());
+        snap->options.optimizer = optimizer != 0;
+      }
+      break;
+    }
+    case kSectionTables: {
+      DAISY_ASSIGN_OR_RETURN(uint32_t n, section->ReadU32());
+      snap->tables.reserve(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        DAISY_ASSIGN_OR_RETURN(Table t, DecodeTable(section, version));
+        snap->tables.push_back(std::move(t));
+      }
+      break;
+    }
+    case kSectionConstraints: {
+      DAISY_ASSIGN_OR_RETURN(uint32_t n, section->ReadU32());
+      snap->constraints.reserve(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        DAISY_ASSIGN_OR_RETURN(DenialConstraint dc, DecodeConstraint(section));
+        snap->constraints.push_back(std::move(dc));
+      }
+      break;
+    }
+    case kSectionRuleStates: {
+      DAISY_ASSIGN_OR_RETURN(uint32_t n, section->ReadU32());
+      snap->rules.reserve(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        DAISY_ASSIGN_OR_RETURN(RuleSnapshot rs, DecodeRuleSnapshot(section));
+        snap->rules.push_back(std::move(rs));
+      }
+      break;
+    }
+    case kSectionProvenance: {
+      DAISY_ASSIGN_OR_RETURN(uint32_t n, section->ReadU32());
+      for (uint32_t i = 0; i < n; ++i) {
+        DAISY_ASSIGN_OR_RETURN(std::string table, section->ReadString());
+        DAISY_ASSIGN_OR_RETURN(
+            auto recs, version >= 3 ? DecodeSharedProvenance(section)
+                                    : DecodeProvenanceRecords(section));
+        snap->provenance.emplace(std::move(table), std::move(recs));
+      }
+      break;
+    }
+    default:
+      // Unknown section from a newer minor writer: the CRC was valid, so
+      // it is safe to skip — forward compatibility within a version.
+      break;
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<EngineSnapshot> ReadSnapshot(const std::string& path, Env* env) {
   DAISY_ASSIGN_OR_RETURN(std::string bytes, ReadFileFully(path, env));
@@ -578,80 +884,14 @@ Result<EngineSnapshot> ReadSnapshot(const std::string& path, Env* env) {
     }
     off += 12 + len + 4;
 
-    switch (id) {
-      case kSectionEnd:
-        saw_end = true;
-        break;
-      case kSectionMeta: {
-        DAISY_ASSIGN_OR_RETURN(snap.epoch, section.ReadU64());
-        DAISY_RETURN_IF_ERROR(section.ReadU32().status());  // table count
-        DAISY_RETURN_IF_ERROR(section.ReadU32().status());  // rule count
-        DAISY_ASSIGN_OR_RETURN(snap.options.mode, section.ReadU8());
-        if (snap.options.mode > 1) {
-          return Status::ParseError("snapshot: unknown engine mode " +
-                                    std::to_string(snap.options.mode));
-        }
-        DAISY_ASSIGN_OR_RETURN(snap.options.accuracy_threshold,
-                               section.ReadDouble());
-        DAISY_ASSIGN_OR_RETURN(snap.options.theta_partitions,
-                               section.ReadU64());
-        // The pruning switches are gone; a log written with one off cannot
-        // replay bit-identically on an engine that always prunes.
-        for (const char* field : {"use_statistics_pruning", "theta_pruning"}) {
-          DAISY_ASSIGN_OR_RETURN(uint8_t on, section.ReadU8());
-          if (on != 1) {
-            return Status::ParseError("snapshot: meta field " +
-                                      std::string(field) + " is " +
-                                      std::to_string(on) + ", expected 1");
-          }
-        }
-        if (version >= 2) {
-          DAISY_ASSIGN_OR_RETURN(uint8_t optimizer, section.ReadU8());
-          snap.options.optimizer = optimizer != 0;
-        }
-        break;
-      }
-      case kSectionTables: {
-        DAISY_ASSIGN_OR_RETURN(uint32_t n, section.ReadU32());
-        snap.tables.reserve(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          DAISY_ASSIGN_OR_RETURN(Table t, DecodeTable(&section));
-          snap.tables.push_back(std::move(t));
-        }
-        break;
-      }
-      case kSectionConstraints: {
-        DAISY_ASSIGN_OR_RETURN(uint32_t n, section.ReadU32());
-        snap.constraints.reserve(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          DAISY_ASSIGN_OR_RETURN(DenialConstraint dc, DecodeConstraint(&section));
-          snap.constraints.push_back(std::move(dc));
-        }
-        break;
-      }
-      case kSectionRuleStates: {
-        DAISY_ASSIGN_OR_RETURN(uint32_t n, section.ReadU32());
-        snap.rules.reserve(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          DAISY_ASSIGN_OR_RETURN(RuleSnapshot rs, DecodeRuleSnapshot(&section));
-          snap.rules.push_back(std::move(rs));
-        }
-        break;
-      }
-      case kSectionProvenance: {
-        DAISY_ASSIGN_OR_RETURN(uint32_t n, section.ReadU32());
-        for (uint32_t i = 0; i < n; ++i) {
-          DAISY_ASSIGN_OR_RETURN(std::string table, section.ReadString());
-          DAISY_ASSIGN_OR_RETURN(auto recs, DecodeProvenanceRecords(&section));
-          snap.provenance.emplace(std::move(table), std::move(recs));
-        }
-        break;
-      }
-      default:
-        // Unknown section from a newer minor writer: the CRC was valid, so
-        // it is safe to skip — forward compatibility within a version.
-        break;
+    // A short read inside a CRC-valid payload is a malformed snapshot too.
+    Status decoded = DecodeSection(id, version, &section, &snap, &saw_end);
+    if (!decoded.ok() && decoded.code() != StatusCode::kParseError) {
+      decoded = Status::ParseError("snapshot " + path + ": section " +
+                                   std::to_string(id) + ": " +
+                                   decoded.message());
     }
+    DAISY_RETURN_IF_ERROR(decoded);
   }
   return snap;
 }

@@ -4,18 +4,21 @@
 // The table section is columnar: per column a dictionary of distinct
 // original values (exact-type equality — int 5 and double 5.0 keep their
 // own entries, unlike the Equals-unified ColumnCache codes) plus one u32
-// code per physical row, followed by the sparse list of probabilistic
-// cells with their candidate sets, the tombstone log, and the ingest
-// counters. Dead rows are serialized like live ones — their storage is
-// provenance and row ids must stay stable across a restart.
+// code per physical row, after the ingest counters and the tombstone log.
+// Then (v3) the table of distinct candidate sets, each written once
+// however many cells share it, and the sparse list of probabilistic cells
+// naming a set by index. Dead rows are serialized like live ones — their
+// storage is provenance and row ids must stay stable across a restart.
 //
 // The state sections capture what a restarted engine cannot cheaply
 // re-derive: per-rule checked bitmaps and pending ingest work, theta-join
 // coverage + maintained violation sets, cost-model ledgers, and the full
-// ProvenanceStore. FD group state is deliberately NOT serialized:
-// FdDeltaDetector's maintained state is bit-identical to a fresh build
-// over the restored rows (tests/differential_test.cpp pins it), so
-// Prepare() reconstructs it in O(n) with no detection or repair work.
+// ProvenanceStore (v3: distinct source lists and conflicting-row sets in
+// tables, records naming them by index). FD group state is deliberately
+// NOT serialized: FdDeltaDetector's maintained state is bit-identical to a
+// fresh build over the restored rows (tests/differential_test.cpp pins
+// it), so Prepare() reconstructs it in O(n) with no detection or repair
+// work.
 
 #ifndef DAISY_PERSIST_SNAPSHOT_H_
 #define DAISY_PERSIST_SNAPSHOT_H_
@@ -87,6 +90,9 @@ struct EngineSnapshotView {
   const std::map<std::string, ProvenanceStore>* provenance = nullptr;
 };
 
+/// The snapshot file's bytes for `view`: every payload section, framed.
+std::string EncodeSnapshot(const EngineSnapshotView& view);
+
 /// Serializes `view` to `path` atomically: the bytes are written to
 /// `path.tmp`, fsync'd, renamed over `path`, and the directory entry is
 /// fsync'd — a crash mid-write never leaves a half snapshot under the
@@ -99,7 +105,8 @@ Status WriteSnapshot(const std::string& path, const EngineSnapshotView& view,
 Result<EngineSnapshot> ReadSnapshot(const std::string& path,
                                     Env* env = nullptr);
 
-// Record-payload helpers shared with the WAL encoding.
+// The per-record provenance payload of the WAL's import record, and of
+// v1/v2 snapshots (v3 snapshots write each shared list once instead).
 void EncodeProvenanceRecords(
     const std::map<ProvenanceStore::CellKey, std::vector<RepairRecord>>& recs,
     BinaryWriter* w);

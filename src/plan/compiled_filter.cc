@@ -56,7 +56,7 @@ Result<CompiledFilter::Node> CompiledFilter::CompileNode(const Expr& expr) {
       node.lkind = LeafKind::kConstNull;
       return node;
     }
-    if (left.has_nan || node.rhs_val.is_nan()) {
+    if (!left.ranks_exact() || node.rhs_val.is_nan()) {
       node.lkind = LeafKind::kRowFallback;
       return node;
     }
@@ -78,7 +78,7 @@ Result<CompiledFilter::Node> CompiledFilter::CompileNode(const Expr& expr) {
   node.rnum = &right.num;
   node.rnulls = &right.nulls;
   node.rprob = &right.probs;
-  if (left.has_nan || right.has_nan) {
+  if (!left.ranks_exact() || !right.ranks_exact()) {
     node.lkind = LeafKind::kRowFallback;
   } else if (node.left_col == node.right_col) {
     node.lkind = LeafKind::kSameColRank;

@@ -16,6 +16,9 @@
 //    cells. Anything involving strings keeps a per-row cell fallback.
 //  * a column holding a NaN, or a NaN constant, evaluates per cell:
 //    Compare calls a NaN equal to every number, which no order reproduces.
+//    So does a column mixing doubles with ints at or beyond 2^53, where
+//    Compare calls two distinct ints equal to one double
+//    (ColumnCache::Column::ranks_exact).
 //
 // Cells that carry repair candidates take the exact CellMaySatisfy/
 // CellsMayMatch path via the cache's probabilistic mask (Column::probs).
@@ -56,7 +59,8 @@ class CompiledFilter {
     kConstNull,   ///< col op null constant, via null mask only
     kSameColRank, ///< col op same col, via ranks
     kNumericCols, ///< col op other numeric-only col, via double projections
-    kRowFallback, ///< per-cell evaluation (strings across columns, NaN)
+    kRowFallback, ///< per-cell evaluation (strings across columns,
+                  ///< a column without ranks_exact())
   };
 
   struct Node {

@@ -8,8 +8,7 @@ namespace daisy {
 
 namespace {
 
-std::vector<CandidateSource> ToSources(
-    std::vector<std::pair<Value, size_t>> hist) {
+SharedSources ToSources(std::vector<std::pair<Value, size_t>> hist) {
   SortFdRhsHistogram(&hist);
   std::vector<CandidateSource> sources;
   sources.reserve(hist.size());
@@ -17,28 +16,27 @@ std::vector<CandidateSource> ToSources(
     sources.push_back(
         {std::move(value), static_cast<double>(count), CandidateKind::kPoint});
   }
-  return sources;
+  return ShareSources(std::move(sources));
 }
 
 // P(lhs | rhs) of one rhs bucket: per lhs attribute, the histogram of the
-// bucket's values, or no sources when the attribute is single-valued there
-// (the cell stays clean).
-std::vector<std::vector<CandidateSource>> LhsSources(
-    const Table& table, const FdView& fd, const std::vector<RowId>& bucket) {
-  std::vector<std::vector<CandidateSource>> out;
+// bucket's values, or null when the attribute is single-valued there (the
+// cell stays clean).
+std::vector<SharedSources> LhsSources(const Table& table, const FdView& fd,
+                                      const std::vector<RowId>& bucket) {
+  std::vector<SharedSources> out;
   out.reserve(fd.lhs.size());
   for (size_t lhs_col : fd.lhs) {
     std::unordered_map<Value, size_t, ValueHash> hist;
     for (RowId o : bucket) hist[table.cell(o, lhs_col).original()] += 1;
-    out.push_back(hist.size() <= 1
-                      ? std::vector<CandidateSource>{}
-                      : ToSources({hist.begin(), hist.end()}));
+    out.push_back(hist.size() <= 1 ? nullptr
+                                   : ToSources({hist.begin(), hist.end()}));
   }
   return out;
 }
 
 RepairRecord MakeRecord(const DenialConstraint& dc, int32_t pair_tag,
-                        const std::vector<CandidateSource>& sources,
+                        const SharedSources& sources,
                         const SharedRows& conflicting_rows) {
   RepairRecord rec;
   rec.rule = dc.name();
@@ -60,8 +58,8 @@ struct Derived {
   Sources sources;
   SharedRows rows;
 };
-using RhsDistribution = Derived<std::vector<CandidateSource>>;
-using LhsDistribution = Derived<std::vector<std::vector<CandidateSource>>>;
+using RhsDistribution = Derived<SharedSources>;
+using LhsDistribution = Derived<std::vector<SharedSources>>;
 
 }  // namespace
 
@@ -108,7 +106,7 @@ RepairStats RepairFdViolations(Table* table, const FdDeltaDetector& fd,
     }
     const LhsDistribution& lhs_dist = lhs_it->second;
     for (size_t i = 0; i < view.lhs.size(); ++i) {
-      if (lhs_dist.sources[i].empty()) continue;
+      if (lhs_dist.sources[i] == nullptr) continue;
       provenance->Record(table, r, view.lhs[i],
                          MakeRecord(dc, 1, lhs_dist.sources[i], lhs_dist.rows));
       ++stats.cells_repaired;
@@ -131,7 +129,7 @@ void RefreshFdLhsCandidates(Table* table, const FdDeltaDetector& fd,
         lhs = {LhsSources(*table, view, bucket), ShareRows(bucket)};
       }
       for (size_t i = 0; i < view.lhs.size(); ++i) {
-        if (lhs.sources[i].empty()) {
+        if (lhs.sources[i] == nullptr) {
           provenance->DropRecord(table, r, view.lhs[i], dc.name(), 1);
         } else {
           provenance->Record(table, r, view.lhs[i],

@@ -26,7 +26,73 @@ bool TighterBound(CandidateKind kind, const Value& a, const Value& b) {
   return false;
 }
 
+// A cell's candidate set as a pure function of its records: sources
+// unioned by (tag, kind, value) with counts summed across rules (ranges of
+// one direction keep the tightest bound), sorted by (tag, kind, value),
+// normalized over the cell. Null when the records hold no source.
+CandidateSetPtr DeriveCandidates(const std::vector<RepairRecord>& records) {
+  // Union sources across rules: key = (pair_tag, kind, value), counts sum.
+  struct Merged {
+    int32_t tag;
+    CandidateKind kind;
+    Value value;
+    double count;
+  };
+  std::vector<Merged> merged;
+  for (const RepairRecord& rec : records) {
+    for (const CandidateSource& src : rec.source_list()) {
+      bool found = false;
+      for (Merged& m : merged) {
+        if (m.tag != rec.pair_tag || m.kind != src.kind) continue;
+        if (IsRangeKind(src.kind)) {
+          m.count += src.count;
+          if (TighterBound(src.kind, src.value, m.value)) m.value = src.value;
+          found = true;
+          break;
+        }
+        if (m.value == src.value) {
+          m.count += src.count;
+          found = true;
+          break;
+        }
+      }
+      if (!found) {
+        merged.push_back({rec.pair_tag, src.kind, src.value, src.count});
+      }
+    }
+  }
+  // Deterministic order regardless of record arrival: sort by tag, kind,
+  // then value.
+  std::sort(merged.begin(), merged.end(), [](const Merged& a, const Merged& b) {
+    if (a.tag != b.tag) return a.tag < b.tag;
+    if (a.kind != b.kind) return a.kind < b.kind;
+    return a.value.Compare(b.value) < 0;
+  });
+  std::vector<Candidate> cands;
+  cands.reserve(merged.size());
+  for (const Merged& m : merged) {
+    Candidate c;
+    c.value = m.value;
+    c.prob = m.count;
+    c.pair_id = m.tag;
+    c.kind = m.kind;
+    cands.push_back(std::move(c));
+  }
+  NormalizeCandidates(&cands);
+  return MakeCandidateSet(std::move(cands));
+}
+
 }  // namespace
+
+SharedSources ShareSources(std::vector<CandidateSource> sources) {
+  return std::make_shared<const std::vector<CandidateSource>>(
+      std::move(sources));
+}
+
+const std::vector<CandidateSource>& RepairRecord::source_list() const {
+  static const std::vector<CandidateSource> kNone;
+  return sources == nullptr ? kNone : *sources;
+}
 
 const std::vector<RowId>& RepairRecord::conflicting() const {
   static const std::vector<RowId> kNone;
@@ -64,9 +130,11 @@ void ProvenanceStore::AppendSources(
     recs.push_back(RepairRecord{rule, pair_tag, {}, {}});
     target = &recs.back();
   }
+  // The sources may be shared with other records: grow a copy.
+  std::vector<CandidateSource> grown_sources = target->source_list();
   for (const CandidateSource& src : sources) {
     bool merged = false;
-    for (CandidateSource& existing : target->sources) {
+    for (CandidateSource& existing : grown_sources) {
       if (existing.kind != src.kind) continue;
       if (IsRangeKind(src.kind)) {
         // Range candidates of the same direction consolidate to the
@@ -85,9 +153,10 @@ void ProvenanceStore::AppendSources(
         break;
       }
     }
-    if (!merged) target->sources.push_back(src);
+    if (!merged) grown_sources.push_back(src);
   }
-  // The set may be shared with other records: grow a copy.
+  target->sources = ShareSources(std::move(grown_sources));
+  // The rows may be shared with other records too.
   std::vector<RowId> grown = target->conflicting();
   const size_t before = grown.size();
   for (RowId r : conflicting_rows) {
@@ -193,61 +262,38 @@ void ProvenanceStore::DropRecord(Table* table, RowId row, size_t col,
   RebuildCell(table, row, col);
 }
 
-void ProvenanceStore::RebuildCell(Table* table, RowId row, size_t col) const {
+void ProvenanceStore::RebuildCell(Table* table, RowId row, size_t col) {
   auto it = records_.find({row, col});
   if (it == records_.end() || it->second.empty()) {
-    table->SetCandidates(row, col, {});
+    table->SetCandidates(row, col, nullptr);
     return;
   }
-  // Union sources across rules: key = (pair_tag, kind, value), counts sum.
-  struct Merged {
-    int32_t tag;
-    CandidateKind kind;
-    Value value;
-    double count;
-  };
-  std::vector<Merged> merged;
-  for (const RepairRecord& rec : it->second) {
-    for (const CandidateSource& src : rec.sources) {
-      bool found = false;
-      for (Merged& m : merged) {
-        if (m.tag != rec.pair_tag || m.kind != src.kind) continue;
-        if (IsRangeKind(src.kind)) {
-          m.count += src.count;
-          if (TighterBound(src.kind, src.value, m.value)) m.value = src.value;
-          found = true;
-          break;
-        }
-        if (m.value == src.value) {
-          m.count += src.count;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        merged.push_back({rec.pair_tag, src.kind, src.value, src.count});
-      }
+  const std::vector<RepairRecord>& recs = it->second;
+  table->SetCandidates(row, col,
+                       recs.size() == 1 ? SetOfSingleRecord(recs)
+                                        : DeriveCandidates(recs));
+}
+
+CandidateSetPtr ProvenanceStore::SetOfSingleRecord(
+    const std::vector<RepairRecord>& recs) {
+  const RepairRecord& rec = recs.front();
+  // Only this record holds its sources: nothing can share the set.
+  if (rec.sources == nullptr || rec.sources.use_count() == 1) {
+    return DeriveCandidates(recs);
+  }
+  SharedSet& entry = shared_sets_[rec.sources.get()];
+  if (entry.sources.lock() == rec.sources && entry.pair_tag == rec.pair_tag) {
+    return entry.set;
+  }
+  entry = {rec.sources, rec.pair_tag, DeriveCandidates(recs)};
+  CandidateSetPtr set = entry.set;
+  if (shared_sets_.size() >= prune_shared_sets_at_) {
+    for (auto e = shared_sets_.begin(); e != shared_sets_.end();) {
+      e = e->second.sources.expired() ? shared_sets_.erase(e) : std::next(e);
     }
+    prune_shared_sets_at_ = std::max<size_t>(64, 2 * shared_sets_.size());
   }
-  // Deterministic order regardless of record arrival: sort by tag, kind,
-  // then value.
-  std::sort(merged.begin(), merged.end(), [](const Merged& a, const Merged& b) {
-    if (a.tag != b.tag) return a.tag < b.tag;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.value.Compare(b.value) < 0;
-  });
-  std::vector<Candidate> cands;
-  cands.reserve(merged.size());
-  for (const Merged& m : merged) {
-    Candidate c;
-    c.value = m.value;
-    c.prob = m.count;
-    c.pair_id = m.tag;
-    c.kind = m.kind;
-    cands.push_back(std::move(c));
-  }
-  NormalizeCandidates(&cands);
-  table->SetCandidates(row, col, std::move(cands));
+  return set;
 }
 
 }  // namespace daisy

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,12 @@ struct CandidateSource {
 /// An immutable row-id set shared by the records derived from it.
 using SharedRows = std::shared_ptr<const std::vector<RowId>>;
 
+/// An immutable source list shared by the records derived from it.
+using SharedSources = std::shared_ptr<const std::vector<CandidateSource>>;
+
+/// The shared handle of `sources`.
+SharedSources ShareSources(std::vector<CandidateSource> sources);
+
 /// The outcome of repairing one cell under one rule.
 struct RepairRecord {
   std::string rule;
@@ -39,12 +46,18 @@ struct RepairRecord {
   /// side is clean (rhs repair), 1 = lhs repair, matching the two tuple
   /// instances of Section 4.1. General-DC range fixes use tag 0.
   int32_t pair_tag = 0;
-  std::vector<CandidateSource> sources;
+  /// The candidate values with their frequencies. FD repair shares one
+  /// list among the records of a whole lhs group (P(rhs | lhs)) or rhs
+  /// bucket (P(lhs | rhs)); null means none.
+  SharedSources sources;
   /// Row ids of the conflicting tuples this fix was derived from (the T_i
   /// sets in Lemma 4) — kept for inference and audits. FD repair shares one
   /// set among the records of a whole lhs group or rhs bucket; null means
   /// none were recorded.
   SharedRows conflicting_rows;
+
+  /// The sources, empty when there are none.
+  const std::vector<CandidateSource>& source_list() const;
 
   /// The conflicting rows, empty when none were recorded.
   const std::vector<RowId>& conflicting() const;
@@ -107,12 +120,19 @@ class ProvenanceStore {
   /// Number of distinct cells with at least one record.
   size_t NumRepairedCells() const { return records_.size(); }
 
-  /// Re-derives the candidate set of a cell from all its records: union by
-  /// (tag, kind, value) with counts summed across rules, then normalized
-  /// over the cell. The result is independent of record insertion order.
-  void RebuildCell(Table* table, RowId row, size_t col) const;
+  /// Re-derives the candidate set of a cell from all its records: union
+  /// by (tag, kind, value) with counts summed across rules, then
+  /// normalized over the cell. The result is independent of record
+  /// insertion order. Every cell whose one record holds the same shared
+  /// sources and tag gets the same shared set; a cell merging several
+  /// records, or holding the only reference to its sources (a DC record
+  /// grown by AppendSources), gets a set of its own.
+  void RebuildCell(Table* table, RowId row, size_t col);
 
-  void Clear() { records_.clear(); }
+  void Clear() {
+    records_.clear();
+    shared_sets_.clear();
+  }
 
   using CellKey = std::pair<RowId, size_t>;
 
@@ -133,7 +153,23 @@ class ProvenanceStore {
       Table* table, std::map<CellKey, std::vector<RepairRecord>>::iterator it,
       const std::string& rule);
 
+  /// The set of a cell whose only record is recs.front(), shared through
+  /// shared_sets_ when other records may hold the same sources.
+  CandidateSetPtr SetOfSingleRecord(const std::vector<RepairRecord>& recs);
+
   std::map<CellKey, std::vector<RepairRecord>> records_;
+
+  /// Sources object -> the set derived from it alone. An entry is live
+  /// while its sources are (the weak handle tells a reused address from
+  /// the original); dead entries are pruned whenever the map doubles.
+  struct SharedSet {
+    std::weak_ptr<const std::vector<CandidateSource>> sources;
+    int32_t pair_tag = 0;
+    CandidateSetPtr set;
+  };
+  std::unordered_map<const std::vector<CandidateSource>*, SharedSet>
+      shared_sets_;
+  size_t prune_shared_sets_at_ = 64;
 };
 
 }  // namespace daisy

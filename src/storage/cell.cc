@@ -28,20 +28,36 @@ void NormalizeCandidates(std::vector<Candidate>* cands) {
   for (Candidate& c : *cands) c.prob /= total;
 }
 
-const Value& Cell::MostProbable() const {
-  if (candidates_.empty()) return original_;
-  const Candidate* best = nullptr;
-  for (const Candidate& c : candidates_) {
-    if (c.kind != CandidateKind::kPoint) continue;
-    if (best == nullptr || c.prob > best->prob) best = &c;
+CandidateSet::CandidateSet(std::vector<Candidate> cands)
+    : cands_(std::move(cands)), best_(cands_.size()) {
+  for (size_t i = 0; i < cands_.size(); ++i) {
+    if (cands_[i].kind != CandidateKind::kPoint) continue;
+    if (best_ == cands_.size() || cands_[i].prob > cands_[best_].prob) {
+      best_ = i;
+    }
   }
+}
+
+CandidateSetPtr MakeCandidateSet(std::vector<Candidate> cands) {
+  if (cands.empty()) return nullptr;
+  return std::make_shared<const CandidateSet>(std::move(cands));
+}
+
+const std::vector<Candidate>& Cell::candidates() const {
+  static const std::vector<Candidate> kNone;
+  return candidates_ == nullptr ? kNone : candidates_->candidates();
+}
+
+const Value& Cell::MostProbable() const {
+  if (candidates_ == nullptr) return original_;
+  const Candidate* best = candidates_->most_probable();
   return best != nullptr ? best->value : original_;
 }
 
 std::vector<Value> Cell::PossibleValues() const {
-  if (candidates_.empty()) return {original_};
+  if (!is_probabilistic()) return {original_};
   std::vector<Value> out;
-  for (const Candidate& c : candidates_) {
+  for (const Candidate& c : candidates()) {
     if (c.kind != CandidateKind::kPoint) continue;
     bool seen = false;
     for (const Value& v : out) {
@@ -57,8 +73,8 @@ std::vector<Value> Cell::PossibleValues() const {
 }
 
 bool Cell::MayEqual(const Value& v) const {
-  if (candidates_.empty()) return original_ == v;
-  for (const Candidate& c : candidates_) {
+  if (!is_probabilistic()) return original_ == v;
+  for (const Candidate& c : candidates()) {
     switch (c.kind) {
       case CandidateKind::kPoint:
         if (c.value == v) return true;
@@ -86,8 +102,8 @@ bool Cell::MayBeInRange(const Value& low, const Value& high) const {
     if (!high.is_null() && v > high) return false;
     return true;
   };
-  if (candidates_.empty()) return point_in(original_);
-  for (const Candidate& c : candidates_) {
+  if (!is_probabilistic()) return point_in(original_);
+  for (const Candidate& c : candidates()) {
     switch (c.kind) {
       case CandidateKind::kPoint:
         if (point_in(c.value)) return true;
@@ -112,12 +128,13 @@ bool Cell::MayBeInRange(const Value& low, const Value& high) const {
 }
 
 std::string Cell::ToString() const {
-  if (candidates_.empty()) return original_.ToString();
+  if (!is_probabilistic()) return original_.ToString();
   std::ostringstream oss;
   oss << "{";
-  for (size_t i = 0; i < candidates_.size(); ++i) {
+  const std::vector<Candidate>& cands = candidates();
+  for (size_t i = 0; i < cands.size(); ++i) {
     if (i > 0) oss << "|";
-    const Candidate& c = candidates_[i];
+    const Candidate& c = cands[i];
     if (c.kind != CandidateKind::kPoint) oss << CandidateKindToString(c.kind);
     oss << c.value.ToString() << ":" << c.prob;
     if (c.pair_id >= 0) oss << "@" << c.pair_id;

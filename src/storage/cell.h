@@ -11,6 +11,7 @@
 #define DAISY_STORAGE_CELL_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,8 +49,39 @@ struct Candidate {
 /// set or when the total mass is zero).
 void NormalizeCandidates(std::vector<Candidate>* cands);
 
+/// An immutable candidate set. Cells hold it by shared handle, so every
+/// cell repaired from one distribution — an FD lhs group's P(rhs | lhs) or
+/// an rhs bucket's P(lhs | rhs) — points at one set, and copying a cell
+/// into a result copies a pointer.
+class CandidateSet {
+ public:
+  explicit CandidateSet(std::vector<Candidate> cands);
+
+  const std::vector<Candidate>& candidates() const { return cands_; }
+  size_t size() const { return cands_.size(); }
+
+  /// The first strictly most probable point candidate, or null when the
+  /// set holds ranges only. Computed once at construction.
+  const Candidate* most_probable() const {
+    return best_ < cands_.size() ? &cands_[best_] : nullptr;
+  }
+
+  bool operator==(const CandidateSet& other) const {
+    return cands_ == other.cands_;
+  }
+
+ private:
+  std::vector<Candidate> cands_;
+  size_t best_;  ///< index of most_probable(), or cands_.size()
+};
+
+using CandidateSetPtr = std::shared_ptr<const CandidateSet>;
+
+/// The shared set of `cands`, or null (a clean cell) when it is empty.
+CandidateSetPtr MakeCandidateSet(std::vector<Candidate> cands);
+
 /// A table cell: clean (single deterministic value) or probabilistic
-/// (original value retained as provenance + candidate set).
+/// (original value retained as provenance + a shared candidate set).
 class Cell {
  public:
   Cell() = default;
@@ -59,26 +91,24 @@ class Cell {
   const Value& original() const { return original_; }
 
   /// True once a repair attached candidates.
-  bool is_probabilistic() const { return !candidates_.empty(); }
+  bool is_probabilistic() const { return candidates_ != nullptr; }
 
-  const std::vector<Candidate>& candidates() const { return candidates_; }
+  /// The candidates, empty for a clean cell.
+  const std::vector<Candidate>& candidates() const;
 
-  /// Replaces the candidate set. Call Normalize() afterwards if the weights
-  /// are raw frequencies.
-  void set_candidates(std::vector<Candidate> cands) {
-    candidates_ = std::move(cands);
+  /// The shared candidate set, null for a clean cell.
+  const CandidateSetPtr& candidate_set() const { return candidates_; }
+
+  /// Installs a shared candidate set; null or an empty set reverts the
+  /// cell to its clean original value.
+  void set_candidates(CandidateSetPtr set) {
+    candidates_ = set != nullptr && set->size() > 0 ? std::move(set)
+                                                    : nullptr;
   }
-  void add_candidate(Candidate c) { candidates_.push_back(std::move(c)); }
-
-  /// Drops candidates, reverting the cell to its clean original value.
-  void ClearCandidates() { candidates_.clear(); }
-
-  /// Rescales probabilities to sum to 1 (no-op on a clean cell or when the
-  /// total mass is zero).
-  void Normalize() { NormalizeCandidates(&candidates_); }
 
   /// The single most probable point candidate, or the original value for a
   /// clean cell. Range candidates are skipped (they have no point value).
+  /// O(1): the set caches its most probable candidate.
   const Value& MostProbable() const;
 
   /// All distinct point values this cell may take (original if clean).
@@ -93,18 +123,21 @@ class Cell {
 
   /// Number of candidate values (1 for a clean cell). This is the `p` term
   /// of the cost model's update cost.
-  size_t width() const { return is_probabilistic() ? candidates_.size() : 1; }
+  size_t width() const { return is_probabilistic() ? candidates_->size() : 1; }
 
   /// Debug / CSV rendering: "v" or "{v1:0.67|v2:0.33}".
   std::string ToString() const;
 
   bool operator==(const Cell& other) const {
-    return original_ == other.original_ && candidates_ == other.candidates_;
+    if (!(original_ == other.original_)) return false;
+    if (candidates_ == other.candidates_) return true;
+    return candidates_ != nullptr && other.candidates_ != nullptr &&
+           *candidates_ == *other.candidates_;
   }
 
  private:
   Value original_;
-  std::vector<Candidate> candidates_;
+  CandidateSetPtr candidates_;  ///< null = clean
 };
 
 }  // namespace daisy

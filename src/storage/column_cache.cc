@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <unordered_map>
 
@@ -38,6 +39,17 @@ double ColumnCache::NumericCoord(const Value& v) {
 
 namespace {
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Same type and content, doubles by bit pattern.
+bool SameBits(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (!a.is_double()) return a == b;
+  return SameBits(a.as_double_raw(), b.as_double_raw());
+}
+
 // Did the rebuild change the projection of any *previously built* row?
 // Appended rows extend the arrays (and may extend the dictionary) without
 // counting as a content change — consumers key coverage to `generation`
@@ -46,6 +58,8 @@ namespace {
 // an ingest batch) must not reset their state. codes + dict determine
 // ranks/sorted_*; num/nulls are re-derivable from dict too, but comparing
 // them keeps this robust to formula changes.
+// num and dict compare bit for bit: NaN equals nothing, so an unchanged
+// NaN cell would otherwise count as a change.
 bool PrefixUnchanged(const ColumnCache::Column& prev,
                      const ColumnCache::Column& next) {
   const size_t n = prev.nulls.size();
@@ -54,9 +68,13 @@ bool PrefixUnchanged(const ColumnCache::Column& prev,
                     next.nulls.begin()) &&
          std::equal(prev.codes.begin(), prev.codes.end(),
                     next.codes.begin()) &&
-         std::equal(prev.num.begin(), prev.num.end(), next.num.begin()) &&
+         std::equal(prev.num.begin(), prev.num.end(), next.num.begin(),
+                    [](double a, double b) { return SameBits(a, b); }) &&
          prev.dict.size() <= next.dict.size() &&
-         std::equal(prev.dict.begin(), prev.dict.end(), next.dict.begin());
+         std::equal(prev.dict.begin(), prev.dict.end(), next.dict.begin(),
+                    [](const Value& a, const Value& b) {
+                      return SameBits(a, b);
+                    });
 }
 
 // Value::Compare with every NaN after every other number. Compare calls a
@@ -78,6 +96,30 @@ bool NumLess(double a, double b) {
 // The sorted index's entry order: by key (NumLess), then by row id.
 bool NumThenIdLess(const std::vector<double>& num, RowId a, RowId b) {
   return NumLess(num[a], num[b]) || (!NumLess(num[b], num[a]) && a < b);
+}
+
+// Appends one cell to every row-aligned projection and to the dictionary.
+// A NaN equals nothing, so it takes a fresh code without probing the
+// index: every NaN would land in one hash bucket and make a NaN-heavy
+// column quadratic to build.
+void AppendCell(const Cell& cell, ColumnCache::Column* col,
+                std::unordered_map<Value, uint32_t, ValueHash>* dict_index) {
+  const Value& v = cell.original();
+  col->probs.push_back(cell.is_probabilistic() ? 1 : 0);
+  col->nulls.push_back(v.is_null() ? 1 : 0);
+  if (v.is_null()) col->has_nulls = true;
+  if (v.is_nan()) col->has_nan = true;
+  if (v.is_double()) col->has_double = true;
+  if (v.is_int() && std::fabs(v.AsDouble()) >= 0x1p53) {
+    col->has_wide_int = true;
+  }
+  if (!v.is_null() && !v.is_numeric()) col->numeric_only = false;
+  col->num.push_back(ColumnCache::NumericCoord(v));
+  const uint32_t next = static_cast<uint32_t>(col->dict.size());
+  uint32_t code = next;
+  if (!v.is_nan()) code = dict_index->emplace(v, next).first->second;
+  if (code == next) col->dict.push_back(v);
+  col->codes.push_back(code);
 }
 
 }  // namespace
@@ -119,18 +161,7 @@ void ColumnCache::Rebuild(size_t c) {
   std::unordered_map<Value, uint32_t, ValueHash> dict_index;
   dict_index.reserve(n);
   for (RowId r = 0; r < n; ++r) {
-    const Cell& cell = table_->cell(r, c);
-    const Value& v = cell.original();
-    fresh.probs.push_back(cell.is_probabilistic() ? 1 : 0);
-    fresh.nulls.push_back(v.is_null() ? 1 : 0);
-    if (v.is_null()) fresh.has_nulls = true;
-    if (v.is_nan()) fresh.has_nan = true;
-    if (!v.is_null() && !v.is_numeric()) fresh.numeric_only = false;
-    fresh.num.push_back(NumericCoord(v));
-    auto [it, inserted] =
-        dict_index.emplace(v, static_cast<uint32_t>(fresh.dict.size()));
-    if (inserted) fresh.dict.push_back(v);
-    fresh.codes.push_back(it->second);
+    AppendCell(table_->cell(r, c), &fresh, &dict_index);
   }
 
   // Sorted index over the numeric projection, row id as tiebreak — the
@@ -164,24 +195,11 @@ void ColumnCache::Extend(size_t c) {
   Slot& slot = slots_[c];
   Column& col = slot.col;
   const size_t old_n = slot.built_rows;
-  bool new_distinct = false;
+  const size_t old_dict = col.dict.size();
   for (RowId r = old_n; r < n; ++r) {
-    const Cell& cell = table_->cell(r, c);
-    const Value& v = cell.original();
-    col.probs.push_back(cell.is_probabilistic() ? 1 : 0);
-    col.nulls.push_back(v.is_null() ? 1 : 0);
-    if (v.is_null()) col.has_nulls = true;
-    if (v.is_nan()) col.has_nan = true;
-    if (!v.is_null() && !v.is_numeric()) col.numeric_only = false;
-    col.num.push_back(NumericCoord(v));
-    auto [it, inserted] =
-        slot.dict_index.emplace(v, static_cast<uint32_t>(col.dict.size()));
-    if (inserted) {
-      col.dict.push_back(v);
-      new_distinct = true;
-    }
-    col.codes.push_back(it->second);
+    AppendCell(table_->cell(r, c), &col, &slot.dict_index);
   }
+  const bool new_distinct = col.dict.size() != old_dict;
 
   if (new_distinct) {
     // A fresh value can rank anywhere in the Compare order: relabel.

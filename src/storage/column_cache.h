@@ -20,8 +20,11 @@
 //               value, strings lexicographically), every NaN after every
 //               other number. Same-column atom comparisons on rank are
 //               exact for every type, including int64 values beyond double
-//               precision, on columns without NaN (Compare calls a NaN
-//               equal to every number, which no rank order can reproduce).
+//               precision, on columns whose ranks_exact() holds: no NaN
+//               (Compare calls a NaN equal to every number) and no double
+//               beside an int at or beyond 2^53 (Compare calls int 2^53
+//               and 2^53 + 1 both equal to double 2^53) — no rank order
+//               reproduces either.
 //  * `nulls`  — null mask; EvalCompare's null semantics are re-applied on
 //               top of the flat arrays by consumers.
 //  * `sorted_rows`/`sorted_num` — row ids sorted by (num, row id), NaN
@@ -103,6 +106,14 @@ class ColumnCache {
     bool numeric_only = true;  ///< every non-null value is numeric
     bool has_nulls = false;    ///< some value is null
     bool has_nan = false;      ///< some value is a NaN double
+    bool has_double = false;   ///< some value is a double
+    bool has_wide_int = false; ///< some value is an int with |v| >= 2^53
+    /// True when ranks reproduce Value::Compare: no NaN, and no mix of
+    /// doubles with ints at or beyond 2^53 (Compare orders int 2^53 below
+    /// int 2^53 + 1 yet calls both equal to double 2^53).
+    bool ranks_exact() const {
+      return !has_nan && !(has_double && has_wide_int);
+    }
     /// Advances only when a rebuild changed the projection of a previously
     /// built row — appends (pure extensions, or rebuilds that merely picked
     /// up new rows) keep it, so detector coverage survives ingest batches.

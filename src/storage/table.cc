@@ -90,9 +90,9 @@ ColumnCache& Table::columns() const {
   return *cache_;
 }
 
-void Table::SetCandidates(RowId r, size_t c, std::vector<Candidate> cands) {
+void Table::SetCandidates(RowId r, size_t c, CandidateSetPtr set) {
   Cell& cell = rows_[r].cells[c];
-  cell.set_candidates(std::move(cands));
+  cell.set_candidates(std::move(set));
   ColumnCache* cache = cache_ptr_.load(std::memory_order_acquire);
   if (cache != nullptr) cache->PatchCandidates(r, c, cell.is_probabilistic());
 }

@@ -120,12 +120,12 @@ class Table {
     return rows_[r].cells[c];
   }
 
-  /// Replaces the candidate set of cell (r, c); an empty `cands` reverts it
+  /// Points cell (r, c) at the shared candidate set `set`; null reverts it
   /// to its clean original value. The original stays untouched, so no
   /// counter moves: a built column cache flips that row's `probs` bit in
   /// place instead of rebuilding the column. The only write the engine
   /// makes to an existing cell.
-  void SetCandidates(RowId r, size_t c, std::vector<Candidate> cands);
+  void SetCandidates(RowId r, size_t c, CandidateSetPtr set);
 
   /// In-place mutation counter of column `c`: moves on every mutable_cell
   /// access to the column, and on nothing else — candidate-only writes,

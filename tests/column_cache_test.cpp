@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/metrics.h"
@@ -113,6 +114,65 @@ TEST(ColumnCacheTest, NanSortsLastInRanksAndSortedIndexAcrossExtend) {
   EXPECT_TRUE(full.has_nan);
 }
 
+TEST(ColumnCacheTest, AllNanColumnExtendsLikeItRebuilds) {
+  // Every NaN cell takes a fresh code without probing the dictionary
+  // index, whether it arrives in a rebuild or in an extension.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr size_t kRows = 2000;
+  Table extended("t", Schema({{"x", ValueType::kDouble}}));
+  Table rebuilt("t", Schema({{"x", ValueType::kDouble}}));
+  for (size_t i = 0; i < kRows; ++i) {
+    if (i == kRows / 2) (void)extended.columns().column(0);
+    ASSERT_TRUE(extended.AppendRow({Value(nan)}).ok());
+    ASSERT_TRUE(rebuilt.AppendRow({Value(nan)}).ok());
+  }
+  const ColumnCache::Column& ext = extended.columns().column(0);
+  const ColumnCache::Column& full = rebuilt.columns().column(0);
+  std::vector<uint32_t> own_codes(kRows);
+  std::iota(own_codes.begin(), own_codes.end(), 0u);
+  EXPECT_EQ(full.codes, own_codes);
+  EXPECT_EQ(ext.codes, full.codes);
+  EXPECT_EQ(ext.ranks, full.ranks);
+  EXPECT_EQ(ext.sorted_rows, full.sorted_rows);
+  EXPECT_EQ(ext.dict.size(), kRows);
+  EXPECT_TRUE(ext.has_nan);
+  EXPECT_FALSE(ext.ranks_exact());
+  uint32_t code = 0;
+  EXPECT_FALSE(extended.columns().FindCode(0, Value(nan), &code));
+}
+
+TEST(ColumnCacheTest, RebuildingAnUnchangedNanColumnKeepsGeneration) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Table t("t", Schema({{"x", ValueType::kDouble}, {"y", ValueType::kInt}}));
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value(i % 2 == 0 ? nan : 1.0 * i), Value(i)})
+                    .ok());
+  }
+  ColumnCache& cache = t.columns();
+  const uint64_t g0 = cache.generation(0);
+  // A mutable_cell access forces a rebuild; the NaNs are the same bits.
+  (void)t.mutable_cell(0, 0);
+  EXPECT_EQ(cache.generation(0), g0);
+  // A real change still advances it.
+  t.mutable_cell(1, 0) = Cell(Value(nan));
+  EXPECT_GT(cache.generation(0), g0);
+}
+
+TEST(ColumnCacheTest, DoublesBesideWideIntsMakeRanksInexact) {
+  const int64_t two53 = int64_t{1} << 53;
+  Table t("t", Schema({{"x", ValueType::kDouble}}));
+  ASSERT_TRUE(t.AppendRow({Value(two53 + 1)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(two53 - 1)}).ok());
+  EXPECT_TRUE(t.columns().column(0).has_wide_int);
+  EXPECT_TRUE(t.columns().column(0).ranks_exact());  // ints only
+  ASSERT_TRUE(t.AppendRow({Value(0.5)}).ok());        // extension
+  EXPECT_FALSE(t.columns().column(0).ranks_exact());
+  Table small("t", Schema({{"x", ValueType::kDouble}}));
+  ASSERT_TRUE(small.AppendRow({Value(two53 - 1)}).ok());
+  ASSERT_TRUE(small.AppendRow({Value(0.5)}).ok());
+  EXPECT_TRUE(small.columns().column(0).ranks_exact());
+}
+
 TEST(ColumnCacheTest, MutationBumpsOnlyAffectedColumnVersion) {
   Table t = MixedTable();
   const uint64_t v0 = t.content_version(0);
@@ -147,7 +207,8 @@ TEST(ColumnCacheTest, GenerationAdvancesOnlyOnContentChange) {
   // Candidate-only repair: neither version nor content moves -> the probs
   // bit flips in place and generation stays, so detectors keep their
   // incremental coverage.
-  t.SetCandidates(0, 0, {{Value(6.0), 1.0, 0, CandidateKind::kPoint}});
+  t.SetCandidates(
+      0, 0, MakeCandidateSet({{Value(6.0), 1.0, 0, CandidateKind::kPoint}}));
   EXPECT_EQ(t.content_version(0), v0);
   EXPECT_EQ(cache.column(0).probs[0], 1);
   EXPECT_EQ(cache.generation(0), g0);
@@ -170,9 +231,11 @@ TEST(ColumnCacheTest, RowsMaintainedCountsRebuildExtendAndPatch) {
   ASSERT_TRUE(t.AppendRow({Value(2.0), Value("Y")}).ok());
   (void)t.columns().column(1);  // extension: the 2 new rows
   EXPECT_EQ(maintained() - before, 7u);
-  t.SetCandidates(0, 1, {{Value("SF"), 1.0, 0, CandidateKind::kPoint}});
+  t.SetCandidates(
+      0, 1, MakeCandidateSet({{Value("SF"), 1.0, 0, CandidateKind::kPoint}}));
   EXPECT_EQ(maintained() - before, 8u);  // one in-place patch
-  t.SetCandidates(6, 0, {{Value(3.0), 1.0, 0, CandidateKind::kPoint}});
+  t.SetCandidates(
+      6, 0, MakeCandidateSet({{Value(3.0), 1.0, 0, CandidateKind::kPoint}}));
   EXPECT_EQ(maintained() - before, 8u);  // row not built yet: no patch
   (void)t.columns().column(0);           // extension reads it instead
   EXPECT_EQ(maintained() - before, 10u);

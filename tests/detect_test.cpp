@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <set>
 
+#include "cell_test_util.h"
 #include "common/rng.h"
 #include "detect/fd_delta.h"
 #include "detect/group_by.h"
@@ -309,8 +310,8 @@ TEST(ThetaJoinTest, RepairInvalidatesDetectorState) {
   EXPECT_EQ(AsSet(detector.DetectAll()), BruteForce(t, dc));
 
   // A candidate-only repair keeps the coverage: nothing is re-checked.
-  t.mutable_cell(2, 1).add_candidate({Value(0.30), 1.0, 0,
-                                      CandidateKind::kPoint});
+  testutil::AddCandidate(&t.mutable_cell(2, 1),
+                         {Value(0.30), 1.0, 0, CandidateKind::kPoint});
   EXPECT_TRUE(detector.DetectAll().empty());
   EXPECT_EQ(detector.pairs_checked(), 0u);
 
@@ -345,8 +346,8 @@ TEST(ThetaJoinTest, CandidateRepairMidWorkloadKeepsDetectionCorrect) {
   const size_t after_first = detector.pairs_checked();
   EXPECT_GT(after_first, 0u);
   // Candidate-only repair between the two queries.
-  t.mutable_cell(0, 1).add_candidate({Value(0.5), 1.0, 0,
-                                      CandidateKind::kPoint});
+  testutil::AddCandidate(&t.mutable_cell(0, 1),
+                         {Value(0.5), 1.0, 0, CandidateKind::kPoint});
   for (const ViolationPair& p : detector.DetectIncremental(batch2)) {
     found.insert({p.t1, p.t2});
   }

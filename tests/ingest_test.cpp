@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 
+#include "cell_test_util.h"
 #include "clean/daisy_engine.h"
 #include "common/rng.h"
 #include "constraints/constraint_set.h"
@@ -109,8 +110,8 @@ TEST(TableIngestTest, DeleteRowsTombstonesAndValidates) {
 
 TEST(TableIngestTest, DeletedRowsLeaveAggregates) {
   Table t = RandomSalaryTable(4, 5, 0.0);
-  t.mutable_cell(1, 1).add_candidate({Value(0.5), 1.0, 0,
-                                      CandidateKind::kPoint});
+  testutil::AddCandidate(&t.mutable_cell(1, 1),
+                         {Value(0.5), 1.0, 0, CandidateKind::kPoint});
   EXPECT_EQ(t.CountProbabilisticCells(), 1u);
   ASSERT_TRUE(t.DeleteRows({1}).ok());
   EXPECT_EQ(t.CountProbabilisticCells(), 0u);
@@ -145,8 +146,8 @@ TEST(ColumnCacheDeltaTest, CandidateRepairPlusAppendKeepsGeneration) {
   Table t = RandomSalaryTable(20, 9, 0.2);
   ColumnCache& cache = t.columns();
   const uint64_t gen = cache.generation(1);
-  t.mutable_cell(0, 1).add_candidate({Value(0.7), 1.0, 0,
-                                      CandidateKind::kPoint});
+  testutil::AddCandidate(&t.mutable_cell(0, 1),
+                         {Value(0.7), 1.0, 0, CandidateKind::kPoint});
   ASSERT_TRUE(t.AppendRows(RandomSalaryBatch(5, 10, 0.2)).ok());
   EXPECT_EQ(cache.generation(1), gen);
   // The same interleaving with an original-value edit still invalidates.
@@ -226,7 +227,8 @@ TEST(ColumnCacheDeltaTest, CandidatePatchMatchesFullRebuild) {
         cands.push_back({c == 0 ? Value(rng.UniformInt(0, 9)) : Value("qq"),
                          0.5, 1, CandidateKind::kPoint});
       }
-      t.SetCandidates(r, c, std::move(cands));  // op 4, 5: clear
+      // op 4, 5: clear
+      t.SetCandidates(r, c, MakeCandidateSet(std::move(cands)));
     } else if (op < 8) {
       std::vector<std::vector<Value>> batch(
           static_cast<size_t>(rng.UniformInt(1, 3)));
@@ -597,7 +599,7 @@ TEST(ProvenanceDeltaTest, DropRowsForgetsDeletedRows) {
   ProvenanceStore store;
   RepairRecord rec;
   rec.rule = "phi";
-  rec.sources.push_back({Value(0.5), 1.0, CandidateKind::kPoint});
+  rec.sources = ShareSources({{Value(0.5), 1.0, CandidateKind::kPoint}});
   store.Record(&t, 1, 1, rec);
   store.Record(&t, 2, 0, rec);
   EXPECT_EQ(store.NumRepairedCells(), 2u);

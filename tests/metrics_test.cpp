@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -282,6 +283,58 @@ TEST(MetricsIntegration, ExactCountersForKnownWorkload) {
   const std::string page = MetricsRegistry::Global().RenderPrometheus();
   EXPECT_NE(page.find("daisy_engine_queries_total"), std::string::npos);
   EXPECT_NE(page.find("daisy_persist_wal_fsyncs_total"), std::string::npos);
+}
+
+// A checkpoint reports three stages and no total: snapshot encode, the
+// atomic file write, and the WAL rotation. Each observes once per
+// checkpoint, and together they fit inside the caller's wall time.
+TEST(MetricsIntegration, CheckpointStagesSumToTheCheckpoint) {
+  TempDir tmp;
+  Database db;
+  Table t("emp", Schema({{"salary", ValueType::kDouble}}));
+  ASSERT_TRUE(t.AppendRow({Value(1000.0)}).ok());
+  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+  DaisyEngine engine(&db, ConstraintSet());
+  ASSERT_TRUE(engine.Prepare().ok());
+  ASSERT_TRUE(engine.EnablePersistence(tmp.Sub("state")).ok());
+  const std::vector<std::string> kStages = {
+      "daisy_persist_checkpoint_stage_us{stage=\"encode\"}",
+      "daisy_persist_checkpoint_stage_us{stage=\"write\"}",
+      "daisy_persist_checkpoint_stage_us{stage=\"rotate\"}"};
+
+  auto sample = [&] {
+    std::vector<std::pair<uint64_t, uint64_t>> out;  // (count, sum)
+    const MetricsRegistry::Snapshot snap =
+        MetricsRegistry::Global().TakeSnapshot();
+    for (const std::string& name : kStages) {
+      const auto it = snap.histograms.find(name);
+      out.emplace_back(it == snap.histograms.end() ? 0 : it->second.count,
+                       it == snap.histograms.end() ? 0 : it->second.sum);
+    }
+    return out;
+  };
+  const auto before = sample();
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  const uint64_t wall_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  const auto after = sample();
+  uint64_t staged_us = 0;
+  for (size_t i = 0; i < kStages.size(); ++i) {
+    EXPECT_EQ(after[i].first - before[i].first, 2u) << kStages[i];
+    staged_us += after[i].second - before[i].second;
+  }
+  EXPECT_LE(staged_us, wall_us);
+  const MetricsRegistry::Snapshot snap =
+      MetricsRegistry::Global().TakeSnapshot();
+  EXPECT_EQ(snap.histograms.count("daisy_persist_checkpoint_duration_us"), 0u);
+  const std::string page = MetricsRegistry::Global().RenderPrometheus();
+  EXPECT_NE(
+      page.find("daisy_persist_checkpoint_stage_us_count{stage=\"write\"}"),
+      std::string::npos);
 }
 
 }  // namespace

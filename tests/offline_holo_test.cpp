@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "cell_test_util.h"
 #include "datagen/metrics.h"
 #include "datagen/realworld.h"
 #include "detect/fd_delta.h"
@@ -198,10 +199,10 @@ TEST(MetricsTest, TableRepairScoring) {
   ASSERT_TRUE(repaired.AppendRow({Value(1), Value("a")}).ok());
   ASSERT_TRUE(repaired.AppendRow({Value(1), Value("b")}).ok());  // error
   // Repair row 1's city towards "a" (correct) with probability 0.7.
-  repaired.mutable_cell(1, 1).add_candidate({Value("a"), 0.7, 0,
-                                             CandidateKind::kPoint});
-  repaired.mutable_cell(1, 1).add_candidate({Value("b"), 0.3, 0,
-                                             CandidateKind::kPoint});
+  testutil::AddCandidate(&repaired.mutable_cell(1, 1),
+                         {Value("a"), 0.7, 0, CandidateKind::kPoint});
+  testutil::AddCandidate(&repaired.mutable_cell(1, 1),
+                         {Value("b"), 0.3, 0, CandidateKind::kPoint});
   auto m = EvaluateTableRepairs(repaired, truth).ValueOrDie();
   EXPECT_EQ(m.total_errors, 1u);
   EXPECT_EQ(m.total_updates, 1u);
@@ -217,8 +218,8 @@ TEST(MetricsTest, WrongUpdateHurtsPrecision) {
   Table repaired("t", CitySchema());
   ASSERT_TRUE(repaired.AppendRow({Value(1), Value("a")}).ok());
   // A clean cell wrongly "repaired" to z.
-  repaired.mutable_cell(0, 1).add_candidate({Value("z"), 1.0, 0,
-                                             CandidateKind::kPoint});
+  testutil::AddCandidate(&repaired.mutable_cell(0, 1),
+                         {Value("z"), 1.0, 0, CandidateKind::kPoint});
   auto m = EvaluateTableRepairs(repaired, truth).ValueOrDie();
   EXPECT_EQ(m.total_updates, 1u);
   EXPECT_EQ(m.correct_updates, 0u);

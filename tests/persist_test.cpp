@@ -2,19 +2,25 @@
 // (including the hostile-value hardening set: NaN/±Inf doubles, embedded
 // NULs, invalid UTF-8, empty-vs-null), snapshot section framing + CRC
 // rejection, WAL torn-tail semantics, engine checkpoint/restore round
-// trips, snapshot rotation, and the v1 format-stability golden fixture.
+// trips, snapshot rotation, v3's shared candidate-set, source-list and
+// row-set tables, and the per-version format-stability golden fixtures.
 //
-// Regenerating the golden fixture (only after a deliberate format bump):
-//   DAISY_REGEN_GOLDEN=1 ./persist_test --gtest_filter=GoldenV1.*
-// writes fresh files into tests/testdata/golden_v1/ — commit them together
-// with the kSnapshotVersion change.
+// Writing the fixture of a new format version (only after a deliberate
+// format bump):
+//   DAISY_REGEN_GOLDEN=1 ./persist_test --gtest_filter='GoldenV*'
+// writes fresh files into tests/testdata/golden_v<kSnapshotVersion>/ —
+// commit them together with the kSnapshotVersion change, beside the
+// fixtures of every older version.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 
+#include "cell_test_util.h"
 #include "clean/daisy_engine.h"
 #include "common/binary_io.h"
 #include "persist/format.h"
@@ -166,10 +172,11 @@ Table HostileTable() {
   EXPECT_TRUE(t.AppendRow({Value("doomed"), Value(1), Value(1.0)}).ok());
   // Candidates: a point set on (0, "s") and a range candidate on (3, "d").
   Cell& c0 = t.mutable_cell(0, 0);
-  c0.add_candidate({Value(std::string("fix\0a", 5)), 0.75, 0});
-  c0.add_candidate({Value(std::string("")), 0.25, 1});
+  testutil::AddCandidate(&c0, {Value(std::string("fix\0a", 5)), 0.75, 0});
+  testutil::AddCandidate(&c0, {Value(std::string("")), 0.25, 1});
   Cell& c3 = t.mutable_cell(3, 2);
-  c3.add_candidate({Value(2000.0), 1.0, -1, CandidateKind::kLessThan});
+  testutil::AddCandidate(&c3,
+                         {Value(2000.0), 1.0, -1, CandidateKind::kLessThan});
   EXPECT_TRUE(t.DeleteRows({4}).ok());
   return t;
 }
@@ -705,18 +712,217 @@ TEST(EnginePersistence, PruningOffSnapshotIsRejected) {
   }
 }
 
+// ------------------------------------------------- v3 shared sections --
+
+// The sections of a snapshot file in order, as (id, payload).
+std::vector<std::pair<uint32_t, std::string>> SplitSections(
+    const std::string& bytes) {
+  std::vector<std::pair<uint32_t, std::string>> sections;
+  size_t off = sizeof(persist::kSnapshotMagic) + 4;
+  while (off < bytes.size()) {
+    BinaryReader frame(bytes.data() + off, bytes.size() - off);
+    const uint32_t id = frame.ReadU32().ValueOrDie();
+    const uint64_t len = frame.ReadU64().ValueOrDie();
+    sections.emplace_back(id, bytes.substr(off + 12, len));
+    off += 12 + len + 4;
+  }
+  return sections;
+}
+
+// Reframes `sections` behind the header of `bytes`, each with a valid CRC:
+// a payload edit then reaches the decoder instead of the CRC check.
+std::string JoinSections(
+    const std::string& bytes,
+    const std::vector<std::pair<uint32_t, std::string>>& sections) {
+  std::string out = bytes.substr(0, sizeof(persist::kSnapshotMagic) + 4);
+  for (const auto& [id, payload] : sections) {
+    BinaryWriter w;
+    w.WriteU32(id);
+    w.WriteU64(payload.size());
+    out += w.buffer();
+    out += payload;
+    BinaryWriter crc;
+    crc.WriteU32(Crc32(payload.data(), payload.size()));
+    out += crc.buffer();
+  }
+  return out;
+}
+
+// Asserts that handles equal in `a` are equal in `b` and vice versa,
+// position by position, and returns the number of distinct non-null ones.
+template <typename Ptr>
+size_t ExpectSameSharing(const std::vector<Ptr>& a, const std::vector<Ptr>& b,
+                         const char* what) {
+  EXPECT_EQ(a.size(), b.size()) << what;
+  std::map<const void*, const void*> forward;
+  std::map<const void*, const void*> backward;
+  for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    EXPECT_EQ(a[i] == nullptr, b[i] == nullptr) << what << " " << i;
+    if (a[i] == nullptr || b[i] == nullptr) continue;
+    EXPECT_EQ(forward.emplace(a[i].get(), b[i].get()).first->second,
+              b[i].get())
+        << what << " " << i;
+    EXPECT_EQ(backward.emplace(b[i].get(), a[i].get()).first->second,
+              a[i].get())
+        << what << " " << i;
+  }
+  return forward.size();
+}
+
+// The emp engine after a full clean: FD and DC records, shared FD sets.
+struct CleanedEmp {
+  Database db;
+  std::unique_ptr<DaisyEngine> engine;
+  CleanedEmp() {
+    EXPECT_TRUE(db.AddTable(SeedEmpTable()).ok());
+    engine = std::make_unique<DaisyEngine>(&db, EmpRules());
+    EXPECT_TRUE(engine->Prepare().ok());
+    EXPECT_TRUE(engine->CleanAllRemaining().ok());
+  }
+  const Table& table() { return *db.GetTable("emp").ValueOrDie(); }
+  std::string Snapshot(TempDir* dir) {
+    EXPECT_TRUE(engine->EnablePersistence(dir->Sub("state")).ok());
+    return persist::ReadFileFully(dir->Sub("state/snapshot-000001.dsnap"))
+        .ValueOrDie();
+  }
+};
+
+TEST(SnapshotV3, RoundTripKeepsCellsRecordsAndSharing) {
+  CleanedEmp emp;
+  TempDir dir;
+  const std::string bytes = emp.Snapshot(&dir);
+  Result<persist::EngineSnapshot> snap =
+      persist::ReadSnapshot(dir.Sub("state/snapshot-000001.dsnap"));
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  ASSERT_EQ(snap.value().tables.size(), 1u);
+  const Table& back = snap.value().tables[0];
+  ExpectTablesEqual(emp.table(), back);
+
+  std::vector<CandidateSetPtr> sets_a;
+  std::vector<CandidateSetPtr> sets_b;
+  for (RowId r = 0; r < back.num_rows(); ++r) {
+    for (size_t c = 0; c < back.num_columns(); ++c) {
+      sets_a.push_back(emp.table().cell(r, c).candidate_set());
+      sets_b.push_back(back.cell(r, c).candidate_set());
+    }
+  }
+  const size_t prob_cells = emp.table().CountProbabilisticCells();
+  const size_t distinct_sets = ExpectSameSharing(sets_a, sets_b, "set");
+  EXPECT_LT(distinct_sets, prob_cells);  // the FD group shares its set
+
+  const ProvenanceStore& store = *emp.engine->provenance("emp");
+  ProvenanceStore decoded;
+  decoded.RestoreRecords(snap.value().provenance.at("emp"));
+  testutil::ExpectProvenanceEqual(&store, &decoded, "emp");
+  std::vector<SharedSources> sources_a;
+  std::vector<SharedSources> sources_b;
+  std::vector<SharedRows> rows_a;
+  std::vector<SharedRows> rows_b;
+  for (const auto* records : {&store.records(), &decoded.records()}) {
+    const bool first = records == &store.records();
+    for (const auto& [key, recs] : *records) {
+      for (const RepairRecord& rec : recs) {
+        (first ? sources_a : sources_b).push_back(rec.sources);
+        (first ? rows_a : rows_b).push_back(rec.conflicting_rows);
+      }
+    }
+  }
+  EXPECT_LT(ExpectSameSharing(sources_a, sources_b, "sources"),
+            sources_a.size());
+  EXPECT_LT(ExpectSameSharing(rows_a, rows_b, "rows"), rows_a.size());
+}
+
+TEST(SnapshotV3, TruncatedSectionsAreParseErrors) {
+  CleanedEmp emp;
+  TempDir dir;
+  const std::string bytes = emp.Snapshot(&dir);
+  const auto sections = SplitSections(bytes);
+  const std::string path = dir.Sub("cut.dsnap");
+  size_t checked = 0;
+  for (size_t i = 0; i < sections.size(); ++i) {
+    if (sections[i].first != persist::kSectionTables &&
+        sections[i].first != persist::kSectionProvenance) {
+      continue;
+    }
+    // Every strict prefix of the payload, under a valid CRC.
+    const std::string& payload = sections[i].second;
+    for (size_t len = 0; len < payload.size(); ++len) {
+      auto cut = sections;
+      cut[i].second = payload.substr(0, len);
+      ASSERT_TRUE(
+          persist::WriteFileAtomic(path, JoinSections(bytes, cut)).ok());
+      Result<persist::EngineSnapshot> snap = persist::ReadSnapshot(path);
+      ASSERT_FALSE(snap.ok()) << "section " << sections[i].first << " cut to "
+                              << len;
+      EXPECT_EQ(snap.status().code(), StatusCode::kParseError)
+          << snap.status();
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+TEST(SnapshotV3, OutOfRangeIndexesAndOverrunningCountsAreParseErrors) {
+  CleanedEmp emp;
+  TempDir dir;
+  const std::string bytes = emp.Snapshot(&dir);
+  const auto sections = SplitSections(bytes);
+  const std::string path = dir.Sub("bad.dsnap");
+  // Overwrites the u32 or u64 at `at` (from the end when negative) of
+  // section `id`, and expects a ParseError naming `needle`.
+  auto expect_rejected = [&](uint32_t id, long at, uint64_t value,
+                             size_t width, const std::string& needle) {
+    auto edited = sections;
+    for (auto& [sid, payload] : edited) {
+      if (sid != id) continue;
+      const size_t pos = at < 0 ? payload.size() + at : static_cast<size_t>(at);
+      BinaryWriter w;
+      if (width == 4) {
+        w.WriteU32(static_cast<uint32_t>(value));
+      } else {
+        w.WriteU64(value);
+      }
+      payload.replace(pos, width, w.buffer());
+    }
+    ASSERT_TRUE(
+        persist::WriteFileAtomic(path, JoinSections(bytes, edited)).ok());
+    Result<persist::EngineSnapshot> snap = persist::ReadSnapshot(path);
+    ASSERT_FALSE(snap.ok()) << needle;
+    EXPECT_EQ(snap.status().code(), StatusCode::kParseError) << needle;
+    EXPECT_NE(snap.status().message().find(needle), std::string::npos)
+        << snap.status().message();
+  };
+  // The tables section ends with the last probabilistic cell's set index;
+  // the provenance section with the last record's two indexes.
+  expect_rejected(persist::kSectionTables, -4, 1u << 20, 4,
+                  "candidate set index");
+  expect_rejected(persist::kSectionProvenance, -8, 1u << 20, 4,
+                  "source list index");
+  expect_rejected(persist::kSectionProvenance, -4, 1u << 20, 4,
+                  "row set index");
+  // Provenance payload: u32 table count, the table name, then the u64
+  // source-list count.
+  expect_rejected(persist::kSectionProvenance, 4 + 4 + 3, uint64_t{1} << 40,
+                  8, "exceeds");
+}
+
 // -------------------------------------------------------- format golden --
 
-// The fixture pins on-disk format v1: these files were produced by the
-// generator below (DAISY_REGEN_GOLDEN=1) and must keep loading — and
-// keep meaning the same engine state — for as long as v1 stays inside
+// Each fixture pins one on-disk format: golden_vN holds a snapshot of
+// version N plus its WAL, produced by the generator below at a commit
+// whose kSnapshotVersion was N (DAISY_REGEN_GOLDEN=1 rewrites the current
+// version's fixture only). Every fixture must keep loading — and keep
+// meaning the same engine state — for as long as its version stays inside
 // [kMinSnapshotVersion, kSnapshotVersion]. A v1 snapshot predates the
-// optimizer flag, so it loads with optimizer = true (the engine default).
+// optimizer flag, so it loads with optimizer = true (the engine default);
+// v1 and v2 inline every candidate set, source list and row set.
 // A failure here means a payload encoding changed without a version bump.
-TEST(GoldenV1, FixtureKeepsLoading) {
-  const std::string fixture = std::string(DAISY_TESTDATA_DIR) + "/golden_v1";
+void ExpectGoldenFixtureLoads(uint32_t version) {
+  const std::string fixture = std::string(DAISY_TESTDATA_DIR) +
+                              "/golden_v" + std::to_string(version);
   if (const char* regen = std::getenv("DAISY_REGEN_GOLDEN");
-      regen != nullptr && std::string(regen) == "1") {
+      regen != nullptr && std::string(regen) == "1" &&
+      version == persist::kSnapshotVersion) {
     ASSERT_TRUE(persist::EnsureDirectory(DAISY_TESTDATA_DIR).ok());
     TempDir::RemoveRecursively(fixture);
     Database db;
@@ -733,6 +939,10 @@ TEST(GoldenV1, FixtureKeepsLoading) {
     ASSERT_TRUE(engine.DeleteRows("emp", {7}).ok());
     GTEST_SKIP() << "regenerated golden fixture at " << fixture;
   }
+  const std::string snapshot =
+      persist::ReadFileFully(fixture + "/snapshot-000001.dsnap").ValueOrDie();
+  BinaryReader header(snapshot.data() + sizeof(persist::kSnapshotMagic), 4);
+  ASSERT_EQ(header.ReadU32().ValueOrDie(), version);
 
   Database ref_db;
   ASSERT_TRUE(ref_db.AddTable(SeedEmpTable()).ok());
@@ -762,6 +972,12 @@ TEST(GoldenV1, FixtureKeepsLoading) {
   ExpectEnginesEquivalent(recovered2.value().get(), &reference,
                           kProbeQueries);
 }
+
+TEST(GoldenV1, FixtureKeepsLoading) { ExpectGoldenFixtureLoads(1); }
+
+TEST(GoldenV2, FixtureKeepsLoading) { ExpectGoldenFixtureLoads(2); }
+
+TEST(GoldenV3, FixtureKeepsLoading) { ExpectGoldenFixtureLoads(3); }
 
 }  // namespace
 }  // namespace daisy

@@ -179,11 +179,13 @@ inline void ExpectProvenanceEqual(const ProvenanceStore* a,
       EXPECT_EQ(ra.rule, rb.rule);
       EXPECT_EQ(ra.pair_tag, rb.pair_tag);
       EXPECT_EQ(ra.conflicting(), rb.conflicting());
-      ASSERT_EQ(ra.sources.size(), rb.sources.size());
-      for (size_t s = 0; s < ra.sources.size(); ++s) {
-        EXPECT_TRUE(ValueExactEq(ra.sources[s].value, rb.sources[s].value));
-        EXPECT_EQ(ra.sources[s].count, rb.sources[s].count);
-        EXPECT_EQ(ra.sources[s].kind, rb.sources[s].kind);
+      const std::vector<CandidateSource>& sa = ra.source_list();
+      const std::vector<CandidateSource>& sb = rb.source_list();
+      ASSERT_EQ(sa.size(), sb.size());
+      for (size_t s = 0; s < sa.size(); ++s) {
+        EXPECT_TRUE(ValueExactEq(sa[s].value, sb[s].value));
+        EXPECT_EQ(sa[s].count, sb[s].count);
+        EXPECT_EQ(sa[s].kind, sb[s].kind);
       }
     }
   }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <set>
 
+#include "cell_test_util.h"
 #include "common/rng.h"
 #include "detect/fd_delta.h"
 #include "repair/fd_repair.h"
@@ -282,12 +283,14 @@ TEST(ProvenancePropertyTest, RecordOrderDoesNotMatter) {
       RepairRecord rec;
       rec.rule = "rule" + std::to_string(i);
       rec.pair_tag = static_cast<int32_t>(rng.UniformInt(0, 1));
-      const int sources = static_cast<int>(rng.UniformInt(1, 4));
-      for (int s = 0; s < sources; ++s) {
-        rec.sources.push_back({Value(rng.UniformInt(0, 5)),
-                               static_cast<double>(rng.UniformInt(1, 5)),
-                               CandidateKind::kPoint});
+      const int nsources = static_cast<int>(rng.UniformInt(1, 4));
+      std::vector<CandidateSource> sources;
+      for (int s = 0; s < nsources; ++s) {
+        sources.push_back({Value(rng.UniformInt(0, 5)),
+                           static_cast<double>(rng.UniformInt(1, 5)),
+                           CandidateKind::kPoint});
       }
+      rec.sources = ShareSources(std::move(sources));
       records.push_back(std::move(rec));
     }
     auto apply = [&](const std::vector<RepairRecord>& recs) {
@@ -311,10 +314,10 @@ TEST(CellPropertyTest, MayEqualConsistentWithPossibleValues) {
     Cell cell(Value(rng.UniformInt(0, 20)));
     const int cands = static_cast<int>(rng.UniformInt(0, 4));
     for (int i = 0; i < cands; ++i) {
-      cell.add_candidate({Value(rng.UniformInt(0, 20)), 1.0, 0,
-                          CandidateKind::kPoint});
+      testutil::AddCandidate(
+          &cell, {Value(rng.UniformInt(0, 20)), 1.0, 0, CandidateKind::kPoint});
     }
-    cell.Normalize();
+    testutil::NormalizeCell(&cell);
     for (const Value& v : cell.PossibleValues()) {
       EXPECT_TRUE(cell.MayEqual(v));
       EXPECT_TRUE(cell.MayBeInRange(v, v));

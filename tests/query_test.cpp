@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "aggregate_oracle.h"
+#include "cell_test_util.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "filter_oracle.h"
@@ -121,8 +122,8 @@ TEST(EvalTest, CellMaySatisfyPoint) {
 
 TEST(EvalTest, CellMaySatisfyCandidates) {
   Cell c(Value(50.0));
-  c.add_candidate({Value(50.0), 0.5, 0, CandidateKind::kPoint});
-  c.add_candidate({Value(90.0), 0.5, 0, CandidateKind::kPoint});
+  testutil::AddCandidate(&c, {Value(50.0), 0.5, 0, CandidateKind::kPoint});
+  testutil::AddCandidate(&c, {Value(90.0), 0.5, 0, CandidateKind::kPoint});
   EXPECT_TRUE(CellMaySatisfy(c, CompareOp::kGt, Value(80.0)));
   EXPECT_FALSE(CellMaySatisfy(c, CompareOp::kGt, Value(95.0)));
   EXPECT_TRUE(CellMaySatisfy(c, CompareOp::kEq, Value(90.0)));
@@ -130,7 +131,7 @@ TEST(EvalTest, CellMaySatisfyCandidates) {
 
 TEST(EvalTest, CellMaySatisfyRanges) {
   Cell c(Value(100.0));
-  c.add_candidate({Value(40.0), 0.5, 0, CandidateKind::kLessEq});
+  testutil::AddCandidate(&c, {Value(40.0), 0.5, 0, CandidateKind::kLessEq});
   // x <= 40 can satisfy x < 10, x == 40, x <= 100.
   EXPECT_TRUE(CellMaySatisfy(c, CompareOp::kLt, Value(10.0)));
   EXPECT_TRUE(CellMaySatisfy(c, CompareOp::kEq, Value(40.0)));
@@ -141,8 +142,8 @@ TEST(EvalTest, CellMaySatisfyRanges) {
 
 TEST(EvalTest, CellsMayMatchOverlapSemantics) {
   Cell a(Value(1));
-  a.add_candidate({Value(1), 0.5, 0, CandidateKind::kPoint});
-  a.add_candidate({Value(2), 0.5, 1, CandidateKind::kPoint});
+  testutil::AddCandidate(&a, {Value(1), 0.5, 0, CandidateKind::kPoint});
+  testutil::AddCandidate(&a, {Value(2), 0.5, 1, CandidateKind::kPoint});
   Cell b(Value(2));
   EXPECT_TRUE(CellsMayMatch(a, CompareOp::kEq, b));  // overlap on 2
   Cell c(Value(3));
@@ -218,10 +219,10 @@ TEST(ExecutorTest, ProbabilisticJoinKeyOverlap) {
   Database db = MakeJoinDb();
   Table* emp = db.GetTable("emp").ValueOrDie();
   // ann's dept becomes {1 or 2}: she must now match both departments.
-  emp->mutable_cell(0, 1).add_candidate({Value(1), 0.5, 0,
-                                         CandidateKind::kPoint});
-  emp->mutable_cell(0, 1).add_candidate({Value(2), 0.5, 1,
-                                         CandidateKind::kPoint});
+  testutil::AddCandidate(&emp->mutable_cell(0, 1),
+                         {Value(1), 0.5, 0, CandidateKind::kPoint});
+  testutil::AddCandidate(&emp->mutable_cell(0, 1),
+                         {Value(2), 0.5, 1, CandidateKind::kPoint});
   QueryExecutor exec(&db);
   auto out = exec.Execute(
                      "SELECT emp.name, dept.dept_name FROM emp, dept "
@@ -313,10 +314,10 @@ TEST(ExecutorTest, StarExpansionQualifiesOnJoin) {
 TEST(ExecutorTest, ProbabilisticCellsSurviveProjection) {
   Database db = MakeJoinDb();
   Table* emp = db.GetTable("emp").ValueOrDie();
-  emp->mutable_cell(0, 2).add_candidate({Value(100.0), 0.5, 0,
-                                         CandidateKind::kPoint});
-  emp->mutable_cell(0, 2).add_candidate({Value(500.0), 0.5, 1,
-                                         CandidateKind::kPoint});
+  testutil::AddCandidate(&emp->mutable_cell(0, 2),
+                         {Value(100.0), 0.5, 0, CandidateKind::kPoint});
+  testutil::AddCandidate(&emp->mutable_cell(0, 2),
+                         {Value(500.0), 0.5, 1, CandidateKind::kPoint});
   QueryExecutor exec(&db);
   // May-semantics: ann qualifies for salary > 400 through the candidate.
   auto out =
@@ -459,9 +460,9 @@ void RandomizeCandidates(Rng* rng, std::vector<Table>* tables) {
         if (!rng->Bernoulli(0.25)) continue;
         const bool numeric = t.schema().column(c).type != ValueType::kString;
         t.SetCandidates(r, c,
-                        rng->Bernoulli(0.2)
-                            ? std::vector<Candidate>{}
-                            : RandomCandidates(rng, numeric));
+                        MakeCandidateSet(rng->Bernoulli(0.2)
+                                             ? std::vector<Candidate>{}
+                                             : RandomCandidates(rng, numeric)));
       }
     }
   }
@@ -578,8 +579,10 @@ TEST(AggregateDifferentialTest, ValueKeyedCellsCounted) {
   for (double g : {1.0, 2.0, std::nan(""), 1.0, 2.0}) {
     ASSERT_TRUE(t.AppendRow({Value(g), Value(1)}).ok());
   }
-  t.SetCandidates(1, 0, {{Value(1.0), 0.6, 0, CandidateKind::kPoint},
-                         {Value(2.0), 0.4, 1, CandidateKind::kPoint}});
+  t.SetCandidates(
+      1, 0,
+      MakeCandidateSet({{Value(1.0), 0.6, 0, CandidateKind::kPoint},
+                        {Value(2.0), 0.4, 1, CandidateKind::kPoint}}));
   ASSERT_TRUE(db.AddTable(std::move(t)).ok());
   Counter* cells = MetricsRegistry::Global().GetCounter(
       "daisy_plan_agg_value_keyed_cells_total");

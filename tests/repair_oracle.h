@@ -59,7 +59,7 @@ inline RepairStats RepairFdViolationsOverScope(Table* table,
       RepairRecord rec;
       rec.rule = dc.name();
       rec.pair_tag = 0;
-      rec.sources = SortedSources(group.rhs_histogram);
+      rec.sources = ShareSources(SortedSources(group.rhs_histogram));
       rec.conflicting_rows =
           std::make_shared<const std::vector<RowId>>(group.rows);
       provenance->Record(table, r, fd.rhs, std::move(rec));
@@ -74,7 +74,8 @@ inline RepairStats RepairFdViolationsOverScope(Table* table,
         RepairRecord lhs_rec;
         lhs_rec.rule = dc.name();
         lhs_rec.pair_tag = 1;
-        lhs_rec.sources = SortedSources({hist.begin(), hist.end()});
+        lhs_rec.sources =
+            ShareSources(SortedSources({hist.begin(), hist.end()}));
         lhs_rec.conflicting_rows =
             std::make_shared<const std::vector<RowId>>(same_rhs);
         provenance->Record(table, r, lhs_col, std::move(lhs_rec));
@@ -92,13 +93,14 @@ inline ::testing::AssertionResult SameRecords(const ProvenanceStore& a,
   auto same_record = [](const RepairRecord& x, const RepairRecord& y) {
     if (x.rule != y.rule || x.pair_tag != y.pair_tag ||
         x.conflicting() != y.conflicting() ||
-        x.sources.size() != y.sources.size()) {
+        x.source_list().size() != y.source_list().size()) {
       return false;
     }
-    for (size_t i = 0; i < x.sources.size(); ++i) {
-      if (!(x.sources[i].value == y.sources[i].value) ||
-          x.sources[i].count != y.sources[i].count ||
-          x.sources[i].kind != y.sources[i].kind) {
+    for (size_t i = 0; i < x.source_list().size(); ++i) {
+      const CandidateSource& xs = x.source_list()[i];
+      const CandidateSource& ys = y.source_list()[i];
+      if (!(xs.value == ys.value) || xs.count != ys.count ||
+          xs.kind != ys.kind) {
         return false;
       }
     }

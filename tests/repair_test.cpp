@@ -150,8 +150,8 @@ TEST(ProvenanceTest, RecordRebuildsCell) {
   RepairRecord rec;
   rec.rule = "phi";
   rec.pair_tag = 0;
-  rec.sources = {{Value("LA"), 2.0, CandidateKind::kPoint},
-                 {Value("SF"), 1.0, CandidateKind::kPoint}};
+  rec.sources = ShareSources({{Value("LA"), 2.0, CandidateKind::kPoint},
+                              {Value("SF"), 1.0, CandidateKind::kPoint}});
   prov.Record(&t, 0, 1, std::move(rec));
   const Cell& cell = t.cell(0, 1);
   ASSERT_TRUE(cell.is_probabilistic());
@@ -168,9 +168,13 @@ TEST(ProvenanceTest, SameRuleRecordReplaces) {
   ASSERT_TRUE(t.AppendRow({Value(1), Value("SF")}).ok());
   ProvenanceStore prov;
   prov.Record(&t, 0, 1,
-              {"phi", 0, {{Value("LA"), 1.0, CandidateKind::kPoint}}, {}});
+              {"phi", 0,
+               ShareSources({{Value("LA"), 1.0, CandidateKind::kPoint}}),
+               {}});
   prov.Record(&t, 0, 1,
-              {"phi", 0, {{Value("NY"), 1.0, CandidateKind::kPoint}}, {}});
+              {"phi", 0,
+               ShareSources({{Value("NY"), 1.0, CandidateKind::kPoint}}),
+               {}});
   const Cell& cell = t.cell(0, 1);
   ASSERT_EQ(cell.candidates().size(), 1u);
   EXPECT_EQ(cell.candidates()[0].value, Value("NY"));
@@ -184,13 +188,13 @@ TEST(ProvenanceTest, Lemma4MergeIsCommutative) {
     EXPECT_TRUE(t.AppendRow({Value(1), Value("SF")}).ok());
     ProvenanceStore prov;
     RepairRecord phi{"phi", 0,
-                     {{Value("LA"), 2.0, CandidateKind::kPoint},
-                      {Value("SF"), 1.0, CandidateKind::kPoint}},
+                     ShareSources({{Value("LA"), 2.0, CandidateKind::kPoint},
+                                   {Value("SF"), 1.0, CandidateKind::kPoint}}),
                      std::make_shared<const std::vector<RowId>>(
                          std::vector<RowId>{0, 1})};
     RepairRecord psi{"psi", 0,
-                     {{Value("LA"), 1.0, CandidateKind::kPoint},
-                      {Value("NY"), 1.0, CandidateKind::kPoint}},
+                     ShareSources({{Value("LA"), 1.0, CandidateKind::kPoint},
+                                   {Value("NY"), 1.0, CandidateKind::kPoint}}),
                      std::make_shared<const std::vector<RowId>>(
                          std::vector<RowId>{0, 2})};
     if (phi_first) {
@@ -318,6 +322,97 @@ TEST(FdRepairTest, MultiAttributeLhs) {
   EXPECT_EQ(t.cell(0, 2).candidates().size(), 2u);
   EXPECT_TRUE(t.cell(0, 1).is_probabilistic());
   EXPECT_FALSE(t.cell(1, 1).is_probabilistic());
+}
+
+// Rows 0, 1, 2, 5 form the violating 9001 group and rows 3, 4 the 10001
+// group; the San Francisco bucket {1, 3, 5} spans both zips.
+Table SharedCitiesTable() {
+  Table t = CitiesTable();
+  EXPECT_TRUE(t.AppendRow({Value(9001), Value("San Francisco")}).ok());
+  return t;
+}
+
+TEST(FdRepairTest, CellsOfOneDistributionShareOneSet) {
+  Table t = SharedCitiesTable();
+  auto dc = ParseConstraint("phi: FD zip -> city", "cities", CitySchema())
+                .ValueOrDie();
+  const FdDeltaDetector index(&t, &dc);
+  ProvenanceStore prov;
+  (void)RepairFdViolations(&t, index, t.AllRowIds(), &prov);
+  auto set = [&](RowId r, size_t c) { return t.cell(r, c).candidate_set(); };
+  auto record = [&](RowId r, size_t c) {
+    const std::vector<RepairRecord>* recs = prov.RecordsFor(r, c);
+    EXPECT_NE(recs, nullptr);
+    EXPECT_EQ(recs->size(), 1u);
+    return recs->front();
+  };
+
+  // P(city | zip = 9001): one set and one sources object for the group.
+  ASSERT_NE(set(0, 1), nullptr);
+  for (RowId r : {1, 2, 5}) {
+    EXPECT_EQ(set(r, 1), set(0, 1)) << r;
+    EXPECT_EQ(record(r, 1).sources, record(0, 1).sources) << r;
+    EXPECT_EQ(record(r, 1).conflicting_rows, record(0, 1).conflicting_rows);
+  }
+  // The 10001 group has its own.
+  ASSERT_NE(set(3, 1), nullptr);
+  EXPECT_EQ(set(4, 1), set(3, 1));
+  EXPECT_NE(set(3, 1), set(0, 1));
+  EXPECT_NE(record(3, 1).sources, record(0, 1).sources);
+
+  // P(zip | city = San Francisco) across both groups: one set.
+  ASSERT_NE(set(1, 0), nullptr);
+  for (RowId r : {3, 5}) {
+    EXPECT_EQ(set(r, 0), set(1, 0)) << r;
+    EXPECT_EQ(record(r, 0).sources, record(1, 0).sources) << r;
+  }
+  // Sharing changes nothing a reader sees.
+  EXPECT_EQ(t.cell(5, 1).MostProbable(), Value("Los Angeles"));
+  EXPECT_EQ(t.cell(5, 1).candidates(), t.cell(0, 1).candidates());
+}
+
+TEST(FdRepairTest, MergedCellsOwnTheirSetUntilOneRecordIsLeft) {
+  Table t = SharedCitiesTable();
+  auto phi = ParseConstraint("phi: FD zip -> city", "cities", CitySchema())
+                 .ValueOrDie();
+  auto psi = ParseConstraint("psi: FD zip -> city", "cities", CitySchema())
+                 .ValueOrDie();
+  const FdDeltaDetector phi_index(&t, &phi);
+  const FdDeltaDetector psi_index(&t, &psi);
+  ProvenanceStore prov;
+  (void)RepairFdViolations(&t, phi_index, t.AllRowIds(), &prov);
+  const CandidateSetPtr phi_set = t.cell(0, 1).candidate_set();
+  (void)RepairFdViolations(&t, psi_index, t.AllRowIds(), &prov);
+  // Two records per cell: each cell derives a set of its own, equal in
+  // content across the group.
+  EXPECT_NE(t.cell(0, 1).candidate_set(), t.cell(2, 1).candidate_set());
+  EXPECT_EQ(t.cell(0, 1), t.cell(2, 1));
+  // Dropping psi leaves phi's shared sources alone: the cells share again.
+  prov.DropRule(&t, "psi");
+  for (RowId r : {0, 1, 2, 5}) {
+    EXPECT_EQ(t.cell(r, 1).candidate_set(), t.cell(0, 1).candidate_set());
+  }
+  EXPECT_EQ(*t.cell(0, 1).candidate_set(), *phi_set);
+}
+
+TEST(ProvenanceTest, AppendSourcesCopiesSharedSources) {
+  Table t("c", CitySchema());
+  ASSERT_TRUE(t.AppendRow({Value(1), Value("SF")}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(1), Value("LA")}).ok());
+  ProvenanceStore prov;
+  const SharedSources shared =
+      ShareSources({{Value("SF"), 1.0, CandidateKind::kPoint}});
+  prov.Record(&t, 0, 1, {"dc", 0, shared, {}});
+  prov.Record(&t, 1, 1, {"dc", 0, shared, {}});
+  EXPECT_EQ(t.cell(0, 1).candidate_set(), t.cell(1, 1).candidate_set());
+  // Growing row 0's record must not touch row 1's, nor the shared list.
+  prov.AppendSources(&t, 0, 1, "dc", 0,
+                     {{Value("LA"), 1.0, CandidateKind::kPoint}}, {1});
+  EXPECT_EQ(shared->size(), 1u);
+  EXPECT_EQ(t.cell(0, 1).candidates().size(), 2u);
+  EXPECT_EQ(t.cell(1, 1).candidates().size(), 1u);
+  EXPECT_NE(prov.RecordsFor(0, 1)->front().sources, shared);
+  EXPECT_EQ(prov.RecordsFor(1, 1)->front().sources, shared);
 }
 
 // ------------------------------------------------------------- DC repair --

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cell_test_util.h"
 #include "common/csv.h"
 #include "storage/database.h"
 #include "storage/table.h"
@@ -56,9 +57,9 @@ TEST(CellTest, CleanCellBasics) {
 
 TEST(CellTest, NormalizeAndMostProbable) {
   Cell c(Value("SF"));
-  c.add_candidate({Value("LA"), 2.0, 0, CandidateKind::kPoint});
-  c.add_candidate({Value("SF"), 1.0, 0, CandidateKind::kPoint});
-  c.Normalize();
+  testutil::AddCandidate(&c, {Value("LA"), 2.0, 0, CandidateKind::kPoint});
+  testutil::AddCandidate(&c, {Value("SF"), 1.0, 0, CandidateKind::kPoint});
+  testutil::NormalizeCell(&c);
   ASSERT_TRUE(c.is_probabilistic());
   EXPECT_EQ(c.width(), 2u);
   EXPECT_NEAR(c.candidates()[0].prob, 2.0 / 3.0, 1e-12);
@@ -70,8 +71,8 @@ TEST(CellTest, NormalizeAndMostProbable) {
 
 TEST(CellTest, MayEqualAcrossCandidates) {
   Cell c(Value(9001));
-  c.add_candidate({Value(9001), 0.5, 0, CandidateKind::kPoint});
-  c.add_candidate({Value(10001), 0.5, 1, CandidateKind::kPoint});
+  testutil::AddCandidate(&c, {Value(9001), 0.5, 0, CandidateKind::kPoint});
+  testutil::AddCandidate(&c, {Value(10001), 0.5, 1, CandidateKind::kPoint});
   EXPECT_TRUE(c.MayEqual(Value(9001)));
   EXPECT_TRUE(c.MayEqual(Value(10001)));
   EXPECT_FALSE(c.MayEqual(Value(12345)));
@@ -79,8 +80,8 @@ TEST(CellTest, MayEqualAcrossCandidates) {
 
 TEST(CellTest, RangeCandidatesMayEqual) {
   Cell c(Value(3000.0));
-  c.add_candidate({Value(3000.0), 0.5, 0, CandidateKind::kPoint});
-  c.add_candidate({Value(2000.0), 0.5, 0, CandidateKind::kLessEq});
+  testutil::AddCandidate(&c, {Value(3000.0), 0.5, 0, CandidateKind::kPoint});
+  testutil::AddCandidate(&c, {Value(2000.0), 0.5, 0, CandidateKind::kLessEq});
   EXPECT_TRUE(c.MayEqual(Value(1500.0)));   // covered by <= 2000
   EXPECT_TRUE(c.MayEqual(Value(2000.0)));   // boundary of <=
   EXPECT_TRUE(c.MayEqual(Value(3000.0)));   // point candidate
@@ -89,11 +90,11 @@ TEST(CellTest, RangeCandidatesMayEqual) {
 
 TEST(CellTest, StrictRangeBoundary) {
   Cell c(Value(10.0));
-  c.add_candidate({Value(5.0), 1.0, 0, CandidateKind::kLessThan});
+  testutil::AddCandidate(&c, {Value(5.0), 1.0, 0, CandidateKind::kLessThan});
   EXPECT_TRUE(c.MayEqual(Value(4.9)));
   EXPECT_FALSE(c.MayEqual(Value(5.0)));  // strict
   Cell g(Value(10.0));
-  g.add_candidate({Value(5.0), 1.0, 0, CandidateKind::kGreaterEq});
+  testutil::AddCandidate(&g, {Value(5.0), 1.0, 0, CandidateKind::kGreaterEq});
   EXPECT_TRUE(g.MayEqual(Value(5.0)));
   EXPECT_FALSE(g.MayEqual(Value(4.0)));
 }
@@ -105,7 +106,7 @@ TEST(CellTest, MayBeInRange) {
   EXPECT_TRUE(c.MayBeInRange(Value::Null(), Value(50)));  // open low end
 
   Cell p(Value(50));
-  p.add_candidate({Value(100), 0.5, 0, CandidateKind::kGreaterThan});
+  testutil::AddCandidate(&p, {Value(100), 0.5, 0, CandidateKind::kGreaterThan});
   EXPECT_TRUE(p.MayBeInRange(Value(150), Value(200)));
   EXPECT_FALSE(p.MayBeInRange(Value(10), Value(90)));
   EXPECT_TRUE(p.MayBeInRange(Value(10), Value::Null()));  // open high end
@@ -113,18 +114,58 @@ TEST(CellTest, MayBeInRange) {
 
 TEST(CellTest, PossibleValuesSkipsRangesAndDedupes) {
   Cell c(Value(1));
-  c.add_candidate({Value(2), 0.4, 0, CandidateKind::kPoint});
-  c.add_candidate({Value(2), 0.1, 1, CandidateKind::kPoint});
-  c.add_candidate({Value(9), 0.5, 0, CandidateKind::kLessThan});
+  testutil::AddCandidate(&c, {Value(2), 0.4, 0, CandidateKind::kPoint});
+  testutil::AddCandidate(&c, {Value(2), 0.1, 1, CandidateKind::kPoint});
+  testutil::AddCandidate(&c, {Value(9), 0.5, 0, CandidateKind::kLessThan});
   EXPECT_EQ(c.PossibleValues(), std::vector<Value>{Value(2)});
 }
 
-TEST(CellTest, ClearCandidatesRestoresClean) {
+TEST(CellTest, NullSetRestoresClean) {
   Cell c(Value("orig"));
-  c.add_candidate({Value("new"), 1.0, 0, CandidateKind::kPoint});
-  c.ClearCandidates();
+  testutil::AddCandidate(&c, {Value("new"), 1.0, 0, CandidateKind::kPoint});
+  c.set_candidates(nullptr);
   EXPECT_FALSE(c.is_probabilistic());
   EXPECT_EQ(c.MostProbable(), Value("orig"));
+}
+
+TEST(CandidateSetTest, MostProbableIsTheFirstStrictlyHighestPoint) {
+  // Ties keep the first; ranges never win; the cached index answers.
+  const CandidateSet set({{Value(1), 0.3, 0, CandidateKind::kPoint},
+                          {Value(2), 0.5, 0, CandidateKind::kLessThan},
+                          {Value(3), 0.35, 0, CandidateKind::kPoint},
+                          {Value(4), 0.35, 1, CandidateKind::kPoint}});
+  ASSERT_NE(set.most_probable(), nullptr);
+  EXPECT_EQ(set.most_probable()->value, Value(3));
+  const CandidateSet ranges({{Value(2), 1.0, 0, CandidateKind::kGreaterEq}});
+  EXPECT_EQ(ranges.most_probable(), nullptr);
+  Cell c(Value(7));
+  c.set_candidates(std::make_shared<const CandidateSet>(ranges));
+  EXPECT_EQ(c.MostProbable(), Value(7));  // range-only: the original
+}
+
+TEST(CandidateSetTest, EmptySetMakesACleanCell) {
+  EXPECT_EQ(MakeCandidateSet({}), nullptr);
+  Cell c(Value(7));
+  c.set_candidates(std::make_shared<const CandidateSet>(
+      std::vector<Candidate>{}));
+  EXPECT_FALSE(c.is_probabilistic());
+  EXPECT_EQ(c.width(), 1u);
+}
+
+TEST(CandidateSetTest, CellsCompareSetsByContent) {
+  const std::vector<Candidate> cands = {
+      {Value(1), 0.5, 0, CandidateKind::kPoint},
+      {Value(2), 0.5, 0, CandidateKind::kPoint}};
+  Cell a(Value(1));
+  Cell b(Value(1));
+  a.set_candidates(MakeCandidateSet(cands));
+  b.set_candidates(MakeCandidateSet(cands));
+  EXPECT_NE(a.candidate_set(), b.candidate_set());
+  EXPECT_EQ(a, b);
+  const Cell copy = a;  // a copy shares the set
+  EXPECT_EQ(copy.candidate_set(), a.candidate_set());
+  b.set_candidates(MakeCandidateSet({cands[0]}));
+  EXPECT_FALSE(a == b);
 }
 
 // ----------------------------------------------------------------- Table --
@@ -153,13 +194,13 @@ TEST(TableTest, ProbabilisticCounters) {
   ASSERT_TRUE(t.AppendRow({Value(2), Value("b")}).ok());
   EXPECT_EQ(t.CountProbabilisticCells(), 0u);
   EXPECT_EQ(t.TotalCandidateWidth(), 4u);
-  t.mutable_cell(0, 1).add_candidate({Value("c"), 0.5, 0,
-                                      CandidateKind::kPoint});
-  t.mutable_cell(0, 1).add_candidate({Value("a"), 0.5, 0,
-                                      CandidateKind::kPoint});
+  testutil::AddCandidate(&t.mutable_cell(0, 1),
+                         {Value("c"), 0.5, 0, CandidateKind::kPoint});
+  testutil::AddCandidate(&t.mutable_cell(0, 1),
+                         {Value("a"), 0.5, 0, CandidateKind::kPoint});
   EXPECT_EQ(t.CountProbabilisticCells(), 1u);
   EXPECT_EQ(t.TotalCandidateWidth(), 5u);
-  t.SetCandidates(0, 1, {});  // an empty set reverts the cell
+  t.SetCandidates(0, 1, nullptr);  // no set reverts the cell
   EXPECT_EQ(t.CountProbabilisticCells(), 0u);
   EXPECT_EQ(t.TotalCandidateWidth(), 4u);
 }
