@@ -69,46 +69,6 @@ bool DenialConstraint::InvolvesColumn(size_t col) const {
                             col);
 }
 
-namespace {
-
-const Value& AtomOperand(const Table& table, RowId a, RowId b, int tuple,
-                         size_t column) {
-  const RowId r = tuple == 0 ? a : b;
-  return table.cell(r, column).original();
-}
-
-}  // namespace
-
-bool DenialConstraint::ViolatedBy(const Table& table, RowId a, RowId b) const {
-  if (num_tuples_ == 2 && a == b) return false;
-  for (const PredicateAtom& atom : atoms_) {
-    const Value& lhs = AtomOperand(table, a, b, atom.left_tuple,
-                                   atom.left_column);
-    const Value& rhs = atom.right_is_constant
-                           ? atom.constant
-                           : AtomOperand(table, a, b, atom.right_tuple,
-                                         atom.right_column);
-    if (!EvalCompare(lhs, atom.op, rhs)) return false;
-  }
-  return true;
-}
-
-std::vector<bool> DenialConstraint::SatisfiedAtoms(const Table& table, RowId a,
-                                                   RowId b) const {
-  std::vector<bool> out(atoms_.size());
-  for (size_t i = 0; i < atoms_.size(); ++i) {
-    const PredicateAtom& atom = atoms_[i];
-    const Value& lhs = AtomOperand(table, a, b, atom.left_tuple,
-                                   atom.left_column);
-    const Value& rhs = atom.right_is_constant
-                           ? atom.constant
-                           : AtomOperand(table, a, b, atom.right_tuple,
-                                         atom.right_column);
-    out[i] = EvalCompare(lhs, atom.op, rhs);
-  }
-  return out;
-}
-
 std::string DenialConstraint::ToString() const {
   std::ostringstream oss;
   oss << name_ << "[" << table_ << "]: !(";

@@ -56,16 +56,6 @@ class DenialConstraint {
   }
   bool InvolvesColumn(size_t col) const;
 
-  /// Evaluates whether rows (a, b) of `table` jointly satisfy every atom —
-  /// i.e. whether they violate the constraint. Values are read through
-  /// `original()` (detection runs on raw data; repaired regions are skipped
-  /// by the caller's bookkeeping). For single-tuple constraints pass a == b.
-  bool ViolatedBy(const Table& table, RowId a, RowId b) const;
-
-  /// Atom-level evaluation used by the repair module: returns which atoms
-  /// hold for the pair (bitmask indexed by atom position).
-  std::vector<bool> SatisfiedAtoms(const Table& table, RowId a, RowId b) const;
-
   std::string ToString() const;
 
  private:

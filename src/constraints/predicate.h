@@ -3,7 +3,6 @@
 #ifndef DAISY_CONSTRAINTS_PREDICATE_H_
 #define DAISY_CONSTRAINTS_PREDICATE_H_
 
-#include <cstdint>
 #include <string>
 
 #include "common/status.h"
@@ -37,63 +36,8 @@ CompareOp FlipOp(CompareOp op);
 
 /// Evaluates `a op b` under Value ordering semantics. Comparisons against
 /// null are false except `null == null` and `x != null` (x non-null).
+/// CompiledCompare (constraints/compiled_compare.h) is its flat-array form.
 bool EvalCompare(const Value& a, CompareOp op, const Value& b);
-
-// Flat-array forms of EvalCompare, shared by every consumer that evaluates
-// on ColumnCache projections (theta-join atom compilation, compiled plan
-// filters). Keeping them here means null/ordering semantics cannot diverge
-// between the detectors and the query runtime.
-
-/// EvalCompare's null branch over precomputed null flags: null equals only
-/// null; inequality comparisons against null never hold.
-inline bool NullCompare(bool lnull, bool rnull, CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq:
-      return lnull && rnull;
-    case CompareOp::kNeq:
-      return lnull != rnull;
-    default:
-      return false;
-  }
-}
-
-/// `a op b` on the numeric double projection (non-null operands only).
-inline bool CompareDoubles(double a, CompareOp op, double b) {
-  switch (op) {
-    case CompareOp::kEq:
-      return a == b;
-    case CompareOp::kNeq:
-      return a != b;
-    case CompareOp::kLt:
-      return a < b;
-    case CompareOp::kLeq:
-      return a <= b;
-    case CompareOp::kGt:
-      return a > b;
-    case CompareOp::kGeq:
-      return a >= b;
-  }
-  return false;
-}
-
-/// `a op b` on dense Compare ranks of one column (non-null operands only).
-inline bool CompareRanks(uint32_t a, CompareOp op, uint32_t b) {
-  switch (op) {
-    case CompareOp::kEq:
-      return a == b;
-    case CompareOp::kNeq:
-      return a != b;
-    case CompareOp::kLt:
-      return a < b;
-    case CompareOp::kLeq:
-      return a <= b;
-    case CompareOp::kGt:
-      return a > b;
-    case CompareOp::kGeq:
-      return a >= b;
-  }
-  return false;
-}
 
 /// One atom p_i of a DC: `t<L>.col <op> t<R>.col` or `t<L>.col <op> const`.
 /// Tuple indices are 0-based (t1 -> 0). Column indices are resolved against

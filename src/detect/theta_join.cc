@@ -1,7 +1,6 @@
 #include "detect/theta_join.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace daisy {
@@ -34,16 +33,8 @@ bool RangeFeasible(double lmin, double lmax, CompareOp op, double rmin,
 
 }  // namespace detail
 
-namespace {
-
 using detail::kInf;
 using detail::RangeFeasible;
-
-// NullCompare / CompareDoubles / CompareRanks — the flat-array forms of
-// EvalCompare the compiled atoms evaluate with — live in
-// constraints/predicate.h, shared with the plan layer's compiled filters.
-
-}  // namespace
 
 ThetaJoinDetector::ThetaJoinDetector(const Table* table,
                                      const DenialConstraint* dc,
@@ -225,8 +216,11 @@ void ThetaJoinDetector::BuildPartitions() {
     col_generations_.push_back(col.generation);
     col_data_.push_back(col.num.data());
   }
-  sort_slot_ = static_cast<size_t>(
-      std::lower_bound(cols.begin(), cols.end(), sort_column_) - cols.begin());
+  auto slot = [&](size_t col) {
+    return static_cast<size_t>(
+        std::lower_bound(cols.begin(), cols.end(), col) - cols.begin());
+  };
+  sort_slot_ = slot(sort_column_);
 
   // The cache's sorted index uses exactly this detector's historical order:
   // numeric projection ascending, row id as tiebreak. Tombstoned rows are
@@ -259,144 +253,46 @@ void ThetaJoinDetector::BuildPartitions() {
     boundaries_.push_back(std::move(part));
   }
   range_index_built_ = false;
-  CompileAtoms(cache);
-}
 
-void ThetaJoinDetector::CompileAtoms(ColumnCache& cache) {
-  compiled_.clear();
-  const std::vector<PredicateAtom>& atoms = dc_->atoms();
-  compiled_.reserve(atoms.size());
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    const PredicateAtom& a = atoms[i];
-    CompiledAtom ca;
-    ca.op = a.op;
-    ca.left_tuple = a.left_tuple;
-    ca.right_tuple = a.right_is_constant ? a.left_tuple : a.right_tuple;
-    ca.atom_index = i;
-    const ColumnCache::Column& left = cache.column(a.left_column);
-    ca.lnum = left.num.data();
-    ca.lnulls = left.nulls.data();
-    ca.lranks = left.ranks.data();
+  atoms_.clear();
+  atoms_.reserve(dc_->atoms().size());
+  for (const PredicateAtom& a : dc_->atoms()) {
+    BoundAtom atom;
+    atom.left_tuple = a.left_tuple;
+    atom.left_slot = slot(a.left_column);
     if (a.right_is_constant) {
-      ca.check_nulls = left.has_nulls;
-      if (a.constant.is_null()) {
-        ca.kind = CompiledAtom::Kind::kNullConst;
-      } else if (left.numeric_only && a.constant.is_numeric()) {
-        ca.kind = CompiledAtom::Kind::kNumConst;
-        ca.cnum = a.constant.AsDouble();
-      } else {
-        // Locate the constant in the column's rank domain: clo = #distinct
-        // column values ordering strictly below it (Value::Compare, the
-        // same order ranks were assigned under).
-        ca.kind = CompiledAtom::Kind::kRankConst;
-        const std::vector<Value>& sd = left.sorted_distinct;
-        auto it = std::lower_bound(
-            sd.begin(), sd.end(), a.constant,
-            [](const Value& v, const Value& c) { return v.Compare(c) < 0; });
-        ca.clo = static_cast<uint32_t>(it - sd.begin());
-        ca.chas_eq = it != sd.end() && it->Compare(a.constant) == 0;
-      }
+      atom.cmp = CompiledCompare::Constant(*table_, a.left_column, a.op,
+                                           a.constant);
+      atom.right_tuple = a.left_tuple;
     } else {
-      const ColumnCache::Column& right = cache.column(a.right_column);
-      ca.rnum = right.num.data();
-      ca.rnulls = right.nulls.data();
-      ca.rranks = right.ranks.data();
-      ca.check_nulls = left.has_nulls || right.has_nulls;
-      if (a.left_column == a.right_column) {
-        ca.kind = CompiledAtom::Kind::kRank;
-      } else if (left.numeric_only && right.numeric_only) {
-        ca.kind = CompiledAtom::Kind::kNum;
-      } else {
-        // Two different columns, at least one non-numeric: per-column ranks
-        // are not comparable across columns — keep Value semantics.
-        ca.kind = CompiledAtom::Kind::kRow;
-      }
+      atom.cmp = CompiledCompare::Columns(*table_, a.left_column, a.op,
+                                          a.right_column);
+      atom.right_tuple = a.right_tuple;
+      atom.right_slot = slot(a.right_column);
     }
-    compiled_.push_back(ca);
+    atoms_.push_back(std::move(atom));
   }
-}
-
-bool ThetaJoinDetector::EvalAtomFlat(const CompiledAtom& atom, RowId a,
-                                     RowId b) const {
-  const RowId rows[2] = {a, b};  // branch-free tuple binding
-  const RowId l = rows[atom.left_tuple];
-  const RowId r = rows[atom.right_tuple];
-  switch (atom.kind) {
-    case CompiledAtom::Kind::kNum: {
-      if (atom.check_nulls) {
-        const bool lnull = atom.lnulls[l] != 0;
-        const bool rnull = atom.rnulls[r] != 0;
-        if (lnull || rnull) return NullCompare(lnull, rnull, atom.op);
-      }
-      return CompareDoubles(atom.lnum[l], atom.op, atom.rnum[r]);
-    }
-    case CompiledAtom::Kind::kRank: {
-      if (atom.check_nulls) {
-        const bool lnull = atom.lnulls[l] != 0;
-        const bool rnull = atom.rnulls[r] != 0;
-        if (lnull || rnull) return NullCompare(lnull, rnull, atom.op);
-      }
-      return CompareRanks(atom.lranks[l], atom.op, atom.rranks[r]);
-    }
-    case CompiledAtom::Kind::kNumConst: {
-      if (atom.check_nulls && atom.lnulls[l] != 0) {
-        return NullCompare(true, false, atom.op);
-      }
-      return CompareDoubles(atom.lnum[l], atom.op, atom.cnum);
-    }
-    case CompiledAtom::Kind::kRankConst: {
-      if (atom.check_nulls && atom.lnulls[l] != 0) {
-        return NullCompare(true, false, atom.op);
-      }
-      const uint32_t x = atom.lranks[l];
-      switch (atom.op) {
-        case CompareOp::kEq:
-          return atom.chas_eq && x == atom.clo;
-        case CompareOp::kNeq:
-          return !(atom.chas_eq && x == atom.clo);
-        case CompareOp::kLt:
-          return x < atom.clo;
-        case CompareOp::kLeq:
-          return x < atom.clo + (atom.chas_eq ? 1u : 0u);
-        case CompareOp::kGt:
-          return x >= atom.clo + (atom.chas_eq ? 1u : 0u);
-        case CompareOp::kGeq:
-          return x >= atom.clo;
-      }
-      return false;
-    }
-    case CompiledAtom::Kind::kNullConst:
-      return NullCompare(atom.lnulls[l] != 0, true, atom.op);
-    case CompiledAtom::Kind::kRow: {
-      const PredicateAtom& pa = dc_->atoms()[atom.atom_index];
-      const Value& lhs = table_->cell(l, pa.left_column).original();
-      const Value& rhs = pa.right_is_constant
-                             ? pa.constant
-                             : table_->cell(r, pa.right_column).original();
-      return EvalCompare(lhs, pa.op, rhs);
-    }
-  }
-  return false;
 }
 
 // Fused unordered-pair evaluation: both tuple orientations in a single
 // pass over the compiled atoms, sharing the per-row operand loads. Callers
-// guarantee a != b (the scan loops never produce the diagonal), so the
-// pairwise a == b short-circuit of DenialConstraint::ViolatedBy is not
-// re-checked here.
+// guarantee a != b (the scan loops never produce the diagonal): a row is
+// never paired with itself, so that case is not re-checked here.
 std::pair<bool, bool> ThetaJoinDetector::CheckBoth(RowId a, RowId b) const {
-  const CompiledAtom* const atoms = compiled_.data();
-  const size_t n = compiled_.size();
+  const RowId fwd_rows[2] = {a, b};  // branch-free tuple binding
+  const RowId rev_rows[2] = {b, a};
   bool fwd = true;
-  for (size_t i = 0; i < n; ++i) {
-    if (!EvalAtomFlat(atoms[i], a, b)) {
+  for (const BoundAtom& atom : atoms_) {
+    if (!atom.cmp.Eval(fwd_rows[atom.left_tuple],
+                       fwd_rows[atom.right_tuple])) {
       fwd = false;
       break;
     }
   }
   bool rev = true;
-  for (size_t i = 0; i < n; ++i) {
-    if (!EvalAtomFlat(atoms[i], b, a)) {
+  for (const BoundAtom& atom : atoms_) {
+    if (!atom.cmp.Eval(rev_rows[atom.left_tuple],
+                       rev_rows[atom.right_tuple])) {
       rev = false;
       break;
     }
@@ -404,27 +300,23 @@ std::pair<bool, bool> ThetaJoinDetector::CheckBoth(RowId a, RowId b) const {
   return {fwd, rev};
 }
 
+// Only atoms whose comparison the coordinates may bound take part (see
+// CompiledCompare::coord_use); the rest restrict nothing.
 bool ThetaJoinDetector::OrientationFeasible(
     const PartitionStats& t1_part, const PartitionStats& t2_part) const {
-  const std::vector<size_t>& cols = dc_->involved_columns();
-  auto slot = [&](size_t col) {
-    return static_cast<size_t>(
-        std::lower_bound(cols.begin(), cols.end(), col) - cols.begin());
-  };
-  for (const PredicateAtom& a : dc_->atoms()) {
+  for (const BoundAtom& a : atoms_) {
+    if (a.cmp.coord_use() == CompiledCompare::CoordUse::kNone) continue;
     const PartitionStats& lp = a.left_tuple == 0 ? t1_part : t2_part;
-    const size_t ls = slot(a.left_column);
     double rmin, rmax;
-    if (a.right_is_constant) {
-      const double c = ColumnCache::NumericCoord(a.constant);
-      rmin = rmax = c;
-    } else {
+    if (a.cmp.right_is_column()) {
       const PartitionStats& rp = a.right_tuple == 0 ? t1_part : t2_part;
-      const size_t rs = slot(a.right_column);
-      rmin = rp.min_val[rs];
-      rmax = rp.max_val[rs];
+      rmin = rp.min_val[a.right_slot];
+      rmax = rp.max_val[a.right_slot];
+    } else {
+      rmin = rmax = a.cmp.constant_coord();
     }
-    if (!RangeFeasible(lp.min_val[ls], lp.max_val[ls], a.op, rmin, rmax)) {
+    if (!RangeFeasible(lp.min_val[a.left_slot], lp.max_val[a.left_slot],
+                       a.cmp.coord_op(), rmin, rmax)) {
       return false;
     }
   }
@@ -663,7 +555,7 @@ void ThetaJoinDetector::BuildRangeIndex() {
       for (size_t s = part.begin; s < part.end; ++s) {
         vals.push_back(cols_[c]->num[sorted_[s]]);
       }
-      std::sort(vals.begin(), vals.end());
+      std::sort(vals.begin(), vals.end(), ColumnCache::NumLess);
     }
   }
   range_index_built_ = true;
@@ -675,11 +567,6 @@ const std::vector<double>& ThetaJoinDetector::EstimateErrors() {
   if (!range_index_built_) BuildRangeIndex();
   const size_t p = boundaries_.size();
   range_vio_.assign(p, 0.0);
-  const std::vector<size_t>& cols = dc_->involved_columns();
-  auto slot = [&](size_t col) {
-    return static_cast<size_t>(
-        std::lower_bound(cols.begin(), cols.end(), col) - cols.begin());
-  };
   for (size_t i = 0; i < p; ++i) {
     for (size_t j = 0; j < p; ++j) {
       if (i == j) continue;  // diagonal handled through Support()
@@ -695,15 +582,17 @@ const std::vector<double>& ThetaJoinDetector::EstimateErrors() {
       // the satisfying direction restrict nothing, so only overlapping
       // atoms bound the estimate.
       double estimate = std::min(rows_i, rows_j);
-      for (const PredicateAtom& a : dc_->atoms()) {
-        if (a.right_is_constant || a.left_tuple == a.right_tuple) continue;
-        if (a.op == CompareOp::kEq || a.op == CompareOp::kNeq) continue;
+      for (const BoundAtom& a : atoms_) {
+        if (a.cmp.coord_use() != CompiledCompare::CoordUse::kOrder ||
+            !a.cmp.right_is_column() || a.left_tuple == a.right_tuple) {
+          continue;
+        }
         const PartitionStats& lp =
             a.left_tuple == 0 ? boundaries_[i] : boundaries_[j];
         const PartitionStats& rp =
             a.right_tuple == 0 ? boundaries_[i] : boundaries_[j];
-        const size_t ls = slot(a.left_column);
-        const size_t rs = slot(a.right_column);
+        const size_t ls = a.left_slot;
+        const size_t rs = a.right_slot;
         const double lo = std::max(lp.min_val[ls], rp.min_val[rs]);
         const double hi = std::min(lp.max_val[ls], rp.max_val[rs]);
         if (lo > hi) continue;  // non-restrictive: feasibility already held
@@ -724,8 +613,9 @@ size_t ThetaJoinDetector::CountRowsInRange(const PartitionStats& part,
                                            size_t slot, double lo,
                                            double hi) const {
   const std::vector<double>& vals = part.sorted_vals[slot];
-  auto first = std::lower_bound(vals.begin(), vals.end(), lo);
-  auto last = std::upper_bound(first, vals.end(), hi);
+  auto first =
+      std::lower_bound(vals.begin(), vals.end(), lo, ColumnCache::NumLess);
+  auto last = std::upper_bound(first, vals.end(), hi, ColumnCache::NumLess);
   return static_cast<size_t>(last - first);
 }
 

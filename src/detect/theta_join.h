@@ -5,8 +5,9 @@
 //  * the sorted domain of the primary inequality attribute is split into
 //    p partitions; a matrix cell (i, j) is the cross product of partitions
 //    i and j;
-//  * cells whose boundary ranges cannot satisfy every atom in either tuple
-//    orientation are pruned (partition pruning);
+//  * cells whose boundary ranges cannot satisfy the atoms in either tuple
+//    orientation are pruned (partition pruning), counting only the atoms
+//    whose comparison the ranges may bound (see below);
 //  * within a surviving cell, sorted order restricts the candidate pairs
 //    (intra-partition pruning, Example 4);
 //  * the symmetric lower triangle is never checked;
@@ -18,12 +19,15 @@
 //
 // Execution is columnar: partitions, pruning statistics, and pair checks
 // all read the table's ColumnCache flat arrays instead of dispatching on
-// Value variants per cell. DC atoms are compiled once per partition build:
-// numeric-only columns compare as doubles, same-column atoms compare dense
-// Value::Compare ranks (exact for strings and for int64 beyond double
-// precision), and only atoms relating two different string-bearing columns
-// fall back to per-cell Value evaluation. Double comparisons on mixed
-// int/double columns match Value semantics for |v| < 2^53.
+// Value variants per cell. Each DC atom is compiled once per partition
+// build into a CompiledCompare (constraints/compiled_compare.h), the same
+// comparison the plan layer's WHERE leaves use. Its Eval is exact against
+// EvalCompare on nulls, NaN, strings and int64 beyond 2^53 (falling back
+// to the cells where the flat arrays are not), and its compile step also
+// decides which atoms the partitions' coordinate ranges may bound, for
+// both partition pruning and Estimate_Errors: == always, an order op on
+// numeric NaN-free columns (strict ops loosened beside wide ints), any
+// other atom never.
 //
 // The cache's content generations are checked on every public entry: a
 // repair that edits an original value invalidates the affected column
@@ -52,18 +56,10 @@
 #include <utility>
 #include <vector>
 
+#include "constraints/compiled_compare.h"
 #include "constraints/denial_constraint.h"
 #include "storage/column_cache.h"
 #include "storage/table.h"
-
-// The per-atom evaluator runs a few times per candidate pair — billions of
-// times per scan — and must not pay a call. GCC's cost model leaves it
-// out of line without the hint.
-#if defined(__GNUC__) || defined(__clang__)
-#define DAISY_ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define DAISY_ALWAYS_INLINE inline
-#endif
 
 namespace daisy {
 
@@ -219,34 +215,15 @@ class ThetaJoinDetector {
     std::vector<std::vector<double>> sorted_vals;
   };
 
-  /// One DC atom compiled against the column cache. `kind` picks the
-  /// representation that reproduces EvalCompare exactly (see file comment).
-  struct CompiledAtom {
-    enum class Kind {
-      kNum,        ///< column vs column, both numeric-only: doubles
-      kRank,       ///< column vs same column: dense Compare ranks
-      kNumConst,   ///< numeric-only column vs numeric constant
-      kRankConst,  ///< column vs constant located in the rank domain
-      kNullConst,  ///< column vs null constant
-      kRow,        ///< fallback: per-cell Value evaluation
-    };
-    Kind kind = Kind::kRow;
-    CompareOp op = CompareOp::kEq;
+  /// One DC atom: its comparison compiled on the column cache and the
+  /// tuples and involved-column slots it binds (a constant binds the left
+  /// tuple twice).
+  struct BoundAtom {
+    CompiledCompare cmp;
     int left_tuple = 0;
     int right_tuple = 0;
-    /// False when every referenced column is null-free: the null-mask loads
-    /// are skipped entirely in the hot loop.
-    bool check_nulls = true;
-    const double* lnum = nullptr;
-    const uint8_t* lnulls = nullptr;
-    const uint32_t* lranks = nullptr;
-    const double* rnum = nullptr;
-    const uint8_t* rnulls = nullptr;
-    const uint32_t* rranks = nullptr;
-    double cnum = 0.0;      ///< kNumConst: the constant as double
-    uint32_t clo = 0;       ///< kRankConst: #distinct values Compare< const
-    bool chas_eq = false;   ///< kRankConst: some value Compare== const
-    size_t atom_index = 0;  ///< kRow: index into dc_->atoms()
+    size_t left_slot = 0;
+    size_t right_slot = 0;
   };
 
   void EnsureFresh();
@@ -268,13 +245,10 @@ class ThetaJoinDetector {
   /// first. Appends to pairs_checked_.
   std::vector<ViolationPair> DrainAppends(RowId end);
   void BuildPartitions();
-  void CompileAtoms(ColumnCache& cache);
   void BuildRangeIndex();
   bool PairFeasible(const PartitionStats& a, const PartitionStats& b) const;
   bool OrientationFeasible(const PartitionStats& t1_part,
                            const PartitionStats& t2_part) const;
-  DAISY_ALWAYS_INLINE bool EvalAtomFlat(const CompiledAtom& atom, RowId a,
-                                        RowId b) const;
   std::pair<bool, bool> CheckBoth(RowId a, RowId b) const;
   void CheckPair(RowId a, RowId b, std::vector<ViolationPair>* out,
                  size_t* pairs) const;
@@ -314,7 +288,7 @@ class ThetaJoinDetector {
   std::vector<const ColumnCache::Column*> cols_;
   std::vector<uint64_t> col_generations_;
   std::vector<const double*> col_data_;
-  std::vector<CompiledAtom> compiled_;
+  std::vector<BoundAtom> atoms_;
   bool range_index_built_ = false;
 
   std::vector<double> range_vio_;      ///< Estimate_Errors cache

@@ -1,7 +1,6 @@
 #include "plan/compiled_filter.h"
 
 #include <algorithm>
-#include <cmath>
 #include <iterator>
 
 #include "common/metrics.h"
@@ -41,55 +40,17 @@ Result<CompiledFilter::Node> CompiledFilter::CompileNode(const Expr& expr) {
     return node;
   }
 
-  node.op = expr.op;
-  DAISY_ASSIGN_OR_RETURN(node.left_col, ResolveColumn(expr.left));
+  DAISY_ASSIGN_OR_RETURN(const size_t left, ResolveColumn(expr.left));
   ColumnCache& cache = table_->columns();
-  const ColumnCache::Column& left = cache.column(node.left_col);
-  node.lranks = &left.ranks;
-  node.lnum = &left.num;
-  node.lnulls = &left.nulls;
-  node.lprob = &left.probs;
-
+  node.lprob = cache.column(left).probs.data();
   if (!expr.right_is_column) {
-    node.rhs_val = expr.right_val;
-    if (node.rhs_val.is_null()) {
-      node.lkind = LeafKind::kConstNull;
-      return node;
-    }
-    if (!left.ranks_exact() || node.rhs_val.is_nan()) {
-      node.lkind = LeafKind::kRowFallback;
-      return node;
-    }
-    node.lkind = LeafKind::kConstRank;
-    const std::vector<Value>& sorted = left.sorted_distinct;
-    const auto eq = std::equal_range(
-        sorted.begin(), sorted.end(), node.rhs_val,
-        [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-    node.eq_lo = static_cast<uint32_t>(eq.first - sorted.begin());
-    node.eq_hi = static_cast<uint32_t>(eq.second - sorted.begin());
-    node.null_result = NullCompare(true, false, node.op);
+    node.cmp =
+        CompiledCompare::Constant(*table_, left, expr.op, expr.right_val);
     return node;
   }
-
-  node.right_is_column = true;
-  DAISY_ASSIGN_OR_RETURN(node.right_col, ResolveColumn(expr.right_col));
-  const ColumnCache::Column& right = cache.column(node.right_col);
-  node.rranks = &right.ranks;
-  node.rnum = &right.num;
-  node.rnulls = &right.nulls;
-  node.rprob = &right.probs;
-  if (!left.ranks_exact() || !right.ranks_exact()) {
-    node.lkind = LeafKind::kRowFallback;
-  } else if (node.left_col == node.right_col) {
-    node.lkind = LeafKind::kSameColRank;
-  } else if (left.numeric_only && right.numeric_only) {
-    node.lkind = LeafKind::kNumericCols;
-  } else {
-    // Cross-column comparison with strings involved: ranks come from
-    // different dictionaries and are not comparable — mirror the theta-join
-    // detector's row fallback.
-    node.lkind = LeafKind::kRowFallback;
-  }
+  DAISY_ASSIGN_OR_RETURN(const size_t right, ResolveColumn(expr.right_col));
+  node.rprob = cache.column(right).probs.data();
+  node.cmp = CompiledCompare::Columns(*table_, left, expr.op, right);
   return node;
 }
 
@@ -102,69 +63,15 @@ Result<CompiledFilter> CompiledFilter::Compile(const Table& table,
 }
 
 bool CompiledFilter::EvalLeaf(const Node& node, RowId r) const {
-  switch (node.lkind) {
-    case LeafKind::kConstNull: {
-      if ((*node.lprob)[r]) {
-        return CellMaySatisfy(table_->cell(r, node.left_col), node.op,
-                              node.rhs_val);
-      }
-      return NullCompare((*node.lnulls)[r] != 0, true, node.op);
+  const CompiledCompare& cmp = node.cmp;
+  if (node.lprob[r] || (node.rprob != nullptr && node.rprob[r])) {
+    const Cell& lhs = table_->cell(r, cmp.left_column());
+    if (cmp.right_is_column()) {
+      return CellsMayMatch(lhs, cmp.op(), table_->cell(r, cmp.right_column()));
     }
-    case LeafKind::kConstRank: {
-      if ((*node.lprob)[r]) {
-        return CellMaySatisfy(table_->cell(r, node.left_col), node.op,
-                              node.rhs_val);
-      }
-      if ((*node.lnulls)[r]) return node.null_result;
-      const uint32_t rank = (*node.lranks)[r];
-      switch (node.op) {
-        case CompareOp::kEq:
-          return rank >= node.eq_lo && rank < node.eq_hi;
-        case CompareOp::kNeq:
-          return rank < node.eq_lo || rank >= node.eq_hi;
-        case CompareOp::kLt:
-          return rank < node.eq_lo;
-        case CompareOp::kLeq:
-          return rank < node.eq_hi;
-        case CompareOp::kGt:
-          return rank >= node.eq_hi;
-        case CompareOp::kGeq:
-          return rank >= node.eq_lo;
-      }
-      return false;
-    }
-    case LeafKind::kSameColRank:
-    case LeafKind::kNumericCols: {
-      if ((*node.lprob)[r] || (*node.rprob)[r]) {
-        return CellsMayMatch(table_->cell(r, node.left_col), node.op,
-                             table_->cell(r, node.right_col));
-      }
-      const bool ln = (*node.lnulls)[r] != 0;
-      const bool rn = (*node.rnulls)[r] != 0;
-      if (ln || rn) return NullCompare(ln, rn, node.op);
-      if (node.lkind == LeafKind::kSameColRank) {
-        return CompareRanks((*node.lranks)[r], node.op, (*node.rranks)[r]);
-      }
-      // Rounding to double is monotone, so a strict order of the doubles
-      // is the exact order, and equal doubles below 2^53 hold equal
-      // values. A tie beyond that may be two distinct int64s.
-      const double l = (*node.lnum)[r];
-      const double rv = (*node.rnum)[r];
-      if (l < rv || l > rv || std::fabs(l) < 0x1p53) {
-        return CompareDoubles(l, node.op, rv);
-      }
-      return CellsMayMatch(table_->cell(r, node.left_col), node.op,
-                           table_->cell(r, node.right_col));
-    }
-    case LeafKind::kRowFallback: {
-      const Cell& lhs = table_->cell(r, node.left_col);
-      if (node.right_is_column) {
-        return CellsMayMatch(lhs, node.op, table_->cell(r, node.right_col));
-      }
-      return CellMaySatisfy(lhs, node.op, node.rhs_val);
-    }
+    return CellMaySatisfy(lhs, cmp.op(), cmp.constant());
   }
-  return false;
+  return cmp.Eval(r, r);
 }
 
 bool CompiledFilter::EvalNode(const Node& node, RowId r) const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <unordered_map>
@@ -88,14 +87,10 @@ int RankCompare(const Value& a, const Value& b) {
   return a.Compare(b);
 }
 
-// The sorted index's key order: ascending, a NaN after every other key.
-bool NumLess(double a, double b) {
-  return a < b || (std::isnan(b) && !std::isnan(a));
-}
-
 // The sorted index's entry order: by key (NumLess), then by row id.
 bool NumThenIdLess(const std::vector<double>& num, RowId a, RowId b) {
-  return NumLess(num[a], num[b]) || (!NumLess(num[b], num[a]) && a < b);
+  return ColumnCache::NumLess(num[a], num[b]) ||
+         (!ColumnCache::NumLess(num[b], num[a]) && a < b);
 }
 
 // Appends one cell to every row-aligned projection and to the dictionary.
@@ -110,9 +105,7 @@ void AppendCell(const Cell& cell, ColumnCache::Column* col,
   if (v.is_null()) col->has_nulls = true;
   if (v.is_nan()) col->has_nan = true;
   if (v.is_double()) col->has_double = true;
-  if (v.is_int() && std::fabs(v.AsDouble()) >= 0x1p53) {
-    col->has_wide_int = true;
-  }
+  if (ColumnCache::IsWideInt(v)) col->has_wide_int = true;
   if (!v.is_null() && !v.is_numeric()) col->numeric_only = false;
   col->num.push_back(ColumnCache::NumericCoord(v));
   const uint32_t next = static_cast<uint32_t>(col->dict.size());

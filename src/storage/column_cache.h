@@ -8,10 +8,11 @@
 // column:
 //
 //  * `num`    — a flat double projection. Numerics widen to double; every
-//               other value maps onto the stable 1-D hash coordinate the
-//               theta-join detector has always used for partition pruning
-//               (Value::Hash() % 2^30), so partition boundaries and
-//               estimates are bit-identical to the row path.
+//               other value maps onto the stable 1-D hash coordinate
+//               (Value::Hash() % 2^30) the theta-join detector partitions
+//               on. Equal values share a coordinate; which comparisons
+//               coordinate ranges may bound is CompiledCompare's call
+//               (constraints/compiled_compare.h).
 //  * `codes`  — dictionary codes in first-appearance order, consistent with
 //               Value::Equals / Value::Hash (int 5 and double 5.0 share a
 //               code). Group-bys hash one uint32_t per row instead of a
@@ -76,6 +77,7 @@
 #define DAISY_STORAGE_COLUMN_CACHE_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -212,6 +214,18 @@ class ColumnCache {
   /// (nulls included) maps to Value::Hash() % 2^30 — equal values collide,
   /// so equality pruning on the coordinate stays conservative-correct.
   static double NumericCoord(const Value& v);
+
+  /// An int at or beyond 2^53, whose double may tie with another int's
+  /// (what Column::has_wide_int records).
+  static bool IsWideInt(const Value& v) {
+    return v.is_int() && std::fabs(v.AsDouble()) >= 0x1p53;
+  }
+
+  /// The sorted index's key order: ascending, a NaN after every other key
+  /// (a strict weak order on doubles, which `<` is not once a NaN is in).
+  static bool NumLess(double a, double b) {
+    return a < b || (std::isnan(b) && !std::isnan(a));
+  }
 
  private:
   struct Slot {

@@ -6,6 +6,7 @@
 #include "constraints/constraint_set.h"
 #include "constraints/denial_constraint.h"
 #include "constraints/predicate.h"
+#include "detect_oracle.h"
 
 namespace daisy {
 namespace {
@@ -200,14 +201,14 @@ TEST(DenialConstraintTest, FdViolationPairs) {
   auto dc =
       ParseConstraint("FD zip -> city", "cities", CitySchema()).ValueOrDie();
   // (0,1) share zip 9001 but differ on city -> violation.
-  EXPECT_TRUE(dc.ViolatedBy(t, 0, 1));
-  EXPECT_TRUE(dc.ViolatedBy(t, 1, 0));
+  EXPECT_TRUE(testutil::ViolatedBy(dc, t, 0, 1));
+  EXPECT_TRUE(testutil::ViolatedBy(dc, t, 1, 0));
   // (0,2) agree entirely -> no violation.
-  EXPECT_FALSE(dc.ViolatedBy(t, 0, 2));
+  EXPECT_FALSE(testutil::ViolatedBy(dc, t, 0, 2));
   // Different zips -> no violation.
-  EXPECT_FALSE(dc.ViolatedBy(t, 0, 3));
+  EXPECT_FALSE(testutil::ViolatedBy(dc, t, 0, 3));
   // Self-pairing never violates a two-tuple constraint.
-  EXPECT_FALSE(dc.ViolatedBy(t, 0, 0));
+  EXPECT_FALSE(testutil::ViolatedBy(dc, t, 0, 0));
 }
 
 TEST(DenialConstraintTest, GeneralDcOrientation) {
@@ -219,9 +220,9 @@ TEST(DenialConstraintTest, GeneralDcOrientation) {
                             "emp", SalarySchema())
                 .ValueOrDie();
   // Example 5: t3 (row 2) and t2 (row 1) violate with row2 as t1.
-  EXPECT_TRUE(dc.ViolatedBy(t, 2, 1));
-  EXPECT_FALSE(dc.ViolatedBy(t, 1, 2));
-  EXPECT_FALSE(dc.ViolatedBy(t, 0, 1));
+  EXPECT_TRUE(testutil::ViolatedBy(dc, t, 2, 1));
+  EXPECT_FALSE(testutil::ViolatedBy(dc, t, 1, 2));
+  EXPECT_FALSE(testutil::ViolatedBy(dc, t, 0, 1));
 }
 
 TEST(DenialConstraintTest, SatisfiedAtoms) {
@@ -231,9 +232,9 @@ TEST(DenialConstraintTest, SatisfiedAtoms) {
   auto dc = ParseConstraint("!(t1.salary < t2.salary & t1.tax > t2.tax)",
                             "emp", SalarySchema())
                 .ValueOrDie();
-  auto atoms = dc.SatisfiedAtoms(t, 0, 1);
+  auto atoms = testutil::SatisfiedAtoms(dc, t, 0, 1);
   EXPECT_EQ(atoms, (std::vector<bool>{true, true}));
-  atoms = dc.SatisfiedAtoms(t, 1, 0);
+  atoms = testutil::SatisfiedAtoms(dc, t, 1, 0);
   EXPECT_EQ(atoms, (std::vector<bool>{false, false}));
 }
 
@@ -244,7 +245,7 @@ TEST(DenialConstraintTest, SingleTupleConstraint) {
                             SalarySchema())
                 .ValueOrDie();
   EXPECT_EQ(dc.num_tuples(), 1);
-  EXPECT_TRUE(dc.ViolatedBy(t, 0, 0));
+  EXPECT_TRUE(testutil::ViolatedBy(dc, t, 0, 0));
 }
 
 // ---------------------------------------------------------ConstraintSet --

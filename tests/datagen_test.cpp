@@ -75,7 +75,7 @@ TEST(SsbTest, CleanLineorderSatisfiesPriceDiscountDc) {
   size_t violations = 0;
   for (RowId a = 0; a < data.dirty.num_rows(); ++a) {
     for (RowId b = 0; b < data.dirty.num_rows(); ++b) {
-      if (a != b && dc.ViolatedBy(data.dirty, a, b)) ++violations;
+      if (a != b && testutil::ViolatedBy(dc, data.dirty, a, b)) ++violations;
     }
   }
   EXPECT_EQ(violations, 0u);
@@ -85,7 +85,7 @@ TEST(SsbTest, CleanLineorderSatisfiesPriceDiscountDc) {
   violations = 0;
   for (RowId a = 0; a < data.dirty.num_rows() && violations == 0; ++a) {
     for (RowId b = 0; b < data.dirty.num_rows(); ++b) {
-      if (a != b && dc.ViolatedBy(data.dirty, a, b)) {
+      if (a != b && testutil::ViolatedBy(dc, data.dirty, a, b)) {
         ++violations;
         break;
       }

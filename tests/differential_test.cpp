@@ -17,6 +17,13 @@
 //     (groups, stats, relaxation) equal to a fresh build and the oracles
 //     after every query, and finishes with CleanAllRemaining.
 //
+// The detector-level harness also runs with an exotic generator config
+// (GenConfig::exotic): NaN, ±inf, −0.0 and nulls, int64 around 2^53,
+// doubles beside wide ints and string columns, under DCs mixing order,
+// cross-column and string-constant atoms — each seed with partition
+// pruning on and off, through DetectAll, DetectIncremental batches and
+// DetectDelta appends.
+//
 // A third check covers repairs: an FD-only engine's cells after the
 // sequence and CleanAllRemaining equal those of a fresh engine cleaned
 // over the final live rows. A fourth covers the adaptive switch: after the
@@ -27,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -42,7 +50,20 @@ namespace {
 
 // ------------------------------------------------------------ generator --
 
+/// What the generator draws. The default is the int / string scenario
+/// every harness below uses. `exotic` (detector-level harness only) builds
+/// the values the compiled comparisons must stay exact on: a double column
+/// with ±inf, −0.0 and (on most seeds) NaN, an int column around 2^53, a
+/// double column beside ints at and beyond 2^53, and two string columns,
+/// all with nulls; its DCs mix order atoms on any column, cross-column
+/// atoms and constant atoms, string-constant order atoms included.
+struct GenConfig {
+  bool exotic = false;
+};
+
 struct Scenario {
+  bool exotic = false;
+  bool nan = false;  ///< exotic: the double column holds NaN
   Schema schema;
   std::vector<std::string> int_cols;
   std::vector<std::string> str_cols;
@@ -53,10 +74,45 @@ struct Scenario {
   std::vector<std::vector<Value>> base_rows;
 };
 
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+// One cell of the exotic schema's column `c` (i, d, m, s, u).
+Value ExoticValue(Rng* rng, const Scenario& s, size_t c) {
+  if (rng->Bernoulli(0.1)) return Value::Null();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  switch (c) {
+    case 0: {
+      static const int64_t kPool[] = {-3,         0,          2,
+                                      7,          kTwo53 - 1, kTwo53,
+                                      kTwo53 + 1, kTwo53 + 2, -kTwo53 - 1};
+      return Value(kPool[rng->UniformInt(0, 8)]);
+    }
+    case 1: {
+      if (s.nan && rng->Bernoulli(0.15)) {
+        return Value(std::numeric_limits<double>::quiet_NaN());
+      }
+      static const double kPool[] = {-1.5, -0.0, 0.0, 2.0, 2.5, 7.0,
+                                     kInf, -kInf};
+      return Value(kPool[rng->UniformInt(0, 7)]);
+    }
+    case 2: {
+      if (rng->Bernoulli(0.5)) return Value(kTwo53 + rng->UniformInt(-1, 2));
+      static const double kPool[] = {0x1p53, 0x1p53 + 2, 2.5, -0.0};
+      return Value(kPool[rng->UniformInt(0, 3)]);
+    }
+    default: {
+      static const char* kPool[] = {"", "a", "b", "f", "m", "s1", "zz"};
+      return Value(kPool[rng->UniformInt(0, 6)]);
+    }
+  }
+}
+
 std::vector<Value> RandomRow(Rng* rng, const Scenario& s) {
   std::vector<Value> row;
   for (size_t c = 0; c < s.schema.num_columns(); ++c) {
-    if (s.schema.column(c).type == ValueType::kInt) {
+    if (s.exotic) {
+      row.push_back(ExoticValue(rng, s, c));
+    } else if (s.schema.column(c).type == ValueType::kInt) {
       row.push_back(Value(rng->UniformInt(0, s.int_domain)));
     } else {
       row.push_back(
@@ -66,7 +122,52 @@ std::vector<Value> RandomRow(Rng* rng, const Scenario& s) {
   return row;
 }
 
-Scenario MakeScenario(uint64_t seed) {
+// The exotic scenario: fixed schema, an FD over two random columns and a
+// random DC whose first atom orders one column across the tuples.
+Scenario MakeExoticScenario(uint64_t seed) {
+  Rng rng(seed);
+  Scenario s;
+  s.exotic = true;
+  s.nan = rng.Bernoulli(0.7);
+  s.schema = Schema({{"i", ValueType::kInt},
+                     {"d", ValueType::kDouble},
+                     {"m", ValueType::kDouble},
+                     {"s", ValueType::kString},
+                     {"u", ValueType::kString}});
+  s.int_cols = {"i", "d", "m"};
+  s.str_cols = {"s", "u"};
+  static const char* kCols[] = {"i", "d", "m", "s", "u"};
+  static const char* kOrder[] = {"<", "<=", ">", ">="};
+  static const char* kOps[] = {"==", "!=", "<", "<=", ">", ">="};
+  static const char* kConsts[] = {"'f'", "'m'", "''", "2.5", "-0.0",
+                                  "9007199254740993", "0"};
+  auto pick = [&](const char* const* pool, int64_t n) {
+    return std::string(pool[rng.UniformInt(0, n - 1)]);
+  };
+  const std::string lhs = pick(kCols, 5);
+  std::string rhs = pick(kCols, 5);
+  while (rhs == lhs) rhs = pick(kCols, 5);
+  s.fd_text = "phi: FD " + lhs + " -> " + rhs;
+  const std::string x = pick(kCols, 5);
+  const std::string y = pick(kCols, 5);
+  const std::string z = rng.Bernoulli(0.5) ? y : pick(kCols, 5);
+  s.dc_text = "psi: !(t1." + x + " " + pick(kOrder, 4) + " t2." + x +
+              " & t1." + y + " " + pick(kOps, 6) + " t2." + z;
+  if (rng.Bernoulli(0.6)) {
+    // Half the constants are strings, on any column: string-constant
+    // order atoms are the ones hash coordinates used to prune.
+    s.dc_text += std::string(rng.Bernoulli(0.5) ? " & t1." : " & t2.") +
+                 pick(kCols, 5) + " " + pick(kOps, 6) + " " +
+                 pick(kConsts, 7);
+  }
+  s.dc_text += ")";
+  const size_t base = static_cast<size_t>(rng.UniformInt(30, 80));
+  for (size_t i = 0; i < base; ++i) s.base_rows.push_back(RandomRow(&rng, s));
+  return s;
+}
+
+Scenario MakeScenario(uint64_t seed, const GenConfig& cfg = {}) {
+  if (cfg.exotic) return MakeExoticScenario(seed);
   Rng rng(seed);
   Scenario s;
   const size_t num_cols = static_cast<size_t>(rng.UniformInt(3, 5));
@@ -199,11 +300,40 @@ bool SameGroups(const std::vector<FdGroup>& a, const std::vector<FdGroup>& b) {
 
 // ------------------------------------------- detector-level differential --
 
+// DetectIncremental over shuffled batches of the live rows: every pair a
+// batch reports violates, and once every row was in a batch the reported
+// and maintained sets are the oracle's.
+void ExpectIncrementalBatchesExact(const Table& t, const DenialConstraint& dc,
+                                   bool pruning, uint64_t salt) {
+  ThetaJoinDetector inc(&t, &dc, 6);
+  inc.set_pruning_enabled(pruning);
+  const testutil::PairSet expected = testutil::BruteForce(t, dc);
+  std::vector<RowId> live = t.AllRowIds();
+  Rng rng(salt);
+  rng.Shuffle(&live);
+  const size_t step = std::max<size_t>(1, live.size() / 4);
+  testutil::PairSet found;
+  for (size_t begin = 0; begin < live.size(); begin += step) {
+    std::vector<RowId> batch(
+        live.begin() + begin,
+        live.begin() + std::min(live.size(), begin + step));
+    std::sort(batch.begin(), batch.end());
+    for (const ViolationPair& v : inc.DetectIncremental(batch)) {
+      found.insert({v.t1, v.t2});
+    }
+  }
+  EXPECT_EQ(found, expected) << "incremental batches";
+  EXPECT_EQ(testutil::AsSet(inc.maintained_violations()), expected);
+}
+
 // Pure detection (no repairs): maintained state vs from-scratch and vs the
 // oracles, after every interleaved append/delete.
-void RunDetectorDifferential(uint64_t seed) {
-  SCOPED_TRACE("seed " + std::to_string(seed));
-  const Scenario s = MakeScenario(seed);
+void RunDetectorDifferential(uint64_t seed, bool pruning,
+                             const GenConfig& cfg = {}) {
+  SCOPED_TRACE("seed " + std::to_string(seed) +
+               (pruning ? " pruned" : " unpruned"));
+  const Scenario s = MakeScenario(seed, cfg);
+  SCOPED_TRACE(s.fd_text + "; " + s.dc_text);
   Table t = BuildTable(s);
   const DenialConstraint fd =
       ParseConstraint(s.fd_text, "t", s.schema).ValueOrDie();
@@ -213,10 +343,11 @@ void RunDetectorDifferential(uint64_t seed) {
   ASSERT_FALSE(dc.IsFd());
 
   ThetaJoinDetector theta(&t, &dc, 6);
-  (void)theta.DetectAll();
+  theta.set_pruning_enabled(pruning);
+  EXPECT_EQ(testutil::AsSet(theta.DetectAll()), testutil::BruteForce(t, dc));
+  ExpectIncrementalBatchesExact(t, dc, pruning, seed);
   FdDeltaDetector fd_state(&t, &fd);
 
-  Rng rng(seed ^ 0xd1ffULL);
   const std::vector<Op> ops = MakeOps(seed, s);
   for (size_t i = 0; i < ops.size(); ++i) {
     SCOPED_TRACE("op " + std::to_string(i));
@@ -236,10 +367,16 @@ void RunDetectorDifferential(uint64_t seed) {
 
     // Delta-maintained == from-scratch.
     ThetaJoinDetector scratch(&t, &dc, 6);
+    scratch.set_pruning_enabled(pruning);
     EXPECT_EQ(theta.maintained_violations(), Sorted(scratch.DetectAll()));
     // Detectors == oracles.
     EXPECT_EQ(testutil::AsSet(theta.maintained_violations()),
               testutil::BruteForce(t, dc));
+    ExpectIncrementalBatchesExact(t, dc, pruning, seed + i);
+    // FD groups are listed in Value::Compare order (SortFdGroups), which
+    // is no strict weak order once a key is NaN, so the FD checks run on
+    // the NaN-free scenarios only.
+    if (s.nan) continue;
     EXPECT_TRUE(SameGroups(
         fd_state.ViolatingGroups(),
         testutil::DetectFdViolationsRowPath(t, fd, t.AllRowIds(), false)));
@@ -497,7 +634,19 @@ void RunPostSwitchSequence(uint64_t seed, bool fd_rule) {
 }
 
 TEST(DifferentialTest, DetectorStateAcross100Seeds) {
-  for (uint64_t seed = 1; seed <= 100; ++seed) RunDetectorDifferential(seed);
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    RunDetectorDifferential(seed, /*pruning=*/true);
+    RunDetectorDifferential(seed, /*pruning=*/false);
+  }
+}
+
+TEST(DifferentialTest, DetectorStateExoticValuesAcross100Seeds) {
+  GenConfig cfg;
+  cfg.exotic = true;
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    RunDetectorDifferential(seed, /*pruning=*/true, cfg);
+    RunDetectorDifferential(seed, /*pruning=*/false, cfg);
+  }
 }
 
 TEST(DifferentialTest, EngineSequencesAcross100Seeds) {
