@@ -35,6 +35,7 @@ CleanSelect::CleanSelect(Table* table, const DenialConstraint* dc,
       provenance_(provenance),
       fd_(fd),
       theta_(theta) {
+  if (theta_ != nullptr) return;  // a general DC's coverage is its detector's
   checked_.assign(table_->num_rows(), false);
   for (RowId r = 0; r < checked_.size(); ++r) {
     if (!table_->is_live(r)) {
@@ -54,16 +55,19 @@ void CleanSelect::MarkChecked(const std::vector<RowId>& rows) {
 }
 
 void CleanSelect::SyncRowCount() {
-  if (checked_.size() < table_->num_rows()) {
+  if (theta_ != nullptr) {
+    theta_->Refresh();
+  } else if (checked_.size() < table_->num_rows()) {
     checked_.resize(table_->num_rows(), false);
   }
 }
 
 CleanSelectPersistState CleanSelect::ExportPersistState() {
   SyncRowCount();
+  const Coverage c = coverage();
   CleanSelectPersistState state;
-  state.checked.reserve(checked_.size());
-  for (bool b : checked_) state.checked.push_back(b ? 1 : 0);
+  state.checked.reserve(c.bits.size());
+  for (bool b : c.bits) state.checked.push_back(b ? 1 : 0);
   state.pending_rows = pending_rows_;
   state.pending_deltas = pending_deltas_;
   return state;
@@ -76,12 +80,24 @@ Status CleanSelect::ImportPersistState(const CleanSelectPersistState& state) {
         std::to_string(state.checked.size()) + " rows, table " +
         table_->name() + " has " + std::to_string(table_->num_rows()));
   }
-  checked_.assign(state.checked.size(), false);
-  checked_count_ = 0;
-  for (size_t r = 0; r < state.checked.size(); ++r) {
-    if (state.checked[r] != 0) {
-      checked_[r] = true;
-      ++checked_count_;
+  if (theta_ != nullptr) {
+    // The bitmap was written from the detector's bits, imported already.
+    const std::vector<bool>& bits = theta_->checked_rows();
+    if (!std::equal(state.checked.begin(), state.checked.end(), bits.begin(),
+                    bits.end(),
+                    [](uint8_t byte, bool bit) { return (byte != 0) == bit; })) {
+      return Status::InvalidArgument("cleanσ state for " + dc_->name() +
+                                     " disagrees with its detector's "
+                                     "coverage");
+    }
+  } else {
+    checked_.assign(state.checked.size(), false);
+    checked_count_ = 0;
+    for (size_t r = 0; r < state.checked.size(); ++r) {
+      if (state.checked[r] != 0) {
+        checked_[r] = true;
+        ++checked_count_;
+      }
     }
   }
   pending_rows_ = state.pending_rows;
@@ -91,16 +107,21 @@ Status CleanSelect::ImportPersistState(const CleanSelectPersistState& state) {
 
 void CleanSelect::ApplyDelta(const TableDelta& delta,
                              const std::vector<RowId>& stale_rows) {
-  SyncRowCount();
   for (RowId r : delta.deleted) {
-    if (r < checked_.size() && !checked_[r]) {
-      checked_[r] = true;  // a tombstone needs no cleaning
-      ++checked_count_;
-    }
     // A pending arrival deleted before any query settled it is nothing.
     auto pending = std::find(pending_rows_.begin(), pending_rows_.end(), r);
     if (pending != pending_rows_.end()) pending_rows_.erase(pending);
   }
+  for (RowId r : delta.appended) {
+    if (table_->is_live(r)) pending_rows_.push_back(r);
+  }
+  if (theta_ != nullptr) {
+    // The detector syncs appends and deletes on its next entry.
+    if (!delta.empty()) pending_deltas_.push_back(delta);
+    return;
+  }
+  SyncRowCount();
+  MarkChecked(delta.deleted);  // a tombstone needs no cleaning
   for (RowId r : stale_rows) {
     // Earlier fixes of these rows may be incomplete against the new data
     // (e.g. an appended conflict for an already-repaired tuple): uncover
@@ -110,10 +131,6 @@ void CleanSelect::ApplyDelta(const TableDelta& delta,
       --checked_count_;
     }
   }
-  for (RowId r : delta.appended) {
-    if (table_->is_live(r)) pending_rows_.push_back(r);
-  }
-  if (!dc_->IsFd() && !delta.empty()) pending_deltas_.push_back(delta);
 }
 
 Status CleanSelect::DrainPendingDeltas(CleanSelectResult* out,
@@ -130,14 +147,6 @@ Status CleanSelect::DrainPendingDeltas(CleanSelectResult* out,
         RepairDcViolations(table_, *dc_, violations, provenance_));
     out->errors_fixed += stats.tuples_repaired;
     drained->insert(drained->end(), violations.begin(), violations.end());
-    // DetectDelta cross-checked the batch against everything: the rows are
-    // as covered as a query result after DetectIncremental.
-    std::vector<RowId> covered;
-    covered.reserve(delta.appended.size());
-    for (RowId r : delta.appended) {
-      if (table_->is_live(r)) covered.push_back(r);
-    }
-    MarkChecked(covered);
   }
   pending_deltas_.clear();
   out->delta_rows_checked += pending_rows_.size();
@@ -163,10 +172,10 @@ void CleanSelect::JoinConflictExtras(
 }
 
 double CleanSelect::checked_fraction() const {
-  return checked_.empty()
-             ? 1.0
-             : static_cast<double>(checked_count_) /
-                   static_cast<double>(checked_.size());
+  const Coverage c = coverage();
+  return c.bits.empty() ? 1.0
+                        : static_cast<double>(c.count) /
+                              static_cast<double>(c.bits.size());
 }
 
 Result<CleanSelectResult> CleanSelect::Run(
@@ -293,9 +302,6 @@ Result<CleanSelectResult> CleanSelect::RunDc(
 
   violations.insert(violations.end(), detected.begin(), detected.end());
   JoinConflictExtras(filter, violations, &out);
-
-  MarkChecked(dirty_result);
-  if (out.used_full_clean) MarkChecked(table_->AllRowIds());
   return out;
 }
 
@@ -335,7 +341,6 @@ Result<CleanSelectResult> CleanSelect::CleanRemaining() {
       RepairDcViolations(table_, *dc_, violations, provenance_));
   out.errors_fixed += stats.tuples_repaired;
   out.used_full_clean = true;
-  MarkChecked(table_->AllRowIds());
   violations.insert(violations.end(), drained.begin(), drained.end());
   out.swept_rows = Endpoints(violations);
   return out;

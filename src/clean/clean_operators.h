@@ -65,8 +65,10 @@ struct CleanSelectPersistState {
 };
 
 /// cleanσ bound to one table and one rule. The per-rule checked bookkeeping
-/// lives here and persists across queries (Section 4.3: "Daisy maintains
-/// information about the already checked tuples by each rule").
+/// persists across queries (Section 4.3: "Daisy maintains information about
+/// the already checked tuples by each rule"). It is kept once: here for an
+/// FD rule, in the rule's ThetaJoinDetector for a general DC, whose
+/// coverage bits every accessor below reads.
 class CleanSelect {
  public:
   /// FD rules pass the rule's FdDeltaDetector (relaxation and dirty-group
@@ -98,18 +100,22 @@ class CleanSelect {
   /// `stale_rows` (live members of violating FD groups whose membership
   /// the batch changed — see FdDeltaDetector::ApplyDelta) lose their
   /// checked status so the next touching query re-repairs them against the
-  /// new data. DC rules also queue the delta for a DetectDelta pass on the
-  /// next Run (FD rules read the detector the caller already patched).
+  /// new data. DC rules queue the delta for a DetectDelta pass on the next
+  /// Run instead (their detector tracks appends and deletes itself; FD
+  /// rules read the detector the caller already patched).
   void ApplyDelta(const TableDelta& delta,
                   const std::vector<RowId>& stale_rows);
 
   /// Fraction of rows already checked by this rule.
   double checked_fraction() const;
   /// True once this rule has checked row `r` (dead rows are checked).
-  bool checked(RowId r) const { return r < checked_.size() && checked_[r]; }
+  bool checked(RowId r) const {
+    const Coverage c = coverage();
+    return r < c.bits.size() && c.bits[r];
+  }
   bool fully_checked() const {
-    return checked_count_ == checked_.size() &&
-           checked_.size() == table_->num_rows();
+    const Coverage c = coverage();
+    return c.count == c.bits.size() && c.bits.size() == table_->num_rows();
   }
 
   /// True when a Run() in the current state cannot mutate anything — every
@@ -127,22 +133,37 @@ class CleanSelect {
 
   /// Captures the cross-query bookkeeping for a snapshot (see
   /// CleanSelectPersistState). Syncs the row count first so the bitmap
-  /// covers every physical row.
+  /// covers every physical row; a DC rule's bitmap is its detector's.
   CleanSelectPersistState ExportPersistState();
 
   /// Restores a previously exported state onto a freshly prepared operator
   /// whose table already holds the snapshotted rows. Fails if the bitmap
-  /// does not match the table's physical row count.
+  /// does not match the table's physical row count, or, for a DC rule
+  /// (whose detector state must be imported first), the detector's bits.
   Status ImportPersistState(const CleanSelectPersistState& state);
 
  private:
+  /// The rule's one coverage record: the detector's bits for a general
+  /// DC, checked_ for an FD.
+  struct Coverage {
+    const std::vector<bool>& bits;
+    size_t count;
+  };
+  Coverage coverage() const {
+    if (theta_ != nullptr) {
+      return {theta_->checked_rows(), theta_->checked_count()};
+    }
+    return {checked_, checked_count_};
+  }
+
   Result<CleanSelectResult> RunFd(const CompiledFilter* filter,
                                   const std::vector<RowId>& dirty_result);
   Result<CleanSelectResult> RunDc(const CompiledFilter* filter,
                                   const std::vector<RowId>& dirty_result,
                                   const CleaningOptions& options);
   void MarkChecked(const std::vector<RowId>& rows);
-  /// Grows checked_ for rows appended directly on the table (no delta).
+  /// Syncs the coverage with the table: rows appended directly on it (no
+  /// delta) join as unchecked. A DC rule refreshes its detector.
   void SyncRowCount();
   /// DC path: runs DetectDelta + repair for every queued ingest batch,
   /// appending the detected violations to `drained` so the caller can
@@ -162,6 +183,7 @@ class CleanSelect {
   ProvenanceStore* provenance_;
   const FdDeltaDetector* fd_;
   ThetaJoinDetector* theta_;
+  /// FD rules only: row id -> checked, and the number of set bits.
   std::vector<bool> checked_;
   size_t checked_count_ = 0;
   /// DC rules: ingest batches not yet delta-detected (drained in order).

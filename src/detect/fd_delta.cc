@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "storage/column_cache.h"
+
 namespace daisy {
 
 void SortFdGroups(std::vector<FdGroup>* groups) {
@@ -10,7 +12,8 @@ void SortFdGroups(std::vector<FdGroup>* groups) {
             [](const FdGroup& a, const FdGroup& b) {
               const size_t n = std::min(a.lhs_key.size(), b.lhs_key.size());
               for (size_t i = 0; i < n; ++i) {
-                const int c = a.lhs_key[i].Compare(b.lhs_key[i]);
+                const int c =
+                    ColumnCache::RankCompare(a.lhs_key[i], b.lhs_key[i]);
                 if (c != 0) return c < 0;
               }
               return a.lhs_key.size() < b.lhs_key.size();
@@ -20,7 +23,7 @@ void SortFdGroups(std::vector<FdGroup>* groups) {
 void SortFdRhsHistogram(std::vector<std::pair<Value, size_t>>* hist) {
   std::sort(hist->begin(), hist->end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
-    return a.first.Compare(b.first) < 0;
+    return ColumnCache::RankCompare(a.first, b.first) < 0;
   });
 }
 
@@ -68,7 +71,7 @@ void FdDeltaDetector::AddContribution(const Group& group) {
 FdDeltaEffect FdDeltaDetector::ApplyDelta(const TableDelta& delta) {
   const FdView& fd = dc_->fd();
   FdDeltaEffect effect;
-  std::unordered_set<Value, ValueHash> changed_rhs;
+  std::unordered_set<Value, ValueHash, ValueKeyEq> changed_rhs;
   auto bucket_changed = [&](const Value& rhs) {
     if (changed_rhs.insert(rhs).second) effect.changed_rhs.push_back(rhs);
   };
@@ -195,7 +198,7 @@ RelaxResult FdDeltaDetector::Relax(const std::vector<RowId>& answer,
   };
 
   std::unordered_set<GroupKey, GroupKeyHash, GroupKeyEq> seen_lhs;
-  std::unordered_set<Value, ValueHash> seen_rhs;
+  std::unordered_set<Value, ValueHash, ValueKeyEq> seen_rhs;
   std::vector<RowId> frontier = answer;
   while (!frontier.empty()) {
     ++out.iterations;

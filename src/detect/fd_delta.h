@@ -55,7 +55,8 @@ struct FdGroup {
 
 /// Canonical ordering of group lists, so a maintained index, a fresh one
 /// and the test oracles compare bit-identically: groups by lhs key
-/// (Value::Compare), each histogram by (count desc, value).
+/// (ColumnCache::RankCompare, a NaN last), each histogram by (count desc,
+/// value).
 void SortFdGroups(std::vector<FdGroup>* groups);
 void SortFdRhsHistogram(std::vector<std::pair<Value, size_t>>* hist);
 
@@ -94,7 +95,7 @@ class FdDeltaDetector {
   /// One lhs group's live members (ascending) and rhs frequencies.
   struct Group {
     std::vector<RowId> rows;
-    std::unordered_map<Value, size_t, ValueHash> hist;
+    std::unordered_map<Value, size_t, ValueHash, ValueKeyEq> hist;
     bool violating() const { return hist.size() > 1; }
   };
 
@@ -150,10 +151,11 @@ class FdDeltaDetector {
   const DenialConstraint* dc_;
   GroupMapState groups_;
   /// rhs original -> live rows carrying it, ascending.
-  std::unordered_map<Value, std::vector<RowId>, ValueHash> by_rhs_;
+  std::unordered_map<Value, std::vector<RowId>, ValueHash, ValueKeyEq>
+      by_rhs_;
   /// rhs value -> number of violating groups whose histogram contains it
   /// (a value stops being dirty only when the last such group does).
-  std::unordered_map<Value, size_t, ValueHash> dirty_rhs_refs_;
+  std::unordered_map<Value, size_t, ValueHash, ValueKeyEq> dirty_rhs_refs_;
   size_t violating_rows_ = 0;
   size_t violating_groups_ = 0;
   size_t candidate_sum_ = 0;  ///< Σ distinct rhs over violating groups

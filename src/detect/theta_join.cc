@@ -71,27 +71,35 @@ void ThetaJoinDetector::ResetCoverage() {
   retractions_ = 0;
 }
 
-void ThetaJoinDetector::EnsureFresh() {
+ThetaJoinDetector::Staleness ThetaJoinDetector::Probe() const {
   ColumnCache& cache = table_->columns();
   const std::vector<size_t>& cols = dc_->involved_columns();
+  Staleness stale;
   // Content change: the values an involved column exposes differ from the
   // ones the current partitions/coverage were computed on. A new cache
   // identity (the table was reassigned wholesale) counts — generations of
   // different cache instances are not comparable.
-  bool content_changed =
+  stale.content_changed =
       cols_.size() != cols.size() || cache.id() != cache_id_;
   // Storage move: a rebuild reallocated the arrays the compiled atoms
   // point into, even if it reproduced identical content (the usual
   // candidate-only repair path). Pointers must be refreshed either way.
-  bool storage_moved = content_changed;
-  if (!content_changed) {
+  stale.storage_moved = stale.content_changed;
+  if (!stale.content_changed) {
     for (size_t i = 0; i < cols.size(); ++i) {
       const ColumnCache::Column& col = cache.column(cols[i]);
-      if (col.generation != col_generations_[i]) content_changed = true;
-      if (col.num.data() != col_data_[i]) storage_moved = true;
+      if (col.generation != col_generations_[i]) stale.content_changed = true;
+      if (col.num.data() != col_data_[i]) stale.storage_moved = true;
     }
   }
-  if (content_changed) {
+  stale.appended = checked_.size() < table_->num_rows();
+  stale.deleted = deleted_log_pos_ < table_->deleted_rows_log().size();
+  return stale;
+}
+
+void ThetaJoinDetector::EnsureFresh() {
+  const Staleness stale = Probe();
+  if (stale.content_changed) {
     // Rows checked against the old values are not checked against the
     // new; estimates and the maintained set are stale too.
     BuildPartitions();
@@ -101,11 +109,9 @@ void ThetaJoinDetector::EnsureFresh() {
   }
   // Ingest deltas keep the coverage: appended rows join as unchecked,
   // deleted rows become trivially checked and their pairs are pruned.
-  const bool appended = checked_.size() < table_->num_rows();
-  if (appended) checked_.resize(table_->num_rows(), false);
-  const std::vector<RowId>& dlog = table_->deleted_rows_log();
-  const bool deleted = deleted_log_pos_ < dlog.size();
-  if (deleted) {
+  if (stale.appended) checked_.resize(table_->num_rows(), false);
+  if (stale.deleted) {
+    const std::vector<RowId>& dlog = table_->deleted_rows_log();
     for (size_t i = deleted_log_pos_; i < dlog.size(); ++i) {
       if (dlog[i] < checked_.size()) MarkRowChecked(dlog[i]);
     }
@@ -119,30 +125,25 @@ void ThetaJoinDetector::EnsureFresh() {
         maintained_.end());
     retractions_ += before - maintained_.size();
   }
-  if (appended || deleted) {
+  if (stale.appended || stale.deleted) {
     BuildPartitions();
     range_vio_valid_ = false;
-  } else if (storage_moved) {
+  } else if (stale.storage_moved) {
     BuildPartitions();
   }
 }
 
 void ThetaJoinDetector::MergeIntoMaintained(
-    const std::vector<ViolationPair>& found) {
-  if (found.empty()) return;
+    std::vector<ViolationPair>::const_iterator first,
+    std::vector<ViolationPair>::const_iterator last) {
   // maintained_ is kept sorted, so only the new pairs need sorting before
-  // an in-place merge. The unique pass is load-bearing: DetectAll /
-  // DetectIncremental merge their auto-drained pairs a second time when
-  // the combined result vector is folded in at the end of the call.
-  std::vector<ViolationPair> sorted_found = found;
-  std::sort(sorted_found.begin(), sorted_found.end());
+  // an in-place merge. Each pair is found once (the pass that finds it
+  // marks an endpoint checked), so the merge needs no unique pass.
   const size_t old_size = maintained_.size();
-  maintained_.insert(maintained_.end(), sorted_found.begin(),
-                     sorted_found.end());
+  maintained_.insert(maintained_.end(), first, last);
+  std::sort(maintained_.begin() + old_size, maintained_.end());
   std::inplace_merge(maintained_.begin(), maintained_.begin() + old_size,
                      maintained_.end());
-  maintained_.erase(std::unique(maintained_.begin(), maintained_.end()),
-                    maintained_.end());
 }
 
 const std::vector<ViolationPair>& ThetaJoinDetector::maintained_violations() {
@@ -328,64 +329,14 @@ bool ThetaJoinDetector::PairFeasible(const PartitionStats& a,
   return OrientationFeasible(a, b) || OrientationFeasible(b, a);
 }
 
-void ThetaJoinDetector::CheckPair(RowId a, RowId b,
-                                  std::vector<ViolationPair>* out,
-                                  size_t* pairs) const {
-  ++*pairs;
-  const auto [fwd, rev] = CheckBoth(a, b);
-  if (fwd) out->push_back({a, b});
-  if (rev) out->push_back({b, a});
-}
-
-void ThetaJoinDetector::ScanCell(size_t i, size_t j,
-                                 std::vector<ViolationPair>* out,
-                                 size_t* pairs) const {
-  const PartitionStats& bi = boundaries_[i];
-  const PartitionStats& bj = boundaries_[j];
-  for (size_t si = bi.begin; si < bi.end; ++si) {
-    const RowId a = sorted_[si];
-    // checked_[x] means x was already cross-checked against every row, so
-    // any pair with a checked endpoint is covered.
-    if (checked_[a]) continue;
-    const size_t sj_begin = (i == j) ? si + 1 : bj.begin;
-    for (size_t sj = sj_begin; sj < bj.end; ++sj) {
-      const RowId b = sorted_[sj];
-      if (checked_[b]) continue;
-      CheckPair(a, b, out, pairs);
-    }
-  }
-}
-
 std::vector<ViolationPair> ThetaJoinDetector::DetectAll() {
   EnsureFresh();
   pairs_checked_ = 0;
-  partitions_pruned_ = 0;
-
-  // Integrate stray appends first (rows added through the plain Table API
-  // with no DetectDelta call): the cell scan below skips pairs with a
-  // checked endpoint, so the new x checked-old pairs must be paid here or
-  // they would be lost forever once everything is marked checked.
-  std::vector<ViolationPair> drained = DrainAppends(checked_.size());
-
-  // Surviving matrix cells of the upper triangle, in deterministic order.
-  const size_t p = boundaries_.size();
-  std::vector<std::pair<uint32_t, uint32_t>> cells;
-  cells.reserve(p * (p + 1) / 2);
-  for (size_t i = 0; i < p; ++i) {
-    for (size_t j = i; j < p; ++j) {
-      if (pruning_enabled_ && !PairFeasible(boundaries_[i], boundaries_[j])) {
-        ++partitions_pruned_;
-        continue;
-      }
-      cells.emplace_back(static_cast<uint32_t>(i), static_cast<uint32_t>(j));
-    }
-  }
-
-  std::vector<ViolationPair> out = std::move(drained);
-  for (const auto& [i, j] : cells) ScanCell(i, j, &out, &pairs_checked_);
-  std::fill(checked_.begin(), checked_.end(), true);
-  checked_count_ = checked_.size();
-  MergeIntoMaintained(out);
+  // Stray appends first (rows added through the plain Table API with no
+  // DetectDelta call) owe their pairs with the rows below them, checked
+  // ones included; then every row still unchecked meets every other one.
+  std::vector<ViolationPair> out = DrainAppends(checked_.size());
+  Integrate(0, checked_.size(), &out);
   return out;
 }
 
@@ -393,11 +344,11 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectIncremental(
     const std::vector<RowId>& result_rows) {
   EnsureFresh();
   pairs_checked_ = 0;
-  partitions_pruned_ = 0;
   // Stray appends integrate first (see DetectAll): after this, result rows
   // from the new range are checked and take the fast skip below.
   std::vector<ViolationPair> out = DrainAppends(checked_.size());
   if (result_rows.empty()) return out;
+  const size_t first_found = out.size();
 
   // Boundary statistics of the query answer, playing the role of one side of
   // the partial matrix.
@@ -422,10 +373,7 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectIncremental(
   }
 
   for (const PartitionStats& part : boundaries_) {
-    if (pruning_enabled_ && !PairFeasible(answer, part)) {
-      ++partitions_pruned_;
-      continue;
-    }
+    if (pruning_enabled_ && !PairFeasible(answer, part)) continue;
     for (size_t s = part.begin; s < part.end; ++s) {
       const RowId u = sorted_[s];
       if (checked_[u]) continue;
@@ -447,7 +395,7 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectIncremental(
     }
   }
   for (RowId r : result_rows) MarkRowChecked(r);
-  MergeIntoMaintained(out);
+  MergeIntoMaintained(out.begin() + first_found, out.end());
   return out;
 }
 
@@ -455,71 +403,63 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectDelta(
     const TableDelta& delta) {
   EnsureFresh();
   pairs_checked_ = 0;
-  partitions_pruned_ = 0;
   const RowId end = delta.appended.empty() ? integrated_rows_
                                            : delta.appended.back() + 1;
-  std::vector<ViolationPair> out = DrainAppends(end);
-  return out;
+  return DrainAppends(end);
 }
 
 std::vector<ViolationPair> ThetaJoinDetector::DrainAppends(RowId end) {
   std::vector<ViolationPair> out;
   end = std::min<RowId>(end, checked_.size());
   if (integrated_rows_ >= end) return out;
-  // Rows below `lo` existed before the pending arrivals; rows at or above
-  // `end` arrived later and owe their own pass (this keeps multi-batch
-  // drains exactly-once when called per delta, in order).
+  // Rows at or above `end` arrived later and owe their own pass (this
+  // keeps multi-batch drains exactly-once when called per delta, in order).
   const RowId lo = integrated_rows_;
-  std::vector<RowId> fresh;
-  fresh.reserve(end - lo);
-  for (RowId r = lo; r < end; ++r) {
-    if (table_->is_live(r) && !checked_[r]) fresh.push_back(r);
-  }
   integrated_rows_ = end;
-  if (fresh.empty()) return out;
+  Integrate(lo, end, &out);
+  return out;
+}
 
-  // The pending rows already sit in the rebuilt partitions, so the scan
-  // reuses DetectAll's *pairwise* partition pruning (a whole-batch bounds
-  // box would span the domain and prune nothing): only cells where one
-  // side holds pending rows and the boundary ranges stay feasible are
-  // visited, giving the O(delta x n/p) partial theta-join.
+void ThetaJoinDetector::Integrate(RowId lo, RowId end,
+                                  std::vector<ViolationPair>* out) {
+  // The rows to integrate already sit in the partitions (sorted_ holds
+  // live rows only), so the scan uses pairwise partition pruning (a
+  // whole-batch bounds box would span the domain and prune nothing): only
+  // cells where one side holds such rows and the boundary ranges stay
+  // feasible are visited, giving the O(delta x n/p) partial theta-join.
   const size_t p = boundaries_.size();
   std::vector<std::vector<RowId>> new_in(p);
   for (size_t i = 0; i < p; ++i) {
     for (size_t s = boundaries_[i].begin; s < boundaries_[i].end; ++s) {
       const RowId u = sorted_[s];
-      if (u >= lo && std::binary_search(fresh.begin(), fresh.end(), u)) {
-        new_in[i].push_back(u);
-      }
+      if (u >= lo && u < end && !checked_[u]) new_in[i].push_back(u);
     }
   }
 
+  const size_t first_found = out->size();
   auto check = [&](RowId a, RowId b) {
     ++pairs_checked_;
     const auto [fwd, rev] = CheckBoth(a, b);
-    if (fwd) out.push_back({a, b});
-    if (rev) out.push_back({b, a});
+    if (fwd) out->push_back({a, b});
+    if (rev) out->push_back({b, a});
+  };
+  // new x preexisting: every row of `part` below lo, checked or not — this
+  // is what restores the coverage invariant an append broke. Rows at or
+  // above lo outside this pass are checked already or arrive later.
+  auto against_old = [&](RowId a, const PartitionStats& part) {
+    if (lo == 0) return;
+    for (size_t s = part.begin; s < part.end; ++s) {
+      if (sorted_[s] < lo) check(a, sorted_[s]);
+    }
   };
 
   for (size_t i = 0; i < p; ++i) {
     for (size_t j = i; j < p; ++j) {
       if (new_in[i].empty() && new_in[j].empty()) continue;
       if (pruning_enabled_ && !PairFeasible(boundaries_[i], boundaries_[j])) {
-        ++partitions_pruned_;
         continue;
       }
-      const PartitionStats& bi = boundaries_[i];
-      const PartitionStats& bj = boundaries_[j];
-      // new(i) x preexisting(j) — including preexisting rows that were
-      // never checked: this is what restores the coverage invariant the
-      // append broke. Rows >= lo that are not in this batch arrived with a
-      // later batch; their own DetectDelta pairs them with these rows.
-      for (RowId a : new_in[i]) {
-        for (size_t s = bj.begin; s < bj.end; ++s) {
-          const RowId b = sorted_[s];
-          if (b < lo) check(a, b);
-        }
-      }
+      for (RowId a : new_in[i]) against_old(a, boundaries_[j]);
       if (j == i) {
         // new x new inside the partition: each unordered pair once.
         for (size_t x = 0; x < new_in[i].size(); ++x) {
@@ -528,22 +468,17 @@ std::vector<ViolationPair> ThetaJoinDetector::DrainAppends(RowId end) {
           }
         }
       } else {
-        // new(j) x preexisting(i), and new x new across the two cells.
-        for (RowId b : new_in[j]) {
-          for (size_t s = bi.begin; s < bi.end; ++s) {
-            const RowId a = sorted_[s];
-            if (a < lo) check(b, a);
-          }
-        }
+        for (RowId b : new_in[j]) against_old(b, boundaries_[i]);
         for (RowId a : new_in[i]) {
           for (RowId b : new_in[j]) check(a, b);
         }
       }
     }
   }
-  for (RowId r : fresh) MarkRowChecked(r);
-  MergeIntoMaintained(out);
-  return out;
+  for (const std::vector<RowId>& rows : new_in) {
+    for (RowId r : rows) MarkRowChecked(r);
+  }
+  MergeIntoMaintained(out->begin() + first_found, out->end());
 }
 
 void ThetaJoinDetector::BuildRangeIndex() {
@@ -684,22 +619,11 @@ bool ThetaJoinDetector::FullyChecked() {
 }
 
 bool ThetaJoinDetector::QuiescentForReaders() const {
-  // Mirrors EnsureFresh's staleness checks without acting on them: any
-  // condition that would make EnsureFresh rebuild or resync means a writer
-  // pass is owed, so the reader path must not be taken. column() is a pure
-  // read here as long as writers left the cache fresh (the engine's
-  // RefreshDerivedState guarantee).
-  ColumnCache& cache = table_->columns();
-  const std::vector<size_t>& cols = dc_->involved_columns();
-  if (cols_.size() != cols.size() || cache.id() != cache_id_) return false;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    const ColumnCache::Column& col = cache.column(cols[i]);
-    if (col.generation != col_generations_[i]) return false;
-    if (col.num.data() != col_data_[i]) return false;
-  }
-  if (checked_.size() != table_->num_rows()) return false;
-  if (deleted_log_pos_ != table_->deleted_rows_log().size()) return false;
-  return checked_count_ == checked_.size();
+  // Any staleness EnsureFresh would act on means a writer pass is owed, so
+  // the reader path must not be taken. column() is a pure read here as
+  // long as writers left the cache fresh (the engine's RefreshDerivedState
+  // guarantee).
+  return !Probe().any() && checked_count_ == checked_.size();
 }
 
 }  // namespace daisy

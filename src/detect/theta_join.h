@@ -8,14 +8,20 @@
 //  * cells whose boundary ranges cannot satisfy the atoms in either tuple
 //    orientation are pruned (partition pruning), counting only the atoms
 //    whose comparison the ranges may bound (see below);
-//  * within a surviving cell, sorted order restricts the candidate pairs
-//    (intra-partition pruning, Example 4);
 //  * the symmetric lower triangle is never checked;
-//  * rows already cross-checked by earlier queries are skipped, so query i
-//    only pays for (result_i x unseen) comparisons (Section 5.2.2);
+//  * rows already cross-checked are skipped, so query i only pays for
+//    (result_i x unseen) comparisons (Section 5.2.2);
 //  * partition-boundary overlaps give the violation estimates of
 //    Algorithm 2 (Estimate_Errors), driving the accuracy-based decision to
 //    fall back to full cleaning.
+//
+// Two pair loops do all the checking. One integration kernel checks a set
+// of unchecked rows against the rows below them and against each other,
+// over the upper-triangle cells that hold such a row; it serves both the
+// full clean (DetectAll: integrate every unchecked row) and ingest
+// (DetectDelta: integrate the appended rows). DetectIncremental is the
+// query-scoped scan: the answer's unchecked rows against every unchecked
+// row, pruned by the answer's bounding box.
 //
 // Execution is columnar: partitions, pruning statistics, and pair checks
 // all read the table's ColumnCache flat arrays instead of dispatching on
@@ -39,15 +45,17 @@
 // coverage vector as unchecked and only the partitions are rebuilt (from
 // the incrementally-maintained cache sorted index — no re-sort); deleted
 // rows are dropped from the partitions, marked trivially checked, and
-// pruned from the maintained violation set. Appended rows are *integrated*
-// in arrival order — exactly new x preexisting + new x new pairs, at a
-// fraction of a full re-detection — either explicitly through
-// DetectDelta(delta) (the engine's ingest path, which wants the found
-// violations for repair) or automatically at the start of the next
-// DetectAll/DetectIncremental (rows appended through the plain Table API
-// must not silently lose new-vs-checked-row coverage). Either way each
-// cross pair is checked exactly once and the maintained set stays
+// pruned from the maintained violation set. Appended rows are integrated
+// in arrival order — exactly new x preexisting + new x new pairs — either
+// explicitly through DetectDelta(delta) (the engine's ingest path, which
+// wants the found violations for repair) or automatically at the start of
+// the next DetectAll/DetectIncremental (rows appended through the plain
+// Table API must not silently lose new-vs-checked-row coverage). Either
+// way each cross pair is checked exactly once and the maintained set stays
 // identical to a from-scratch DetectAll.
+//
+// The coverage bits are the rule's only coverage record: cleanσ reads a
+// general DC's checked rows from here (see clean/clean_operators.h).
 
 #ifndef DAISY_DETECT_THETA_JOIN_H_
 #define DAISY_DETECT_THETA_JOIN_H_
@@ -109,11 +117,12 @@ class ThetaJoinDetector {
   ThetaJoinDetector(const Table* table, const DenialConstraint* dc,
                     size_t partitions = 16);
 
-  /// Checks the full upper-triangle matrix (both tuple orientations per
-  /// pair) with partition pruning. Marks every row checked.
+  /// Integrates every unchecked row: checks each pair with an unchecked
+  /// endpoint (both tuple orientations) with partition pruning. Marks every
+  /// row checked.
   std::vector<ViolationPair> DetectAll();
 
-  /// Partial theta-join: checks `result_rows` (must be sorted ascending)
+  /// Partial theta-join: checks `result_rows` (sorted ascending, distinct)
   /// against every row not yet mutually checked, then marks `result_rows`
   /// as checked. Violations entirely inside the unseen part are
   /// intentionally not detected.
@@ -181,11 +190,14 @@ class ThetaJoinDetector {
   /// writer pass would have work to do.
   bool QuiescentForReaders() const;
 
-  size_t num_partitions() const { return boundaries_.size(); }
+  /// Row id -> cross-checked, and the number of set bits. Pure reads: the
+  /// vector covers the rows as of the last sync, so rows appended since
+  /// are missing from it (callers compare its size with the table's).
+  const std::vector<bool>& checked_rows() const { return checked_; }
+  size_t checked_count() const { return checked_count_; }
 
   // Instrumentation (reset by each Detect* call).
   size_t pairs_checked() const { return pairs_checked_; }
-  size_t partitions_pruned() const { return partitions_pruned_; }
 
   /// Turns partition pruning on or off: the ablation switch tests and
   /// benches use to compare pruned and unpruned detection. The engine
@@ -226,6 +238,18 @@ class ThetaJoinDetector {
     size_t right_slot = 0;
   };
 
+  /// What EnsureFresh would do in the current table state: one const probe
+  /// shared by the writer pass and the readers' QuiescentForReaders.
+  struct Staleness {
+    bool content_changed = false;  ///< involved values moved: reset
+    bool storage_moved = false;    ///< arrays reallocated: re-point
+    bool appended = false;
+    bool deleted = false;
+    bool any() const {
+      return content_changed || storage_moved || appended || deleted;
+    }
+  };
+  Staleness Probe() const;
   void EnsureFresh();
   /// Coverage reset shared by the constructor and the content-change path:
   /// everything unchecked except tombstones, delete log consumed, no rows
@@ -239,21 +263,24 @@ class ThetaJoinDetector {
       ++checked_count_;
     }
   }
-  void MergeIntoMaintained(const std::vector<ViolationPair>& found);
-  /// Integrates appended rows [integrated_rows_, end) — the DetectDelta
-  /// core, shared with the auto-drain DetectAll/DetectIncremental run
-  /// first. Appends to pairs_checked_.
+  void MergeIntoMaintained(std::vector<ViolationPair>::const_iterator first,
+                           std::vector<ViolationPair>::const_iterator last);
+  /// Integrates appended rows [integrated_rows_, end) and advances the
+  /// watermark — the DetectDelta core, shared with the auto-drain
+  /// DetectAll/DetectIncremental run first.
   std::vector<ViolationPair> DrainAppends(RowId end);
+  /// The integration kernel: checks every unchecked live row of [lo, end)
+  /// against every live row below `lo` and against each other, per cell in
+  /// sorted order (new x new pairs once, x before y), then marks those rows
+  /// checked and merges the found pairs, appended to `out`, into
+  /// maintained_. Adds to pairs_checked_.
+  void Integrate(RowId lo, RowId end, std::vector<ViolationPair>* out);
   void BuildPartitions();
   void BuildRangeIndex();
   bool PairFeasible(const PartitionStats& a, const PartitionStats& b) const;
   bool OrientationFeasible(const PartitionStats& t1_part,
                            const PartitionStats& t2_part) const;
   std::pair<bool, bool> CheckBoth(RowId a, RowId b) const;
-  void CheckPair(RowId a, RowId b, std::vector<ViolationPair>* out,
-                 size_t* pairs) const;
-  void ScanCell(size_t i, size_t j, std::vector<ViolationPair>* out,
-                size_t* pairs) const;
   size_t CountRowsInRange(const PartitionStats& p, size_t slot, double lo,
                           double hi) const;
 
@@ -295,7 +322,6 @@ class ThetaJoinDetector {
   bool range_vio_valid_ = false;
 
   size_t pairs_checked_ = 0;
-  size_t partitions_pruned_ = 0;
 };
 
 }  // namespace daisy

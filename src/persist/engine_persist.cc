@@ -343,11 +343,12 @@ Status DaisyEngine::RestoreEngineState(const persist::EngineSnapshot& snap) {
                                      "detector kind of rule '" +
                                      rs.rule + "'");
     }
-    DAISY_RETURN_IF_ERROR(state.op->ImportPersistState(rs.op));
-    state.cost.RestoreLedger(rs.cost);
+    // Detector first: a DC rule's op slot is checked against its bits.
     if (state.theta != nullptr) {
       DAISY_RETURN_IF_ERROR(state.theta->ImportState(rs.theta));
     }
+    DAISY_RETURN_IF_ERROR(state.op->ImportPersistState(rs.op));
+    state.cost.RestoreLedger(rs.cost);
   }
   for (const auto& [table, records] : snap.provenance) {
     if (!db_->HasTable(table)) {

@@ -129,11 +129,6 @@ class ProvenanceStore {
   /// grown by AppendSources), gets a set of its own.
   void RebuildCell(Table* table, RowId row, size_t col);
 
-  void Clear() {
-    records_.clear();
-    shared_sets_.clear();
-  }
-
   using CellKey = std::pair<RowId, size_t>;
 
   /// Read-only view of every record, for snapshot serialization.

@@ -76,17 +76,6 @@ bool PrefixUnchanged(const ColumnCache::Column& prev,
                     });
 }
 
-// Value::Compare with every NaN after every other number. Compare calls a
-// NaN equal to each number, which is no strict weak order: sorting with it
-// would scramble the ranks of the column's other values.
-int RankCompare(const Value& a, const Value& b) {
-  if (a.is_nan() && b.is_nan()) return 0;
-  if (a.is_nan() != b.is_nan() && a.is_numeric() && b.is_numeric()) {
-    return a.is_nan() ? 1 : -1;
-  }
-  return a.Compare(b);
-}
-
 // The sorted index's entry order: by key (NumLess), then by row id.
 bool NumThenIdLess(const std::vector<double>& num, RowId a, RowId b) {
   return ColumnCache::NumLess(num[a], num[b]) ||
@@ -116,6 +105,14 @@ void AppendCell(const Cell& cell, ColumnCache::Column* col,
 }
 
 }  // namespace
+
+int ColumnCache::RankCompare(const Value& a, const Value& b) {
+  if (a.is_nan() && b.is_nan()) return 0;
+  if (a.is_nan() != b.is_nan() && a.is_numeric() && b.is_numeric()) {
+    return a.is_nan() ? 1 : -1;
+  }
+  return a.Compare(b);
+}
 
 // Recomputes the dense rank relabeling (code -> rank, sorted_distinct,
 // per-row ranks) from the slot's dictionary and codes, under RankCompare.

@@ -221,6 +221,12 @@ class ColumnCache {
     return v.is_int() && std::fabs(v.AsDouble()) >= 0x1p53;
   }
 
+  /// Value::Compare with every NaN after every other number: the one value
+  /// order for sorting. Compare calls a NaN equal to each number, which is
+  /// no strict weak order, so std::sort with it is undefined once a NaN is
+  /// in; on NaN-free values the two agree.
+  static int RankCompare(const Value& a, const Value& b);
+
   /// The sorted index's key order: ascending, a NaN after every other key
   /// (a strict weak order on doubles, which `<` is not once a NaN is in).
   static bool NumLess(double a, double b) {

@@ -11,11 +11,6 @@ Status Database::AddTable(Table table) {
   return Status::OK();
 }
 
-void Database::PutTable(Table table) {
-  const std::string name = table.name();
-  tables_[name] = std::make_unique<Table>(std::move(table));
-}
-
 Result<Table*> Database::GetTable(const std::string& name) {
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::NotFound("no table '" + name + "'");

@@ -28,9 +28,6 @@ class Database {
   /// Adds a table. Fails if a table with the same name exists.
   Status AddTable(Table table);
 
-  /// Replaces or inserts a table.
-  void PutTable(Table table);
-
   Result<Table*> GetTable(const std::string& name);
   Result<const Table*> GetTable(const std::string& name) const;
 

@@ -55,7 +55,7 @@ inline std::vector<FdGroup> DetectFdViolationsRowPath(
   std::vector<FdGroup> out;
   out.reserve(groups.size());
   for (auto& [key, members] : groups) {
-    std::unordered_map<Value, size_t, ValueHash> hist;
+    std::unordered_map<Value, size_t, ValueHash, ValueKeyEq> hist;
     for (RowId r : members) {
       hist[table.cell(r, fd.rhs).original()] += 1;
     }
@@ -69,6 +69,26 @@ inline std::vector<FdGroup> DetectFdViolationsRowPath(
   }
   SortFdGroups(&out);
   return out;
+}
+
+/// Group lists equal element for element, values compared the way the FD
+/// index keys them (ValueKeyEq: a NaN matches a NaN).
+inline bool SameFdGroups(const std::vector<FdGroup>& a,
+                         const std::vector<FdGroup>& b) {
+  auto same_entry = [](const std::pair<Value, size_t>& x,
+                       const std::pair<Value, size_t>& y) {
+    return ValueKeyEq()(x.first, y.first) && x.second == y.second;
+  };
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!GroupKeyEq()(a[i].lhs_key, b[i].lhs_key) || a[i].rows != b[i].rows ||
+        !std::equal(a[i].rhs_histogram.begin(), a[i].rhs_histogram.end(),
+                    b[i].rhs_histogram.begin(), b[i].rhs_histogram.end(),
+                    same_entry)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Count of rows that participate in some violating group of `dc` over the
@@ -114,23 +134,11 @@ inline FdRuleStats FdStatsFromScratch(const Table& table,
 inline ::testing::AssertionResult MatchesFreshFdIndex(
     const FdDeltaDetector& maintained, const Table& table,
     const DenialConstraint& dc, uint64_t seed) {
-  auto same_groups = [](const std::vector<FdGroup>& a,
-                        const std::vector<FdGroup>& b) {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!GroupKeyEq()(a[i].lhs_key, b[i].lhs_key) ||
-          a[i].rows != b[i].rows ||
-          a[i].rhs_histogram != b[i].rhs_histogram) {
-        return false;
-      }
-    }
-    return true;
-  };
   const FdDeltaDetector fresh(&table, &dc);
   const std::vector<FdGroup> groups = maintained.ViolatingGroups(true);
-  if (!same_groups(groups, fresh.ViolatingGroups(true)) ||
-      !same_groups(groups, DetectFdViolationsRowPath(
-                               table, dc, table.AllRowIds(), true))) {
+  if (!SameFdGroups(groups, fresh.ViolatingGroups(true)) ||
+      !SameFdGroups(groups, DetectFdViolationsRowPath(
+                                table, dc, table.AllRowIds(), true))) {
     return ::testing::AssertionFailure() << "maintained groups diverge";
   }
   const FdRuleStats m = maintained.stats();
@@ -146,7 +154,7 @@ inline ::testing::AssertionResult MatchesFreshFdIndex(
   }
 
   std::unordered_set<GroupKey, GroupKeyHash, GroupKeyEq> dirty_keys;
-  std::unordered_set<Value, ValueHash> dirty_vals;
+  std::unordered_set<Value, ValueHash, ValueKeyEq> dirty_vals;
   for (const FdGroup& g : groups) {
     if (!g.violating()) continue;
     dirty_keys.insert(g.lhs_key);

@@ -288,16 +288,6 @@ std::vector<ViolationPair> Sorted(std::vector<ViolationPair> v) {
   return v;
 }
 
-bool SameGroups(const std::vector<FdGroup>& a, const std::vector<FdGroup>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!GroupKeyEq()(a[i].lhs_key, b[i].lhs_key)) return false;
-    if (a[i].rows != b[i].rows) return false;
-    if (a[i].rhs_histogram != b[i].rhs_histogram) return false;
-  }
-  return true;
-}
-
 // ------------------------------------------- detector-level differential --
 
 // DetectIncremental over shuffled batches of the live rows: every pair a
@@ -373,11 +363,7 @@ void RunDetectorDifferential(uint64_t seed, bool pruning,
     EXPECT_EQ(testutil::AsSet(theta.maintained_violations()),
               testutil::BruteForce(t, dc));
     ExpectIncrementalBatchesExact(t, dc, pruning, seed + i);
-    // FD groups are listed in Value::Compare order (SortFdGroups), which
-    // is no strict weak order once a key is NaN, so the FD checks run on
-    // the NaN-free scenarios only.
-    if (s.nan) continue;
-    EXPECT_TRUE(SameGroups(
+    EXPECT_TRUE(testutil::SameFdGroups(
         fd_state.ViolatingGroups(),
         testutil::DetectFdViolationsRowPath(t, fd, t.AllRowIds(), false)));
     EXPECT_TRUE(testutil::MatchesFreshFdIndex(fd_state, t, fd, seed + i));

@@ -394,16 +394,6 @@ Schema CitySchema() {
   return Schema({{"zip", ValueType::kInt}, {"city", ValueType::kString}});
 }
 
-bool SameGroups(const std::vector<FdGroup>& a, const std::vector<FdGroup>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!(GroupKeyEq()(a[i].lhs_key, b[i].lhs_key))) return false;
-    if (a[i].rows != b[i].rows) return false;
-    if (a[i].rhs_histogram != b[i].rhs_histogram) return false;
-  }
-  return true;
-}
-
 TEST(FdDeltaTest, MaintainedGroupsMatchFromScratch) {
   Rng rng(31);
   Table t("cities", CitySchema());
@@ -431,13 +421,13 @@ TEST(FdDeltaTest, MaintainedGroupsMatchFromScratch) {
       delta = t.DeleteRows(victims).ValueOrDie();
     }
     (void)detector.ApplyDelta(delta);
-    EXPECT_TRUE(SameGroups(detector.ViolatingGroups(),
-                           testutil::DetectFdViolationsRowPath(
-                               t, fd, t.AllRowIds(), false)))
+    EXPECT_TRUE(testutil::SameFdGroups(
+        detector.ViolatingGroups(),
+        testutil::DetectFdViolationsRowPath(t, fd, t.AllRowIds(), false)))
         << "step " << step;
-    EXPECT_TRUE(SameGroups(detector.ViolatingGroups(true),
-                           testutil::DetectFdViolationsRowPath(
-                               t, fd, t.AllRowIds(), true)))
+    EXPECT_TRUE(testutil::SameFdGroups(
+        detector.ViolatingGroups(true),
+        testutil::DetectFdViolationsRowPath(t, fd, t.AllRowIds(), true)))
         << "step " << step;
   }
 }

@@ -748,6 +748,63 @@ std::string JoinSections(
   return out;
 }
 
+// A general DC's coverage is kept once, by its detector; the op slot of
+// its rule state is written from the detector's bits. A snapshot whose
+// two bitmaps disagree is refused with a typed error instead of loading
+// one of them silently.
+TEST(EnginePersistence, DcOpSlotMustMatchDetectorCoverage) {
+  TempDir dir;
+  Database db;
+  ASSERT_TRUE(db.AddTable(SeedEmpTable()).ok());
+  DaisyEngine engine(&db, EmpRules());
+  ASSERT_TRUE(engine.Prepare().ok());
+  ASSERT_TRUE(engine.Query("SELECT * FROM emp WHERE tax > 0.5").ok());
+  ASSERT_TRUE(engine.EnablePersistence(dir.Sub("state")).ok());
+  const std::string snapshot = "snapshot-000001.dsnap";
+  const std::string bytes =
+      persist::ReadFileFully(dir.Sub("state/" + snapshot)).ValueOrDie();
+
+  // psi's rule state opens with its name, then the op-slot bitmap: the bit
+  // count (one per row) and the packed bytes behind their length.
+  const size_t rows = db.GetTable("emp").ValueOrDie()->num_rows();
+  BinaryWriter head;
+  head.WriteString("psi");
+  head.WriteU64(rows);
+  head.WriteU32(static_cast<uint32_t>((rows + 7) / 8));
+  std::vector<std::pair<uint32_t, std::string>> sections =
+      SplitSections(bytes);
+  bool flipped = false;
+  for (auto& [id, payload] : sections) {
+    if (id != persist::kSectionRuleStates) continue;
+    const size_t at = payload.find(head.buffer());
+    ASSERT_NE(at, std::string::npos);
+    payload[at + head.buffer().size()] ^= 1;  // row 0's op bit only
+    flipped = true;
+  }
+  ASSERT_TRUE(flipped);
+
+  TempDir copy;
+  const std::vector<std::string> names =
+      persist::ListDirectory(dir.Sub("state")).ValueOrDie();
+  for (const std::string& name : names) {
+    testutil::CopyFileBytes(dir.Sub("state/" + name), copy.Sub(name));
+  }
+  ASSERT_TRUE(persist::WriteFileAtomic(copy.Sub(snapshot),
+                                       JoinSections(bytes, sections))
+                  .ok());
+  Database rec_db;
+  Result<std::unique_ptr<DaisyEngine>> opened =
+      DaisyEngine::Open(copy.path(), &rec_db);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find("psi"), std::string::npos)
+      << opened.status().message();
+
+  // The snapshot as written loads.
+  Database ok_db;
+  EXPECT_TRUE(DaisyEngine::Open(dir.Sub("state"), &ok_db).ok());
+}
+
 // Asserts that handles equal in `a` are equal in `b` and vice versa,
 // position by position, and returns the number of distinct non-null ones.
 template <typename Ptr>
