@@ -66,8 +66,7 @@ CleanSelectPersistState CleanSelect::ExportPersistState() {
   SyncRowCount();
   const Coverage c = coverage();
   CleanSelectPersistState state;
-  state.checked.reserve(c.bits.size());
-  for (bool b : c.bits) state.checked.push_back(b ? 1 : 0);
+  state.checked.assign(c.bits.begin(), c.bits.end());
   state.pending_rows = pending_rows_;
   state.pending_deltas = pending_deltas_;
   return state;
@@ -91,14 +90,9 @@ Status CleanSelect::ImportPersistState(const CleanSelectPersistState& state) {
                                      "coverage");
     }
   } else {
-    checked_.assign(state.checked.size(), false);
-    checked_count_ = 0;
-    for (size_t r = 0; r < state.checked.size(); ++r) {
-      if (state.checked[r] != 0) {
-        checked_[r] = true;
-        ++checked_count_;
-      }
-    }
+    checked_.assign(state.checked.begin(), state.checked.end());
+    checked_count_ = static_cast<size_t>(
+        std::count(checked_.begin(), checked_.end(), true));
   }
   pending_rows_ = state.pending_rows;
   pending_deltas_ = state.pending_deltas;

@@ -118,17 +118,14 @@ class CleanSelect {
     return c.count == c.bits.size() && c.bits.size() == table_->num_rows();
   }
 
-  /// True when a Run() in the current state cannot mutate anything — every
-  /// row checked, no ingest work pending, and (for general DCs) the
-  /// detector itself fresh and fully covered. The engine's shared read
-  /// path requires every cleanσ of a plan to be quiescent; Run() then takes
-  /// its pruned fast paths, which are pure reads.
+  /// True when a Run() in the current state cannot mutate anything — no
+  /// ingest work pending and every row checked (for a general DC: the
+  /// detector fresh and fully covered). The engine's shared read path
+  /// requires every cleanσ of a plan to be quiescent; Run() then takes its
+  /// pruned fast paths, which are pure reads.
   bool quiescent() const {
-    if (!fully_checked() || !pending_deltas_.empty() ||
-        !pending_rows_.empty()) {
-      return false;
-    }
-    return theta_ == nullptr || theta_->QuiescentForReaders();
+    if (!pending_deltas_.empty() || !pending_rows_.empty()) return false;
+    return theta_ != nullptr ? theta_->QuiescentForReaders() : fully_checked();
   }
 
   /// Captures the cross-query bookkeeping for a snapshot (see
@@ -143,17 +140,15 @@ class CleanSelect {
   Status ImportPersistState(const CleanSelectPersistState& state);
 
  private:
-  /// The rule's one coverage record: the detector's bits for a general
-  /// DC, checked_ for an FD.
+  /// The rule's one coverage record: checked_, or a general DC's detector's.
   struct Coverage {
     const std::vector<bool>& bits;
     size_t count;
   };
   Coverage coverage() const {
-    if (theta_ != nullptr) {
-      return {theta_->checked_rows(), theta_->checked_count()};
-    }
-    return {checked_, checked_count_};
+    return theta_ != nullptr
+               ? Coverage{theta_->checked_rows(), theta_->checked_count()}
+               : Coverage{checked_, checked_count_};
   }
 
   Result<CleanSelectResult> RunFd(const CompiledFilter* filter,

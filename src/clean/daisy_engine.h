@@ -284,10 +284,6 @@ class DaisyEngine {
                                                    DaisyOptions options = {},
                                                    persist::Env* env = nullptr);
 
-  /// Directory attached by EnablePersistence/Open; empty when the engine
-  /// is memory-only.
-  const std::string& persistence_dir() const { return persist_dir_; }
-
   /// Attempts to re-arm persistence after the engine degraded to
   /// read-only: sweeps partial files, writes a fresh snapshot of the
   /// current in-memory state under a new generation, starts a fresh WAL,

@@ -99,7 +99,7 @@ void Logger::Log(LogLevel level, const std::string& component,
   bool to_stderr;
   {
     MutexLock lock(&mu_);
-    to_stderr = stderr_enabled_ && level >= min_stderr_level_;
+    to_stderr = stderr_enabled_ && level >= LogLevel::kInfo;
     if (ring_.size() < kRingCapacity) {
       ring_.push_back(line);
     } else {
@@ -114,11 +114,6 @@ void Logger::Log(LogLevel level, const std::string& component,
     // under concurrent emission (stderr is unbuffered + atomic per call).
     std::fprintf(stderr, "%s\n", line.c_str());
   }
-}
-
-void Logger::set_min_stderr_level(LogLevel level) {
-  MutexLock lock(&mu_);
-  min_stderr_level_ = level;
 }
 
 void Logger::set_stderr_enabled(bool enabled) {
@@ -142,10 +137,6 @@ std::vector<std::string> Logger::Tail(size_t max_lines) const {
   return out;
 }
 
-void LogDebug(const std::string& component, const std::string& message,
-              const std::vector<LogField>& fields) {
-  Logger::Global().Log(LogLevel::kDebug, component, message, fields);
-}
 void LogInfo(const std::string& component, const std::string& message,
              const std::vector<LogField>& fields) {
   Logger::Global().Log(LogLevel::kInfo, component, message, fields);

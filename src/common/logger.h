@@ -55,15 +55,12 @@ class Logger {
   /// The process-global logger every layer emits through.
   static Logger& Global();
 
-  /// Formats and emits one record: to stderr when the level passes the
-  /// threshold and stderr emission is on, and always into the ring buffer.
+  /// Formats and emits one record: to stderr when the level is kInfo or
+  /// above and stderr emission is on, and always into the ring buffer.
   /// Thread-safe; formatting happens outside the lock.
   void Log(LogLevel level, const std::string& component,
            const std::string& message, const std::vector<LogField>& fields = {});
 
-  /// Minimum level written to stderr (default kInfo; the ring buffer keeps
-  /// everything regardless).
-  void set_min_stderr_level(LogLevel level);
   /// Master switch for stderr emission — tests and benches silence it so
   /// expected transitions don't spam their output. Ring buffer unaffected.
   void set_stderr_enabled(bool enabled);
@@ -75,7 +72,6 @@ class Logger {
  private:
   mutable Mutex mu_;
   bool stderr_enabled_ DAISY_GUARDED_BY(mu_) = true;
-  LogLevel min_stderr_level_ DAISY_GUARDED_BY(mu_) = LogLevel::kInfo;
   /// Fixed-capacity ring: next_ is the slot the next line lands in.
   std::vector<std::string> ring_ DAISY_GUARDED_BY(mu_);
   size_t next_ DAISY_GUARDED_BY(mu_) = 0;
@@ -83,8 +79,6 @@ class Logger {
 };
 
 /// Convenience wrappers over Logger::Global().
-void LogDebug(const std::string& component, const std::string& message,
-              const std::vector<LogField>& fields = {});
 void LogInfo(const std::string& component, const std::string& message,
              const std::vector<LogField>& fields = {});
 void LogWarn(const std::string& component, const std::string& message,

@@ -50,7 +50,6 @@ class DAISY_CAPABILITY("mutex") Mutex {
 
   void Lock() DAISY_ACQUIRE() { mu_.lock(); }
   void Unlock() DAISY_RELEASE() { mu_.unlock(); }
-  bool TryLock() DAISY_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

@@ -47,9 +47,6 @@
 /// Field is protected by the given capability.
 #define DAISY_GUARDED_BY(x) DAISY_THREAD_ANNOTATION__(guarded_by(x))
 
-/// Pointer field whose *pointee* is protected by the given capability.
-#define DAISY_PT_GUARDED_BY(x) DAISY_THREAD_ANNOTATION__(pt_guarded_by(x))
-
 /// Caller must hold the capability exclusively.
 #define DAISY_REQUIRES(...) \
   DAISY_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
@@ -74,25 +71,9 @@
 #define DAISY_RELEASE_SHARED(...) \
   DAISY_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
 
-/// Function releases the capability whatever the hold mode.
-#define DAISY_RELEASE_GENERIC(...) \
-  DAISY_THREAD_ANNOTATION__(release_generic_capability(__VA_ARGS__))
-
-/// Function tries to acquire; first argument is the success return value.
-#define DAISY_TRY_ACQUIRE(...) \
-  DAISY_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
-
 /// Caller must NOT hold the capability (deadlock guard).
 #define DAISY_EXCLUDES(...) \
   DAISY_THREAD_ANNOTATION__(locks_excluded(__VA_ARGS__))
-
-/// Runtime assertion that the capability is held (trusted by the analysis).
-#define DAISY_ASSERT_CAPABILITY(x) \
-  DAISY_THREAD_ANNOTATION__(assert_capability(x))
-
-/// Function returns a reference to the given capability.
-#define DAISY_RETURN_CAPABILITY(x) \
-  DAISY_THREAD_ANNOTATION__(lock_returned(x))
 
 /// Escape hatch for code whose protocol the analysis cannot express (each
 /// use carries a comment saying why — see docs/architecture.md).

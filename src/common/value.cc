@@ -83,7 +83,6 @@ size_t Value::Hash() const {
       // Integral doubles hash like the corresponding int so that mixed
       // int/double columns hash consistently with Equals.
       const double d = as_double_raw();
-      if (std::isnan(d)) return 0x7ff8000000000000ULL;
       const double rounded = std::nearbyint(d);
       if (rounded == d && std::abs(d) < 9.2e18) {
         return std::hash<int64_t>{}(static_cast<int64_t>(rounded));

@@ -92,7 +92,7 @@ class Value {
   bool operator>=(const Value& other) const { return Compare(other) >= 0; }
 
   /// Stable hash consistent with Equals (ints and equal-valued doubles that
-  /// are integral hash alike) and with ValueKeyEq (every NaN hashes alike).
+  /// are integral hash alike).
   size_t Hash() const;
 
   /// Renders the value for CSV/debug output. Null renders as "".
@@ -111,15 +111,6 @@ inline std::ostream& operator<<(std::ostream& os, const Value& v) {
 
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
-};
-
-/// Hash-map key equality: Equals, except that every NaN is one key. Equals
-/// calls a NaN unequal to itself, so a NaN key could never be found again
-/// (an index could not retract a deleted NaN row).
-struct ValueKeyEq {
-  bool operator()(const Value& a, const Value& b) const {
-    return a.Equals(b) || (a.is_nan() && b.is_nan());
-  }
 };
 
 }  // namespace daisy

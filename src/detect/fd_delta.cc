@@ -1,6 +1,7 @@
 #include "detect/fd_delta.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 #include "storage/column_cache.h"
@@ -16,7 +17,7 @@ void SortFdGroups(std::vector<FdGroup>* groups) {
                     ColumnCache::RankCompare(a.lhs_key[i], b.lhs_key[i]);
                 if (c != 0) return c < 0;
               }
-              return a.lhs_key.size() < b.lhs_key.size();
+              return a.rows < b.rows;  // one FD's keys share a length
             });
 }
 
@@ -25,6 +26,34 @@ void SortFdRhsHistogram(std::vector<std::pair<Value, size_t>>* hist) {
     if (a.second != b.second) return a.second > b.second;
     return ColumnCache::RankCompare(a.first, b.first) < 0;
   });
+}
+
+namespace {
+
+// A key holding a NaN equals no key, itself included: its row is a clean
+// group of its own, kept out of groups_, where a delete could not find it.
+bool HasNan(const GroupKey& key) {
+  return std::any_of(key.begin(), key.end(),
+                     [](const Value& v) { return v.is_nan(); });
+}
+
+void RemoveRhs(FdDeltaDetector::Group* g, const Value& rhs) {
+  if (rhs.is_nan()) {
+    --g->nan_rhs;
+    return;
+  }
+  auto h = g->hist.find(rhs);
+  if (h != g->hist.end() && --h->second == 0) g->hist.erase(h);
+}
+
+}  // namespace
+
+std::vector<std::pair<Value, size_t>> FdDeltaDetector::Group::Histogram()
+    const {
+  std::vector<std::pair<Value, size_t>> out(hist.begin(), hist.end());
+  out.insert(out.end(), nan_rhs,
+             {Value(std::numeric_limits<double>::quiet_NaN()), 1});
+  return out;
 }
 
 FdDeltaDetector::FdDeltaDetector(const Table* table,
@@ -37,10 +66,9 @@ FdDeltaDetector::FdDeltaDetector(const Table* table,
   for (RowId r = 0; r < n; ++r) {
     if (!table_->is_live(r)) continue;
     const Value& rhs = table_->cell(r, fd.rhs).original();
-    Group& g = groups_[MakeGroupKey(*table_, r, fd.lhs)];
-    g.rows.push_back(r);  // ascending: rows visited in id order
-    ++g.hist[rhs];
-    by_rhs_[rhs].push_back(r);
+    if (!rhs.is_nan()) by_rhs_[rhs].push_back(r);  // rows in id order
+    GroupKey key = MakeGroupKey(*table_, r, fd.lhs);
+    if (!HasNan(key)) groups_[std::move(key)].Add(r, rhs);
   }
   for (const auto& [key, g] : groups_) AddContribution(g);
 }
@@ -51,7 +79,7 @@ void FdDeltaDetector::RemoveContribution(const GroupKey& key) {
   const Group& g = it->second;
   --violating_groups_;
   violating_rows_ -= g.rows.size();
-  candidate_sum_ -= g.hist.size();
+  candidate_sum_ -= g.distinct_rhs();
   for (const auto& [value, count] : g.hist) {
     auto ref = dirty_rhs_refs_.find(value);
     if (ref != dirty_rhs_refs_.end() && --ref->second == 0) {
@@ -64,14 +92,14 @@ void FdDeltaDetector::AddContribution(const Group& group) {
   if (!group.violating()) return;
   ++violating_groups_;
   violating_rows_ += group.rows.size();
-  candidate_sum_ += group.hist.size();
+  candidate_sum_ += group.distinct_rhs();
   for (const auto& [value, count] : group.hist) ++dirty_rhs_refs_[value];
 }
 
 FdDeltaEffect FdDeltaDetector::ApplyDelta(const TableDelta& delta) {
   const FdView& fd = dc_->fd();
   FdDeltaEffect effect;
-  std::unordered_set<Value, ValueHash, ValueKeyEq> changed_rhs;
+  std::unordered_set<Value, ValueHash> changed_rhs;
   auto bucket_changed = [&](const Value& rhs) {
     if (changed_rhs.insert(rhs).second) effect.changed_rhs.push_back(rhs);
   };
@@ -98,25 +126,29 @@ FdDeltaEffect FdDeltaDetector::ApplyDelta(const TableDelta& delta) {
     if (!table_->is_live(r)) continue;
     const Value& rhs = table_->cell(r, fd.rhs).original();
     GroupKey key = MakeGroupKey(*table_, r, fd.lhs);
-    touch(key);
-    Group& g = groups_[key];
-    g.rows.push_back(r);  // appended ids exceed all existing: stays sorted
-    ++g.hist[rhs];
+    // Appended ids exceed all existing: every row list stays ascending.
+    if (!HasNan(key)) {
+      touch(key);
+      groups_[key].Add(r, rhs);
+    }
+    if (rhs.is_nan()) continue;  // no bucket
     by_rhs_[rhs].push_back(r);
     bucket_changed(rhs);
   }
   for (RowId r : delta.deleted) {
     GroupKey key = MakeGroupKey(*table_, r, fd.lhs);
-    auto it = groups_.find(key);
-    if (it == groups_.end()) continue;
-    Group& g = it->second;
-    const auto pos = std::find(g.rows.begin(), g.rows.end(), r);
-    if (pos == g.rows.end()) continue;  // row never tracked (stale delta)
-    touch(key);  // reads counters only; g and pos stay valid
-    g.rows.erase(pos);
     const Value& rhs = table_->cell(r, fd.rhs).original();
-    auto h = g.hist.find(rhs);
-    if (h != g.hist.end() && --h->second == 0) g.hist.erase(h);
+    if (!HasNan(key)) {
+      auto it = groups_.find(key);
+      if (it == groups_.end()) continue;
+      Group& g = it->second;
+      const auto pos = std::find(g.rows.begin(), g.rows.end(), r);
+      if (pos == g.rows.end()) continue;  // row never tracked (stale delta)
+      touch(key);  // reads counters only; g and pos stay valid
+      g.rows.erase(pos);
+      RemoveRhs(&g, rhs);
+    }
+    if (rhs.is_nan()) continue;  // no bucket
     auto bucket = by_rhs_.find(rhs);
     if (bucket != by_rhs_.end()) {
       std::vector<RowId>& rows = bucket->second;
@@ -159,9 +191,18 @@ std::vector<FdGroup> FdDeltaDetector::ViolatingGroups(
     FdGroup group;
     group.lhs_key = key;
     group.rows = g.rows;
-    group.rhs_histogram.assign(g.hist.begin(), g.hist.end());
+    group.rhs_histogram = g.Histogram();
     SortFdRhsHistogram(&group.rhs_histogram);
     out.push_back(std::move(group));
+  }
+  if (include_clean) {
+    const FdView& fd = dc_->fd();
+    for (RowId r : table_->AllRowIds()) {
+      GroupKey key = MakeGroupKey(*table_, r, fd.lhs);
+      if (!HasNan(key)) continue;
+      const Value& rhs = table_->cell(r, fd.rhs).original();
+      out.push_back({std::move(key), {r}, {{rhs, 1}}});
+    }
   }
   SortFdGroups(&out);
   return out;
@@ -198,7 +239,7 @@ RelaxResult FdDeltaDetector::Relax(const std::vector<RowId>& answer,
   };
 
   std::unordered_set<GroupKey, GroupKeyHash, GroupKeyEq> seen_lhs;
-  std::unordered_set<Value, ValueHash, ValueKeyEq> seen_rhs;
+  std::unordered_set<Value, ValueHash> seen_rhs;
   std::vector<RowId> frontier = answer;
   while (!frontier.empty()) {
     ++out.iterations;

@@ -55,8 +55,8 @@ struct FdGroup {
 
 /// Canonical ordering of group lists, so a maintained index, a fresh one
 /// and the test oracles compare bit-identically: groups by lhs key
-/// (ColumnCache::RankCompare, a NaN last), each histogram by (count desc,
-/// value).
+/// (ColumnCache::RankCompare, a NaN last), then by rows (keys tie only when
+/// they hold a NaN); each histogram by (count desc, value).
 void SortFdGroups(std::vector<FdGroup>* groups);
 void SortFdRhsHistogram(std::vector<std::pair<Value, size_t>>* hist);
 
@@ -92,11 +92,26 @@ struct FdDeltaEffect {
 
 class FdDeltaDetector {
  public:
-  /// One lhs group's live members (ascending) and rhs frequencies.
+  /// One lhs group's live members (ascending) and rhs frequencies. A NaN
+  /// equals no value (Value::Equals), itself included, so each NaN rhs is a
+  /// distinct value of its own: `hist` keys the other values and `nan_rhs`
+  /// counts the NaN ones (a NaN key could never be found again to retract).
   struct Group {
     std::vector<RowId> rows;
-    std::unordered_map<Value, size_t, ValueHash, ValueKeyEq> hist;
-    bool violating() const { return hist.size() > 1; }
+    std::unordered_map<Value, size_t, ValueHash> hist;
+    size_t nan_rhs = 0;
+    void Add(RowId r, const Value& rhs) {
+      rows.push_back(r);
+      if (rhs.is_nan()) {
+        ++nan_rhs;
+      } else {
+        ++hist[rhs];
+      }
+    }
+    size_t distinct_rhs() const { return hist.size() + nan_rhs; }
+    bool violating() const { return distinct_rhs() > 1; }
+    /// `hist` plus one (NaN, 1) entry per NaN rhs, unsorted.
+    std::vector<std::pair<Value, size_t>> Histogram() const;
   };
 
   /// Requires dc->IsFd(). `table` and `dc` must outlive the detector.
@@ -107,7 +122,8 @@ class FdDeltaDetector {
   FdDeltaEffect ApplyDelta(const TableDelta& delta);
 
   /// Materializes the maintained groups (clean ones too when
-  /// `include_clean`) in the canonical SortFdGroups order.
+  /// `include_clean`, which also scans the live rows for the NaN-lhs ones
+  /// the index does not store) in the canonical SortFdGroups order.
   std::vector<FdGroup> ViolatingGroups(bool include_clean = false) const;
 
   /// Row `r`'s lhs group, or nullptr when no live row has its lhs key.
@@ -150,12 +166,12 @@ class FdDeltaDetector {
   const Table* table_;
   const DenialConstraint* dc_;
   GroupMapState groups_;
-  /// rhs original -> live rows carrying it, ascending.
-  std::unordered_map<Value, std::vector<RowId>, ValueHash, ValueKeyEq>
-      by_rhs_;
+  /// rhs original -> live rows carrying it, ascending. A NaN rhs equals no
+  /// other row's, so it has no bucket.
+  std::unordered_map<Value, std::vector<RowId>, ValueHash> by_rhs_;
   /// rhs value -> number of violating groups whose histogram contains it
   /// (a value stops being dirty only when the last such group does).
-  std::unordered_map<Value, size_t, ValueHash, ValueKeyEq> dirty_rhs_refs_;
+  std::unordered_map<Value, size_t, ValueHash> dirty_rhs_refs_;
   size_t violating_rows_ = 0;
   size_t violating_groups_ = 0;
   size_t candidate_sum_ = 0;  ///< Σ distinct rhs over violating groups

@@ -29,7 +29,7 @@ struct GroupKeyEq {
   bool operator()(const GroupKey& a, const GroupKey& b) const {
     if (a.size() != b.size()) return false;
     for (size_t i = 0; i < a.size(); ++i) {
-      if (!ValueKeyEq()(a[i], b[i])) return false;
+      if (!(a[i] == b[i])) return false;
     }
     return true;
   }

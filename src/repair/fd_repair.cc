@@ -27,7 +27,7 @@ std::vector<SharedSources> LhsSources(const Table& table, const FdView& fd,
   std::vector<SharedSources> out;
   out.reserve(fd.lhs.size());
   for (size_t lhs_col : fd.lhs) {
-    std::unordered_map<Value, size_t, ValueHash, ValueKeyEq> hist;
+    std::unordered_map<Value, size_t, ValueHash> hist;
     for (RowId o : bucket) hist[table.cell(o, lhs_col).original()] += 1;
     out.push_back(hist.size() <= 1 ? nullptr
                                    : ToSources({hist.begin(), hist.end()}));
@@ -73,8 +73,7 @@ RepairStats RepairFdViolations(Table* table, const FdDeltaDetector& fd,
   // that needs it: a group's P(rhs | lhs) and an rhs value's P(lhs | rhs).
   std::unordered_map<const FdDeltaDetector::Group*, RhsDistribution>
       rhs_sources;
-  std::unordered_map<Value, LhsDistribution, ValueHash, ValueKeyEq>
-      lhs_sources;
+  std::unordered_map<Value, LhsDistribution, ValueHash> lhs_sources;
   for (RowId r : rows) {
     const FdDeltaDetector::Group* group = fd.GroupOf(r);
     if (group == nullptr || !group->violating()) continue;
@@ -84,7 +83,7 @@ RepairStats RepairFdViolations(Table* table, const FdDeltaDetector& fd,
     ++stats.tuples_repaired;
     RhsDistribution& rhs_dist = rhs_it->second;
     if (rhs_dist.rows == nullptr) {
-      rhs_dist.sources = ToSources({group->hist.begin(), group->hist.end()});
+      rhs_dist.sources = ToSources(group->Histogram());
       rhs_dist.rows = ShareRows(group->rows);
     }
 

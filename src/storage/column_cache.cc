@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <unordered_map>
@@ -104,14 +105,24 @@ void AppendCell(const Cell& cell, ColumnCache::Column* col,
   col->codes.push_back(code);
 }
 
+// An int against a non-NaN double, exactly (Compare widens the int to a
+// double, so int 2^53 + 1 would tie double 2^53, which ties int 2^53).
+int CompareIntDouble(int64_t i, double d) {
+  if (d >= 0x1p63 || d < -0x1p63) return d > 0 ? -1 : 1;
+  const double whole = std::trunc(d);
+  const int64_t w = static_cast<int64_t>(whole);
+  if (i != w) return i < w ? -1 : 1;
+  return whole < d ? -1 : (whole > d ? 1 : 0);
+}
+
 }  // namespace
 
 int ColumnCache::RankCompare(const Value& a, const Value& b) {
-  if (a.is_nan() && b.is_nan()) return 0;
-  if (a.is_nan() != b.is_nan() && a.is_numeric() && b.is_numeric()) {
-    return a.is_nan() ? 1 : -1;
-  }
-  return a.Compare(b);
+  if (!a.is_numeric() || !b.is_numeric()) return a.Compare(b);
+  if (a.is_nan() || b.is_nan()) return int{a.is_nan()} - int{b.is_nan()};
+  if (a.is_int() == b.is_int()) return a.Compare(b);
+  return a.is_int() ? CompareIntDouble(a.as_int(), b.as_double_raw())
+                    : -CompareIntDouble(b.as_int(), a.as_double_raw());
 }
 
 // Recomputes the dense rank relabeling (code -> rank, sorted_distinct,

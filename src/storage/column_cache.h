@@ -221,10 +221,12 @@ class ColumnCache {
     return v.is_int() && std::fabs(v.AsDouble()) >= 0x1p53;
   }
 
-  /// Value::Compare with every NaN after every other number: the one value
-  /// order for sorting. Compare calls a NaN equal to each number, which is
-  /// no strict weak order, so std::sort with it is undefined once a NaN is
-  /// in; on NaN-free values the two agree.
+  /// Value::Compare made a total order, the one value order for sorting:
+  /// every NaN after every other number, and an int against a double
+  /// compared exactly. Compare calls a NaN equal to each number and widens
+  /// an int beyond 2^53 to a double, neither of which is a strict weak
+  /// order, so std::sort with it is undefined on such values; elsewhere
+  /// (every column whose ranks_exact() holds) the two agree.
   static int RankCompare(const Value& a, const Value& b);
 
   /// The sorted index's key order: ascending, a NaN after every other key

@@ -9,7 +9,6 @@
 #define DAISY_TESTS_AGGREGATE_ORACLE_H_
 
 #include <algorithm>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -67,10 +66,7 @@ inline Result<size_t> ValueKeyedAggregate(
     GroupKey key;
     std::vector<AggState> states;
   };
-  // Keys compare by Value::Equals, as the executor's do: a NaN groups apart
-  // from every other NaN (GroupKeyEq, the FD index's, would merge them).
-  std::unordered_map<GroupKey, size_t, GroupKeyHash, std::equal_to<GroupKey>>
-      index;
+  std::unordered_map<GroupKey, size_t, GroupKeyHash, GroupKeyEq> index;
   std::vector<GroupAgg> groups;
   for (size_t t = 0; t < joined.size(); ++t) {
     const RowId* j = joined[t];

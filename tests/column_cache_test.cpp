@@ -173,6 +173,29 @@ TEST(ColumnCacheTest, DoublesBesideWideIntsMakeRanksInexact) {
   EXPECT_TRUE(small.columns().column(0).ranks_exact());
 }
 
+// RankCompare is a strict weak order where Compare is not: Compare widens
+// int 2^53 + 1 to the double 2^53, tying it with double 2^53, which ties
+// int 2^53.
+TEST(ColumnCacheTest, RankCompareOrdersWideIntsAgainstDoublesExactly) {
+  const int64_t two53 = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Value(two53 + 1).Compare(Value(0x1p53)), 0);
+  EXPECT_EQ(ColumnCache::RankCompare(Value(two53 + 1), Value(0x1p53)), 1);
+  EXPECT_EQ(ColumnCache::RankCompare(Value(0x1p53), Value(two53 + 1)), -1);
+  EXPECT_EQ(ColumnCache::RankCompare(Value(two53), Value(0x1p53)), 0);
+  EXPECT_EQ(ColumnCache::RankCompare(Value(int64_t{-3}), Value(-2.5)), -1);
+  EXPECT_EQ(ColumnCache::RankCompare(Value(int64_t{2}), Value(2.5)), -1);
+  EXPECT_EQ(ColumnCache::RankCompare(Value(std::numeric_limits<int64_t>::max()),
+                                     Value(0x1p63)),
+            -1);
+  EXPECT_EQ(ColumnCache::RankCompare(Value(std::numeric_limits<int64_t>::min()),
+                                     Value(-inf)),
+            1);
+  EXPECT_EQ(ColumnCache::RankCompare(Value(two53), Value(nan)), -1);
+  EXPECT_EQ(ColumnCache::RankCompare(Value(nan), Value(nan)), 0);
+}
+
 TEST(ColumnCacheTest, MutationBumpsOnlyAffectedColumnVersion) {
   Table t = MixedTable();
   const uint64_t v0 = t.content_version(0);

@@ -55,7 +55,7 @@ inline std::vector<FdGroup> DetectFdViolationsRowPath(
   std::vector<FdGroup> out;
   out.reserve(groups.size());
   for (auto& [key, members] : groups) {
-    std::unordered_map<Value, size_t, ValueHash, ValueKeyEq> hist;
+    std::unordered_map<Value, size_t, ValueHash> hist;
     for (RowId r : members) {
       hist[table.cell(r, fd.rhs).original()] += 1;
     }
@@ -71,17 +71,23 @@ inline std::vector<FdGroup> DetectFdViolationsRowPath(
   return out;
 }
 
-/// Group lists equal element for element, values compared the way the FD
-/// index keys them (ValueKeyEq: a NaN matches a NaN).
+/// Group lists equal element for element. A listed NaN matches a listed
+/// NaN: both name a value that equals no other (Value::Equals), so Equals
+/// would call every list holding one unequal to itself.
 inline bool SameFdGroups(const std::vector<FdGroup>& a,
                          const std::vector<FdGroup>& b) {
-  auto same_entry = [](const std::pair<Value, size_t>& x,
-                       const std::pair<Value, size_t>& y) {
-    return ValueKeyEq()(x.first, y.first) && x.second == y.second;
+  auto same_value = [](const Value& x, const Value& y) {
+    return x.Equals(y) || (x.is_nan() && y.is_nan());
+  };
+  auto same_entry = [&](const std::pair<Value, size_t>& x,
+                        const std::pair<Value, size_t>& y) {
+    return same_value(x.first, y.first) && x.second == y.second;
   };
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (!GroupKeyEq()(a[i].lhs_key, b[i].lhs_key) || a[i].rows != b[i].rows ||
+    if (!std::equal(a[i].lhs_key.begin(), a[i].lhs_key.end(),
+                    b[i].lhs_key.begin(), b[i].lhs_key.end(), same_value) ||
+        a[i].rows != b[i].rows ||
         !std::equal(a[i].rhs_histogram.begin(), a[i].rhs_histogram.end(),
                     b[i].rhs_histogram.begin(), b[i].rhs_histogram.end(),
                     same_entry)) {
@@ -154,7 +160,7 @@ inline ::testing::AssertionResult MatchesFreshFdIndex(
   }
 
   std::unordered_set<GroupKey, GroupKeyHash, GroupKeyEq> dirty_keys;
-  std::unordered_set<Value, ValueHash, ValueKeyEq> dirty_vals;
+  std::unordered_set<Value, ValueHash> dirty_vals;
   for (const FdGroup& g : groups) {
     if (!g.violating()) continue;
     dirty_keys.insert(g.lhs_key);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "cell_test_util.h"
@@ -430,6 +431,49 @@ TEST(FdDeltaTest, MaintainedGroupsMatchFromScratch) {
         testutil::DetectFdViolationsRowPath(t, fd, t.AllRowIds(), true)))
         << "step " << step;
   }
+}
+
+// A NaN equals no value (Value::Equals), itself included, so the FD index
+// follows the rule's pair semantics (ViolatedBy): two NaN rhs values in one
+// lhs group differ, and two NaN lhs keys share no group. Deleting a NaN row
+// must retract it.
+TEST(FdDeltaTest, NaNFollowsPairSemanticsAndRetracts) {
+  const Schema schema({{"k", ValueType::kDouble}, {"v", ValueType::kDouble}});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Table t("t", schema);
+  const std::vector<std::pair<double, double>> rows = {
+      {1, nan}, {1, nan}, {nan, 1}, {nan, 2}, {2, 3}, {2, 3}};
+  for (const auto& [k, v] : rows) {
+    ASSERT_TRUE(t.AppendRow({Value(k), Value(v)}).ok());
+  }
+  const DenialConstraint fd =
+      ParseConstraint("phi: FD k -> v", "t", schema).ValueOrDie();
+  FdDeltaDetector detector(&t, &fd);
+  auto index_rows = [&]() {
+    std::set<RowId> out;
+    for (const FdGroup& g : detector.ViolatingGroups()) {
+      out.insert(g.rows.begin(), g.rows.end());
+    }
+    return out;
+  };
+  auto pair_rows = [&]() {
+    std::set<RowId> out;
+    for (const auto& [a, b] : BruteForce(t, fd)) {
+      out.insert(a);
+      out.insert(b);
+    }
+    return out;
+  };
+  EXPECT_EQ(index_rows(), (std::set<RowId>{0, 1}));
+  EXPECT_EQ(index_rows(), pair_rows());
+  EXPECT_EQ(detector.stats().avg_candidates, 2.0);
+
+  (void)detector.ApplyDelta(t.DeleteRows({1, 2}).ValueOrDie());
+  EXPECT_TRUE(index_rows().empty());
+  EXPECT_TRUE(pair_rows().empty());
+  EXPECT_EQ(detector.ViolatingGroups(true).size(), 3u);  // {0} {3} {4, 5}
+  EXPECT_TRUE(detector.RhsBucket(Value(1.0)).empty());   // row 2's rhs
+  EXPECT_TRUE(testutil::MatchesFreshFdIndex(detector, t, fd, 1));
 }
 
 TEST(FdDeltaTest, StatsPatchMatchesRecompute) {

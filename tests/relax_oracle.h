@@ -32,7 +32,7 @@ inline RelaxResult RelaxFdResult(const Table& table,
 
   // Value sets of the (growing) relaxed answer.
   std::unordered_set<GroupKey, GroupKeyHash, GroupKeyEq> lhs_keys;
-  std::unordered_set<Value, ValueHash, ValueKeyEq> rhs_vals;
+  std::unordered_set<Value, ValueHash> rhs_vals;
   std::vector<bool> in_answer(table.num_rows(), false);
   for (RowId r : answer) in_answer[r] = true;
 

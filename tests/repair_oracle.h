@@ -68,7 +68,7 @@ inline RepairStats RepairFdViolationsOverScope(Table* table,
       const std::vector<RowId>& same_rhs =
           by_rhs[GroupKey{table->cell(r, fd.rhs).original()}];
       for (size_t lhs_col : fd.lhs) {
-        std::unordered_map<Value, size_t, ValueHash, ValueKeyEq> hist;
+        std::unordered_map<Value, size_t, ValueHash> hist;
         for (RowId o : same_rhs) hist[table->cell(o, lhs_col).original()] += 1;
         if (hist.size() <= 1) continue;
         RepairRecord lhs_rec;
