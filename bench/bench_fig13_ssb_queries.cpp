@@ -142,14 +142,20 @@ int main() {
     const double delta_rows =
         static_cast<double>(reg.Delta("daisy_engine_delta_rows_checked_total"));
     // Plan-layer work of the same leg: GROUP BY key cells that missed the
-    // dictionary-code path, and join-root sorts that found their input
-    // already in canonical order (kept) or had to permute it (sorted).
+    // dictionary-code path, join-root sorts that found their input
+    // already in canonical order (kept) or had to permute it (sorted), and
+    // join probe match lists built rather than reused from an earlier
+    // probe cell sharing the candidate set.
     const double value_keyed = static_cast<double>(
         reg.Delta("daisy_plan_agg_value_keyed_cells_total"));
     const double sorts_kept = static_cast<double>(
         reg.Delta("daisy_plan_root_sorts_total{order=\"kept\"}"));
     const double sorts_sorted = static_cast<double>(
         reg.Delta("daisy_plan_root_sorts_total{order=\"sorted\"}"));
+    const double lists_computed = static_cast<double>(reg.Delta(
+        "daisy_plan_join_probe_lists_total{source=\"computed\"}"));
+    const double lists_reused = static_cast<double>(
+        reg.Delta("daisy_plan_join_probe_lists_total{source=\"reused\"}"));
     FamilyRun off = RunFamily(family, config, /*optimizer=*/false);
     series.push_back(on.cold.per_query_seconds);
 
@@ -170,7 +176,9 @@ int main() {
         {"registry_delta_rows_checked", delta_rows},
         {"agg_value_keyed_cells", value_keyed},
         {"root_sorts_kept", sorts_kept},
-        {"root_sorts_sorted", sorts_sorted}};
+        {"root_sorts_sorted", sorts_sorted},
+        {"probe_lists_computed", lists_computed},
+        {"probe_lists_reused", lists_reused}};
     result.config = {{"rows", std::to_string(config.num_rows)},
                      {"queries", "10 cold + 50 warm"},
                      {"optimizer", "on (counters: off leg)"}};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cmath>
 #include <optional>
 #include <sstream>
@@ -329,18 +330,31 @@ Counter* RootSorts(bool kept) {
   return kept ? kept_sorts : sorted_sorts;
 }
 
-// Sorts the tuples lexicographically. One O(n) pass first: input already
-// in order (equal tuples are identical bytes) is the sort's result as is.
-// Otherwise a permutation of tuple indices is sorted, then applied, so the
-// result is exactly the order a sort over per-tuple vectors gives.
-void SortTuples(JoinedRows* rows) {
+// Probe match lists by source: built (on a candidate set's first probe in
+// a step, on every probe of a range-only set, and on every clean probe
+// while the build side has range rows) or reused from an earlier probe
+// cell sharing the candidate set.
+Counter* ProbeLists(bool reused) {
+  static Counter* const computed = MetricsRegistry::Global().GetCounter(
+      "daisy_plan_join_probe_lists_total{source=\"computed\"}",
+      "Join probe match lists, by whether built or reused from an earlier "
+      "probe cell sharing the candidate set");
+  static Counter* const reused_lists = MetricsRegistry::Global().GetCounter(
+      "daisy_plan_join_probe_lists_total{source=\"reused\"}");
+  return reused ? reused_lists : computed;
+}
+
+// Sorts the tuples lexicographically and returns whether they already were
+// in order. One O(n) pass first: input already in order (equal tuples are
+// identical bytes) is the sort's result as is. Otherwise a permutation of
+// tuple indices is sorted, then applied, so the result is exactly the order
+// a sort over per-tuple vectors gives.
+bool SortTuples(JoinedRows* rows) {
   const size_t w = rows->width;
   const size_t n = rows->size();
   size_t i = 1;
   while (i < n && !TupleLess((*rows)[i], (*rows)[i - 1], w)) ++i;
-  const bool kept = i >= n;
-  RootSorts(kept)->Increment();
-  if (kept) return;
+  if (i >= n) return true;
   std::vector<size_t> perm(n);
   for (size_t k = 0; k < n; ++k) perm[k] = k;
   std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
@@ -353,6 +367,7 @@ void SortTuples(JoinedRows* rows) {
     sorted.insert(sorted.end(), t, t + w);
   }
   rows->ids = std::move(sorted);
+  return false;
 }
 
 }  // namespace
@@ -437,20 +452,20 @@ Result<JoinedRows> HashJoinStepNode::ExecuteJoined(ExecContext* ctx) {
       }
     }
   } else {
-    out = HashMatch(left, right);
+    out = HashMatch(std::move(left), std::move(right));
   }
 
   // Canonical order at the tree root: lexicographic by FROM-position
   // row-id tuple, the FROM-order chain's emission order. The planner skips
   // it when the tree IS that chain (IsNaiveChain).
-  if (sort_output_) SortTuples(&out);
+  if (sort_output_) RootSorts(SortTuples(&out))->Increment();
   stats_.rows_out = out.size();
   ++stats_.batches;
   return out;
 }
 
-JoinedRows HashJoinStepNode::HashMatch(const JoinedRows& left,
-                                       const JoinedRows& right) const {
+JoinedRows HashJoinStepNode::HashMatch(JoinedRows left,
+                                       JoinedRows right) const {
   // Resolve which end of the step predicate lives in which subtree, then
   // pick the build side.
   const bool pred_left_in_left = ((left_mask_ >> pred_->left_table) & 1u) != 0;
@@ -461,7 +476,7 @@ JoinedRows HashJoinStepNode::HashMatch(const JoinedRows& left,
       pred_left_in_left ? pred_->right_table : pred_->left_table;
   const size_t r_col = pred_left_in_left ? pred_->right_col : pred_->left_col;
 
-  const JoinedRows& build = build_left_ ? left : right;
+  JoinedRows& build = build_left_ ? left : right;
   const JoinedRows& probe = build_left_ ? right : left;
   const size_t width = tables_->size();
   const size_t bt = build_left_ ? l_tab : r_tab;
@@ -471,6 +486,13 @@ JoinedRows HashJoinStepNode::HashMatch(const JoinedRows& left,
   const uint64_t build_mask = build_left_ ? left_mask_ : right_mask_;
   const Table& btab = *(*tables_)[bt];
   const Table& ptab = *(*tables_)[pt];
+
+  // Build tuples in lexicographic order, so ascending build index is
+  // ascending build tuple: a leaf chain's row ids already ascend, a join
+  // subtree's tuples are sorted here once.
+  const bool build_was_sorted = SortTuples(&build);
+  assert(build_was_sorted || (build_left_ ? left_from_ : right_from_) < 0);
+  (void)build_was_sorted;
 
   // Every residual holds for a (probe, build) tuple pair, each matched
   // with its later-FROM endpoint as the build cell.
@@ -492,12 +514,17 @@ JoinedRows HashJoinStepNode::HashMatch(const JoinedRows& left,
 
   // Build: the point keys of a build row's join cell (see
   // JoinCellsMayMatch) hash its tuple index; rows whose cell carries range
-  // candidates also go to a linear-probe side list. Keyed by build-side
-  // tuple index so each build tuple pairs with each probe tuple at most
-  // once.
+  // candidates also go to a linear-probe side list. Indices arrive in
+  // ascending order, and an index equal to its bucket's last (two
+  // Equals-equal points of one cell) is not pushed again, so every bucket
+  // is ascending and duplicate-free.
   std::unordered_map<Value, std::vector<size_t>, ValueHash> hash;
   std::vector<size_t> range_rows;
   hash.reserve(build.size());
+  auto push = [&](const Value& key, size_t i) {
+    std::vector<size_t>& bucket = hash[key];
+    if (bucket.empty() || bucket.back() != i) bucket.push_back(i);
+  };
   for (size_t i = 0; i < build.size(); ++i) {
     const Cell& cell = btab.cell(build[i][bt], bc);
     bool has_range = false;
@@ -507,41 +534,48 @@ JoinedRows HashJoinStepNode::HashMatch(const JoinedRows& left,
           has_range = true;
           continue;
         }
-        hash[c.value].push_back(i);
+        push(c.value, i);
       }
     } else {
-      hash[cell.original()].push_back(i);
+      push(cell.original(), i);
     }
     if (has_range) range_rows.push_back(i);
   }
-
-  JoinedRows out;
-  out.width = width;
-  const std::vector<size_t> build_pos = MaskPositions(build_mask, width);
-  std::vector<size_t> matched;
-  auto probe_key = [&](const Value& v) {
-    auto it = hash.find(v);
-    if (it == hash.end()) return;
-    matched.insert(matched.end(), it->second.begin(), it->second.end());
+  static const std::vector<size_t> kNoMatch;
+  auto bucket_of = [&](const Value& key) -> const std::vector<size_t>& {
+    auto it = hash.find(key);
+    return it == hash.end() ? kNoMatch : it->second;
   };
-  for (size_t p = 0; p < probe.size(); ++p) {
-    const RowId* prow = probe[p];
-    const Cell& pcell = ptab.cell(prow[pt], pc);
+
+  // A probe cell's finished match list into `matched`: the buckets of its
+  // possible values (Cell::PossibleValues, read in place: its point
+  // candidates, else its original), deduplicated, plus the range rows
+  // JoinCellsMayMatch admits, ascending by build index.
+  std::vector<size_t> matched;
+  auto compute = [&](const Cell& pcell) {
     matched.clear();
-    // The probe cell's possible values (Cell::PossibleValues), read in
-    // place: its point candidates, else its original. A repeated value
-    // only repeats matches, which the dedup below drops.
+    size_t buckets = 0;
+    auto add = [&](const Value& key) {
+      const std::vector<size_t>& bucket = bucket_of(key);
+      if (bucket.empty()) return;
+      matched.insert(matched.end(), bucket.begin(), bucket.end());
+      ++buckets;
+    };
     bool any_point = false;
     for (const Candidate& c : pcell.candidates()) {
       if (c.kind != CandidateKind::kPoint) continue;
       any_point = true;
-      probe_key(c.value);
+      add(c.value);
     }
-    if (!any_point) probe_key(pcell.original());
-    std::sort(matched.begin(), matched.end());
-    matched.erase(std::unique(matched.begin(), matched.end()), matched.end());
-    // Range rows append to the tail; membership checks must stay within
-    // the sorted hash-match prefix.
+    if (!any_point) add(pcell.original());
+    // One bucket is ascending and duplicate-free already.
+    if (buckets > 1) {
+      std::sort(matched.begin(), matched.end());
+      matched.erase(std::unique(matched.begin(), matched.end()),
+                    matched.end());
+    }
+    // Range rows append to the tail; membership checks stay within the
+    // sorted hash-match prefix, and one merge orders the whole list.
     const size_t sorted_end = matched.size();
     for (size_t i : range_rows) {
       if (std::binary_search(matched.begin(), matched.begin() + sorted_end,
@@ -552,17 +586,59 @@ JoinedRows HashJoinStepNode::HashMatch(const JoinedRows& left,
         matched.push_back(i);
       }
     }
-    // Per-probe emission sorted by build tuple: when the build child is a
-    // leaf this is its row-id order, which is what makes the FROM-order
-    // chain emit lexicographically without a root sort.
-    std::sort(matched.begin(), matched.end(), [&](size_t a, size_t b) {
-      return TupleLess(build[a], build[b], width);
-    });
-    for (size_t i : matched) {
-      if (!residuals_.empty() && !residuals_hold(prow, build[i])) continue;
-      AppendMerged(prow, build[i], build_pos, &out);
+    std::inplace_merge(matched.begin(), matched.begin() + sorted_end,
+                       matched.end());
+  };
+
+  // A candidate set's list depends on the set alone when it holds a point
+  // candidate; a range-only set falls back to the cell's original, so its
+  // list is built per probe. Lists live back to back in `memo_ids`.
+  std::unordered_map<const CandidateSet*, std::pair<size_t, size_t>> memo;
+  std::vector<size_t> memo_ids;
+  uint64_t computed = 0;
+  uint64_t reused = 0;
+
+  JoinedRows out;
+  out.width = width;
+  const std::vector<size_t> build_pos = MaskPositions(build_mask, width);
+  // Emission in ascending build index, which is build tuple order: when the
+  // build child is a leaf this is its row-id order, which is what makes the
+  // FROM-order chain emit lexicographically without a root sort.
+  auto emit = [&](const RowId* prow, const size_t* first, const size_t* last) {
+    for (; first != last; ++first) {
+      if (!residuals_.empty() && !residuals_hold(prow, build[*first])) continue;
+      AppendMerged(prow, build[*first], build_pos, &out);
     }
+  };
+  for (size_t p = 0; p < probe.size(); ++p) {
+    const RowId* prow = probe[p];
+    const Cell& pcell = ptab.cell(prow[pt], pc);
+    const CandidateSet* set = pcell.candidate_set().get();
+    if (set == nullptr && range_rows.empty()) {
+      const std::vector<size_t>& bucket = bucket_of(pcell.original());
+      emit(prow, bucket.data(), bucket.data() + bucket.size());
+      continue;
+    }
+    if (set == nullptr || set->most_probable() == nullptr) {
+      ++computed;
+      compute(pcell);
+      emit(prow, matched.data(), matched.data() + matched.size());
+      continue;
+    }
+    auto [it, added] = memo.try_emplace(set);
+    if (added) {
+      ++computed;
+      compute(pcell);
+      it->second = {memo_ids.size(), memo_ids.size() + matched.size()};
+      memo_ids.insert(memo_ids.end(), matched.begin(), matched.end());
+    } else {
+      ++reused;
+    }
+    emit(prow, memo_ids.data() + it->second.first,
+         memo_ids.data() + it->second.second);
   }
+  if (computed > 0) ProbeLists(false)->Increment(computed);
+  if (reused > 0) ProbeLists(true)->Increment(reused);
   return out;
 }
 

@@ -328,11 +328,22 @@ class JoinSourceNode : public PlanNode {
 ///
 /// The step predicate (`pred_idx` into `joins`; `joins->size()` for a
 /// cartesian step) is hashed: possible-candidate point hashing plus a
-/// range-candidate side list, deduplicated per probe. Every other
-/// predicate whose endpoints are split across the two sides is a residual,
-/// checked on each candidate pair. All of them match by JoinCellsMayMatch
-/// with the later-FROM endpoint as the build cell, so the build side is
-/// the subtree holding the step predicate's later-FROM endpoint.
+/// range-candidate side list. Every other predicate whose endpoints are
+/// split across the two sides is a residual, checked on each emitted pair.
+/// All of them match by JoinCellsMayMatch with the later-FROM endpoint as
+/// the build cell, so the build side is the subtree holding the step
+/// predicate's later-FROM endpoint.
+///
+/// Build tuples are indexed in lexicographic order (a leaf chain's row ids
+/// ascend; a join subtree is sorted once), and every hash bucket holds
+/// ascending, distinct build indices. A clean probe cell, with no range
+/// rows on the build side, emits straight from its bucket. A probabilistic
+/// probe cell's finished match list (buckets merged and deduplicated,
+/// range rows applied, ascending) is built once per shared CandidateSet per
+/// step and reused by every probe cell pointing at that set — except for a
+/// range-only set, whose match falls back to the cell's original and is
+/// built per probe. daisy_plan_join_probe_lists_total{source=computed|
+/// reused} counts both outcomes.
 ///
 /// Per-probe matches are emitted sorted by build tuple, and a cartesian
 /// step emits left-major in child order: over the FROM-order left-deep
@@ -361,8 +372,9 @@ class HashJoinStepNode : public JoinSourceNode {
   Result<JoinedRows> SideRows(ExecContext* ctx, size_t side);
 
   /// The hashed step: every (left, right) pair matching the step predicate
-  /// and all residuals, in per-probe build-tuple order.
-  JoinedRows HashMatch(const JoinedRows& left, const JoinedRows& right) const;
+  /// and all residuals, in per-probe build-tuple order. Takes the sides by
+  /// value: the build side is sorted into tuple order in place.
+  JoinedRows HashMatch(JoinedRows left, JoinedRows right) const;
 
   const std::vector<const Table*>* tables_;
   const SplitWhere::JoinPred* pred_;  ///< step predicate; null = cartesian

@@ -212,13 +212,15 @@ class GroupColumnCodes {
         cache_(&table->columns()),
         arrays_(&table->columns().column(col)) {}
 
-  uint32_t Code(RowId r, uint64_t* value_keyed) {
+  // Sets `*nan` when the key is a NaN, whose code no other tuple shares.
+  uint32_t Code(RowId r, uint64_t* value_keyed, bool* nan) {
     const double num = arrays_->num[r];
     if (arrays_->probs[r] == 0 && num == num) return arrays_->codes[r];
     ++*value_keyed;
     const Value& v = table_->cell(r, col_).MostProbable();
     uint32_t code;
     if (cache_->FindCode(col_, v, &code)) return code;
+    *nan |= v.is_nan();
     const auto next =
         static_cast<uint32_t>(arrays_->dict.size() + overflow_.size());
     return overflow_.emplace(v, next).first->second;
@@ -336,24 +338,66 @@ Result<size_t> QueryExecutor::BuildOutput(
   for (const BoundColumn& g : bound.group_cols) {
     key_cols.emplace_back(tables[g.table], g.col);
   }
-  std::vector<size_t> aggs;  // indices of the aggregate items
+  // The aggregate items, and the live FROM positions: the tables of the
+  // group keys and of the non-COUNT aggregate arguments. A tuple agreeing
+  // with the previous one on every live position reads the same key and
+  // argument cells, so it continues the previous tuple's run: same group,
+  // same argument values.
+  std::vector<size_t> aggs;
+  std::vector<size_t> live;
+  for (const BoundColumn& g : bound.group_cols) live.push_back(g.table);
   for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].agg != AggFunc::kNone) aggs.push_back(i);
+    if (items[i].agg == AggFunc::kNone) continue;
+    aggs.push_back(i);
+    if (items[i].agg != AggFunc::kCount && !items[i].star) {
+      live.push_back(items[i].src.table);
+    }
   }
+  std::sort(live.begin(), live.end());
+  live.erase(std::unique(live.begin(), live.end()), live.end());
   static const Value kOne(int64_t{1});  // the value a `*` argument adds
   std::unordered_map<std::vector<uint32_t>, uint32_t, CodeTupleHash> index;
   std::vector<uint32_t> key(key_cols.size());
   std::vector<size_t> first_tuple;
   std::vector<AggState> states;  // group g's states: [g * aggs.size(), +)
+  std::vector<const Value*> args(aggs.size());  // the run's argument values
   uint64_t value_keyed = 0;
+  uint64_t run_value_keyed = 0;  // the run's value-keyed cells per tuple
+  bool run_open = false;  // the previous tuple's group and args are reusable
+  uint32_t g = 0;
   for (size_t t = 0; t < joined.size(); ++t) {
     const RowId* j = joined[t];
-    for (size_t k = 0; k < key_cols.size(); ++k) {
-      key[k] = key_cols[k].Code(j[bound.group_cols[k].table], &value_keyed);
+    const bool in_run =
+        run_open && std::all_of(live.begin(), live.end(), [&](size_t p) {
+          return j[p] == joined[t - 1][p];
+        });
+    if (in_run) {
+      value_keyed += run_value_keyed;
+      AggState* s = states.data() + g * aggs.size();
+      for (size_t a = 0; a < aggs.size(); ++a, ++s) {
+        ++s->count;
+        const AggFunc f = items[aggs[a]].agg;
+        // MIN and MAX already hold their verdict on this value; SUM and
+        // AVG add it again only if numeric, as the run's first tuple did.
+        if ((f == AggFunc::kSum || f == AggFunc::kAvg) &&
+            args[a]->is_numeric()) {
+          s->sum += args[a]->AsDouble();
+        }
+      }
+      continue;
     }
+    run_value_keyed = 0;
+    bool nan = false;
+    for (size_t k = 0; k < key_cols.size(); ++k) {
+      key[k] = key_cols[k].Code(j[bound.group_cols[k].table],
+                                &run_value_keyed, &nan);
+    }
+    value_keyed += run_value_keyed;
+    // A NaN key is a group of its own on every occurrence: no run.
+    run_open = !nan;
     const auto [it, added] =
         index.try_emplace(key, static_cast<uint32_t>(first_tuple.size()));
-    const uint32_t g = it->second;
+    g = it->second;
     if (added) {
       first_tuple.push_back(t);
       states.resize(states.size() + aggs.size());
@@ -367,6 +411,7 @@ Result<size_t> QueryExecutor::BuildOutput(
           b.star ? kOne
                  : tables[b.src.table]->cell(j[b.src.table], b.src.col)
                        .MostProbable();
+      args[a] = &v;
       if (b.agg == AggFunc::kSum || b.agg == AggFunc::kAvg) {
         if (v.is_numeric()) s->sum += v.AsDouble();
       } else if (b.agg == AggFunc::kMin) {

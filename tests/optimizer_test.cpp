@@ -34,10 +34,12 @@
 #include "clean/cost_model.h"
 #include "clean/daisy_engine.h"
 #include "detect/fd_delta.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "filter_oracle.h"
 #include "plan/cardinality.h"
 #include "plan/optimizer.h"
+#include "plan/plan_node.h"
 #include "plan/planner.h"
 #include "query/eval.h"
 #include "query/executor.h"
@@ -701,6 +703,170 @@ TEST(JoinOracleTest, SeededScenariosMatchOracleWithOptimizerOnAndOff) {
   // The sweep must exercise joins over candidate cells, not vacuously pass.
   EXPECT_GT(oracle_rows, 0u);
   EXPECT_GT(probabilistic_cells, 0u);
+}
+
+// ----------------------------------------------------- shared probe lists --
+
+// Probe match lists of one source ("computed" or "reused") so far.
+uint64_t ProbeLists(const std::string& source) {
+  return MetricsRegistry::Global()
+      .GetCounter("daisy_plan_join_probe_lists_total{source=\"" + source +
+                  "\"}")
+      ->Value();
+}
+
+Candidate Point(Value v, double prob, int32_t pair) {
+  return {std::move(v), prob, pair, CandidateKind::kPoint};
+}
+
+TEST(JoinProbeListTest, SharedSetsWithDifferentOriginalsMatchOracle) {
+  // Rows 0-5 of a.k point at one candidate set but hold originals 0-3. A
+  // range-only set falls back to each cell's original, so its match list
+  // is per probe; a set with points matches by its points alone, so its
+  // list is built once and reused. b's last key carries a range candidate,
+  // which puts every probe, clean ones too, on the list path.
+  for (bool with_points : {false, true}) {
+    for (bool build_range : {false, true}) {
+      SCOPED_TRACE("with_points=" + std::to_string(with_points) +
+                   " build_range=" + std::to_string(build_range));
+      Table a("a", Schema({{"k", ValueType::kInt}, {"v", ValueType::kInt}}));
+      for (int64_t i = 0; i < 8; ++i) {
+        ASSERT_TRUE(a.AppendRow({Value(i % 4), Value(i)}).ok());
+      }
+      Table b("b", Schema({{"k", ValueType::kInt}, {"w", ValueType::kInt}}));
+      for (int64_t i = 0; i < 6; ++i) {
+        ASSERT_TRUE(b.AppendRow({Value(i), Value(10 * i)}).ok());
+      }
+      const CandidateSetPtr shared =
+          with_points
+              ? MakeCandidateSet({Point(Value(2), 0.5, 0),
+                                  Point(Value(3), 0.5, 1)})
+              : MakeCandidateSet(
+                    {{Value(2), 1.0, -1, CandidateKind::kLessEq}});
+      for (RowId r = 0; r < 6; ++r) a.SetCandidates(r, 0, shared);
+      if (build_range) {
+        b.SetCandidates(5, 0,
+                        MakeCandidateSet(
+                            {{Value(2), 1.0, -1, CandidateKind::kGreaterEq}}));
+      }
+      Database db;
+      ASSERT_TRUE(db.AddTable(std::move(a)).ok());
+      ASSERT_TRUE(db.AddTable(std::move(b)).ok());
+      const uint64_t reused = ProbeLists("reused");
+      EXPECT_GT(ExpectMatchesOracle(
+                    &db, "SELECT a.v, b.w FROM a, b WHERE a.k = b.k"),
+                0u);
+      EXPECT_EQ(ProbeLists("reused") > reused, with_points);
+    }
+  }
+}
+
+TEST(JoinProbeListTest, EqualsEqualBuildPointsEmitOnce) {
+  // b row 0 may be int 5 or double 5.0, one hash key: its bucket must
+  // hold the row once, for clean probes (straight from the bucket) and
+  // probabilistic ones (a shared list) alike.
+  Table a("a", Schema({{"k", ValueType::kDouble}, {"v", ValueType::kInt}}));
+  const std::vector<Value> keys = {Value(5), Value(5.0), Value(6), Value(5),
+                                   Value(7)};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(a.AppendRow({keys[i], Value(static_cast<int64_t>(i))}).ok());
+  }
+  const CandidateSetPtr probe_set =
+      MakeCandidateSet({Point(Value(5.0), 0.5, 0), Point(Value(6), 0.5, 1)});
+  a.SetCandidates(3, 0, probe_set);
+  a.SetCandidates(4, 0, probe_set);
+  Table b("b", Schema({{"k", ValueType::kDouble}, {"w", ValueType::kInt}}));
+  for (int64_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(b.AppendRow({Value(static_cast<double>(4 + i)), Value(i)}).ok());
+  }
+  b.SetCandidates(0, 0, MakeCandidateSet({Point(Value(5), 0.5, 0),
+                                          Point(Value(5.0), 0.5, 1)}));
+  Database db;
+  ASSERT_TRUE(db.AddTable(std::move(a)).ok());
+  ASSERT_TRUE(db.AddTable(std::move(b)).ok());
+  // a rows 0 and 1 (5) pair with b rows 0 and 1, row 2 (6) with b row 2,
+  // rows 3 and 4 ({5.0, 6}) with b rows 0-2.
+  EXPECT_EQ(ExpectMatchesOracle(&db, "SELECT a.v, b.w FROM a, b WHERE a.k = b.k"),
+            11u);
+}
+
+TEST(JoinProbeListTest, BushyBuildSideMatchesOracle) {
+  // The PicksBushyTreeThatJoinsSmallSidesFirst shape: the optimizer builds
+  // the top join on the b ⋈ c subtree. a.x cells share candidate sets, and
+  // b.x cells carry candidates too, so the subtree's build keys hash
+  // candidate points.
+  Table a = OneColTable("a", "x", 100, 50);
+  Table b("b", Schema({{"x", ValueType::kInt}, {"y", ValueType::kInt}}));
+  for (int64_t i = 0; i < 50; ++i) {
+    ASSERT_TRUE(b.AppendRow({Value(i), Value(i)}).ok());
+  }
+  Table c = OneColTable("c", "y", 4, 4);
+  const CandidateSetPtr low =
+      MakeCandidateSet({Point(Value(1), 0.5, 0), Point(Value(2), 0.5, 1)});
+  const CandidateSetPtr high =
+      MakeCandidateSet({Point(Value(3), 0.7, 0), Point(Value(40), 0.3, 1)});
+  for (RowId r = 0; r < 100; r += 3) a.SetCandidates(r, 0, r % 2 ? low : high);
+  b.SetCandidates(2, 0, high);
+  b.SetCandidates(3, 0, low);
+  Database db;
+  ASSERT_TRUE(db.AddTable(std::move(a)).ok());
+  ASSERT_TRUE(db.AddTable(std::move(b)).ok());
+  ASSERT_TRUE(db.AddTable(std::move(c)).ok());
+  const std::string sql =
+      "SELECT a.x, b.x, c.y FROM a, b, c WHERE a.x = b.x AND b.y = c.y";
+  const std::string plan =
+      Planner(&db, /*optimizer=*/true).PlanQuery(ParseQuery(sql).ValueOrDie())
+          .ValueOrDie()
+          .Explain();
+  // The top join builds on its right side, itself a join.
+  const size_t top = plan.find("HashJoin [a.x = b.x] [build=right]");
+  ASSERT_NE(top, std::string::npos) << plan;
+  EXPECT_NE(plan.find("HashJoin [b.y = c.y]", top), std::string::npos) << plan;
+  const uint64_t reused = ProbeLists("reused");
+  EXPECT_GT(ExpectMatchesOracle(&db, sql), 0u);
+  EXPECT_GT(ProbeLists("reused"), reused);
+}
+
+TEST(JoinProbeListTest, JoinSubtreeBuildSideIsSortedOnce) {
+  // A hand-built tree whose build side is a cartesian step emitting c-major
+  // (a FROM-order b, c tuple order would be b-major). The step sorts its
+  // build side once, so with no root sort the output is still
+  // lexicographic: the oracle's lineage byte for byte.
+  Database db;
+  ASSERT_TRUE(db.AddTable(OneColTable("a", "x", 6, 3)).ok());
+  ASSERT_TRUE(db.AddTable(OneColTable("b", "x", 3, 3)).ok());
+  ASSERT_TRUE(db.AddTable(OneColTable("c", "y", 2, 2)).ok());
+  Table* a = db.GetTable("a").ValueOrDie();
+  const CandidateSetPtr set =
+      MakeCandidateSet({Point(Value(0), 0.5, 0), Point(Value(2), 0.5, 1)});
+  a->SetCandidates(1, 0, set);
+  a->SetCandidates(4, 0, set);
+  const std::string sql = "SELECT a.x, b.x, c.y FROM a, b, c WHERE a.x = b.x";
+  const SelectStmt stmt = ParseQuery(sql).ValueOrDie();
+  const std::vector<const Table*> tables = {
+      a, db.GetTable("b").ValueOrDie(), db.GetTable("c").ValueOrDie()};
+  const std::vector<SplitWhere::JoinPred> joins = {Pred(0, 0, 1, 0)};
+  auto cartesian = std::make_unique<HashJoinStepNode>(
+      PlanNode::Kind::kHashJoin, &tables, &joins, joins.size(), 0b100,
+      0b010, /*left_from=*/2, /*right_from=*/1, /*build_left=*/false,
+      std::make_unique<ScanNode>(tables[2]),
+      std::make_unique<ScanNode>(tables[1]));
+  HashJoinStepNode root(PlanNode::Kind::kHashJoin, &tables, &joins, 0, 0b001,
+                        0b110, /*left_from=*/0, /*right_from=*/-1,
+                        /*build_left=*/false,
+                        std::make_unique<ScanNode>(tables[0]),
+                        std::move(cartesian));
+  ExecContext ctx;
+  JoinedRows joined = root.ExecuteJoined(&ctx).ValueOrDie();
+  QueryOutput got;
+  TableSink sink(&got);
+  ASSERT_TRUE(QueryExecutor::BuildOutput(stmt, tables, std::move(joined),
+                                         /*row_limit=*/0, &sink)
+                  .ok());
+  QueryOutput want = OracleQuery(&db, sql).ValueOrDie();
+  EXPECT_GT(want.result.num_rows(), 0u);
+  EXPECT_EQ(got.lineage, want.lineage);
+  EXPECT_TRUE(SameTables(got.result, want.result));
 }
 
 // ------------------------------------------- plan-equivalence differential --

@@ -430,8 +430,9 @@ std::vector<Candidate> RandomCandidates(Rng* rng, bool numeric) {
   return out;
 }
 
-// t0(a, s, m) and t1(b, h, w), filled from the pools. The numeric
-// columns are kDouble, the type that admits ints and doubles side by side.
+// t0(a, s, m) and t1(b, h, w), filled from the pools, and t2(z), which
+// only a COUNT may read. The numeric columns are kDouble, the type that
+// admits ints and doubles side by side.
 std::vector<Table> MakeAggTables(Rng* rng) {
   std::vector<Table> out;
   out.emplace_back("t0", Schema({{"a", ValueType::kDouble},
@@ -448,6 +449,11 @@ std::vector<Table> MakeAggTables(Rng* rng) {
                                Pick(rng, NumericPool())})
                       .ok());
     }
+  }
+  out.emplace_back("t2", Schema({{"z", ValueType::kDouble}}));
+  const int64_t rows = rng->UniformInt(1, 8);
+  for (int64_t r = 0; r < rows; ++r) {
+    EXPECT_TRUE(out.back().AppendRow({Pick(rng, NumericPool())}).ok());
   }
   return out;
 }
@@ -468,8 +474,9 @@ void RandomizeCandidates(Rng* rng, std::vector<Table>* tables) {
   }
 }
 
-// SELECT over t0, t1 with `keys` GROUP BY columns (0 = global aggregate),
-// their key items in a shuffled order and one of every aggregate.
+// SELECT over t0, t1, t2 with `keys` GROUP BY columns of t0 and t1 (0 =
+// global aggregate), their key items in a shuffled order and one of every
+// aggregate; t2 is read by a COUNT at most.
 std::string RandomAggregateQuery(Rng* rng, size_t keys) {
   const std::vector<std::string> cols = {"t0.a", "t0.s", "t0.m",
                                          "t1.b", "t1.h", "t1.w"};
@@ -483,6 +490,7 @@ std::string RandomAggregateQuery(Rng* rng, size_t keys) {
                     cols[static_cast<size_t>(rng->UniformInt(0, 5))] + ")");
   }
   items.push_back("COUNT(*)");
+  if (rng->Bernoulli(0.3)) items.push_back("COUNT(t2.z)");
   if (rng->Bernoulli(0.3)) items.push_back("SUM(*)");
   if (rng->Bernoulli(0.3)) items.push_back("MIN(*)");
   for (size_t i = items.size(); i > 1; --i) {
@@ -493,7 +501,7 @@ std::string RandomAggregateQuery(Rng* rng, size_t keys) {
   for (size_t i = 0; i < items.size(); ++i) {
     sql += (i > 0 ? ", " : "") + items[i];
   }
-  sql += " FROM t0, t1";
+  sql += " FROM t0, t1, t2";
   for (size_t i = 0; i < order.size(); ++i) {
     sql += (i == 0 ? " GROUP BY " : ", ") + cols[order[i]];
   }
@@ -509,66 +517,170 @@ bool SameBits(const Value& a, const Value& b) {
   return std::memcmp(&x, &y, sizeof(double)) == 0;
 }
 
+// BuildOutput against the Value-keyed oracle on one input: same group
+// count, lineage, columns and cells (by SameBits). Returns the groups.
+size_t ExpectMatchesValueKeyed(const std::string& sql,
+                               const std::vector<const Table*>& tables,
+                               const JoinedRows& joined, size_t limit) {
+  SCOPED_TRACE(sql);
+  SelectStmt stmt = ParseQuery(sql).ValueOrDie();
+  QueryOutput got;
+  TableSink got_sink(&got);
+  auto got_total =
+      QueryExecutor::BuildOutput(stmt, tables, joined, limit, &got_sink);
+  QueryOutput want;
+  TableSink want_sink(&want);
+  auto want_total =
+      testutil::ValueKeyedAggregate(stmt, tables, joined, limit, &want_sink);
+  EXPECT_TRUE(got_total.ok()) << got_total.status().ToString();
+  EXPECT_TRUE(want_total.ok());
+  if (!got_total.ok() || !want_total.ok()) return 0;
+  EXPECT_EQ(got_total.value(), want_total.value());
+  EXPECT_EQ(got.lineage, want.lineage);
+  EXPECT_EQ(got.result.num_columns(), want.result.num_columns());
+  EXPECT_EQ(got.result.num_rows(), want.result.num_rows());
+  if (got.result.num_columns() != want.result.num_columns() ||
+      got.result.num_rows() != want.result.num_rows()) {
+    return 0;
+  }
+  for (size_t c = 0; c < got.result.num_columns(); ++c) {
+    EXPECT_EQ(got.result.schema().column(c).name,
+              want.result.schema().column(c).name);
+    EXPECT_EQ(got.result.schema().column(c).type,
+              want.result.schema().column(c).type);
+  }
+  for (RowId r = 0; r < got.result.num_rows(); ++r) {
+    for (size_t c = 0; c < got.result.num_columns(); ++c) {
+      const Value& g = got.result.cell(r, c).original();
+      const Value& w = want.result.cell(r, c).original();
+      EXPECT_TRUE(SameBits(g, w)) << "row " << r << " col " << c << ": "
+                                  << g.ToString() << " vs " << w.ToString();
+    }
+  }
+  return got.result.num_rows();
+}
+
 TEST(AggregateDifferentialTest, CodeKeyedMatchesValueKeyedOracle) {
+  // Tuples come in runs of 1-5 that repeat one t0, t1 pair; within a run
+  // the t2 position, which at most a COUNT reads, sometimes changes.
   size_t compared_groups = 0;
+  size_t run_tuples = 0;
+  size_t nan_key_run_tuples = 0;
   for (uint64_t seed = 1; seed <= 120; ++seed) {
     Rng rng(seed);
     std::vector<Table> owned = MakeAggTables(&rng);
-    const std::vector<const Table*> tables = {&owned[0], &owned[1]};
+    const std::vector<const Table*> tables = {&owned[0], &owned[1], &owned[2]};
+    auto pick_row = [&](size_t t) {
+      return static_cast<RowId>(rng.UniformInt(
+          0, static_cast<int64_t>(owned[t].num_rows()) - 1));
+    };
     for (int round = 0; round < 4; ++round) {
       // Candidate writes before and after the column caches are built:
       // the executor must read patched `probs` bits too.
       if (round > 0 || rng.Bernoulli(0.5)) RandomizeCandidates(&rng, &owned);
       const size_t keys = static_cast<size_t>(rng.UniformInt(0, 3));
       const std::string sql = RandomAggregateQuery(&rng, keys);
-      SelectStmt stmt = ParseQuery(sql).ValueOrDie();
+      const BoundOutput bound =
+          BindOutput(ParseQuery(sql).ValueOrDie(), tables).ValueOrDie();
       JoinedRows joined;
-      joined.width = 2;
-      const int64_t tuples = rng.UniformInt(0, 200);
-      for (int64_t t = 0; t < tuples; ++t) {
-        joined.ids.push_back(static_cast<RowId>(
-            rng.UniformInt(0, static_cast<int64_t>(owned[0].num_rows()) - 1)));
-        joined.ids.push_back(static_cast<RowId>(
-            rng.UniformInt(0, static_cast<int64_t>(owned[1].num_rows()) - 1)));
+      joined.width = 3;
+      const size_t tuples = static_cast<size_t>(rng.UniformInt(0, 200));
+      while (joined.size() < tuples) {
+        const RowId r0 = pick_row(0);
+        const RowId r1 = pick_row(1);
+        RowId r2 = pick_row(2);
+        const int64_t repeat = rng.UniformInt(1, 5);
+        for (int64_t k = 0; k < repeat; ++k) {
+          if (k > 0 && rng.Bernoulli(0.3)) r2 = pick_row(2);
+          joined.ids.insert(joined.ids.end(), {r0, r1, r2});
+          if (k == 0) continue;
+          ++run_tuples;
+          for (const BoundColumn& g : bound.group_cols) {
+            const RowId r = g.table == 0 ? r0 : r1;
+            if (tables[g.table]->cell(r, g.col).MostProbable().is_nan()) {
+              ++nan_key_run_tuples;
+              break;
+            }
+          }
+        }
       }
       const size_t limit =
           rng.Bernoulli(0.3) ? static_cast<size_t>(rng.UniformInt(1, 5)) : 0;
-
-      QueryOutput got;
-      TableSink got_sink(&got);
-      auto got_total =
-          QueryExecutor::BuildOutput(stmt, tables, joined, limit, &got_sink);
-      QueryOutput want;
-      TableSink want_sink(&want);
-      auto want_total = testutil::ValueKeyedAggregate(stmt, tables, joined,
-                                                      limit, &want_sink);
-      ASSERT_TRUE(got_total.ok()) << sql << ": " << got_total.status().ToString();
-      ASSERT_TRUE(want_total.ok()) << sql;
       SCOPED_TRACE("seed " + std::to_string(seed) + " round " +
-                   std::to_string(round) + ": " + sql);
-      ASSERT_EQ(got_total.value(), want_total.value());
-      ASSERT_EQ(got.lineage, want.lineage);
-      ASSERT_EQ(got.result.num_columns(), want.result.num_columns());
-      ASSERT_EQ(got.result.num_rows(), want.result.num_rows());
-      for (size_t c = 0; c < got.result.num_columns(); ++c) {
-        EXPECT_EQ(got.result.schema().column(c).name,
-                  want.result.schema().column(c).name);
-        EXPECT_EQ(got.result.schema().column(c).type,
-                  want.result.schema().column(c).type);
-      }
-      for (RowId r = 0; r < got.result.num_rows(); ++r) {
-        for (size_t c = 0; c < got.result.num_columns(); ++c) {
-          const Value& g = got.result.cell(r, c).original();
-          const Value& w = want.result.cell(r, c).original();
-          ASSERT_TRUE(SameBits(g, w)) << "row " << r << " col " << c << ": "
-                                      << g.ToString() << " vs "
-                                      << w.ToString();
-        }
-      }
-      compared_groups += got.result.num_rows();
+                   std::to_string(round));
+      compared_groups += ExpectMatchesValueKeyed(sql, tables, joined, limit);
+      if (HasFailure()) return;
     }
   }
   EXPECT_GT(compared_groups, 2000u);
+  EXPECT_GT(run_tuples, 10000u);
+  EXPECT_GT(nan_key_run_tuples, 100u);
+}
+
+TEST(AggregateDifferentialTest, RunsMatchValueKeyedOracle) {
+  // Hand-picked runs: a NaN key repeated (each occurrence its own group),
+  // SUM and AVG over a -0.0 followed by nulls and strings, MIN and MAX over
+  // a run of nulls then a number, COUNT(*) and COUNT(col) counting nulls.
+  Table t0("t0", Schema({{"a", ValueType::kDouble},
+                         {"s", ValueType::kString},
+                         {"m", ValueType::kDouble}}));
+  ASSERT_TRUE(t0.AppendRow({Value(std::nan("")), Value("a"), Value(-0.0)}).ok());
+  ASSERT_TRUE(t0.AppendRow({Value(1.0), Value::Null(), Value(-0.0)}).ok());
+  ASSERT_TRUE(t0.AppendRow({Value(1), Value("b"), Value::Null()}).ok());
+  ASSERT_TRUE(t0.AppendRow({Value(2.0), Value::Null(), Value(2.5)}).ok());
+  ASSERT_TRUE(t0.AppendRow({Value(3.0), Value("c"), Value(1)}).ok());
+  Table t1("t1", Schema({{"b", ValueType::kDouble}, {"h", ValueType::kString}}));
+  ASSERT_TRUE(t1.AppendRow({Value::Null(), Value::Null()}).ok());
+  ASSERT_TRUE(t1.AppendRow({Value(5), Value("x")}).ok());
+  Table t2("t2", Schema({{"z", ValueType::kDouble}}));
+  for (int64_t i = 0; i < 3; ++i) ASSERT_TRUE(t2.AppendRow({Value(i)}).ok());
+  // Row 3's key reads NaN through a candidate set, row 4's a value no
+  // original holds.
+  t0.SetCandidates(3, 0,
+                   MakeCandidateSet({{Value(std::nan("")), 1.0, 0,
+                                      CandidateKind::kPoint}}));
+  t0.SetCandidates(4, 0,
+                   MakeCandidateSet({{Value(7.0), 1.0, 0,
+                                      CandidateKind::kPoint}}));
+  const std::vector<const Table*> tables = {&t0, &t1, &t2};
+  JoinedRows joined;
+  joined.width = 3;
+  for (const std::vector<RowId>& tuple : std::vector<std::vector<RowId>>{
+           {0, 0, 0}, {0, 0, 1}, {0, 0, 1},  // NaN key, t2 varies
+           {1, 0, 0}, {1, 0, 1}, {2, 0, 2}, {2, 0, 2},  // -0.0, then null
+           {2, 1, 0}, {2, 1, 0}, {1, 1, 1},  // MAX(t1.b): nulls, then 5
+           {3, 0, 0}, {3, 0, 0},             // NaN by candidate
+           {4, 1, 0}, {4, 1, 2},             // key by candidate
+           {0, 1, 2}}) {
+    joined.ids.insert(joined.ids.end(), tuple.begin(), tuple.end());
+  }
+  const std::vector<std::string> queries = {
+      "SELECT t0.a, SUM(t0.m), AVG(t0.m), SUM(t0.s), AVG(t0.s), MIN(t1.b), "
+      "MAX(t1.b), MIN(t0.m), MAX(t0.s), COUNT(*), COUNT(t1.h), COUNT(t2.z) "
+      "FROM t0, t1, t2 GROUP BY t0.a",
+      "SELECT SUM(t0.m), MIN(t1.b), MAX(t1.b), COUNT(t0.s), COUNT(*) "
+      "FROM t0, t1, t2",
+      "SELECT t1.h, t0.a, SUM(t1.b), MIN(t0.s), COUNT(*) FROM t0, t1, t2 "
+      "GROUP BY t0.a, t1.h"};
+  for (const std::string& sql : queries) {
+    EXPECT_GT(ExpectMatchesValueKeyed(sql, tables, joined, 0), 0u);
+  }
+  // The six tuples of t0 rows 0 and 3 have NaN keys, a group each; rows 1
+  // and 2 share key 1. Every tuple of rows 0, 3 and 4 resolves its key
+  // through a Value lookup, row 4's second one inside a run.
+  Counter* cells = MetricsRegistry::Global().GetCounter(
+      "daisy_plan_agg_value_keyed_cells_total");
+  const uint64_t before = cells->Value();
+  QueryOutput out;
+  TableSink sink(&out);
+  ASSERT_TRUE(QueryExecutor::BuildOutput(
+                  ParseQuery("SELECT t0.a, COUNT(*) FROM t0, t1, t2 "
+                             "GROUP BY t0.a")
+                      .ValueOrDie(),
+                  tables, joined, 0, &sink)
+                  .ok());
+  EXPECT_EQ(out.result.num_rows(), 8u);
+  EXPECT_EQ(cells->Value() - before, 8u);
 }
 
 TEST(AggregateDifferentialTest, ValueKeyedCellsCounted) {
